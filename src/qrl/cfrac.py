@@ -2,20 +2,23 @@
 
 The expansion never touches floats: a state is the (a, b) pair of
 (b + sqrt(d))/(2a), the partial quotient is an exact floor via isqrt, and
-the period is the first repeated state. The regulator is accumulated as a
-sum of logarithms in extended precision; an exact big-integer unit is
-available separately for cross-checks.
+the period starts at the first reduced state and ends on the return to it.
+`cf_orbit` is the one step, also used for class numbers. The regulator is
+accumulated as a sum of logarithms in extended precision; an exact
+big-integer unit is available separately for cross-checks.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import ceil, gcd, isqrt, log, sqrt
 
 from mpmath import mp
 
-from .quadorder import QuadIdeal, QuadIrrational, canonical_irrational
+from .quadorder import QuadIdeal, QuadIrrational, canonical_irrational, is_reduced_state
 
 
 class PeriodOverflow(RuntimeError):
@@ -50,35 +53,41 @@ def default_max_steps(d: int) -> int:
     return 10 * ceil(sqrt(d) * log(d)) + 10
 
 
-def cf_expand(rho: QuadIrrational, max_steps: int | None = None) -> CFExpansion:
-    """Expand rho until its (a, b) state repeats; quotients are exact."""
-    d = rho.d
-    if max_steps is None:
-        max_steps = default_max_steps(d)
+def cf_orbit(d: int, a: int, b: int) -> Iterator[tuple[int, int, int]]:
+    """(quotient, a, b) of (b + sqrt(d))/(2a), then of each complete quotient."""
     s = isqrt(d)
-    a, b = rho.a, rho.b
-    seen: dict[tuple[int, int], int] = {}
-    states: list[tuple[int, int]] = []
-    quots: list[int] = []
-    while (a, b) not in seen:
-        if len(quots) > max_steps:
-            raise PeriodOverflow(
-                f"continued fraction of ({b}+sqrt({d}))/{2 * a} did not close "
-                f"within {max_steps} steps"
-            )
-        seen[(a, b)] = len(states)
-        states.append((a, b))
+    while True:
         twoa = 2 * a
         # floor((b + sqrt(d))/(2a)); sqrt(d) is irrational, so the isqrt
         # shift is exact for either sign of a (a can dip negative before
         # the orbit reaches a reduced state)
         alpha = (b + s) // twoa if a > 0 else (b + s + 1) // twoa
-        quots.append(alpha)
+        yield alpha, a, b
         b = twoa * alpha - b
         a = (d - b * b) // (2 * twoa)
-    j = seen[(a, b)]
-    cycle = tuple(QuadIrrational(d, aa, bb) for aa, bb in states[j:])
-    return CFExpansion(tuple(quots[:j]), tuple(quots[j:]), cycle)
+
+
+def cf_expand(rho: QuadIrrational, max_steps: int | None = None) -> CFExpansion:
+    """Expand rho until it returns to its first reduced state; quotients are exact."""
+    d = rho.d
+    if max_steps is None:
+        max_steps = default_max_steps(d)
+    s = isqrt(d)
+    quots: list[int] = []
+    cycle: list[QuadIrrational] = []
+    # at most max_steps + 1 quotients, then the state that closes the cycle
+    for alpha, a, b in islice(cf_orbit(d, rho.a, rho.b), max(1, max_steps + 2)):
+        if cycle and a == cycle[0].a and b == cycle[0].b:
+            j = len(quots) - len(cycle)
+            return CFExpansion(tuple(quots[:j]), tuple(quots[j:]), tuple(cycle))
+        # every state after a reduced one is reduced
+        if cycle or is_reduced_state(a, b, s):
+            cycle.append(QuadIrrational(d, a, b))
+        quots.append(alpha)
+    raise PeriodOverflow(
+        f"continued fraction of ({b}+sqrt({d}))/{2 * a} did not close "
+        f"within {max_steps} steps"
+    )
 
 
 @lru_cache(maxsize=None)

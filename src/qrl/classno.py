@@ -1,10 +1,10 @@
-"""Class numbers via reduced indefinite form cycles, and Dirichlet L-values.
+"""Class numbers via cycles of reduced quadratic irrationals, and L-values.
 
-The narrow class number is the number of cycles of reduced primitive
-indefinite forms of discriminant d under the reduction step; the wide one
-follows from the unit's norm sign. L(1, chi_d) is evaluated exactly with
-the finite log-sine character sum, and approximately by a truncated Euler
-product. The two roads meet in the class number formula round trip.
+h counts the cycles of reduced primitive (b + sqrt(d))/(2a), a > 0, under
+the continued-fraction step; h_narrow is h if the principal cycle, the one
+through a = 1, has odd length, else 2h. L(1, chi_d) is evaluated exactly
+with the finite log-sine character sum, and approximately by a truncated
+Euler product. The two roads meet in the class number formula round trip.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from math import gcd, isqrt, log, sqrt
 
 import numpy as np
 
-from .cfrac import principal_expansion, fundamental_unit
+from .cfrac import cf_orbit
 from .intarith import (
     divisors,
     factorize,
@@ -45,56 +45,46 @@ class HBoundReport:
 
 
 def reduced_forms(d: int) -> list[Form]:
-    """All reduced primitive indefinite forms (a, b, c) of discriminant d."""
+    """All reduced primitive indefinite forms (a, b, c), a > 0, of discriminant d."""
     s = isqrt(d)
     out: list[Form] = []
     for b in range(2 - d % 2, s + 1, 2):
         m = (d - b * b) // 4
         for u in divisors(m):
-            # reduced: sqrt(d) - b < 2|a| < sqrt(d) + b, exact via isqrt
+            # reduced: sqrt(d) - b < 2a < sqrt(d) + b, exact via isqrt
             if s + 1 - b <= 2 * u <= s + b:
                 c = m // u
                 if gcd(gcd(u, b), c) == 1:
                     out.append((u, b, -c))
-                    out.append((-u, b, c))
     return out
 
 
-def _rho_step(form: Form, d: int, s: int) -> Form:
-    a, b, c = form
-    t = 2 * abs(c)
-    b2 = s - ((s + b) % t)
-    return (c, b2, (b2 * b2 - d) // (4 * c))
-
-
 def form_cycles(d: int) -> list[list[Form]]:
+    """Reduced forms grouped into cycles of the continued-fraction step."""
     forms = reduced_forms(d)
-    s = isqrt(d)
-    all_forms = set(forms)
-    visited: set[Form] = set()
+    unvisited = {(a, b) for a, b, _ in forms}
     cycles: list[list[Form]] = []
-    for start in forms:
-        if start in visited:
+    for a0, b0, _ in forms:
+        if (a0, b0) not in unvisited:
             continue
         cyc: list[Form] = []
-        g = start
-        while g not in visited:
-            visited.add(g)
-            cyc.append(g)
-            g = _rho_step(g, d, s)
-            assert g in all_forms
-        assert g == start  # the step permutes reduced forms
+        for _, a, b in cf_orbit(d, a0, b0):
+            if (a, b) not in unvisited:
+                break
+            unvisited.remove((a, b))
+            cyc.append((a, b, (b * b - d) // (4 * a)))
+        assert (a, b) == (a0, b0)  # the step permutes reduced forms
         cycles.append(cyc)
     return cycles
 
 
 def class_number_forms(d: int) -> tuple[int, int]:
     """(h, h_narrow) for the order of discriminant d."""
-    h_narrow = len(form_cycles(d))
-    if len(principal_expansion(d).period) % 2:
-        return h_narrow, h_narrow
-    assert h_narrow % 2 == 0
-    return h_narrow // 2, h_narrow
+    cycles = form_cycles(d)
+    h = len(cycles)
+    # the cycle through the a = 1 form is the principal one
+    principal = next(cyc for cyc in cycles if min(cyc)[0] == 1)
+    return h, h if len(principal) % 2 else 2 * h
 
 
 @lru_cache(maxsize=None)
@@ -166,9 +156,8 @@ def class_data(d: int, euler_bound_B: int = 10**5) -> ClassData:
     )
 
 
-def h_bound_report(d: int, constant: float) -> HBoundReport:
+def h_bound_report(d: int, h: int, constant: float) -> HBoundReport:
     if d < 16:
         raise ValueError("h_bound_report: need d >= 16 so log log d > 0")
-    h, _ = class_number_forms(d)
     bound = constant * sqrt(d) / (log(d) ** 2 * log(log(d)))
     return HBoundReport(h, bound, h <= bound)

@@ -15,6 +15,7 @@ import math
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
+from decimal import Decimal, InvalidOperation
 from multiprocessing import Pool
 
 from . import families
@@ -38,6 +39,9 @@ from .quadorder import (
 DEFAULT_EPS1 = 0.9
 DEFAULT_BOUND_EXPONENT = 2.05
 MAX_EULER_BOUND = 10**6
+# --x digit cap: json writes integers of at most 4300 digits, and the cap
+# keeps an argument like 1e999999999 from building a huge integer
+MAX_SCALE_DIGITS = 4300
 
 SCAN_CSV_FIELDS = ["k", "n", "squarefree", "h", "regulator", "L_trunc", "bound_ok"]
 
@@ -87,10 +91,20 @@ def _require_discriminant(d: int) -> int:
 
 
 def _parse_scale(text: str) -> int:
-    """Integer argument that also accepts scientific notation like 1e10."""
-    value = float(text)
-    if value != int(value):
-        raise argparse.ArgumentTypeError(f"{text} is not an integer")
+    """Integer argument that also accepts scientific notation like 1e10,
+    parsed exactly (no float rounding)."""
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        value = Decimal("NaN")
+    if (
+        not value.is_finite()
+        or value.adjusted() >= MAX_SCALE_DIGITS
+        or value != value.to_integral_value()
+    ):
+        raise argparse.ArgumentTypeError(
+            f"{text} is not an integer below 1e{MAX_SCALE_DIGITS}"
+        )
     return int(value)
 
 
@@ -299,19 +313,24 @@ def cmd_family_build(args) -> int:
 
 
 def _load_spec(path: str) -> families.ProgressionSpec:
+    """Read a spec file; reject it unless build_progression reproduces it."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    return families.ProgressionSpec(
-        m=int(data["m"]),
-        primes=tuple(data["primes"]),
-        x=int(data["x"]),
-        eps1=float(data["eps1"]),
-        S=tuple(data["S"]),
-        P_small=tuple(data["P_small"]),
-        S_prime=tuple(data["S_prime"]),
-        q=int(data["q"]),
-        n0=int(data["n0"]),
+    spec = families.build_progression(
+        int(data["m"]),
+        [int(p) for p in data["primes"]],
+        int(data["x"]),
+        float(data["eps1"]),
     )
+    # compared in JSON form, where the spec's tuples are lists
+    built = json.loads(json.dumps(asdict(spec)))
+    wrong = [key for key, value in built.items() if data[key] != value]
+    if wrong:
+        raise ValueError(
+            f"spec {path} does not match build_progression(m, primes, x, eps1)"
+            f" in {', '.join(wrong)}"
+        )
+    return spec
 
 
 def cmd_family_scan(args) -> int:

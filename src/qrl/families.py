@@ -198,7 +198,7 @@ def _attach_analysis(
     l_val = l_value_truncated(d, euler_bound_B) if euler_bound_B else None
     bound = bound_ok = None
     if d >= 16:
-        rep = h_bound_report(d, HEADLINE_CONSTANT * log(max(primes)))
+        rep = h_bound_report(d, h, HEADLINE_CONSTANT * log(max(primes)))
         bound, bound_ok = rep.bound, rep.satisfied
     return replace(
         rec, h=h, regulator=reg, L_truncated=l_val, bound=bound, bound_ok=bound_ok

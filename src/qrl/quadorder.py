@@ -64,6 +64,12 @@ class IdealFlags:
     reduced: bool
 
 
+def is_reduced_state(a: int, b: int, s: int) -> bool:
+    """Whether (b + sqrt(d))/(2a), s = isqrt(d), is reduced: rho > 1 and
+    -1 < conjugate < 0, decided on integers. False for every a < 0."""
+    return s >= 2 * a - b and b <= s and b + 2 * a > s
+
+
 @dataclass(frozen=True)
 class QuadIrrational:
     """(b + sqrt(d)) / (2a) with 4a | b^2 - d and content 1."""
@@ -93,9 +99,7 @@ class QuadIrrational:
         return (self.b + sqrt(self.d)) / (2 * self.a)
 
     def is_reduced(self) -> bool:
-        # rho > 1 and -1 < conjugate < 0, decided on integers via isqrt
-        s = isqrt(self.d)
-        return s >= 2 * self.a - self.b and self.b <= s and self.b + 2 * self.a > s
+        return is_reduced_state(self.a, self.b, isqrt(self.d))
 
     def to_ideal(self) -> QuadIdeal:
         return QuadIdeal(self.d, self.a, self.b)

@@ -82,6 +82,56 @@ def test_purely_periodic_iff_reduced():
         done += 1
 
 
+def seen_dict_expansion(d, a, b):
+    """The expansion as cf_expand used to find it: walk until some (a, b)
+    state repeats; the period starts at the first occurrence of that state."""
+    s = isqrt(d)
+    seen, states, quots = {}, [], []
+    while (a, b) not in seen:
+        seen[(a, b)] = len(states)
+        states.append((a, b))
+        alpha = (b + s) // (2 * a) if a > 0 else (b + s + 1) // (2 * a)
+        quots.append(alpha)
+        b = 2 * a * alpha - b
+        a = (d - b * b) // (4 * a)
+    j = seen[(a, b)]
+    return tuple(quots[:j]), tuple(quots[j:]), states[j:]
+
+
+def random_starts(rng, count, hi):
+    """Content-1 irrationals (b + sqrt(d))/(2a), mostly not reduced."""
+    out = []
+    while len(out) < count:
+        d = sample_discriminants(rng, 1, hi=hi)[0]
+        ideal = random_ideal(rng, d, allow_content=False)
+        if classify(ideal).regular:
+            out.append(QuadIrrational(d, ideal.a, ideal.b))
+    return out
+
+
+def test_cf_expand_matches_seen_dict_oracle():
+    with_preperiod = 0
+    for rho in random_starts(random.Random(37), 1000, 10**5):
+        exp = cf_expand(rho)
+        preperiod, period, states = seen_dict_expansion(rho.d, rho.a, rho.b)
+        assert exp.preperiod == preperiod and exp.period == period, rho
+        assert [(r.a, r.b) for r in exp.cycle] == states, rho
+        with_preperiod += bool(preperiod)
+    assert with_preperiod > 900
+
+
+def test_max_steps_boundary():
+    # T quotients in all: max_steps = T - 1 closes, T - 2 does not
+    starts = [canonical_irrational(d) for d in (5, 8, 13, 61, 9949)]
+    starts += random_starts(random.Random(43), 50, 10**4)
+    for rho in starts:
+        exp = cf_expand(rho)
+        total = len(exp.preperiod) + len(exp.period)
+        assert cf_expand(rho, max_steps=total - 1) == exp
+        with pytest.raises(PeriodOverflow, match="did not close"):
+            cf_expand(rho, max_steps=total - 2)
+
+
 def test_max_steps_overflow():
     with pytest.raises(PeriodOverflow, match="did not close"):
         cf_expand(canonical_irrational(9949), max_steps=2)

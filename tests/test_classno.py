@@ -1,9 +1,9 @@
 import random
-from math import log, sqrt
+from math import gcd, isqrt, log, sqrt
 
 import pytest
 
-from qrl.cfrac import fundamental_unit
+from qrl.cfrac import fundamental_unit, principal_expansion
 from qrl.classno import (
     character_row,
     class_data,
@@ -14,7 +14,7 @@ from qrl.classno import (
     l_value_truncated,
     reduced_forms,
 )
-from qrl.intarith import fundamental_decomposition, is_discriminant, kronecker
+from qrl.intarith import divisors, fundamental_decomposition, is_discriminant, kronecker
 
 
 def fundamental_discriminants(lo, hi):
@@ -43,6 +43,38 @@ def test_forms_are_reduced_and_cycles_partition():
             assert 0 < b < s and abs(s - 2 * abs(a)) < b
         cycles = form_cycles(d)
         assert sum(len(c) for c in cycles) == len(forms)
+
+
+def signed_form_class_numbers(d):
+    """(h, h_narrow) as class_number_forms used to count them: h_narrow is
+    the number of cycles of the reduced forms of both signs of a under the
+    rho step, halved when the principal period is even."""
+    s = isqrt(d)
+    forms = []
+    for b in range(2 - d % 2, s + 1, 2):
+        m = (d - b * b) // 4
+        for u in divisors(m):
+            if s + 1 - b <= 2 * u <= s + b and gcd(gcd(u, b), m // u) == 1:
+                forms += [(u, b, -(m // u)), (-u, b, m // u)]
+    visited, h_narrow = set(), 0
+    for form in forms:
+        if form in visited:
+            continue
+        h_narrow += 1
+        while form not in visited:
+            visited.add(form)
+            _, b, c = form
+            b2 = s - ((s + b) % (2 * abs(c)))
+            form = (c, b2, (b2 * b2 - d) // (4 * c))
+    if len(principal_expansion(d).period) % 2:
+        return h_narrow, h_narrow
+    return h_narrow // 2, h_narrow
+
+
+def test_class_number_matches_signed_form_oracle():
+    for d in range(5, 3000):
+        if is_discriminant(d):
+            assert class_number_forms(d) == signed_form_class_numbers(d), d
 
 
 def test_narrow_wide_ratio():
@@ -104,9 +136,9 @@ def test_class_data_fields():
 
 
 def test_h_bound_report():
-    rep = h_bound_report(61, 192 * log(3))
+    rep = h_bound_report(61, 1, 192 * log(3))
     assert rep.h == 1 and rep.satisfied and abs(rep.bound - 68.96) < 0.1
-    rep = h_bound_report(61, 0.0)
+    rep = h_bound_report(61, 1, 0.0)
     assert not rep.satisfied
     with pytest.raises(ValueError):
-        h_bound_report(15, 1.0)
+        h_bound_report(15, 2, 1.0)

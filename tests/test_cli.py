@@ -141,6 +141,37 @@ def test_family_build_reference_spec():
     assert record["eps1"] == 0.9
 
 
+def test_family_build_parses_x_exactly():
+    for text, x in (("12345678901234567", 12345678901234567), ("1e10", 10**10)):
+        argv = ["family", "build", "--m", "1", "--primes", "5", "--x", text]
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        assert one_json(out)["x"] == x
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(["family", "build", "--m", "1", "--primes", "5", "--x", "1.5e0"])
+    assert excinfo.value.code == 2
+
+
+def test_family_scan_rejects_inconsistent_spec(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    code, _, _ = run_cli(
+        [
+            "family", "build", "--m", "1", "--primes", "5", "--x", "1e10",
+            "--out", str(spec_path),
+        ]
+    )
+    assert code == 0
+    data = json.loads(spec_path.read_text())
+    data["n0"] += 1
+    spec_path.write_text(json.dumps(data))
+    code, out, err = run_cli(
+        ["family", "scan", "--spec", str(spec_path), "--kmax", "200"]
+    )
+    assert code == 1 and out == ""
+    record = one_json(err)
+    assert record["error"] == "ValueError" and "n0" in record["message"]
+
+
 def test_family_scan_chowla_csv():
     code, out, _ = run_cli(
         ["family", "scan", "--kind", "chowla", "--kmin", "1", "--kmax", "10"]

@@ -3,6 +3,7 @@ from math import log, sqrt
 
 import pytest
 
+from qrl import classno
 from qrl.cfrac import fundamental_unit
 from qrl.families import (
     ProgressionSpec,
@@ -174,6 +175,21 @@ def test_scan_with_analysis():
     assert rec.h == 1
     assert abs(rec.regulator - fundamental_unit(29).regulator) < 1e-12
     assert rec.L_truncated is not None and rec.bound_ok
+
+
+def test_scan_with_h_computes_h_once_per_record(monkeypatch):
+    calls = []
+    original = classno.class_number_forms
+
+    def counting(d):
+        calls.append(d)
+        return original(d)
+
+    monkeypatch.setattr(classno, "class_number_forms", counting)
+    records = scan_squarefree(toy_spec(), k_max=30, with_h=True)
+    ds = [r.d_values[0] for r in records]
+    assert len(ds) > 10 and min(ds) >= 16  # every record gets a bound report
+    assert calls == ds
 
 
 def test_density_closed_form_matches_brute():
