@@ -25,8 +25,9 @@ from math import gcd
 from typing import Iterator, Sequence
 
 from mpmath import mp
+from mpmath.libmp import round_ceiling, round_floor, to_float
 
-from .cfrac import fundamental_unit, is_norm_of_reduced_principal, principal_expansion
+from .cfrac import _unit_log, is_norm_of_reduced_principal, principal_expansion
 from .intarith import fundamental_decomposition, is_discriminant, is_squarefree
 from .quadorder import (
     QuadIdeal,
@@ -303,9 +304,17 @@ class BoundReport:
     regulator: float
 
 
+def _to_float(x, rnd) -> float:
+    # without strict=True, to_float ignores the rounding direction
+    return to_float(x._mpf_, strict=True, rnd=rnd)
+
+
 def regulator_lower_bound(products: PowerProductSet, dps: int = 30) -> BoundReport:
     """Evaluate the discrete and exact regulator lower bounds for a
-    power-product set, together with the matching simplex integral."""
+    power-product set, together with the matching simplex integral.
+
+    The two lower bounds are rounded down to floats; the regulator, widened
+    by its error bound, is rounded up."""
     d = products.d
     with mp.workdps(dps):
         root = mp.sqrt(d)
@@ -324,8 +333,10 @@ def regulator_lower_bound(products: PowerProductSet, dps: int = 30) -> BoundRepo
                     " preimage; instance rejected"
                 )
             exact_terms.append(mp.log((rho.b + root) / (2 * rho.a)))
-        exact = float(mp.fsum(exact_terms))
-        discrete = float(discrete)
+        exact = _to_float(mp.fsum(exact_terms), round_floor)
+        discrete = _to_float(discrete, round_floor)
+        reg, err, _ = _unit_log(d)
+        regulator = _to_float(mp.fadd(reg, err, rounding="c"), round_ceiling)
     log_norm_product = 1.0
     for n in products.norms:
         log_norm_product *= math.log(n)
@@ -337,7 +348,7 @@ def regulator_lower_bound(products: PowerProductSet, dps: int = 30) -> BoundRepo
         integral=simplex_integral(d, products.norms),
         lattice_count=len(products.vectors),
         log_norm_product=log_norm_product,
-        regulator=fundamental_unit(d, dps=dps).regulator,
+        regulator=regulator,
     )
 
 

@@ -250,8 +250,8 @@ def test_criterion_10_bound_soundness():
                 _, bound = evaluate_criterion(CriterionInput(d, splits))
             except CriterionError:
                 continue
-            assert bound.discrete_sum <= bound.exact_sum + 1e-12, (d, nm)
-            assert bound.exact_sum <= bound.regulator + 1e-12, (d, nm)
+            assert bound.discrete_sum <= bound.exact_sum, (d, nm)
+            assert bound.exact_sum <= bound.regulator, (d, nm)
             instances.append((d, nm))
     m1 = sum(1 for _, nm in instances if len(nm) == 1)
     m2 = sum(1 for _, nm in instances if len(nm) == 2)

@@ -3,6 +3,8 @@ from itertools import islice
 from math import isqrt, log, sqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from qrl.cfrac import (
@@ -148,6 +150,47 @@ def test_fundamental_unit_examples():
     assert abs(info.regulator - 1.3169579) < 1e-6
     assert info.period_length == 2 and info.norm_sign == 1
     assert abs(fundamental_unit(61).regulator - log((39 + 5 * sqrt(61)) / 2)) < 1e-9
+
+
+def log_sum_regulator(d, dps=30):
+    """The regulator as fundamental_unit used to find it: one mp.log per
+    state of the principal cycle, summed, rounded to the nearest float."""
+    cycle = cf_expand(canonical_irrational(d)).cycle
+    with mp.workdps(dps):
+        root = mp.sqrt(d)
+        return float(mp.fsum(mp.log((rho.b + root) / (2 * rho.a)) for rho in cycle))
+
+
+def yamamoto_discriminants(n_max=1600, primes=(2, 3, 5, 13)):
+    return sorted(
+        {
+            d
+            for p in primes
+            for n in range(1, n_max + 1)
+            if is_discriminant(d := n * n + 4 * p) and is_squarefree(d)
+        }
+    )
+
+
+def test_regulator_matches_log_sum_oracle():
+    ds = [d for d in range(5, 6000) if is_discriminant(d)]
+    for d in ds + yamamoto_discriminants():
+        assert fundamental_unit(d).regulator == log_sum_regulator(d), d
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 2_500_000), st.sampled_from((0, 1)))
+def test_unit_matches_expansion_and_exact_unit(k, r):
+    d = 4 * k + r
+    assume(is_discriminant(d))
+    info = fundamental_unit(d)
+    exp = cf_expand(canonical_irrational(d))
+    assert info.period_length == len(exp.period)
+    assert info.norm_sign == (-1) ** len(exp.period)
+    u = exact_unit(d)
+    with mp.workdps(40):
+        reg = mp.log((u.x + u.y * mp.sqrt(d)) / 2)
+    assert abs(info.regulator - reg) <= 1e-12 * reg
 
 
 def test_regulator_above_trivial_bound():

@@ -6,8 +6,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
-from qrl.cfrac import principal_expansion
+from qrl.cfrac import exact_unit, principal_expansion
 from qrl.criterion import (
     BoundReport,
     CriterionError,
@@ -25,7 +26,13 @@ from qrl.criterion import (
     simplex_integral_from_log,
     _bounded_vectors,
 )
-from qrl.quadorder import classify, make_ideal, multiply_ideals, unit_ideal
+from qrl.quadorder import (
+    classify,
+    make_ideal,
+    multiply_ideals,
+    reduced_preimage,
+    unit_ideal,
+)
 
 
 def test_norm_split_validation():
@@ -170,8 +177,25 @@ def test_evaluate_criterion_rejects_failed_hypotheses():
         )
 
 
+def reference_sums(products):
+    """The discrete sum, the exact sum and the regulator at 60 digits."""
+    d = products.d
+    with mp.workdps(60):
+        root = mp.sqrt(d)
+        discrete = mp.fsum(
+            mp.log(root / 2)
+            - mp.log(math.prod(n**e for n, e in zip(products.norms, vec)))
+            for vec in products.vectors
+        )
+        rhos = [reduced_preimage(ideal) for ideal in products.ideals]
+        exact = mp.fsum(mp.log((rho.b + root) / (2 * rho.a)) for rho in rhos)
+        u = exact_unit(d)
+        return discrete, exact, mp.log((u.x + u.y * root) / 2)
+
+
 def test_soundness_on_cycle_norms():
-    """discrete <= exact <= regulator over instances harvested from cycles."""
+    """discrete <= exact <= regulator over instances harvested from cycles,
+    each float rounded in the safe direction from its 60-digit value."""
     checked = 0
     for d in (53, 61, 69, 76, 105, 136, 316, 1077, 9949):
         cycle_norms = sorted(
@@ -186,11 +210,14 @@ def test_soundness_on_cycle_norms():
         ]
         for norms in singles + pairs:
             try:
-                rep = regulator_lower_bound(enumerate_power_products(d, norms))
+                products = enumerate_power_products(d, norms)
+                rep = regulator_lower_bound(products)
             except CriterionError:
                 continue  # e.g. multiplicatively dependent choices
-            assert rep.discrete_sum <= rep.exact_sum + 1e-9
-            assert rep.exact_sum <= rep.regulator + 1e-9
+            assert rep.discrete_sum <= rep.exact_sum <= rep.regulator
+            discrete, exact, reg = reference_sums(products)
+            assert rep.discrete_sum <= discrete and rep.exact_sum <= exact, (d, norms)
+            assert rep.regulator >= reg, (d, norms)
             checked += 1
     assert checked >= 10
 
