@@ -200,7 +200,9 @@ def _run_chunked(worker, tasks, jobs: int) -> list[families.ScanRecord]:
 
 
 def _collect_family_records(kind, params, lo, hi, jobs):
-    tasks = [(kind, params, a, b) for a, b in _chunk_bounds(lo, hi, jobs)]
+    # an empty range still runs one empty scan, which checks the parameters
+    spans = _chunk_bounds(lo, hi, jobs) or [(lo, hi)]
+    tasks = [(kind, params, a, b) for a, b in spans]
     return _run_chunked(_family_chunk_worker, tasks, jobs)
 
 
@@ -364,21 +366,16 @@ def cmd_family_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.family == "shanks":
-        kind, params = "shanks", {}
-        lo = args.kmin if args.kmin is not None else 2
-        hi = args.kmax if args.kmax is not None else 14
-    elif args.family == "yamamoto":
-        if args.p is None:
-            raise ValueError("verify yamamoto requires --p")
-        kind = "yamamoto_minus" if args.sign == "minus" else "yamamoto_plus"
-        params = {"p": args.p}
-        lo = args.kmin if args.kmin is not None else 1
-        hi = args.kmax if args.kmax is not None else 1000
-    else:
-        kind, params = "chowla", {}
-        lo = args.kmin if args.kmin is not None else 1
-        hi = args.kmax if args.kmax is not None else 1000
+    kind = args.family
+    if kind not in families.FAMILIES:
+        kind += "_" + args.sign
+    family = families.FAMILIES[kind]
+    params = {name: getattr(args, name) for name in family.params}
+    for name, value in params.items():
+        if value is None:
+            raise ValueError(f"verify {args.family} requires --{name}")
+    lo = args.kmin if args.kmin is not None else family.verify_range[0]
+    hi = args.kmax if args.kmax is not None else family.verify_range[1]
     records = _collect_family_records(kind, params, lo, hi, args.jobs)
     violations = 0
     with _out_stream(args) as stream:
@@ -542,10 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = fam_sub.add_parser("scan", help="scan a family for records")
     p_scan.add_argument("--spec", help="progression spec JSON from family build")
-    p_scan.add_argument(
-        "--kind",
-        choices=["chowla", "shanks", "yamamoto_plus", "yamamoto_minus", "cubic"],
-    )
+    p_scan.add_argument("--kind", choices=list(families.FAMILIES))
     p_scan.add_argument("--params", help="named-family parameters, e.g. p=5,q=7")
     p_scan.add_argument("--kmin", type=int, default=1)
     p_scan.add_argument("--kmax", type=int, required=True)
@@ -562,7 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=cmd_family_scan)
 
     p_ver = sub.add_parser("verify", help="check family bounds; exit 1 on violation")
-    p_ver.add_argument("family", choices=["shanks", "yamamoto", "chowla"])
+    # `qrl verify NAME --sign S` checks the kind NAME, or NAME_S (cmd_verify)
+    names = {k.split("_")[0] for k, f in families.FAMILIES.items() if f.verify_range}
+    p_ver.add_argument("family", choices=sorted(names))
     p_ver.add_argument("--kmin", type=int, default=None)
     p_ver.add_argument("--kmax", type=int, default=None)
     p_ver.add_argument("--p", type=int, default=None)

@@ -34,7 +34,6 @@ from .quadorder import (
     classify,
     format_ideal_literal,
     ideal_power,
-    make_ideal,
     module_product,
     multiply_ideals,
     reduced_preimage,
@@ -157,7 +156,7 @@ def _ramified_ideal(d: int, r: int) -> QuadIdeal:
     """The primitive ideal of norm r when r divides d (r squarefree)."""
     for b in range(d % 2, 2 * r + 1, 2):
         if (b * b - d) % (4 * r) == 0:
-            return make_ideal(r, b, 1, d)
+            return QuadIdeal(d, r, b)
     raise CriterionError(f"no primitive ideal of norm {r} exists for d={d}")
 
 
@@ -178,7 +177,7 @@ def clear_ramified_parts(inp: CriterionInput) -> CriterionInput:
             continue
         frak = _ramified_ideal(inp.d, sp.ramified_part)
         square = module_product(frak, frak)
-        expected = make_ideal(1, inp.d % 2, sp.ramified_part, inp.d)
+        expected = QuadIdeal(inp.d, 1, inp.d % 2, sp.ramified_part)
         if square != expected:
             raise CriterionError(
                 f"square of {format_ideal_literal(frak)} is"
@@ -491,10 +490,10 @@ def nonprimitive_product_example(
     a_val = p**k * q
     d = (a_val + c) ** 2 + 4 * a_val
     try:
-        factor_1 = make_ideal(r * s, a_val - c, 1, d)
-        factor_2 = make_ideal(r * (t * s + 1), a_val + c, 1, d)
-        companion = make_ideal(
-            s * (t * s + 1), a_val + p + 1 - 2 * s * (t * s - t + 1), 1, d
+        factor_1 = QuadIdeal(d, r * s, a_val - c)
+        factor_2 = QuadIdeal(d, r * (t * s + 1), a_val + c)
+        companion = QuadIdeal(
+            d, s * (t * s + 1), a_val + p + 1 - 2 * s * (t * s - t + 1)
         )
     except ValueError as exc:
         raise CriterionError(

@@ -1,14 +1,20 @@
 """Discriminant families: the sieved arithmetic progression n0 mod q whose
 values n make every n^2 + 4p_i squarefree-friendly, plus the classical
 parametric families (Chowla, Shanks, the n^2 +- 4p family, and the cubic
-(p^k q + p + 1)^2 - 4p family) with their per-record bound checks.
+(p^k q + p + 1)^2 - 4p family) with their per-record bound checks, listed
+once in `FAMILIES`. The progression, Chowla's (2n)^2 + 1 and n^2 +- 4p are
+all u^2 + c with u in an arithmetic progression, so one polynomial sieve
+settles their squarefreeness; the Shanks and cubic u grow exponentially in
+k, so those scans trial-divide each value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from math import isqrt, log, prod, sqrt
+from typing import Callable
 
 import numpy as np
 from mpmath import mp
@@ -205,41 +211,29 @@ def _attach_analysis(
     )
 
 
-def scan_squarefree(
-    spec: ProgressionSpec,
-    k_max: int,
-    k_min: int = 1,
-    strict_range: bool = False,
-    with_h: bool = False,
-    euler_bound_B: int | None = None,
-) -> list[ScanRecord]:
-    """Survivors k in [k_min, k_max] with every d_i = (n0+kq)^2 + 4p_i
-    squarefree. Exact: a polynomial sieve removes all prime factors up to
-    cbrt(max d), then a perfect-square test settles each cofactor.
+def _squarefree_ks(
+    n0: int, q: int, constants: tuple[int, ...], k_lo: int, k_hi: int
+) -> list[int]:
+    """The k in [k_lo, k_hi] with every (n0+kq)^2 + c, c in constants,
+    squarefree; callers keep every such value >= 5. Exact: a polynomial
+    sieve removes all prime factors up to cbrt(max value), then a
+    perfect-square test settles each cofactor.
     """
-    k_lo = k_min
-    if strict_range:
-        # keep d_i > sqrt(x): k q > x^(1/4)
-        k_lo = max(k_lo, int(spec.x**0.25 / spec.q) + 1)
-    count = k_max - k_lo + 1
+    count = k_hi - k_lo + 1
     if count <= 0:
         return []
-    n0, q = spec.n0, spec.q
-    rems = [
-        [(n0 + k * q) ** 2 + 4 * pi for k in range(k_lo, k_max + 1)]
-        for pi in spec.primes
-    ]
-    flags = [bytearray(count) for _ in spec.primes]
-    sieve_primes = primes_up_to(icbrt(max(max(r) for r in rems)) + 1)
-    for i, pi in enumerate(spec.primes):
-        rem, flag = rems[i], flags[i]
+    us = [n0 + k * q for k in range(k_lo, k_hi + 1)]
+    rems = [[u * u + c for u in us] for c in constants]
+    flag = bytearray(count)  # 1 once some value at k has a square factor
+    sieve_primes = primes_up_to(icbrt(max(map(max, rems))) + 1)
+    for c, rem in zip(constants, rems):
         for p in sieve_primes:
             if q % p == 0:
-                if (n0 * n0 + 4 * pi) % p != 0:
+                if (n0 * n0 + c) % p != 0:
                     continue
                 hits: range | list[int] = range(count)
             else:
-                t = sqrt_mod_prime(-4 * pi % p, p)
+                t = sqrt_mod_prime(-c % p, p)
                 if t is None:
                     continue
                 inv_q = pow(q, -1, p)
@@ -255,25 +249,35 @@ def scan_squarefree(
                 rem[j] = v
                 if e >= 2:
                     flag[j] = 1
-    for i in range(len(spec.primes)):
-        rem, flag = rems[i], flags[i]
         for j in range(count):
             if not flag[j] and rem[j] > 1:
                 r = isqrt(rem[j])
                 if r * r == rem[j]:
                     flag[j] = 1
+    return [k_lo + j for j in range(count) if not flag[j]]
+
+
+def scan_squarefree(
+    spec: ProgressionSpec,
+    k_max: int,
+    k_min: int = 1,
+    strict_range: bool = False,
+    with_h: bool = False,
+    euler_bound_B: int | None = None,
+) -> list[ScanRecord]:
+    """Survivors k in [k_min, k_max] with every d_i = (n0+kq)^2 + 4p_i
+    squarefree, by the polynomial sieve.
+    """
+    k_lo = k_min
+    if strict_range:
+        # keep d_i > sqrt(x): k q > x^(1/4)
+        k_lo = max(k_lo, int(spec.x**0.25 / spec.q) + 1)
+    constants = tuple(4 * pi for pi in spec.primes)
     out: list[ScanRecord] = []
-    for j in range(count):
-        if any(flags[i][j] for i in range(len(spec.primes))):
-            continue
-        k = k_lo + j
-        n = n0 + k * q
-        rec = ScanRecord(
-            k,
-            n,
-            tuple(n * n + 4 * pi for pi in spec.primes),
-            tuple(True for _ in spec.primes),
-        )
+    for k in _squarefree_ks(spec.n0, spec.q, constants, k_lo, k_max):
+        n = spec.n0 + k * spec.q
+        d_values = tuple(n * n + c for c in constants)
+        rec = ScanRecord(k, n, d_values, (True,) * len(constants))
         out.append(
             _attach_analysis(rec, spec.primes, euler_bound_B) if with_h else rec
         )
@@ -322,48 +326,41 @@ def compute_constants(m: int, primes: list[int]) -> ConstantsReport:
     )
 
 
-def scan_chowla(n_range) -> list[ScanRecord]:
+def _family_records(rows, bound_of) -> list[ScanRecord]:
+    """One record per squarefree (k, n, d) row: the regulator of d, then
+    bound_of(k, n, d, regulator) -> (bound, bound_ok)."""
     out = []
-    for n in n_range:
-        if n < 1:
-            continue
-        d = 4 * n * n + 1
-        if not is_squarefree(d):
-            continue
+    for k, n, d in rows:
         reg = fundamental_unit(d).regulator
-        bound = log(2 * sqrt(d))
+        bound, ok = bound_of(k, n, d, reg)
         out.append(
-            ScanRecord(
-                n, n, (d,), (True,),
-                regulator=reg, bound=bound, bound_ok=reg <= bound + 1e-9,
-            )
+            ScanRecord(k, n, (d,), (True,), regulator=reg, bound=bound, bound_ok=ok)
         )
     return out
 
 
+def scan_chowla(n_range) -> list[ScanRecord]:
+    def bound_of(k, n, d, reg):
+        bound = log(2 * sqrt(d))
+        return bound, reg <= bound + 1e-9
+
+    ns = [n for n in n_range if n >= 1]
+    keep = set(_squarefree_ks(0, 2, (1,), min(ns, default=1), max(ns, default=0)))
+    return _family_records([(n, n, 4 * n * n + 1) for n in ns if n in keep], bound_of)
+
+
 def scan_shanks(k_range) -> list[ScanRecord]:
-    out = []
-    for k in k_range:
-        if k < 1:
-            continue
-        n = 2**k + 3
-        d = n * n - 8
-        if not is_squarefree(d):
-            continue
-        reg = fundamental_unit(d).regulator
+    def bound_of(k, n, d, reg):
         with mp.workdps(40):
             root = mp.sqrt(d)
             closed = float(
                 k * mp.log((n + root) / 4) + mp.log((2**k + 1 + root) / 2)
             )
-        out.append(
-            ScanRecord(
-                k, n, (d,), (True,),
-                regulator=reg, bound=closed,
-                bound_ok=abs(reg - closed) <= 1e-9 * abs(closed),
-            )
-        )
-    return out
+        return closed, abs(reg - closed) <= 1e-9 * abs(closed)
+
+    ns = [(k, 2**k + 3) for k in k_range if k >= 1]
+    rows = [(k, n, n * n - 8) for k, n in ns if is_squarefree(n * n - 8)]
+    return _family_records(rows, bound_of)
 
 
 def scan_yamamoto(p: int, n_range, sign: int = 1) -> list[ScanRecord]:
@@ -371,21 +368,19 @@ def scan_yamamoto(p: int, n_range, sign: int = 1) -> list[ScanRecord]:
         raise ValueError(f"scan_yamamoto: p = {p} is not prime")
     if sign not in (1, -1):
         raise ValueError("scan_yamamoto: sign must be +1 or -1")
-    out = []
-    for n in n_range:
-        d = n * n + 4 * p * sign
-        if d < 5 or isqrt(d) ** 2 == d or not is_squarefree(d):
-            continue
-        reg = fundamental_unit(d).regulator
+
+    def bound_of(k, n, d, reg):
         big_l = log(d)
         full = big_l * big_l / (4 * log(p)) - (3 * big_l + 2 * log(p) + 5 * log(2))
-        out.append(
-            ScanRecord(
-                n, n, (d,), (True,),
-                regulator=reg, bound=full, bound_ok=reg >= full - 1e-9,
-            )
-        )
-    return out
+        return full, reg >= full - 1e-9
+
+    c = 4 * p * sign
+    # sieved over |n|; d grows with |n|, so every sieved value is >= 5
+    ns = [n for n in n_range if n * n + c >= 5]
+    mags = [abs(n) for n in ns]
+    keep = set(_squarefree_ks(0, 1, (c,), min(mags, default=1), max(mags, default=0)))
+    rows = [(n, n, n * n + c) for n in ns if abs(n) in keep]
+    return _family_records(rows, bound_of)
 
 
 def yamamoto_simplified_bound(d: int, p: int) -> float:
@@ -395,37 +390,45 @@ def yamamoto_simplified_bound(d: int, p: int) -> float:
 def scan_cubic(p: int, q: int, k_range) -> list[ScanRecord]:
     if not (is_prime(p) and is_prime(q) and p < q):
         raise ValueError("scan_cubic: need primes p < q")
-    out = []
-    for k in k_range:
-        if k < 1:
-            continue
-        n = p**k * q + p + 1
-        d = n * n - 4 * p
-        if not is_squarefree(d):
-            continue
-        reg = fundamental_unit(d).regulator
+
+    def bound_of(k, n, d, reg):
         # the structural content: every p^j, j <= k, is the norm of a
         # reduced principal ideal, which is what makes the unit huge
-        powers_present = all(
+        return None, all(
             is_norm_of_reduced_principal(d, p**j) for j in range(1, k + 1)
         )
-        out.append(
-            ScanRecord(
-                k, n, (d,), (True,), regulator=reg, bound_ok=powers_present
-            )
-        )
-    return out
+
+    ns = [(k, p**k * q + p + 1) for k in k_range if k >= 1]
+    rows = [(k, n, n * n - 4 * p) for k, n in ns if is_squarefree(n * n - 4 * p)]
+    return _family_records(rows, bound_of)
+
+
+@dataclass(frozen=True)
+class Family:
+    """A named family: `scan(*values of params, k_range)`, and the default
+    k-range of `qrl verify`, None when verify does not cover it. `qrl verify
+    NAME --sign S` checks the kind NAME, or NAME_S when there is no NAME."""
+
+    scan: Callable[..., list[ScanRecord]]
+    params: tuple[str, ...] = ()
+    verify_range: tuple[int, int] | None = None
+
+
+FAMILIES = {
+    "chowla": Family(scan_chowla, verify_range=(1, 1000)),
+    "shanks": Family(scan_shanks, verify_range=(2, 14)),
+    "yamamoto_plus": Family(partial(scan_yamamoto, sign=1), ("p",), (1, 1000)),
+    "yamamoto_minus": Family(partial(scan_yamamoto, sign=-1), ("p",), (1, 1000)),
+    "cubic": Family(scan_cubic, ("p", "q")),
+}
 
 
 def family_scan(kind: str, params: dict, scan_range) -> list[ScanRecord]:
-    if kind == "chowla":
-        return scan_chowla(scan_range)
-    if kind == "shanks":
-        return scan_shanks(scan_range)
-    if kind == "yamamoto_plus":
-        return scan_yamamoto(params["p"], scan_range, 1)
-    if kind == "yamamoto_minus":
-        return scan_yamamoto(params["p"], scan_range, -1)
-    if kind == "cubic":
-        return scan_cubic(params["p"], params["q"], scan_range)
-    raise ValueError(f"family_scan: unknown kind {kind!r}")
+    family = FAMILIES.get(kind)
+    if family is None:
+        raise ValueError(f"family_scan: unknown kind {kind!r}")
+    if sorted(params) != sorted(family.params):
+        raise ValueError(
+            f"family {kind} takes parameters {list(family.params)}, got {list(params)}"
+        )
+    return family.scan(*(params[name] for name in family.params), scan_range)

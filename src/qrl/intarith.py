@@ -128,26 +128,37 @@ def _trial_candidates():
         k += 6
 
 
-def is_squarefree(n: int, bound: int | None = None) -> SquarefreeResult:
-    """Exact squarefreeness test by trial division up to cbrt(n).
-
-    After removing all primes p with p**3 <= remaining cofactor, the cofactor
-    is 1, a prime, a product of two distinct primes, or a prime square; a
-    single perfect-square check settles it. If `bound` is given and is too
-    small to certify the answer, raises ValueError instead of guessing.
+def _cube_root_trial(n: int, bound: int | None = None):
+    """Trial division by every p with p**3 at most the cofactor left: yields
+    (p, e, m) for each p with p**e exactly dividing n, m the cofactor after
+    it. The final cofactor is 1, a prime, a product of two distinct primes
+    or a prime square. Raises ValueError rather than try a p above `bound`.
     """
-    if n <= 0:
-        raise ValueError("is_squarefree: argument must be positive")
     m = n
     for p in _trial_candidates():
         if p * p * p > m:
-            break
+            return
         if bound is not None and p > bound:
             raise ValueError(f"is_squarefree: trial bound {bound} insufficient for {n}")
         if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return SquarefreeResult(False, p)
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            yield p, e, m
+
+
+def is_squarefree(n: int, bound: int | None = None) -> SquarefreeResult:
+    """Exact squarefreeness test by trial division up to cbrt(n), then a
+    single perfect-square check of the cofactor. If `bound` is given and is
+    too small to certify the answer, raises ValueError instead of guessing.
+    """
+    if n <= 0:
+        raise ValueError("is_squarefree: argument must be positive")
+    m = n  # the loop leaves the final cofactor in m
+    for p, e, m in _cube_root_trial(n, bound):
+        if e >= 2:
+            return SquarefreeResult(False, p)
     r = isqrt(m)
     if r * r == m and m > 1:
         return SquarefreeResult(False, r)
@@ -158,19 +169,10 @@ def squarefree_decomposition(n: int) -> tuple[int, int]:
     """Write n = s * t**2 with s squarefree; returns (s, t)."""
     if n <= 0:
         raise ValueError("squarefree_decomposition: argument must be positive")
-    s, t = 1, 1
-    m = n
-    for p in _trial_candidates():
-        if p * p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if e % 2:
-                s *= p
-            t *= p ** (e // 2)
+    s, t, m = 1, 1, n  # the loop leaves the final cofactor in m
+    for p, e, m in _cube_root_trial(n):
+        s *= p ** (e % 2)
+        t *= p ** (e // 2)
     r = isqrt(m)
     if r * r == m and m > 1:
         t *= r

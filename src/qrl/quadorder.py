@@ -105,11 +105,6 @@ class QuadIrrational:
         return QuadIdeal(self.d, self.a, self.b)
 
 
-def make_ideal(a: int, b: int, e: int, d: int) -> QuadIdeal:
-    """Validated ideal e*[a, (b+sqrt(d))/2]; raises naming any failed condition."""
-    return QuadIdeal(d, a, b, e)
-
-
 def unit_ideal(d: int) -> QuadIdeal:
     return QuadIdeal(d, 1, d % 2)
 
@@ -153,11 +148,6 @@ def reduced_preimage(ideal: QuadIdeal) -> QuadIrrational | None:
     return None
 
 
-def _regular_primitive_part(ideal: QuadIdeal) -> bool:
-    c = (ideal.d - ideal.b * ideal.b) // (4 * ideal.a)
-    return gcd(gcd(ideal.a, ideal.b), c) == 1
-
-
 def multiply_ideals(i1: QuadIdeal, i2: QuadIdeal) -> QuadIdeal:
     """Product ideal in normalized form; content of the result is extracted.
 
@@ -168,7 +158,7 @@ def multiply_ideals(i1: QuadIdeal, i2: QuadIdeal) -> QuadIdeal:
     """
     if i1.d != i2.d:
         raise ValueError(f"multiply_ideals: discriminants differ ({i1.d} vs {i2.d})")
-    if not (_regular_primitive_part(i1) or _regular_primitive_part(i2)):
+    if not any(classify(QuadIdeal(i.d, i.a, i.b)).regular for i in (i1, i2)):
         raise ValueError(
             "multiply_ideals: both factors have irregular primitive parts; "
             "use module_product"
@@ -240,7 +230,7 @@ def parse_ideal_literal(text: str) -> QuadIdeal:
         raise ValueError(f"cannot parse ideal literal: {text!r}")
     e = int(m.group(1)) if m.group(1) else 1
     a, b, d = int(m.group(2)), int(m.group(3)), int(m.group(4))
-    return make_ideal(a, b, e, d)
+    return QuadIdeal(d, a, b, e)
 
 
 def format_ideal_literal(ideal: QuadIdeal) -> str:

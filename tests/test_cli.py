@@ -8,7 +8,10 @@ is part of the contract.
 import io
 import json
 import math
+import re
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -229,6 +232,25 @@ def test_family_scan_spec_roundtrip_and_jobs(tmp_path):
         assert cells[4] == "" and cells[5] == ""
 
 
+def test_family_scan_rejects_missing_parameter():
+    for k_range in (["--kmax", "2"], ["--kmin", "5", "--kmax", "4"]):
+        code, out, err = run_cli(["family", "scan", "--kind", "cubic", *k_range])
+        assert code == 1 and out == ""
+        record = one_json(err)
+        assert record["error"] == "ValueError"
+        assert record["message"] == "family cubic takes parameters ['p', 'q'], got []"
+
+
+def test_family_scan_rejects_unknown_parameter():
+    code, out, err = run_cli(
+        ["family", "scan", "--kind", "chowla", "--params", "p=5", "--kmax", "3"]
+    )
+    assert code == 1 and out == ""
+    record = one_json(err)
+    assert record["error"] == "ValueError"
+    assert record["message"] == "family chowla takes parameters [], got ['p']"
+
+
 def test_family_scan_json_format():
     code, out, _ = run_cli(
         [
@@ -379,6 +401,21 @@ def test_reruns_byte_identical():
         _, first, _ = run_cli(argv)
         _, second, _ = run_cli(argv)
         assert first == second
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("qrl ")
+    ]
+    assert lines
+    monkeypatch.chdir(tmp_path)  # `family build --out spec.json` writes here
+    for line in lines:
+        code, _, err = run_cli(shlex.split(line, comments=True)[1:])
+        assert code == 0, (line, err)
 
 
 def test_usage_error_exits_2():

@@ -27,8 +27,8 @@ from qrl.criterion import (
     _bounded_vectors,
 )
 from qrl.quadorder import (
+    QuadIdeal,
     classify,
-    make_ideal,
     multiply_ideals,
     reduced_preimage,
     unit_ideal,
@@ -308,8 +308,8 @@ def test_nonprimitive_search_first_hit():
     assert rec.product_content == 2 and rec.product_content == rec.params[0]
     assert rec.product_norm == 40
     assert rec.norm_bound_ok
-    assert rec.product == make_ideal(10, -7, 2, 7049)
-    assert rec.companion == make_ideal(10, 33, 1, 7049)
+    assert rec.product == QuadIdeal(7049, 10, -7, 2)
+    assert rec.companion == QuadIdeal(7049, 10, 33)
     assert classify(rec.factor_1).reduced and classify(rec.factor_2).reduced
     assert rec.factor_1.e == 1 and rec.factor_2.e == 1
     # closed-form composition agrees with the module product here

@@ -1,7 +1,9 @@
 import random
-from math import log, sqrt
+from math import isqrt, log, sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrl import classno
 from qrl.cfrac import fundamental_unit
@@ -14,8 +16,11 @@ from qrl.families import (
     family_scan,
     find_prime_tuple,
     good_residue_lower_bound,
+    scan_chowla,
     scan_squarefree,
+    scan_yamamoto,
     squarefree_density,
+    _squarefree_ks,
 )
 from qrl.intarith import is_squarefree, kronecker, primes_up_to
 
@@ -190,6 +195,50 @@ def test_scan_with_h_computes_h_once_per_record(monkeypatch):
     ds = [r.d_values[0] for r in records]
     assert len(ds) > 10 and min(ds) >= 16  # every record gets a bound report
     assert calls == ds
+
+
+def per_value_survivors(n_range, d_of):
+    """The named families' filter before the sieve: d >= 5, not a square,
+    squarefree by trial division."""
+    out = []
+    for n in n_range:
+        d = d_of(n)
+        if d >= 5 and isqrt(d) ** 2 != d and is_squarefree(d):
+            out.append(n)
+    return out
+
+
+def test_chowla_sieve_matches_per_value_filter():
+    got = [r.n for r in scan_chowla(range(-5, 2001))]
+    assert got == per_value_survivors(range(1, 2001), lambda n: 4 * n * n + 1)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_yamamoto_sieve_matches_per_value_filter(sign):
+    for p in (2, 3, 5, 13):
+        got = [r.n for r in scan_yamamoto(p, range(-40, 3001), sign)]
+        want = per_value_survivors(range(-40, 3001), lambda n: n * n + 4 * p * sign)
+        assert got == want, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-500, 500),
+    st.integers(1, 60),
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=3),
+    st.integers(-300, 300),
+    st.integers(0, 300),
+)
+def test_sieve_matches_is_squarefree(n0, q, offsets, k_lo, count):
+    ks = range(k_lo, k_lo + count)
+    us = [n0 + k * q for k in ks]
+    # shift each constant so that every value (n0 + kq)^2 + c is >= 5
+    low = min((u * u for u in us), default=0)
+    constants = tuple(5 + off - low for off in offsets)
+    want = [
+        k for k, u in zip(ks, us) if all(is_squarefree(u * u + c) for c in constants)
+    ]
+    assert _squarefree_ks(n0, q, constants, k_lo, k_lo + count - 1) == want
 
 
 def test_density_closed_form_matches_brute():

@@ -11,7 +11,6 @@ from qrl.quadorder import (
     classify,
     format_ideal_literal,
     ideal_power,
-    make_ideal,
     module_product,
     multiply_ideals,
     parse_ideal_literal,
@@ -41,13 +40,13 @@ def sample_discriminants(rng, count, lo=5, hi=10**6):
 
 
 def test_make_ideal_examples():
-    i = make_ideal(3, 1, 1, 13)
+    i = QuadIdeal(13, 3, 1)
     assert i.norm == 3
-    assert make_ideal(1, 1, 1, 13) == unit_ideal(13)
+    assert QuadIdeal(13, 1, 1) == unit_ideal(13)
     with pytest.raises(ValueError, match="4ae"):
-        make_ideal(2, 3, 1, 13)
+        QuadIdeal(13, 2, 3)
     with pytest.raises(ValueError, match="2e"):
-        make_ideal(3, 2, 1, 13)
+        QuadIdeal(13, 3, 2)
 
 
 def test_b_normalization():
@@ -58,30 +57,30 @@ def test_b_normalization():
 
 
 def test_classify_examples():
-    flags = classify(make_ideal(3, 1, 1, 13))
+    flags = classify(QuadIdeal(13, 3, 1))
     assert flags.primitive and flags.regular and not flags.reduced
     flags = classify(unit_ideal(13))
     assert flags.primitive and flags.regular and flags.reduced
-    flags = classify(make_ideal(3, 7, 1, 61))
+    flags = classify(QuadIdeal(61, 3, 7))
     assert flags.reduced  # norm 3 < sqrt(61)/2
     # content 2: not primitive, never reduced
-    flags = classify(make_ideal(3, 1, 2, 13))
+    flags = classify(QuadIdeal(13, 3, 1, 2))
     assert not flags.primitive and not flags.regular and not flags.reduced
 
 
 def test_classify_conductor():
     # d = 45 = 5 * 3^2, conductor 3
-    assert classify(make_ideal(3, 3, 1, 45)).prime_to_conductor is False
-    assert classify(make_ideal(11, 21, 1, 45)).prime_to_conductor is True
+    assert classify(QuadIdeal(45, 3, 3)).prime_to_conductor is False
+    assert classify(QuadIdeal(45, 11, 21)).prime_to_conductor is True
 
 
 def test_irregular_example():
-    flags = classify(make_ideal(3, 3, 1, 45))
+    flags = classify(QuadIdeal(45, 3, 3))
     assert flags.primitive and not flags.regular and not flags.reduced
 
 
 def test_multiply_examples():
-    a = make_ideal(3, 1, 1, 13)
+    a = QuadIdeal(13, 3, 1)
     assert multiply_ideals(unit_ideal(13), a) == a
     assert multiply_ideals(a, a.conjugate()) == QuadIdeal(13, 1, 1, 3)
     sq = multiply_ideals(a, a)
@@ -94,7 +93,7 @@ def test_multiply_mismatched_d():
 
 
 def test_multiply_irregular_pair_raises():
-    a = make_ideal(3, 3, 1, 45)
+    a = QuadIdeal(45, 3, 3)
     with pytest.raises(ValueError, match="irregular"):
         multiply_ideals(a, a)
     # the module product still exists: a^2 = 3*a, norm 27 != 9
@@ -104,7 +103,7 @@ def test_multiply_irregular_pair_raises():
 
 
 def test_ideal_power_examples():
-    a = make_ideal(3, 1, 1, 13)
+    a = QuadIdeal(13, 3, 1)
     assert ideal_power(a, 0) == unit_ideal(13)
     assert ideal_power(a, 1) == a
     p2 = ideal_power(a, 2)
@@ -113,8 +112,8 @@ def test_ideal_power_examples():
 
 def test_to_ideal_examples():
     assert QuadIrrational(13, 1, 3).to_ideal() == unit_ideal(13)
-    assert QuadIrrational(13, 3, 1).to_ideal() == make_ideal(3, 1, 1, 13)
-    assert QuadIrrational(61, 3, 7).to_ideal() == make_ideal(3, 7, 1, 61)
+    assert QuadIrrational(13, 3, 1).to_ideal() == QuadIdeal(13, 3, 1)
+    assert QuadIrrational(61, 3, 7).to_ideal() == QuadIdeal(61, 3, 7)
 
 
 def test_canonical_irrational():
@@ -219,8 +218,8 @@ def test_reduced_irrational_maps_to_reduced_ideal():
 
 def test_ideal_literal_round_trip():
     for text, ideal in [
-        ("1*[3,(1+sqrt(13))/2]", make_ideal(3, 1, 1, 13)),
-        ("[3,(1+sqrt(13))/2]", make_ideal(3, 1, 1, 13)),
+        ("1*[3,(1+sqrt(13))/2]", QuadIdeal(13, 3, 1)),
+        ("[3,(1+sqrt(13))/2]", QuadIdeal(13, 3, 1)),
         ("3*[1,(1+sqrt(13))/2]", QuadIdeal(13, 1, 1, 3)),
         ("[9,(-5+sqrt(61))/2]", QuadIdeal(61, 9, -5)),
     ]:
