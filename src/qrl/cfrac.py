@@ -3,11 +3,14 @@
 The expansion never touches floats: a state is the (a, b) pair of
 (b + sqrt(d))/(2a), the partial quotient is an exact floor via isqrt, and
 the period starts at the first reduced state and ends on the return to it.
-`cf_orbit` is the one step, also used for class numbers. The regulator is
-the logarithm of the fundamental unit, which is built from the period's
-quotients by the continuant recurrence on bare integers, kept to its top
-bits, and taken with one extended-precision logarithm; an exact big-integer
-unit is available separately for cross-checks.
+`cf_orbit` is the one step, also used for class numbers, and `cf_expand`
+the one walk. The principal cycle of d is walked once into the cached
+`principal_expansion(d)`, and its every reader starts from that record:
+the regulator is the logarithm of the fundamental unit, which is built from
+the period's quotients by the continuant recurrence on bare integers, kept
+to its top bits, and taken with one extended-precision logarithm; the
+reduced principal ideals and their norms are its states; an exact
+big-integer unit is available separately for cross-checks.
 """
 
 from __future__ import annotations
@@ -20,14 +23,14 @@ from math import ceil, gcd, isqrt, log, sqrt
 
 from mpmath import mp, mpf
 
-from .intarith import is_discriminant
 from .quadorder import QuadIdeal, QuadIrrational, canonical_irrational, is_reduced_state
 
 
-# principal_expansion keeps this many cycles; callers ask for the same d a
-# few times in a row, and a long scan must not keep every cycle it visits
-EXPANSION_CACHE_SIZE = 32
-# bits of the continuant pair kept by _unit_log
+# principal_expansion keeps this many cycles: every caller asks for one d a
+# few times in a row (unit, norms, bound) and then moves on, and a few
+# dozen long cycles hold megabytes of states
+EXPANSION_CACHE_SIZE = 1
+# bits of the continuant pair kept by regulator_enclosure
 UNIT_BITS = 192
 
 
@@ -37,9 +40,18 @@ class PeriodOverflow(RuntimeError):
 
 @dataclass(frozen=True)
 class CFExpansion:
+    """The expansion of a quadratic irrational of discriminant d: its
+    preperiod quotients, then its period's quotients and reduced states
+    (a, b), one for each (b + sqrt(d))/(2a) of the period."""
+
+    d: int
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
-    cycle: tuple[QuadIrrational, ...]
+    states: tuple[tuple[int, int], ...]
+
+    @property
+    def cycle(self) -> tuple[QuadIrrational, ...]:
+        return tuple(QuadIrrational(self.d, a, b) for a, b in self.states)
 
 
 @dataclass(frozen=True)
@@ -77,62 +89,31 @@ def cf_orbit(d: int, a: int, b: int) -> Iterator[tuple[int, int, int]]:
         a = (d - b * b) // (2 * twoa)
 
 
-def _split_orbit(
-    d: int, a: int, b: int, max_steps: int
-) -> tuple[list[int], Iterator[tuple[int, int, int]]]:
-    """The preperiod quotients of (b + sqrt(d))/(2a), and an iterator over
-    the (quotient, a, b) states of its period from the first reduced state.
-
-    At most max_steps + 1 quotients are taken in all; past that budget
-    PeriodOverflow is raised, by the iterator if the period overruns it."""
-    s = isqrt(d)
-    # at most max_steps + 1 quotients, then the state that closes the cycle
-    orbit = islice(cf_orbit(d, a, b), max(1, max_steps + 2))
-    preperiod: list[int] = []
-    for state in orbit:
-        # the period starts here: every state after a reduced one is reduced
-        if is_reduced_state(state[1], state[2], s):
-            return preperiod, _period(d, state, orbit, max_steps)
-        preperiod.append(state[0])
-    raise _overflow(d, state, max_steps)
-
-
-def _period(
-    d: int,
-    first: tuple[int, int, int],
-    orbit: Iterator[tuple[int, int, int]],
-    max_steps: int,
-) -> Iterator[tuple[int, int, int]]:
-    yield first
-    _, a1, b1 = first
-    state = first
-    for state in orbit:
-        if state[1] == a1 and state[2] == b1:
-            return
-        yield state
-    raise _overflow(d, state, max_steps)
-
-
-def _overflow(d: int, state: tuple[int, int, int], max_steps: int) -> PeriodOverflow:
-    _, a, b = state
-    return PeriodOverflow(
-        f"continued fraction of ({b}+sqrt({d}))/{2 * a} did not close "
-        f"within {max_steps} steps"
-    )
-
-
 def cf_expand(rho: QuadIrrational, max_steps: int | None = None) -> CFExpansion:
-    """Expand rho until it returns to its first reduced state; quotients are exact."""
+    """Expand rho until it returns to its first reduced state; quotients are
+    exact. At most max_steps + 1 quotients are taken, else PeriodOverflow."""
     d = rho.d
     if max_steps is None:
         max_steps = default_max_steps(d)
-    preperiod, states = _split_orbit(d, rho.a, rho.b, max_steps)
+    s = isqrt(d)
+    preperiod: list[int] = []
     period: list[int] = []
-    cycle: list[QuadIrrational] = []
-    for alpha, a, b in states:
+    states: list[tuple[int, int]] = []
+    # at most max_steps + 1 quotients, then the state that closes the cycle
+    for alpha, a, b in islice(cf_orbit(d, rho.a, rho.b), max(1, max_steps + 2)):
+        if not states:
+            # the period starts at the first reduced state: every later one is
+            if not is_reduced_state(a, b, s):
+                preperiod.append(alpha)
+                continue
+        elif (a, b) == states[0]:
+            return CFExpansion(d, tuple(preperiod), tuple(period), tuple(states))
         period.append(alpha)
-        cycle.append(QuadIrrational(d, a, b))
-    return CFExpansion(tuple(preperiod), tuple(period), tuple(cycle))
+        states.append((a, b))
+    raise PeriodOverflow(
+        f"continued fraction of ({b}+sqrt({d}))/{2 * a} did not close "
+        f"within {max_steps} steps"
+    )
 
 
 @lru_cache(maxsize=EXPANSION_CACHE_SIZE)
@@ -141,9 +122,9 @@ def principal_expansion(d: int) -> CFExpansion:
     return cf_expand(canonical_irrational(d))
 
 
-def _unit_log(d: int) -> tuple[mpf, mpf, int]:
+def regulator_enclosure(d: int) -> tuple[mpf, mpf]:
     """log eps for the fundamental unit eps of O_d, at the working mp
-    precision, with a bound on its absolute error and the period length T.
+    precision, and a bound on its absolute error.
 
     With theta_1 = (b_1 + sqrt(d))/(2a_1) the first reduced principal state,
     alpha_1..alpha_T the period quotients, P_-1 = 0, P_0 = 1 and
@@ -157,28 +138,26 @@ def _unit_log(d: int) -> tuple[mpf, mpf, int]:
     most T * 2**-190, a relative error of about T * 2**-190. The returned
     bound adds a generous allowance for the rounding of the few mp
     operations."""
-    if not is_discriminant(d):
-        raise ValueError(f"{d} is not a real quadratic discriminant")
-    _, states = _split_orbit(d, 1, d % 2, default_max_steps(d))
-    alpha1, a1, b1 = next(states)
-    p, q, shift, length = alpha1, 1, 0, 1
-    for alpha, _, _ in states:
+    exp = principal_expansion(d)
+    a1, b1 = exp.states[0]
+    p, q, shift = 1, 0, 0
+    for alpha in exp.period:
         p, q = alpha * p + q, p
-        length += 1
         if p.bit_length() > UNIT_BITS + 64:
             excess = p.bit_length() - UNIT_BITS
             p, q, shift = p >> excess, q >> excess, shift + excess
     reg = mp.log(p + mpf(2 * a1 * q) / (b1 + mp.sqrt(d))) + shift * mp.ln2
-    err = mp.ldexp(length, 2 - UNIT_BITS) + mp.ldexp(16 + 8 * reg, -mp.prec)
-    return reg, err, length
+    err = mp.ldexp(len(exp.period), 2 - UNIT_BITS) + mp.ldexp(16 + 8 * reg, -mp.prec)
+    return reg, err
 
 
 def fundamental_unit(d: int, dps: int = 30) -> UnitInfo:
     """Regulator log eps, one logarithm at dps digits rounded to the nearest
-    float (error bound in _unit_log); period length T; norm sign (-1)^T."""
+    float (error bound in regulator_enclosure); period length T; norm sign
+    (-1)^T."""
     with mp.workdps(dps):
-        reg, _, length = _unit_log(d)
-        reg = float(reg)
+        reg = float(regulator_enclosure(d)[0])
+    length = len(principal_expansion(d).period)
     return UnitInfo(reg, length, -1 if length % 2 else 1)
 
 
@@ -186,9 +165,9 @@ def exact_unit(d: int) -> ExactUnit:
     """The fundamental unit with big-integer coordinates; d should be modest."""
     exp = principal_expansion(d)
     x_acc, y_acc, den = 1, 0, 1
-    for rho in exp.cycle:
-        x_acc, y_acc = x_acc * rho.b + y_acc * d, x_acc + y_acc * rho.b
-        den *= 2 * rho.a
+    for a, b in exp.states:
+        x_acc, y_acc = x_acc * b + y_acc * d, x_acc + y_acc * b
+        den *= 2 * a
         g = gcd(gcd(x_acc, y_acc), den)
         if g > 1:
             x_acc, y_acc, den = x_acc // g, y_acc // g, den // g
@@ -200,10 +179,19 @@ def exact_unit(d: int) -> ExactUnit:
 
 
 def reduced_principal_ideals(d: int) -> set[QuadIdeal]:
-    return {rho.to_ideal() for rho in principal_expansion(d).cycle}
+    return {QuadIdeal(d, a, b) for a, b in principal_expansion(d).states}
+
+
+def principal_ideal_of_norm(d: int, n: int) -> QuadIdeal | None:
+    """The first reduced principal ideal of norm n along the principal
+    cycle, or None when n is not such a norm."""
+    if n < 1:
+        raise ValueError("principal_ideal_of_norm: n must be positive")
+    for a, b in principal_expansion(d).states:
+        if a == n:
+            return QuadIdeal(d, a, b)
+    return None
 
 
 def is_norm_of_reduced_principal(d: int, n: int) -> bool:
-    if n < 1:
-        raise ValueError("is_norm_of_reduced_principal: n must be positive")
-    return any(rho.a == n for rho in principal_expansion(d).cycle)
+    return principal_ideal_of_norm(d, n) is not None

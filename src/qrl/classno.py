@@ -26,6 +26,10 @@ from .intarith import (
 
 Form = tuple[int, int, int]
 
+# legendre_table keeps this many tables of p bytes each; a character row
+# needs the few primes of one d, and the small ones recur from d to d
+LEGENDRE_CACHE_SIZE = 64
+
 
 @dataclass(frozen=True)
 class ClassData:
@@ -87,7 +91,7 @@ def class_number_forms(d: int) -> tuple[int, int]:
     return h, h if len(principal) % 2 else 2 * h
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LEGENDRE_CACHE_SIZE)
 def legendre_table(p: int) -> np.ndarray:
     """Legendre symbols (a|p) for a in [0, p), as an int8 array."""
     t = np.full(p, -1, dtype=np.int8)

@@ -366,10 +366,18 @@ def cmd_family_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kind = args.family
-    if kind not in families.FAMILIES:
-        kind += "_" + args.sign
+    signed = args.family not in families.FAMILIES
+    kind = f"{args.family}_{args.sign or 'plus'}" if signed else args.family
     family = families.FAMILIES[kind]
+    # --sign picks NAME_<sign>; --p is the family parameter p
+    takes = set(family.params) | ({"sign"} if signed else set())
+    unused = [
+        f"--{name}"
+        for name in ("p", "sign")
+        if getattr(args, name) is not None and name not in takes
+    ]
+    if unused:
+        raise ValueError(f"verify {args.family} does not take {', '.join(unused)}")
     params = {name: getattr(args, name) for name in family.params}
     for name, value in params.items():
         if value is None:
@@ -562,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--kmin", type=int, default=None)
     p_ver.add_argument("--kmax", type=int, default=None)
     p_ver.add_argument("--p", type=int, default=None)
-    p_ver.add_argument("--sign", choices=["plus", "minus"], default="plus")
+    p_ver.add_argument("--sign", choices=["plus", "minus"], default=None)
     _add_common(p_ver, jobs=True)
     p_ver.set_defaults(func=cmd_verify)
 

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 from mpmath import mp
 from mpmath.libmp import round_ceiling, round_floor, to_float
 
-from .cfrac import _unit_log, is_norm_of_reduced_principal, principal_expansion
+from .cfrac import principal_ideal_of_norm, regulator_enclosure
 from .intarith import fundamental_decomposition, is_discriminant, is_squarefree
 from .quadorder import (
     QuadIdeal,
@@ -133,7 +133,7 @@ def check_hypotheses(inp: CriterionInput) -> HypothesisReport:
     d0 = fundamental_decomposition(inp.d).fundamental
     per = tuple(
         SplitChecks(
-            norm_in_cycle=is_norm_of_reduced_principal(inp.d, sp.total),
+            norm_in_cycle=principal_ideal_of_norm(inp.d, sp.total) is not None,
             coprime_part_ok=gcd(sp.coprime_part, inp.d) == 1,
             ramified_part_ok=bool(is_squarefree(sp.ramified_part))
             and d0 % sp.ramified_part == 0,
@@ -202,16 +202,6 @@ class PowerProductSet:
     ideals: tuple[QuadIdeal, ...]
 
 
-def _cycle_ideal_of_norm(d: int, n: int) -> QuadIdeal:
-    """First ideal of norm n along the principal cycle."""
-    for rho in principal_expansion(d).cycle:
-        if rho.a == n:
-            return rho.to_ideal()
-    raise CriterionError(
-        f"{n} is not the norm of a reduced principal ideal for d={d}"
-    )
-
-
 def _bounded_vectors(
     d: int, norms: Sequence[int], strict: bool = True
 ) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -252,7 +242,12 @@ def enumerate_power_products(d: int, norms: Sequence[int]) -> PowerProductSet:
     norms = tuple(int(n) for n in norms)
     if any(n < 2 for n in norms):
         raise CriterionError("all norms must be >= 2")
-    base = [_cycle_ideal_of_norm(d, n) for n in norms]
+    base = [principal_ideal_of_norm(d, n) for n in norms]
+    if None in base:
+        n = norms[base.index(None)]
+        raise CriterionError(
+            f"{n} is not the norm of a reduced principal ideal for d={d}"
+        )
     vectors: list[tuple[int, ...]] = []
     ideals: list[QuadIdeal] = []
     seen: set[int] = set()
@@ -334,7 +329,7 @@ def regulator_lower_bound(products: PowerProductSet, dps: int = 30) -> BoundRepo
             exact_terms.append(mp.log((rho.b + root) / (2 * rho.a)))
         exact = _to_float(mp.fsum(exact_terms), round_floor)
         discrete = _to_float(discrete, round_floor)
-        reg, err, _ = _unit_log(d)
+        reg, err = regulator_enclosure(d)
         regulator = _to_float(mp.fadd(reg, err, rounding="c"), round_ceiling)
     log_norm_product = 1.0
     for n in products.norms:

@@ -196,9 +196,7 @@ def _attach_analysis(
 ) -> ScanRecord:
     from .classno import class_number_forms
 
-    if len(rec.d_values) != 1:
-        return rec
-    d = rec.d_values[0]
+    (d,) = rec.d_values
     h, _ = class_number_forms(d)
     reg = fundamental_unit(d).regulator
     l_val = l_value_truncated(d, euler_bound_B) if euler_bound_B else None
@@ -266,8 +264,11 @@ def scan_squarefree(
     euler_bound_B: int | None = None,
 ) -> list[ScanRecord]:
     """Survivors k in [k_min, k_max] with every d_i = (n0+kq)^2 + 4p_i
-    squarefree, by the polynomial sieve.
+    squarefree, by the polynomial sieve. with_h attaches h and the bound
+    report to the one d of each record, so it needs m = 1.
     """
+    if with_h and spec.m != 1:
+        raise ValueError(f"with_h needs a spec with m = 1, this one has m = {spec.m}")
     k_lo = k_min
     if strict_range:
         # keep d_i > sqrt(x): k q > x^(1/4)

@@ -11,6 +11,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
+# fundamental_decomposition keeps this many d; its callers ask for one d
+# many times in a row (once per ideal classified), then move on
+DECOMPOSITION_CACHE_SIZE = 64
+
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
@@ -196,7 +200,7 @@ def is_discriminant(d: int) -> bool:
     return r * r != d
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DECOMPOSITION_CACHE_SIZE)
 def fundamental_decomposition(d: int) -> Discriminant:
     """Split d = d0 * f**2 with d0 a fundamental discriminant."""
     if not is_discriminant(d):

@@ -1,20 +1,24 @@
 import random
 from itertools import islice
-from math import isqrt, log, sqrt
+from math import gcd, isqrt, log, sqrt
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from qrl import cfrac
 from qrl.cfrac import (
     PeriodOverflow,
     cf_expand,
     exact_unit,
     fundamental_unit,
     is_norm_of_reduced_principal,
+    principal_expansion,
     reduced_principal_ideals,
 )
+from qrl.criterion import CriterionInput, NormSplit, evaluate_criterion
+from qrl.families import scan_cubic
 from qrl.intarith import is_discriminant, is_squarefree
 from qrl.quadorder import QuadIdeal, QuadIrrational, canonical_irrational, classify
 
@@ -241,3 +245,40 @@ def test_chowla_family_regulator_bound():
         if not is_squarefree(d):
             continue
         assert fundamental_unit(d).regulator <= log(2 * sqrt(d)) + 1e-12
+
+
+def counting_walks(monkeypatch):
+    """Record the d of every continued-fraction walk cfrac starts, with an
+    empty principal-cycle cache."""
+    walks = []
+    original = cfrac.cf_orbit
+
+    def counting(d, a, b):
+        walks.append(d)
+        return original(d, a, b)
+
+    monkeypatch.setattr(cfrac, "cf_orbit", counting)
+    principal_expansion.cache_clear()
+    return walks
+
+
+def test_one_walk_per_census_item(monkeypatch):
+    # unit, cycle norms and criterion bound of one d share one walk
+    d = 1109
+    walks = counting_walks(monkeypatch)
+    fundamental_unit(d)
+    norm = min(
+        rho.a
+        for rho in principal_expansion(d).cycle
+        if rho.a > 1 and gcd(rho.a, d) == 1
+    )
+    evaluate_criterion(CriterionInput(d, (NormSplit(norm, norm, 1),)))
+    assert walks == [d]
+
+
+def test_one_walk_per_cubic_record(monkeypatch):
+    # a cubic record checks k norms of its d besides its regulator
+    walks = counting_walks(monkeypatch)
+    records = scan_cubic(2, 3, range(1, 9))
+    assert len(records) >= 4 and all(rec.bound_ok for rec in records)
+    assert walks == [rec.d_values[0] for rec in records]

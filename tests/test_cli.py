@@ -283,6 +283,25 @@ def test_family_scan_bound_exponent_validation(tmp_path):
     assert "greater than 2" in one_json(err)["message"]
 
 
+def test_family_scan_with_h_needs_m_1(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    code, _, _ = run_cli(
+        [
+            "family", "build", "--m", "2", "--primes", "5,29", "--x", "1e8",
+            "--out", str(spec_path),
+        ]
+    )
+    assert code == 0
+    code, out, err = run_cli(
+        ["family", "scan", "--spec", str(spec_path), "--kmax", "3", "--with-h"]
+    )
+    assert code == 1 and out == ""
+    assert one_json(err) == {
+        "error": "ValueError",
+        "message": "with_h needs a spec with m = 1, this one has m = 2",
+    }
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -310,6 +329,28 @@ def test_verify_yamamoto_all_ok():
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
     assert rows and all(row["ok"] for row in rows)
+
+
+def test_verify_rejects_flags_that_do_not_apply():
+    for argv, flags in (
+        (["verify", "chowla", "--p", "5", "--sign", "minus"], "--p, --sign"),
+        (["verify", "shanks", "--sign", "minus"], "--sign"),
+    ):
+        code, out, err = run_cli(argv + ["--kmax", "3"])
+        assert code == 1 and out == ""
+        assert one_json(err) == {
+            "error": "ValueError",
+            "message": f"verify {argv[1]} does not take {flags}",
+        }
+
+
+def test_verify_yamamoto_sign_defaults_to_plus():
+    argv = ["verify", "yamamoto", "--p", "13", "--kmax", "40"]
+    plain, plus, minus = (
+        run_cli(argv + sign) for sign in ([], ["--sign", "plus"], ["--sign", "minus"])
+    )
+    assert plain == plus and plain[0] == minus[0] == 0
+    assert plain[1] != minus[1]
 
 
 def test_verify_yamamoto_requires_p():
@@ -413,9 +454,16 @@ def test_readme_commands_run(tmp_path, monkeypatch):
     ]
     assert lines
     monkeypatch.chdir(tmp_path)  # `family build --out spec.json` writes here
+    pinned = 0
     for line in lines:
-        code, _, err = run_cli(shlex.split(line, comments=True)[1:])
+        code, out, err = run_cli(shlex.split(line, comments=True)[1:])
         assert code == 0, (line, err)
+        # a comment that is a JSON record is the command's exact output
+        record = re.search(r"#\s*(\{.*\})\s*$", line)
+        if record:
+            assert out == record.group(1) + "\n", line
+            pinned += 1
+    assert pinned
 
 
 def test_usage_error_exits_2():
