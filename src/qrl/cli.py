@@ -20,7 +20,7 @@ from multiprocessing import Pool
 
 from . import families
 from .cfrac import cf_expand, exact_unit, fundamental_unit
-from .classno import class_number_forms, l_value_exact, l_value_truncated
+from .classno import class_number, l_value_exact, l_value_truncated
 from .criterion import (
     CriterionInput,
     NormSplit,
@@ -285,7 +285,7 @@ def cmd_unit(args) -> int:
 
 def cmd_classno(args) -> int:
     d = _require_discriminant(args.d)
-    h, h_narrow = class_number_forms(d)
+    h, h_narrow = class_number(d)
     with _out_stream(args) as stream:
         _emit_json({"d": d, "h": h, "h_narrow": h_narrow}, stream)
     return 0
@@ -522,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_unit)
     p_unit.set_defaults(func=cmd_unit)
 
-    p_h = sub.add_parser("classno", help="class number from reduced forms")
+    p_h = sub.add_parser("classno", help="class number from the analytic formula")
     p_h.add_argument("--d", type=int, required=True)
     _add_common(p_h)
     p_h.set_defaults(func=cmd_classno)

@@ -194,10 +194,10 @@ def build_progression(
 def _attach_analysis(
     rec: ScanRecord, primes: tuple[int, ...], euler_bound_B: int | None
 ) -> ScanRecord:
-    from .classno import class_number_forms
+    from .classno import class_number
 
     (d,) = rec.d_values
-    h, _ = class_number_forms(d)
+    h, _ = class_number(d)
     reg = fundamental_unit(d).regulator
     l_val = l_value_truncated(d, euler_bound_B) if euler_bound_B else None
     bound = bound_ok = None

@@ -2,7 +2,7 @@
 
 Everything here is integer-exact; no floats. Primality is deterministic
 Miller-Rabin below the published 12-base limit and raises above it rather
-than silently going probabilistic.
+than silently going probabilistic. The prime sieves run on numpy arrays.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+
+import numpy as np
 
 # fundamental_decomposition keeps this many d; its callers ask for one d
 # many times in a row (once per ideal classified), then move on
@@ -273,15 +275,28 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by a byte sieve."""
+    """All primes <= n by a sieve of Eratosthenes on a numpy bool array."""
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).tolist()
+
+
+def smallest_prime_factors(n: int) -> np.ndarray:
+    """spf[k] = the smallest prime factor of k for 2 <= k <= n, as an int32
+    array of length n + 1 (spf[0] = 0, spf[1] = 1); n < 2**31."""
+    spf = np.zeros(n + 1, dtype=np.int32)
+    for p in range(2, isqrt(n) + 1):
+        if spf[p] == 0:
+            multiples = spf[p * p :: p]  # a view: the writes land in spf
+            multiples[multiples == 0] = p
+    unmarked = np.flatnonzero(spf == 0)  # 0, 1 and the primes
+    spf[unmarked] = unmarked
+    return spf
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

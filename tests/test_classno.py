@@ -1,12 +1,18 @@
 import random
 from math import gcd, isqrt, log, sqrt
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
 
+from qrl import classno
 from qrl.cfrac import fundamental_unit, principal_expansion
 from qrl.classno import (
     character_row,
     class_data,
+    class_number,
     class_number_forms,
     form_cycles,
     h_bound_report,
@@ -142,3 +148,100 @@ def test_h_bound_report():
     assert not rep.satisfied
     with pytest.raises(ValueError):
         h_bound_report(15, 2, 1.0)
+
+
+def test_h_bound_is_rounded_down():
+    constant = 192 * log(3)
+    for d in fundamental_discriminants(16, 20001):
+        bound = h_bound_report(d, 1, constant).bound
+        with mp.workdps(60):
+            log_d = mp.log(d)
+            exact = mpf(constant) * mp.sqrt(d) / (log_d**2 * mp.log(log_d))
+            assert bound <= exact, d
+            assert exact - bound <= 2 * mp.ldexp(exact, -52), d
+
+
+# ---------------------------------------------------------------------------
+# the analytic class number and its oracle, the form cycles
+
+
+def test_class_number_examples_analytic():
+    assert class_number(5) == (1, 1)
+    assert class_number(12) == (1, 2)
+    assert class_number(40) == (2, 2)
+    assert class_number(10000200021)[0] == 4
+
+
+def test_class_number_matches_forms_below_6000():
+    for d in range(5, 6000):
+        if is_discriminant(d):
+            assert class_number(d) == class_number_forms(d), d
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2_500_000), st.sampled_from((0, 1)))
+@example(2_499_999, 1)
+@example(2_500_000, 0)  # 10**7 = 40 * 500**2: conductor 500
+def test_class_number_matches_forms_sample(q, r):
+    d = 4 * q + r  # every d <= 10**7 with d = 0, 1 mod 4
+    if is_discriminant(d):
+        assert class_number(d) == class_number_forms(d)
+
+
+def test_class_number_falls_back_to_forms(monkeypatch):
+    # allowing each libm call a 100 % error leaves an h interval too wide
+    # to pin one integer
+    monkeypatch.setattr(classno, "_LIBM", 1.0)
+    calls = []
+    original = classno.class_number_forms
+
+    def counting(d):
+        calls.append(d)
+        return original(d)
+
+    monkeypatch.setattr(classno, "class_number_forms", counting)
+    ds = [5, 12, 40, 45, 229, 1009, 4 * 1009, 9 * 1009]
+    assert [class_number(d) for d in ds] == [original(d) for d in ds]
+    assert calls == ds
+
+
+def test_character_table_matches_kronecker():
+    big = 2**89 - 1  # d mod p through three full 31-bit limbs
+    for d in (5, 8, 12, 13, 40, 88, 1009, 3 * 5 * 7 * 11 * 13 * 4 + 1, big):
+        table = classno._character_table(d, 600)
+        assert table.tolist() == [kronecker(d, k) for k in range(601)], d
+
+
+def test_exp1_within_its_error_bound():
+    x = np.concatenate([np.geomspace(1e-12, 1.0, 300), np.linspace(1.0, 60.0, 600)[1:]])
+    small = x <= 1.0
+    parts = [classno._exp1_series(x[small]), classno._exp1_fraction(x[~small])]
+    value, magnitude, trunc = (np.concatenate(arrays) for arrays in zip(*parts))
+    # _series_sum's eta at X = 60
+    steps = 8 * 60 + 6 * classno.E1_CF_DEPTH + 2 * classno.E1_SERIES_TERMS + 32
+    eta = 2 * (classno._LIBM + steps * classno._U)
+    with mp.workdps(40):
+        for xi, v, m, t in zip(x, value, magnitude, trunc):
+            assert abs(v - mp.e1(mpf(xi))) <= eta * m + t, xi
+
+
+@pytest.mark.parametrize("d", [5, 13, 1009, 4 * 1011, 100049])
+def test_series_sum_within_its_error_bound(d):
+    # the sum to the budget's N, against a 30-digit sum far past it
+    r = fundamental_unit(d).regulator
+    x_cut = max(1.0, log(2 * sqrt(d / np.pi) / (classno.TAIL_SHARE * r)))
+    n_max = isqrt(int(x_cut * d / np.pi) + 1) + 1
+    total, err = classno._series_sum(d, n_max)
+    with mp.workdps(30):
+        exact = mp.fsum(
+            kronecker(d, n)
+            * (
+                mp.sqrt(d) / n * mp.erfc(n * mp.sqrt(mp.pi / d))
+                + mp.e1(mp.pi * n * n / d)
+            )
+            for n in range(1, isqrt(60 * d) + 2)
+            if kronecker(d, n)
+        )
+        assert abs(total - exact) <= err
+        h = class_number_forms(d)[0]
+        assert abs(exact / (2 * h) - r) < 1e-9 * r

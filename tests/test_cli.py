@@ -302,6 +302,28 @@ def test_family_scan_with_h_needs_m_1(tmp_path):
     }
 
 
+def test_family_scan_with_h_on_reference_spec(tmp_path):
+    # the paper's x = 1e10 spec: d = (1365 + 6006 k)^2 + 20 is 5.4e7 at k = 1
+    spec_path = tmp_path / "spec.json"
+    code, _, _ = run_cli(
+        [
+            "family", "build", "--m", "1", "--primes", "5", "--x", "1e10",
+            "--out", str(spec_path),
+        ]
+    )
+    assert code == 0
+    code, out, err = run_cli(
+        ["family", "scan", "--spec", str(spec_path), "--kmax", "2", "--with-h"]
+    )
+    assert code == 0 and err == ""
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    assert [r[0] for r in rows] == ["1", "2"]
+    for row in rows:
+        record = dict(zip(header, row))
+        assert re.fullmatch(r"[1-9][0-9]*", record["h"])
+        assert record["bound_ok"] in ("0", "1")
+
+
 # ---------------------------------------------------------------------------
 # verify
 

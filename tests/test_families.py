@@ -183,18 +183,20 @@ def test_scan_with_analysis():
 
 
 def test_scan_with_h_computes_h_once_per_record(monkeypatch):
-    calls = []
-    original = classno.class_number_forms
+    calls, form_calls = [], []
+    original = classno.class_number
 
     def counting(d):
         calls.append(d)
         return original(d)
 
-    monkeypatch.setattr(classno, "class_number_forms", counting)
+    monkeypatch.setattr(classno, "class_number", counting)
+    monkeypatch.setattr(classno, "class_number_forms", form_calls.append)
     records = scan_squarefree(toy_spec(), k_max=30, with_h=True)
     ds = [r.d_values[0] for r in records]
     assert len(ds) > 10 and min(ds) >= 16  # every record gets a bound report
     assert calls == ds
+    assert form_calls == []  # the analytic h is certified, no fallback
 
 
 def per_value_survivors(n_range, d_of):

@@ -14,6 +14,7 @@ from qrl.intarith import (
     is_squarefree,
     kronecker,
     primes_up_to,
+    smallest_prime_factors,
     sqrt_mod_prime,
     squarefree_decomposition,
     xgcd,
@@ -149,10 +150,33 @@ def test_sqrt_mod_prime():
                 assert r is None
 
 
+def byte_sieve_primes(n):
+    """The byte sieve that primes_up_to used before its numpy sieve."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [i for i in range(2, n + 1) if sieve[i]]
+
+
 def test_primes_up_to():
     assert primes_up_to(1) == []
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes_up_to(10**4)) == 1229
+    for n in (-3, 0, 2, 3, 4, 48, 49, 121, 10**5 + 3, 380_000):
+        got = primes_up_to(n)
+        assert got == byte_sieve_primes(n), n
+        assert all(type(p) is int for p in got)
+
+
+def test_smallest_prime_factors():
+    spf = smallest_prime_factors(5000)
+    assert spf[:2].tolist() == [0, 1]
+    for k in range(2, 5001):
+        assert spf[k] == factorize(k)[0][0], k
 
 
 @given(st.integers(1, 10**9))
