@@ -27,13 +27,14 @@ import numpy as np
 from mpmath import mp, mpf
 from mpmath.libmp import round_floor, to_float
 
-from .cfrac import cf_orbit, fundamental_unit, regulator_enclosure
+from .cfrac import cf_orbit, principal_expansion, regulator_enclosure
 from .intarith import (
     divisors,
     factorize,
     fundamental_decomposition,
     kronecker,
     primes_up_to,
+    residues_mod,
     smallest_prime_factors,
 )
 
@@ -127,11 +128,7 @@ def _kronecker_at_primes(d: int, primes: np.ndarray) -> np.ndarray:
     """kronecker(d, p) for an ascending int64 array of primes p < 2**31
     that starts at 2, as int8: Euler's criterion on numpy arrays."""
     odd = primes[1:]
-    # d mod p by Horner's rule over 31-bit limbs of d; r < p < 2**31 keeps
-    # every intermediate below 2**62
-    r = np.zeros_like(odd)
-    for shift in range(31 * (d.bit_length() // 31), -1, -31):
-        r = ((r << 31) + ((d >> shift) & 0x7FFFFFFF)) % odd
+    r = residues_mod(d, odd)
     # r^((p-1)/2) mod p is 0, 1 or p - 1
     power, acc = (odd - 1) >> 1, np.ones_like(odd)
     while power.any():
@@ -321,7 +318,8 @@ def class_number(d: int) -> tuple[int, int]:
             h = None
     if h is None:
         return class_number_forms(d)
-    return h, h if fundamental_unit(d).norm_sign == -1 else 2 * h
+    # the unit has norm (-1)^T, T the principal period's length
+    return h, h if len(principal_expansion(d).period) % 2 else 2 * h
 
 
 @lru_cache(maxsize=LEGENDRE_CACHE_SIZE)

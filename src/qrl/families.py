@@ -6,13 +6,20 @@ once in `FAMILIES`. The progression, Chowla's (2n)^2 + 1 and n^2 +- 4p are
 all u^2 + c with u in an arithmetic progression, so one polynomial sieve
 settles their squarefreeness; the Shanks and cubic u grow exponentially in
 k, so those scans trial-divide each value.
+
+The sieve is exact only while the primes up to cbrt(max value) are at
+hand, so it refuses above SIEVE_PRIME_LIMIT. The m >= 2 progressions are
+out of exact reach: q = prod S is already about 8e20 at m = 2, so every d
+exceeds 1e41, and certifying that such a d is squarefree is about as hard
+as factoring it.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import isqrt, log, prod, sqrt
 from typing import Callable
 
@@ -27,12 +34,23 @@ from .intarith import (
     is_prime,
     is_squarefree,
     kronecker,
+    prime_array,
     primes_up_to,
+    residues_mod,
     sqrt_mod_prime,
 )
 
 MERTENS_M = 0.26149
 HEADLINE_CONSTANT = 192.0
+# the largest sieve prime bound cbrt(max value) + 1 that _squarefree_ks
+# accepts: a root table costs 5-7 us per prime to build and 16 bytes per
+# root, so at this limit (5.8 million primes) about 40 s and 92 MB on a
+# 2-vCPU x86-64 host, with a 211 MB peak RSS while it builds
+SIEVE_PRIME_LIMIT = 10**8
+# root tables kept per process, one per (n0, q, c)
+ROOT_TABLE_CACHE_SIZE = 16
+# primes converted to Python ints at a time while a table grows
+ROOT_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -209,37 +227,101 @@ def _attach_analysis(
     )
 
 
+class _RootTable:
+    """Where the primes p <= bound divide u^2 + c for u = n0 + kq: one entry
+    (p, k0) per root y = +-sqrt(-c) mod p of each p not dividing q, with
+    k0 = (y - n0) q^-1 mod p, so that p divides the value at k exactly when
+    k = k0 mod p for one of its entries; and the primes p | q that divide
+    n0^2 + c, which divide the value at every k. grow() extends the bound
+    in place."""
+
+    def __init__(self, n0: int, q: int, c: int) -> None:
+        self.n0, self.q, self.c = n0, q, c
+        self.bound = 1
+        self.primes = np.zeros(0, dtype=np.int64)  # ascending, one per entry
+        self.k0 = np.zeros(0, dtype=np.int64)
+        self.every: list[int] = []
+
+    def grow(self, bound: int) -> None:
+        """Cover the primes up to bound, at least doubling the old bound so
+        that ever larger windows grow the table only O(log bound) times."""
+        if bound <= self.bound:
+            return
+        n0, q, c = self.n0, self.q, self.c
+        new_bound = min(max(bound, 2 * self.bound), SIEVE_PRIME_LIMIT)
+        fresh = prime_array(new_bound)
+        fresh = fresh[np.searchsorted(fresh, self.bound, side="right") :]
+        primes, k0 = array("q"), array("q")
+        at_zero = n0 * n0 + c
+        for start in range(0, len(fresh), ROOT_CHUNK):
+            for p in fresh[start : start + ROOT_CHUNK].tolist():
+                if q % p == 0:
+                    if at_zero % p == 0:
+                        self.every.append(p)
+                    continue
+                t = sqrt_mod_prime(-c % p, p)
+                if t is None:
+                    continue
+                inv_q = pow(q, -1, p)
+                for y in (t,) if 2 * t % p == 0 else (t, p - t):
+                    primes.append(p)
+                    k0.append((y - n0) * inv_q % p)
+        del fresh  # 46 MB at the limit, freed before the copies below
+        self.primes = np.concatenate([self.primes, np.frombuffer(primes, np.int64)])
+        self.k0 = np.concatenate([self.k0, np.frombuffer(k0, np.int64)])
+        self.bound = new_bound
+
+    def hits(self, bound: int, k_lo: int, count: int) -> list[tuple[int, int, int]]:
+        """Triples (p, first, step): the prime p <= bound (covered by the
+        table) divides the value at k = k_lo + j for j = first, first +
+        step, ... below count. Each such (p, j), 0 <= j < count, is listed
+        once."""
+        out = [(p, 0, 1) for p in self.every if p <= bound]
+        n = np.searchsorted(self.primes, bound, side="right")
+        p = self.primes[:n]
+        first = (self.k0[:n] - residues_mod(k_lo, p)) % p
+        live = np.flatnonzero(first < count)
+        steps = p[live].tolist()
+        out.extend(zip(steps, first[live].tolist(), steps))
+        return out
+
+
+@lru_cache(maxsize=ROOT_TABLE_CACHE_SIZE)
+def _root_table(n0: int, q: int, c: int) -> _RootTable:
+    return _RootTable(n0, q, c)
+
+
 def _squarefree_ks(
     n0: int, q: int, constants: tuple[int, ...], k_lo: int, k_hi: int
 ) -> list[int]:
     """The k in [k_lo, k_hi] with every (n0+kq)^2 + c, c in constants,
     squarefree; callers keep every such value >= 5. Exact: a polynomial
-    sieve removes all prime factors up to cbrt(max value), then a
+    sieve removes all prime factors up to cbrt(max value) + 1, then a
     perfect-square test settles each cofactor.
+
+    The sieve reads where each prime divides from the process's root table
+    for (n0, q, c), built once and grown by doubling when a window needs
+    larger primes, so a window costs numpy work over the table plus one
+    division loop per prime that hits it. Refuses with ValueError when
+    cbrt(max value) + 1 passes SIEVE_PRIME_LIMIT.
     """
     count = k_hi - k_lo + 1
     if count <= 0:
         return []
     us = [n0 + k * q for k in range(k_lo, k_hi + 1)]
     rems = [[u * u + c for u in us] for c in constants]
+    bound = icbrt(max(map(max, rems))) + 1
+    if bound > SIEVE_PRIME_LIMIT:
+        raise ValueError(
+            f"squarefree sieve: cbrt(max value) + 1 = {bound} exceeds "
+            f"SIEVE_PRIME_LIMIT = {SIEVE_PRIME_LIMIT}"
+        )
     flag = bytearray(count)  # 1 once some value at k has a square factor
-    sieve_primes = primes_up_to(icbrt(max(map(max, rems))) + 1)
     for c, rem in zip(constants, rems):
-        for p in sieve_primes:
-            if q % p == 0:
-                if (n0 * n0 + c) % p != 0:
-                    continue
-                hits: range | list[int] = range(count)
-            else:
-                t = sqrt_mod_prime(-c % p, p)
-                if t is None:
-                    continue
-                inv_q = pow(q, -1, p)
-                hits = []
-                for y in {t, (p - t) % p}:
-                    k0 = (y - n0) * inv_q % p
-                    hits.extend(range((k0 - k_lo) % p, count, p))
-            for j in hits:
+        table = _root_table(n0, q, c)
+        table.grow(bound)
+        for p, first, step in table.hits(bound, k_lo, count):
+            for j in range(first, count, step):
                 v, e = rem[j], 0
                 while v % p == 0:
                     v //= p

@@ -274,16 +274,33 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
     return min(r, p - r)
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by a sieve of Eratosthenes on a numpy bool array."""
+def prime_array(n: int) -> np.ndarray:
+    """All primes <= n, ascending, as an int64 array: a sieve of
+    Eratosthenes on a numpy bool array."""
     if n < 2:
-        return []
+        return np.zeros(0, dtype=np.int64)
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).tolist()
+    return np.flatnonzero(sieve).astype(np.int64, copy=False)
+
+
+def primes_up_to(n: int) -> list[int]:
+    """All primes <= n, ascending."""
+    return prime_array(n).tolist()
+
+
+def residues_mod(n: int, moduli: np.ndarray) -> np.ndarray:
+    """n mod m for each m of an int64 array of moduli 0 < m < 2**31, exact
+    for any integer n, by Horner's rule over the 31-bit limbs of |n|; r < m
+    keeps every intermediate below 2**62."""
+    a = abs(n)
+    r = np.zeros_like(moduli)
+    for shift in range(31 * (a.bit_length() // 31), -1, -31):
+        r = ((r << 31) + ((a >> shift) & 0x7FFFFFFF)) % moduli
+    return (moduli - r) % moduli if n < 0 else r
 
 
 def smallest_prime_factors(n: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import json
 import math
 import re
 import shlex
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -300,6 +301,31 @@ def test_family_scan_with_h_needs_m_1(tmp_path):
         "error": "ValueError",
         "message": "with_h needs a spec with m = 1, this one has m = 2",
     }
+
+
+def test_family_scan_refuses_m2_spec_before_allocating(tmp_path):
+    # q is about 8.1e20: the sieve would need the primes up to cbrt(d) ~ 6e14
+    spec_path = tmp_path / "spec.json"
+    code, _, _ = run_cli(
+        [
+            "family", "build", "--m", "2", "--primes", "5,29", "--x", "1e8",
+            "--out", str(spec_path),
+        ]
+    )
+    assert code == 0
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            ["family", "scan", "--spec", str(spec_path), "--kmax", "20"]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    record = one_json(err)
+    assert record["error"] == "ValueError"
+    assert f"SIEVE_PRIME_LIMIT = {families.SIEVE_PRIME_LIMIT}" in record["message"]
+    assert peak < 10**6
 
 
 def test_family_scan_with_h_on_reference_spec(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrl import classno
+from qrl import classno, families
 from qrl.cfrac import fundamental_unit
 from qrl.families import (
     ProgressionSpec,
@@ -22,7 +22,7 @@ from qrl.families import (
     squarefree_density,
     _squarefree_ks,
 )
-from qrl.intarith import is_squarefree, kronecker, primes_up_to
+from qrl.intarith import icbrt, is_squarefree, kronecker, primes_up_to
 
 
 def toy_spec(n0=3, q=6, primes=(5,), x=10**10, eps1=0.9):
@@ -241,6 +241,102 @@ def test_sieve_matches_is_squarefree(n0, q, offsets, k_lo, count):
         k for k, u in zip(ks, us) if all(is_squarefree(u * u + c) for c in constants)
     ]
     assert _squarefree_ks(n0, q, constants, k_lo, k_lo + count - 1) == want
+
+
+def sieve_oracle(n0, q, c, k_lo, k_hi):
+    return [k for k in range(k_lo, k_hi + 1) if is_squarefree((n0 + k * q) ** 2 + c)]
+
+
+def window_bound(n0, q, c, k_lo, k_hi):
+    # the sieve's prime bound: the values are convex in k
+    return icbrt(max((n0 + k * q) ** 2 + c for k in (k_lo, k_hi))) + 1
+
+
+def test_root_table_slices_then_grows():
+    n0, q, c = 1365, 6006, 20
+    families._root_table.cache_clear()
+    table = families._root_table(n0, q, c)
+    bounds = []
+    for k_lo, k_hi in [(2000, 2400), (5, 60), (9000, 9300)]:
+        got = _squarefree_ks(n0, q, (c,), k_lo, k_hi)
+        assert got == sieve_oracle(n0, q, c, k_lo, k_hi)
+        assert table.bound >= window_bound(n0, q, c, k_lo, k_hi)
+        bounds.append(table.bound)
+    assert bounds[0] == bounds[1] < bounds[2]  # the small window only slices
+    # every odd p <= bound, p not dividing q, at which -c is a square has
+    # entries, and each entry's k0 puts p into the value (2 divides q)
+    for p, k0 in zip(table.primes.tolist(), table.k0.tolist()):
+        assert ((n0 + k0 * q) ** 2 + c) % p == 0
+    with_roots = [
+        p for p in primes_up_to(table.bound) if q % p and kronecker(-c, p) != -1
+    ]
+    assert sorted(set(table.primes.tolist())) == with_roots
+
+
+def test_sieve_reduces_k_beyond_int64():
+    # n0 far below zero keeps the values small while k_lo >= 2**63
+    q, c = 7, 13
+    k_lo = 2**63 + 11
+    n0 = -(k_lo - 3) * q + 2
+    got = _squarefree_ks(n0, q, (c,), k_lo, k_lo + 400)
+    assert got == sieve_oracle(n0, q, c, k_lo, k_lo + 400)
+    assert len(got) < 401  # some value has a square factor
+
+
+def test_sieve_primes_dividing_q_hit_every_k():
+    # n0^2 + c = 30: 2, 3 and 5 divide q and every value
+    n0, q, c = 1, 30, 29
+    got = _squarefree_ks(n0, q, (c,), 0, 600)
+    assert got == sieve_oracle(n0, q, c, 0, 600)
+    assert 0 < len(got) < 601
+    assert families._root_table(n0, q, c).every == [2, 3, 5]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_sieve_negative_constant(p):
+    c = -4 * p  # the Yamamoto - values n^2 - 4p
+    k_lo = isqrt(5 - c) + 1
+    for lo, hi in [(k_lo, 3000), (k_lo + 17, k_lo + 90), (2900, 6000)]:
+        assert _squarefree_ks(0, 1, (c,), lo, hi) == sieve_oracle(0, 1, c, lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(-10**5, 10**5),
+    st.integers(1, 500),
+    st.integers(-10**4, 10**6),
+    st.lists(st.tuples(st.integers(0, 2000), st.integers(1, 120)), min_size=1, max_size=4),
+)
+def test_root_table_windows_match_is_squarefree(n0, q, c, windows):
+    # one (n0, q, c), windows in any order: the table is sliced and grown
+    families._root_table.cache_clear()
+    for k_lo, count in windows:
+        k_hi = k_lo + count - 1
+        if min((n0 + k * q) ** 2 + c for k in range(k_lo, k_hi + 1)) < 5:
+            continue
+        assert _squarefree_ks(n0, q, (c,), k_lo, k_hi) == sieve_oracle(
+            n0, q, c, k_lo, k_hi
+        )
+
+
+def test_second_window_makes_no_root_calls(monkeypatch):
+    calls = []
+    original = families.sqrt_mod_prime
+
+    def counting(a, p):
+        calls.append(p)
+        return original(a, p)
+
+    monkeypatch.setattr(families, "sqrt_mod_prime", counting)
+    families._root_table.cache_clear()
+    spec = build_progression(1, [5], 10**10, 0.9)
+    scan_squarefree(spec, k_max=2000, k_min=1651)
+    assert calls  # the first window builds the table
+    table = families._root_table(spec.n0, spec.q, 20)
+    assert window_bound(spec.n0, spec.q, 20, 300, 650) <= table.bound
+    calls.clear()
+    records = scan_squarefree(spec, k_max=650, k_min=300)
+    assert calls == [] and records
 
 
 def test_density_closed_form_matches_brute():
