@@ -8,9 +8,10 @@ the one walk. The principal cycle of d is walked once into the cached
 `principal_expansion(d)`, and its every reader starts from that record:
 the regulator is the logarithm of the fundamental unit, which is built from
 the period's quotients by the continuant recurrence on bare integers, kept
-to its top bits, and taken with one extended-precision logarithm; the
-reduced principal ideals and their norms are its states; an exact
-big-integer unit is available separately for cross-checks.
+to its top bits, and taken with one logarithm at REGULATOR_DPS digits,
+cached per d for the unit, the class number and the criterion; the reduced
+principal ideals and their norms are its states; an exact big-integer unit
+is available separately for cross-checks.
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ from mpmath import mp, mpf
 from .quadorder import QuadIdeal, QuadIrrational, canonical_irrational, is_reduced_state
 
 
-# principal_expansion keeps this many cycles: every caller asks for one d a
-# few times in a row (unit, norms, bound) and then moves on, and a few
-# dozen long cycles hold megabytes of states
+# principal_expansion and regulator_enclosure keep this many d: every caller
+# asks for one d a few times in a row (unit, norms, bound, h) and then moves
+# on, and a few dozen long cycles hold megabytes of states
 EXPANSION_CACHE_SIZE = 1
 # bits of the continuant pair kept by regulator_enclosure
 UNIT_BITS = 192
+# digits of regulator_enclosure's logarithm, whatever the caller's precision
+REGULATOR_DPS = 30
 
 
 class PeriodOverflow(RuntimeError):
@@ -122,9 +125,11 @@ def principal_expansion(d: int) -> CFExpansion:
     return cf_expand(canonical_irrational(d))
 
 
+@lru_cache(maxsize=EXPANSION_CACHE_SIZE)
+@mp.workdps(REGULATOR_DPS)
 def regulator_enclosure(d: int) -> tuple[mpf, mpf]:
-    """log eps for the fundamental unit eps of O_d, at the working mp
-    precision, and a bound on its absolute error.
+    """log eps for the fundamental unit eps of O_d, at REGULATOR_DPS digits,
+    and a bound on its absolute error.
 
     With theta_1 = (b_1 + sqrt(d))/(2a_1) the first reduced principal state,
     alpha_1..alpha_T the period quotients, P_-1 = 0, P_0 = 1 and
@@ -151,12 +156,10 @@ def regulator_enclosure(d: int) -> tuple[mpf, mpf]:
     return reg, err
 
 
-def fundamental_unit(d: int, dps: int = 30) -> UnitInfo:
-    """Regulator log eps, one logarithm at dps digits rounded to the nearest
-    float (error bound in regulator_enclosure); period length T; norm sign
-    (-1)^T."""
-    with mp.workdps(dps):
-        reg = float(regulator_enclosure(d)[0])
+def fundamental_unit(d: int) -> UnitInfo:
+    """Regulator log eps, regulator_enclosure's value rounded to the nearest
+    float; period length T; norm sign (-1)^T."""
+    reg = float(regulator_enclosure(d)[0])
     length = len(principal_expansion(d).period)
     return UnitInfo(reg, length, -1 if length % 2 else 1)
 
@@ -191,7 +194,3 @@ def principal_ideal_of_norm(d: int, n: int) -> QuadIdeal | None:
         if a == n:
             return QuadIdeal(d, a, b)
     return None
-
-
-def is_norm_of_reduced_principal(d: int, n: int) -> bool:
-    return principal_ideal_of_norm(d, n) is not None

@@ -27,7 +27,7 @@ import numpy as np
 from mpmath import mp, mpf
 from mpmath.libmp import round_floor, to_float
 
-from .cfrac import cf_orbit, principal_expansion, regulator_enclosure
+from .cfrac import cf_orbit, fundamental_unit, regulator_enclosure
 from .intarith import (
     divisors,
     factorize,
@@ -52,6 +52,9 @@ E1_SERIES_TERMS = 20
 E1_CF_DEPTH = 64
 # terms of the class-number series evaluated per numpy block
 SERIES_BLOCK = 1 << 16
+# most terms N of the class-number series: its character table takes about
+# 29 bytes per term, so N = 10**7 peaks near 0.3 GB RSS and takes about 4 s
+SERIES_TERM_LIMIT = 10**7
 # unit roundoff of a float, and the relative error allowed for one libm
 # erfc, exp or log: 2**7 ulp, against the 8 ulp assumed (glibc documents
 # at most 5 for erfc and 1 for exp and log)
@@ -288,7 +291,13 @@ def _field_class_number(d: int, r_lo: Fraction, r_hi: Fraction) -> int | None:
     # X >= 1 with 2 sqrt(d/pi) e^-X <= TAIL_SHARE R, so that the tail
     # bound 2 sqrt(d/pi) e^-X X^(-3/2) of _series_sum is below it too
     x_cut = max(1.0, log(2 * sqrt(d / pi) / (TAIL_SHARE * float(r_lo))))
-    total, err = _series_sum(d, isqrt(ceil(x_cut * d / pi)) + 1)
+    n_max = isqrt(ceil(x_cut * d / pi)) + 1
+    if n_max > SERIES_TERM_LIMIT:
+        raise ValueError(
+            f"class_number: the series for d = {d} needs N = {n_max} terms,"
+            f" above SERIES_TERM_LIMIT = {SERIES_TERM_LIMIT}"
+        )
+    total, err = _series_sum(d, n_max)
     lo, hi = Fraction(total) - Fraction(err), Fraction(total) + Fraction(err)
     return _pin(lo / (2 * r_hi), hi / (2 * r_lo))
 
@@ -318,8 +327,7 @@ def class_number(d: int) -> tuple[int, int]:
             h = None
     if h is None:
         return class_number_forms(d)
-    # the unit has norm (-1)^T, T the principal period's length
-    return h, h if len(principal_expansion(d).period) % 2 else 2 * h
+    return h, h if fundamental_unit(d).norm_sign == -1 else 2 * h
 
 
 @lru_cache(maxsize=LEGENDRE_CACHE_SIZE)

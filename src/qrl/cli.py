@@ -16,6 +16,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
+from functools import partial
 from multiprocessing import Pool
 
 from . import families
@@ -171,39 +172,29 @@ def _chunk_bounds(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
     return spans
 
 
-def _family_chunk_worker(task):
-    kind, params, lo, hi = task
-    return families.family_scan(kind, params, range(lo, hi + 1))
+def _run_chunk(task):
+    return task()
 
 
-def _progression_chunk_worker(task):
-    spec, lo, hi, strict, with_h, bound = task
-    return families.scan_squarefree(
-        spec,
-        k_max=hi,
-        k_min=lo,
-        strict_range=strict,
-        with_h=with_h,
-        euler_bound_B=bound,
-    )
-
-
-def _run_chunked(worker, tasks, jobs: int) -> list[families.ScanRecord]:
+def _run_chunked(tasks, jobs: int) -> list[families.ScanRecord]:
+    """Run the chunks (picklable callables) here for one job, else in a pool."""
     if not tasks:
         return []
     if jobs <= 1 or len(tasks) == 1:
-        chunks = [worker(task) for task in tasks]
+        chunks = [_run_chunk(task) for task in tasks]
     else:
         with Pool(processes=min(jobs, len(tasks))) as pool:
-            chunks = pool.map(worker, tasks)
+            chunks = pool.map(_run_chunk, tasks)
     return [rec for chunk in chunks for rec in chunk]
 
 
 def _collect_family_records(kind, params, lo, hi, jobs):
     # an empty range still runs one empty scan, which checks the parameters
     spans = _chunk_bounds(lo, hi, jobs) or [(lo, hi)]
-    tasks = [(kind, params, a, b) for a, b in spans]
-    return _run_chunked(_family_chunk_worker, tasks, jobs)
+    tasks = [
+        partial(families.family_scan, kind, params, range(a, b + 1)) for a, b in spans
+    ]
+    return _run_chunked(tasks, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +340,16 @@ def cmd_family_scan(args) -> int:
             bound = int(
                 min(math.log(spec.x) ** args.bound_exponent, MAX_EULER_BOUND)
             )
-        tasks = [
-            (spec, lo, hi, args.strict_range, args.with_h, bound)
-            for lo, hi in _chunk_bounds(args.kmin, args.kmax, args.jobs)
-        ]
-        records = _run_chunked(_progression_chunk_worker, tasks, args.jobs)
+        scan = partial(
+            families.scan_squarefree,
+            spec,
+            strict_range=args.strict_range,
+            with_h=args.with_h,
+            euler_bound_B=bound,
+        )
+        spans = _chunk_bounds(args.kmin, args.kmax, args.jobs)
+        tasks = [partial(scan, k_max=hi, k_min=lo) for lo, hi in spans]
+        records = _run_chunked(tasks, args.jobs)
         m = spec.m
     else:
         params = _parse_params(args.params)

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 from mpmath import mp
 from mpmath.libmp import round_ceiling, round_floor, to_float
 
-from .cfrac import principal_ideal_of_norm, regulator_enclosure
+from .cfrac import REGULATOR_DPS, principal_ideal_of_norm, regulator_enclosure
 from .intarith import fundamental_decomposition, is_discriminant, is_squarefree
 from .quadorder import (
     QuadIdeal,
@@ -303,14 +303,15 @@ def _to_float(x, rnd) -> float:
     return to_float(x._mpf_, strict=True, rnd=rnd)
 
 
-def regulator_lower_bound(products: PowerProductSet, dps: int = 30) -> BoundReport:
+def regulator_lower_bound(products: PowerProductSet) -> BoundReport:
     """Evaluate the discrete and exact regulator lower bounds for a
-    power-product set, together with the matching simplex integral.
+    power-product set, together with the matching simplex integral, at the
+    regulator's REGULATOR_DPS digits.
 
     The two lower bounds are rounded down to floats; the regulator, widened
     by its error bound, is rounded up."""
     d = products.d
-    with mp.workdps(dps):
+    with mp.workdps(REGULATOR_DPS):
         root = mp.sqrt(d)
         big_l = mp.log(root / 2)
         logs = [mp.log(n) for n in products.norms]
@@ -347,7 +348,7 @@ def regulator_lower_bound(products: PowerProductSet, dps: int = 30) -> BoundRepo
 
 
 def evaluate_criterion(
-    inp: CriterionInput, require_hypotheses: bool = True, dps: int = 30
+    inp: CriterionInput, require_hypotheses: bool = True
 ) -> tuple[HypothesisReport, BoundReport]:
     """Full pipeline: hypothesis checks, ramified clearing, enumeration, bound."""
     report = check_hypotheses(inp)
@@ -376,7 +377,7 @@ def evaluate_criterion(
     products = enumerate_power_products(
         inp.d, [sp.total for sp in cleared.splits]
     )
-    return report, regulator_lower_bound(products, dps=dps)
+    return report, regulator_lower_bound(products)
 
 
 def simplex_integral_from_log(bound_log: float, norms: Sequence[int]) -> float:

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 from mpmath import mp
 
-from .cfrac import fundamental_unit, is_norm_of_reduced_principal
+from .cfrac import fundamental_unit, principal_ideal_of_norm
 from .classno import h_bound_report, l_value_truncated, legendre_table
 from .intarith import (
     crt,
@@ -478,7 +478,7 @@ def scan_cubic(p: int, q: int, k_range) -> list[ScanRecord]:
         # the structural content: every p^j, j <= k, is the norm of a
         # reduced principal ideal, which is what makes the unit huge
         return None, all(
-            is_norm_of_reduced_principal(d, p**j) for j in range(1, k + 1)
+            principal_ideal_of_norm(d, p**j) is not None for j in range(1, k + 1)
         )
 
     ns = [(k, p**k * q + p + 1) for k in k_range if k >= 1]

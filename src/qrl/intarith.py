@@ -134,15 +134,16 @@ def _trial_candidates():
         k += 6
 
 
-def _cube_root_trial(n: int, bound: int | None = None):
-    """Trial division by every p with p**3 at most the cofactor left: yields
-    (p, e, m) for each p with p**e exactly dividing n, m the cofactor after
-    it. The final cofactor is 1, a prime, a product of two distinct primes
-    or a prime square. Raises ValueError rather than try a p above `bound`.
+def _trial_division(n: int, power: int, bound: int | None = None):
+    """Trial division by every p with p**power at most the cofactor left,
+    power 2 or 3: yields (p, e, m) for each p with p**e exactly dividing n,
+    m the cofactor after it. The final cofactor is 1 or a prime for power
+    2; for power 3 also a product of two distinct primes or a prime square.
+    Raises ValueError rather than try a p above `bound`.
     """
     m = n
     for p in _trial_candidates():
-        if p * p * p > m:
+        if (p * p if power == 2 else p * p * p) > m:
             return
         if bound is not None and p > bound:
             raise ValueError(f"is_squarefree: trial bound {bound} insufficient for {n}")
@@ -162,7 +163,7 @@ def is_squarefree(n: int, bound: int | None = None) -> SquarefreeResult:
     if n <= 0:
         raise ValueError("is_squarefree: argument must be positive")
     m = n  # the loop leaves the final cofactor in m
-    for p, e, m in _cube_root_trial(n, bound):
+    for p, e, m in _trial_division(n, 3, bound):
         if e >= 2:
             return SquarefreeResult(False, p)
     r = isqrt(m)
@@ -176,7 +177,7 @@ def squarefree_decomposition(n: int) -> tuple[int, int]:
     if n <= 0:
         raise ValueError("squarefree_decomposition: argument must be positive")
     s, t, m = 1, 1, n  # the loop leaves the final cofactor in m
-    for p, e, m in _cube_root_trial(n):
+    for p, e, m in _trial_division(n, 3):
         s *= p ** (e % 2)
         t *= p ** (e // 2)
     r = isqrt(m)
@@ -321,16 +322,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n <= 0:
         raise ValueError("factorize: argument must be positive")
     out: list[tuple[int, int]] = []
-    m = n
-    for p in _trial_candidates():
-        if p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
+    m = n  # the loop leaves the final cofactor in m
+    for p, e, m in _trial_division(n, 2):
+        out.append((p, e))
     if m > 1:
         out.append((m, 1))
     return out

@@ -13,9 +13,10 @@ from qrl.cfrac import (
     cf_expand,
     exact_unit,
     fundamental_unit,
-    is_norm_of_reduced_principal,
     principal_expansion,
+    principal_ideal_of_norm,
     reduced_principal_ideals,
+    regulator_enclosure,
 )
 from qrl.criterion import CriterionInput, NormSplit, evaluate_criterion
 from qrl.families import scan_cubic
@@ -197,6 +198,29 @@ def test_unit_matches_expansion_and_exact_unit(k, r):
     assert abs(info.regulator - reg) <= 1e-12 * reg
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(5, 10**6))
+def test_regulator_enclosure_holds_exact_log(d):
+    assume(is_discriminant(d))
+    reg, err = regulator_enclosure(d)
+    u = exact_unit(d)
+    with mp.workdps(60):
+        exact = mp.log((u.x + u.y * mp.sqrt(d)) / 2)
+    # the ends exactly, not rounded to the ambient precision
+    assert mp.fsub(reg, err, exact=True) <= exact <= mp.fadd(reg, err, exact=True)
+
+
+def test_regulator_enclosure_ignores_ambient_precision():
+    # a cached enclosure is only sound if it does not depend on the caller
+    for d in (5, 61, 1109, 10000200021):
+        enclosures = []
+        for dps in (5, 60):
+            regulator_enclosure.cache_clear()
+            with mp.workdps(dps):
+                enclosures.append([x._mpf_ for x in regulator_enclosure(d)])
+        assert enclosures[0] == enclosures[1], d
+
+
 def test_regulator_above_trivial_bound():
     for d in range(5, 2001):
         if not is_discriminant(d):
@@ -232,11 +256,11 @@ def test_reduced_principal_ideals_examples():
 
 
 def test_is_norm_of_reduced_principal():
-    assert is_norm_of_reduced_principal(13, 1)
-    assert not is_norm_of_reduced_principal(13, 3)
-    assert is_norm_of_reduced_principal(61, 3)
+    assert principal_ideal_of_norm(13, 1) is not None
+    assert principal_ideal_of_norm(13, 3) is None
+    assert principal_ideal_of_norm(61, 3) is not None
     with pytest.raises(ValueError):
-        is_norm_of_reduced_principal(13, 0)
+        principal_ideal_of_norm(13, 0)
 
 
 def test_chowla_family_regulator_bound():
@@ -248,8 +272,8 @@ def test_chowla_family_regulator_bound():
 
 
 def counting_walks(monkeypatch):
-    """Record the d of every continued-fraction walk cfrac starts, with an
-    empty principal-cycle cache."""
+    """Record the d of every continued-fraction walk cfrac starts, with
+    empty principal-cycle and regulator caches."""
     walks = []
     original = cfrac.cf_orbit
 
@@ -259,11 +283,13 @@ def counting_walks(monkeypatch):
 
     monkeypatch.setattr(cfrac, "cf_orbit", counting)
     principal_expansion.cache_clear()
+    regulator_enclosure.cache_clear()
     return walks
 
 
 def test_one_walk_per_census_item(monkeypatch):
-    # unit, cycle norms and criterion bound of one d share one walk
+    # unit, cycle norms and criterion bound of one d share one walk, and
+    # unit and bound one regulator enclosure
     d = 1109
     walks = counting_walks(monkeypatch)
     fundamental_unit(d)
@@ -274,6 +300,8 @@ def test_one_walk_per_census_item(monkeypatch):
     )
     evaluate_criterion(CriterionInput(d, (NormSplit(norm, norm, 1),)))
     assert walks == [d]
+    info = regulator_enclosure.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_one_walk_per_cubic_record(monkeypatch):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from qrl import families
+from qrl import classno, families
 from qrl.cfrac import exact_unit, fundamental_unit, principal_expansion
 from qrl.classno import l_value_exact, l_value_truncated
 from qrl.cli import main
@@ -233,6 +233,14 @@ def test_family_scan_spec_roundtrip_and_jobs(tmp_path):
         assert cells[4] == "" and cells[5] == ""
 
 
+def test_family_scan_kind_jobs_byte_identical():
+    argv = ["family", "scan", "--kind", "chowla", "--kmax", "600"]
+    code1, out1, err1 = run_cli(argv + ["--jobs", "1"])
+    code3, out3, err3 = run_cli(argv + ["--jobs", "3"])
+    assert code1 == code3 == 0 and err1 == err3 == ""
+    assert out1 == out3 and len(out1.splitlines()) > 300
+
+
 def test_family_scan_rejects_missing_parameter():
     for k_range in (["--kmax", "2"], ["--kmin", "5", "--kmax", "4"]):
         code, out, err = run_cli(["family", "scan", "--kind", "cubic", *k_range])
@@ -325,6 +333,21 @@ def test_family_scan_refuses_m2_spec_before_allocating(tmp_path):
     record = one_json(err)
     assert record["error"] == "ValueError"
     assert f"SIEVE_PRIME_LIMIT = {families.SIEVE_PRIME_LIMIT}" in record["message"]
+    assert peak < 10**6
+
+
+def test_classno_refuses_long_series_before_allocating():
+    # (10**8 + 1)**2 + 4: period length 1, but the series needs N ~ 2.3e8
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["classno", "--d", "10000000200000005"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    record = one_json(err)
+    assert record["error"] == "ValueError"
+    assert f"SERIES_TERM_LIMIT = {classno.SERIES_TERM_LIMIT}" in record["message"]
     assert peak < 10**6
 
 

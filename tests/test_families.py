@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrl import classno, families
-from qrl.cfrac import fundamental_unit
+from qrl.cfrac import fundamental_unit, regulator_enclosure
 from qrl.families import (
     ProgressionSpec,
     build_progression,
@@ -197,6 +197,15 @@ def test_scan_with_h_computes_h_once_per_record(monkeypatch):
     assert len(ds) > 10 and min(ds) >= 16  # every record gets a bound report
     assert calls == ds
     assert form_calls == []  # the analytic h is certified, no fallback
+
+
+def test_scan_with_h_takes_one_enclosure_per_record():
+    # h, h_narrow and the record's regulator read one cached enclosure of d
+    spec = build_progression(1, [5], 10**6, 0.9)
+    regulator_enclosure.cache_clear()
+    records = scan_squarefree(spec, k_min=21, k_max=130, with_h=True)
+    assert spec.q == 42 and len(records) > 100
+    assert regulator_enclosure.cache_info().misses == len({r.d_values for r in records})
 
 
 def per_value_survivors(n_range, d_of):
