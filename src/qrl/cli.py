@@ -16,7 +16,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
-from functools import partial
+from functools import cache, partial
 from multiprocessing import Pool
 
 from . import families
@@ -492,7 +492,14 @@ def _add_common(sub, jobs: bool = False):
         )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qrl argument parser, built on the first call and returned by every
+    later one, so that repeated in-process main() calls build it once; do
+    not mutate it. Each subcommand stores the name of its cmd_* function as
+    `func`, and main looks that name up in this module on every call, so a
+    cmd_* replaced after the parser was built (by a test or a tracer) is the
+    one that runs."""
     parser = argparse.ArgumentParser(
         prog="qrl",
         description=(
@@ -508,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cf.add_argument("--b", type=int, default=None)
     p_cf.add_argument("--max-steps", type=int, default=None)
     _add_common(p_cf)
-    p_cf.set_defaults(func=cmd_cf)
+    p_cf.set_defaults(func="cmd_cf")
 
     p_unit = sub.add_parser("unit", help="fundamental unit and regulator")
     p_unit.add_argument("--d", type=int, required=True)
@@ -516,19 +523,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--exact", action="store_true", help="include exact unit coordinates"
     )
     _add_common(p_unit)
-    p_unit.set_defaults(func=cmd_unit)
+    p_unit.set_defaults(func="cmd_unit")
 
     p_h = sub.add_parser("classno", help="class number from the analytic formula")
     p_h.add_argument("--d", type=int, required=True)
     _add_common(p_h)
-    p_h.set_defaults(func=cmd_classno)
+    p_h.set_defaults(func="cmd_classno")
 
     p_l = sub.add_parser("lvalue", help="Dirichlet L-value at 1")
     p_l.add_argument("--d", type=int, required=True)
     p_l.add_argument("--method", choices=["exact", "euler"], default="exact")
     p_l.add_argument("--bound", type=int, default=10**5)
     _add_common(p_l)
-    p_l.set_defaults(func=cmd_lvalue)
+    p_l.set_defaults(func="cmd_lvalue")
 
     p_fam = sub.add_parser("family", help="discriminant family tools")
     fam_sub = p_fam.add_subparsers(dest="family_command", required=True)
@@ -539,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--x", type=_parse_scale, required=True)
     p_build.add_argument("--eps1", type=float, default=DEFAULT_EPS1)
     _add_common(p_build)
-    p_build.set_defaults(func=cmd_family_build)
+    p_build.set_defaults(func="cmd_family_build")
 
     p_scan = fam_sub.add_parser("scan", help="scan a family for records")
     p_scan.add_argument("--spec", help="progression spec JSON from family build")
@@ -557,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_scan.add_argument("--format", choices=["csv", "json"], default="csv")
     _add_common(p_scan, jobs=True)
-    p_scan.set_defaults(func=cmd_family_scan)
+    p_scan.set_defaults(func="cmd_family_scan")
 
     p_ver = sub.add_parser("verify", help="check family bounds; exit 1 on violation")
     # `qrl verify NAME --sign S` checks the kind NAME, or NAME_S (cmd_verify)
@@ -568,13 +575,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--p", type=int, default=None)
     p_ver.add_argument("--sign", choices=["plus", "minus"], default=None)
     _add_common(p_ver, jobs=True)
-    p_ver.set_defaults(func=cmd_verify)
+    p_ver.set_defaults(func="cmd_verify")
 
     p_const = sub.add_parser("constants", help="progression constants")
     p_const.add_argument("--m", type=int, required=True)
     p_const.add_argument("--primes", type=_parse_primes, required=True)
     _add_common(p_const)
-    p_const.set_defaults(func=cmd_constants)
+    p_const.set_defaults(func="cmd_constants")
 
     p_crit = sub.add_parser(
         "criterion", help="regulator lower bound from norm decompositions"
@@ -595,21 +602,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_crit.add_argument("--k-max", type=int, default=5)
     p_crit.add_argument("--c-max", type=int, default=50)
     _add_common(p_crit)
-    p_crit.set_defaults(func=cmd_criterion)
+    p_crit.set_defaults(func="cmd_criterion")
 
     p_ideal = sub.add_parser("ideal", help="parse and classify an ideal literal")
     p_ideal.add_argument("--literal", required=True)
     _add_common(p_ideal)
-    p_ideal.set_defaults(func=cmd_ideal)
+    p_ideal.set_defaults(func="cmd_ideal")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except Exception as exc:  # single funnel: machine-readable error record
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -24,9 +24,14 @@ from math import isqrt, log, prod, sqrt
 from typing import Callable
 
 import numpy as np
-from mpmath import mp
+from mpmath import mp, mpf
 
-from .cfrac import fundamental_unit, principal_ideal_of_norm
+from .cfrac import (
+    REGULATOR_DPS,
+    fundamental_unit,
+    principal_ideal_of_norm,
+    regulator_enclosure,
+)
 from .classno import h_bound_report, l_value_truncated, legendre_table
 from .intarith import (
     crt,
@@ -45,7 +50,7 @@ HEADLINE_CONSTANT = 192.0
 # the largest sieve prime bound cbrt(max value) + 1 that _squarefree_ks
 # accepts: a root table costs 5-7 us per prime to build and 16 bytes per
 # root, so at this limit (5.8 million primes) about 40 s and 92 MB on a
-# 2-vCPU x86-64 host, with a 211 MB peak RSS while it builds
+# 2-vCPU x86-64 host, with a 168 MB peak RSS while it builds in one step
 SIEVE_PRIME_LIMIT = 10**8
 # root tables kept per process, one per (n0, q, c)
 ROOT_TABLE_CACHE_SIZE = 16
@@ -227,6 +232,13 @@ def _attach_analysis(
     )
 
 
+def _extended(table: np.ndarray, tail: array) -> np.ndarray:
+    """table followed by the int64 buffer tail; a view of tail, with no
+    copy, when table is empty."""
+    view = np.frombuffer(tail, np.int64)
+    return np.concatenate([table, view]) if len(table) else view
+
+
 class _RootTable:
     """Where the primes p <= bound divide u^2 + c for u = n0 + kq: one entry
     (p, k0) per root y = +-sqrt(-c) mod p of each p not dividing q, with
@@ -267,8 +279,9 @@ class _RootTable:
                     primes.append(p)
                     k0.append((y - n0) * inv_q % p)
         del fresh  # 46 MB at the limit, freed before the copies below
-        self.primes = np.concatenate([self.primes, np.frombuffer(primes, np.int64)])
-        self.k0 = np.concatenate([self.k0, np.frombuffer(k0, np.int64)])
+        self.primes = _extended(self.primes, primes)
+        del primes  # once copied, freed before k0 is copied
+        self.k0 = _extended(self.k0, k0)
         self.bound = new_bound
 
     def hits(self, bound: int, k_lo: int, count: int) -> list[tuple[int, int, int]]:
@@ -424,8 +437,14 @@ def _family_records(rows, bound_of) -> list[ScanRecord]:
 
 def scan_chowla(n_range) -> list[ScanRecord]:
     def bound_of(k, n, d, reg):
-        bound = log(2 * sqrt(d))
-        return bound, reg <= bound + 1e-9
+        # certified R <= log(2 sqrt d): the top of R's enclosure against
+        # the REGULATOR_DPS-digit log(2 sqrt d) = log(4d)/2, lowered by
+        # 2**-90 relative to cover its rounding
+        value, err = regulator_enclosure(d)
+        with mp.workdps(REGULATOR_DPS):
+            lowered = mp.log(4 * d) / 2 * (1 - mpf(2) ** -90)
+            ok = mp.fadd(value, err, rounding="c") <= lowered
+        return log(2 * sqrt(d)), ok
 
     ns = [n for n in n_range if n >= 1]
     keep = set(_squarefree_ks(0, 2, (1,), min(ns, default=1), max(ns, default=0)))
@@ -434,12 +453,18 @@ def scan_chowla(n_range) -> list[ScanRecord]:
 
 def scan_shanks(k_range) -> list[ScanRecord]:
     def bound_of(k, n, d, reg):
+        # R equals the closed form as far as enclosures can tell: R's
+        # enclosure meets the 40-digit closed form widened by its rounding,
+        # a few units of 2**-prec per operation on terms that are all >= 0
+        value, err = regulator_enclosure(d)
         with mp.workdps(40):
             root = mp.sqrt(d)
-            closed = float(
-                k * mp.log((n + root) / 4) + mp.log((2**k + 1 + root) / 2)
+            closed = k * mp.log((n + root) / 4) + mp.log((2**k + 1 + root) / 2)
+            slack = mp.fadd(
+                err, mp.ldexp(8 * (k + 1) + 4 * closed, -mp.prec), rounding="c"
             )
-        return closed, abs(reg - closed) <= 1e-9 * abs(closed)
+            ok = abs(mp.fsub(value, closed, exact=True)) <= slack
+        return float(closed), ok
 
     ns = [(k, 2**k + 3) for k in k_range if k >= 1]
     rows = [(k, n, n * n - 8) for k, n in ns if is_squarefree(n * n - 8)]

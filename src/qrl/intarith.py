@@ -277,15 +277,21 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
 
 def prime_array(n: int) -> np.ndarray:
     """All primes <= n, ascending, as an int64 array: a sieve of
-    Eratosthenes on a numpy bool array."""
+    Eratosthenes over the odd numbers, one numpy bool per odd i <= n."""
     if n < 2:
         return np.zeros(0, dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).astype(np.int64, copy=False)
+    # sieve[j] stands for 2j + 1; j = 0 (the number 1) stays set and
+    # becomes the slot of the prime 2
+    sieve = np.ones((n + 1) // 2, dtype=bool)
+    for j in range(1, (isqrt(n) + 1) // 2):
+        if sieve[j]:
+            p = 2 * j + 1
+            sieve[p * p // 2 :: p] = False
+    primes = np.flatnonzero(sieve).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def primes_up_to(n: int) -> list[int]:

@@ -5,6 +5,7 @@ and parsed back, so the tests pin the exact emitted bytes where determinism
 is part of the contract.
 """
 
+import argparse
 import io
 import json
 import math
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from qrl import classno, families
+from qrl import classno, cli, families
 from qrl.cfrac import exact_unit, fundamental_unit, principal_expansion
 from qrl.classno import l_value_exact, l_value_truncated
 from qrl.cli import main
@@ -541,3 +542,70 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         run_cli(["lvalue", "--d", "5", "--method", "bogus"])
     assert excinfo.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the parser, built once per process
+
+
+def test_main_builds_parser_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "qrl":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert run_cli(["unit", "--d", "61"])[0] == 0
+    assert len(built) == 1
+    assert cli.build_parser() is cli.build_parser() is built[0]
+
+
+def test_cached_parser_dispatches_by_name(monkeypatch):
+    assert run_cli(["unit", "--d", "61"])[0] == 0
+    parser = cli.build_parser()
+    seen = []
+
+    def stand_in(args):
+        seen.append(args.d)
+        return 0
+
+    # replaced after the parser was built, as a tracer or a test does
+    monkeypatch.setattr(cli, "cmd_unit", stand_in)
+    assert run_cli(["unit", "--d", "61"]) == (0, "", "")
+    assert seen == [61]
+    assert cli.build_parser() is parser
+
+
+def test_cached_parser_keeps_no_state_between_calls():
+    argv = ["family", "scan", "--kind", "yamamoto_plus", "--params", "p=13"]
+    argv += ["--kmax", "5"]
+    code, out, _ = run_cli(argv + ["--format", "json"])
+    assert code == 0
+    ks = [json.loads(line)["k"] for line in out.splitlines()]
+    assert ks
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "k,n,d_1,squarefree,h,regulator,L_trunc,bound_ok"
+    assert [int(row.split(",")[0]) for row in rows] == ks
+
+
+@pytest.mark.parametrize("columns", ["80", "52"])
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_cached_parser_help_matches_fresh_parser(argv, columns, monkeypatch, capsys):
+    cli.build_parser()  # cached, possibly at another width
+    monkeypatch.setenv("COLUMNS", columns)
+    texts = []
+    for parse in (cli.main, cli.build_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as excinfo:
+            parse(argv)
+        assert excinfo.value.code == 0
+        texts.append(capsys.readouterr())
+    cached, fresh = texts
+    assert cached.out.startswith("usage: qrl")
+    assert cached == fresh

@@ -4,6 +4,7 @@ from math import isqrt, log, sqrt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from qrl import classno, families
 from qrl.cfrac import fundamental_unit, regulator_enclosure
@@ -405,6 +406,40 @@ def test_scan_chowla():
     assert abs(by_n[2].regulator - 2.0947) < 1e-4
     for r in records:
         assert r.bound_ok and r.regulator <= log(2 * sqrt(r.d_values[0])) + 1e-9
+
+
+def enclose_every_regulator_at(monkeypatch, value):
+    tiny = mpf(10) ** -30  # far inside the old slack of 1e-9
+    monkeypatch.setattr(families, "regulator_enclosure", lambda d: (value, tiny))
+
+
+def test_chowla_bound_is_certified(monkeypatch):
+    n = 10
+    d = 4 * n * n + 1
+    with mp.workdps(40):
+        bound = mp.log(4 * d) / 2  # log(2 sqrt d)
+        for shift, ok in ((-5e-10, True), (5e-10, False)):
+            reg = bound + shift
+            # the old test, reg <= bound + 1e-9 in floats, passed both
+            assert float(reg) <= log(2 * sqrt(d)) + 1e-9
+            enclose_every_regulator_at(monkeypatch, reg)
+            (rec,) = family_scan("chowla", {}, range(n, n + 1))
+            assert rec.bound_ok is ok, shift
+
+
+def test_shanks_closed_form_is_certified(monkeypatch):
+    k = 5
+    n = 2**k + 3
+    with mp.workdps(40):
+        root = mp.sqrt(n * n - 8)
+        closed = k * mp.log((n + root) / 4) + mp.log((2**k + 1 + root) / 2)
+        for factor, ok in ((1, True), (1 + mpf(5e-10), False)):
+            reg = closed * factor
+            # the old test, a relative error of at most 1e-9, passed both
+            assert abs(reg - closed) <= 1e-9 * closed
+            enclose_every_regulator_at(monkeypatch, reg)
+            (rec,) = family_scan("shanks", {}, range(k, k + 1))
+            assert rec.bound_ok is ok, factor
 
 
 def test_scan_yamamoto():

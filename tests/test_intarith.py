@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +14,7 @@ from qrl.intarith import (
     is_prime,
     is_squarefree,
     kronecker,
+    prime_array,
     primes_up_to,
     smallest_prime_factors,
     sqrt_mod_prime,
@@ -170,6 +172,13 @@ def test_primes_up_to():
         got = primes_up_to(n)
         assert got == byte_sieve_primes(n), n
         assert all(type(p) is int for p in got)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 10**6 + 1])
+def test_prime_array_odd_sieve(n):
+    got = prime_array(n)
+    assert got.dtype == np.int64 and got.ndim == 1
+    assert got.tolist() == byte_sieve_primes(n)
 
 
 def test_smallest_prime_factors():
