@@ -35,6 +35,9 @@ EXPANSION_CACHE_SIZE = 1
 UNIT_BITS = 192
 # digits of regulator_enclosure's logarithm, whatever the caller's precision
 REGULATOR_DPS = 30
+# most quotients cf_expand takes, whatever max_steps allows: an expansion
+# holds about 150 bytes per step, so about 0.3 GB at this limit
+PERIOD_STEP_LIMIT = 2 * 10**6
 
 
 class PeriodOverflow(RuntimeError):
@@ -93,17 +96,18 @@ def cf_orbit(d: int, a: int, b: int) -> Iterator[tuple[int, int, int]]:
 
 
 def cf_expand(rho: QuadIrrational, max_steps: int | None = None) -> CFExpansion:
-    """Expand rho until it returns to its first reduced state; quotients are
-    exact. At most max_steps + 1 quotients are taken, else PeriodOverflow."""
+    """Expand rho, exactly, until it returns to its first reduced state: at
+    most min(max_steps, PERIOD_STEP_LIMIT) + 1 quotients, else PeriodOverflow."""
     d = rho.d
     if max_steps is None:
         max_steps = default_max_steps(d)
+    steps = min(max_steps, PERIOD_STEP_LIMIT)
     s = isqrt(d)
     preperiod: list[int] = []
     period: list[int] = []
     states: list[tuple[int, int]] = []
-    # at most max_steps + 1 quotients, then the state that closes the cycle
-    for alpha, a, b in islice(cf_orbit(d, rho.a, rho.b), max(1, max_steps + 2)):
+    # at most steps + 1 quotients, then the state that closes the cycle
+    for alpha, a, b in islice(cf_orbit(d, rho.a, rho.b), max(1, steps + 2)):
         if not states:
             # the period starts at the first reduced state: every later one is
             if not is_reduced_state(a, b, s):
@@ -113,9 +117,10 @@ def cf_expand(rho: QuadIrrational, max_steps: int | None = None) -> CFExpansion:
             return CFExpansion(d, tuple(preperiod), tuple(period), tuple(states))
         period.append(alpha)
         states.append((a, b))
+    limit = f"PERIOD_STEP_LIMIT = {steps}" if steps < max_steps else steps
     raise PeriodOverflow(
         f"continued fraction of ({b}+sqrt({d}))/{2 * a} did not close "
-        f"within {max_steps} steps"
+        f"within {limit} steps"
     )
 
 

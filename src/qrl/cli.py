@@ -157,44 +157,32 @@ def _parse_params(text: str | None) -> dict[str, int]:
 # parallel scan plumbing
 
 
-def _chunk_bounds(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
-    """Split the inclusive range [lo, hi] into contiguous inclusive spans."""
-    if hi < lo:
-        return []
-    total = hi - lo + 1
-    jobs = max(1, min(jobs, total))
-    size, extra = divmod(total, jobs)
-    spans, start = [], lo
-    for i in range(jobs):
-        end = start + size - 1 + (1 if i < extra else 0)
-        spans.append((start, end))
-        start = end + 1
-    return spans
-
-
 def _run_chunk(task):
     return task()
 
 
-def _run_chunked(tasks, jobs: int) -> list[families.ScanRecord]:
-    """Run the chunks (picklable callables) here for one job, else in a pool."""
-    if not tasks:
-        return []
-    if jobs <= 1 or len(tasks) == 1:
+def _run_chunked(task_of_span, lo: int, hi: int, jobs: int) -> list:
+    """The records of task_of_span(k_min=a, k_max=b) over at most jobs spans
+    [a, b] of [lo, hi], in order, in a pool when jobs > 1. An empty range
+    runs one empty span, which checks the arguments."""
+    total = max(0, hi - lo + 1)
+    jobs = max(1, min(jobs, total))
+    size, extra = divmod(total, jobs)
+    tasks, start = [], lo
+    for i in range(jobs):
+        end = start + size - 1 + (1 if i < extra else 0)
+        tasks.append(partial(task_of_span, k_min=start, k_max=end))
+        start = end + 1
+    if jobs == 1:
         chunks = [_run_chunk(task) for task in tasks]
     else:
-        with Pool(processes=min(jobs, len(tasks))) as pool:
+        with Pool(processes=jobs) as pool:
             chunks = pool.map(_run_chunk, tasks)
     return [rec for chunk in chunks for rec in chunk]
 
 
-def _collect_family_records(kind, params, lo, hi, jobs):
-    # an empty range still runs one empty scan, which checks the parameters
-    spans = _chunk_bounds(lo, hi, jobs) or [(lo, hi)]
-    tasks = [
-        partial(families.family_scan, kind, params, range(a, b + 1)) for a, b in spans
-    ]
-    return _run_chunked(tasks, jobs)
+def _family_span(kind, params, k_min, k_max):
+    return families.family_scan(kind, params, range(k_min, k_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +335,11 @@ def cmd_family_scan(args) -> int:
             with_h=args.with_h,
             euler_bound_B=bound,
         )
-        spans = _chunk_bounds(args.kmin, args.kmax, args.jobs)
-        tasks = [partial(scan, k_max=hi, k_min=lo) for lo, hi in spans]
-        records = _run_chunked(tasks, args.jobs)
         m = spec.m
     else:
-        params = _parse_params(args.params)
-        records = _collect_family_records(
-            args.kind, params, args.kmin, args.kmax, args.jobs
-        )
+        scan = partial(_family_span, args.kind, _parse_params(args.params))
         m = 1
+    records = _run_chunked(scan, args.kmin, args.kmax, args.jobs)
     _emit_scan(records, m, args)
     return 0
 
@@ -380,7 +363,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"verify {args.family} requires --{name}")
     lo = args.kmin if args.kmin is not None else family.verify_range[0]
     hi = args.kmax if args.kmax is not None else family.verify_range[1]
-    records = _collect_family_records(kind, params, lo, hi, args.jobs)
+    records = _run_chunked(partial(_family_span, kind, params), lo, hi, args.jobs)
     violations = 0
     with _out_stream(args) as stream:
         for rec in records:

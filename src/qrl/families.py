@@ -1,17 +1,16 @@
 """Discriminant families: the sieved arithmetic progression n0 mod q whose
 values n make every n^2 + 4p_i squarefree-friendly, plus the classical
 parametric families (Chowla, Shanks, the n^2 +- 4p family, and the cubic
-(p^k q + p + 1)^2 - 4p family) with their per-record bound checks, listed
-once in `FAMILIES`. The progression, Chowla's (2n)^2 + 1 and n^2 +- 4p are
-all u^2 + c with u in an arithmetic progression, so one polynomial sieve
+(p^k q + p + 1)^2 - 4p family), each one generator of checked rows in
+`FAMILIES`. The progression, Chowla's (2n)^2 + 1 and n^2 +- 4p are all
+u^2 + c with u in an arithmetic progression, so one polynomial sieve
 settles their squarefreeness; the Shanks and cubic u grow exponentially in
 k, so those scans trial-divide each value.
 
-The sieve is exact only while the primes up to cbrt(max value) are at
-hand, so it refuses above SIEVE_PRIME_LIMIT. The m >= 2 progressions are
-out of exact reach: q = prod S is already about 8e20 at m = 2, so every d
-exceeds 1e41, and certifying that such a d is squarefree is about as hard
-as factoring it.
+Both need the primes up to cbrt(max value), so both refuse above
+SIEVE_PRIME_LIMIT. The m >= 2 progressions are out of exact reach: q =
+prod S is already about 8e20 at m = 2, so every d exceeds 1e41, and
+certifying that such a d is squarefree is about as hard as factoring it.
 """
 
 from __future__ import annotations
@@ -21,10 +20,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import isqrt, log, prod, sqrt
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import round_floor, to_float
 
 from .cfrac import (
     REGULATOR_DPS,
@@ -299,6 +299,18 @@ class _RootTable:
         return out
 
 
+def _prime_bound(top: int, method: str) -> int:
+    """cbrt(top) + 1, the prime bound that settles whether values up to top
+    are squarefree; ValueError past SIEVE_PRIME_LIMIT."""
+    bound = icbrt(top) + 1
+    if bound > SIEVE_PRIME_LIMIT:
+        raise ValueError(
+            f"squarefree {method}: cbrt(max value) + 1 = {bound} exceeds "
+            f"SIEVE_PRIME_LIMIT = {SIEVE_PRIME_LIMIT}"
+        )
+    return bound
+
+
 @lru_cache(maxsize=ROOT_TABLE_CACHE_SIZE)
 def _root_table(n0: int, q: int, c: int) -> _RootTable:
     return _RootTable(n0, q, c)
@@ -323,12 +335,7 @@ def _squarefree_ks(
         return []
     us = [n0 + k * q for k in range(k_lo, k_hi + 1)]
     rems = [[u * u + c for u in us] for c in constants]
-    bound = icbrt(max(map(max, rems))) + 1
-    if bound > SIEVE_PRIME_LIMIT:
-        raise ValueError(
-            f"squarefree sieve: cbrt(max value) + 1 = {bound} exceeds "
-            f"SIEVE_PRIME_LIMIT = {SIEVE_PRIME_LIMIT}"
-        )
+    bound = _prime_bound(max(map(max, rems)), "sieve")
     flag = bytearray(count)  # 1 once some value at k has a square factor
     for c, rem in zip(constants, rems):
         table = _root_table(n0, q, c)
@@ -422,21 +429,12 @@ def compute_constants(m: int, primes: list[int]) -> ConstantsReport:
     )
 
 
-def _family_records(rows, bound_of) -> list[ScanRecord]:
-    """One record per squarefree (k, n, d) row: the regulator of d, then
-    bound_of(k, n, d, regulator) -> (bound, bound_ok)."""
-    out = []
-    for k, n, d in rows:
-        reg = fundamental_unit(d).regulator
-        bound, ok = bound_of(k, n, d, reg)
-        out.append(
-            ScanRecord(k, n, (d,), (True,), regulator=reg, bound=bound, bound_ok=ok)
-        )
-    return out
-
-
-def scan_chowla(n_range) -> list[ScanRecord]:
-    def bound_of(k, n, d, reg):
+def _chowla(n_range):
+    """Chowla's d = 4n^2 + 1, n >= 1: R <= log(2 sqrt d)."""
+    ns = [n for n in n_range if n >= 1]
+    keep = set(_squarefree_ks(0, 2, (1,), min(ns, default=1), max(ns, default=0)))
+    for n in [n for n in ns if n in keep]:
+        d = 4 * n * n + 1
         # certified R <= log(2 sqrt d): the top of R's enclosure against
         # the REGULATOR_DPS-digit log(2 sqrt d) = log(4d)/2, lowered by
         # 2**-90 relative to cover its rounding
@@ -444,15 +442,20 @@ def scan_chowla(n_range) -> list[ScanRecord]:
         with mp.workdps(REGULATOR_DPS):
             lowered = mp.log(4 * d) / 2 * (1 - mpf(2) ** -90)
             ok = mp.fadd(value, err, rounding="c") <= lowered
-        return log(2 * sqrt(d)), ok
-
-    ns = [n for n in n_range if n >= 1]
-    keep = set(_squarefree_ks(0, 2, (1,), min(ns, default=1), max(ns, default=0)))
-    return _family_records([(n, n, 4 * n * n + 1) for n in ns if n in keep], bound_of)
+        yield n, n, d, log(2 * sqrt(d)), ok
 
 
-def scan_shanks(k_range) -> list[ScanRecord]:
-    def bound_of(k, n, d, reg):
+def _trial_rows(k_range, u_of, c: int) -> list[tuple[int, int, int]]:
+    """(k, n, n^2 + c) for k >= 1 in k_range, n = u_of(k), n^2 + c squarefree
+    by trial division, refused before any division past the sieve's limit."""
+    ns = [(k, u_of(k)) for k in k_range if k >= 1]
+    _prime_bound(max((n * n + c for _, n in ns), default=1), "trial division")
+    return [(k, n, n * n + c) for k, n in ns if is_squarefree(n * n + c)]
+
+
+def _shanks(k_range):
+    """Shanks' d = n^2 - 8, n = 2^k + 3, whose unit has a closed form."""
+    for k, n, d in _trial_rows(k_range, lambda k: 2**k + 3, -8):
         # R equals the closed form as far as enclosures can tell: R's
         # enclosure meets the 40-digit closed form widened by its rounding,
         # a few units of 2**-prec per operation on terms that are all >= 0
@@ -464,74 +467,76 @@ def scan_shanks(k_range) -> list[ScanRecord]:
                 err, mp.ldexp(8 * (k + 1) + 4 * closed, -mp.prec), rounding="c"
             )
             ok = abs(mp.fsub(value, closed, exact=True)) <= slack
-        return float(closed), ok
-
-    ns = [(k, 2**k + 3) for k in k_range if k >= 1]
-    rows = [(k, n, n * n - 8) for k, n in ns if is_squarefree(n * n - 8)]
-    return _family_records(rows, bound_of)
+        yield k, n, d, float(closed), ok
 
 
-def scan_yamamoto(p: int, n_range, sign: int = 1) -> list[ScanRecord]:
+def _yamamoto(p: int, n_range, sign: int):
+    """d = n^2 + 4p sign: R >= Yamamoto's full bound L^2/(4 log p) - (3L +
+    2 log p + 5 log 2), L = log d."""
     if not is_prime(p):
         raise ValueError(f"scan_yamamoto: p = {p} is not prime")
-    if sign not in (1, -1):
-        raise ValueError("scan_yamamoto: sign must be +1 or -1")
-
-    def bound_of(k, n, d, reg):
-        big_l = log(d)
-        full = big_l * big_l / (4 * log(p)) - (3 * big_l + 2 * log(p) + 5 * log(2))
-        return full, reg >= full - 1e-9
-
     c = 4 * p * sign
     # sieved over |n|; d grows with |n|, so every sieved value is >= 5
     ns = [n for n in n_range if n * n + c >= 5]
     mags = [abs(n) for n in ns]
     keep = set(_squarefree_ks(0, 1, (c,), min(mags, default=1), max(mags, default=0)))
-    rows = [(n, n, n * n + c) for n in ns if abs(n) in keep]
-    return _family_records(rows, bound_of)
+    log_p = log(p)
+    for n in [n for n in ns if abs(n) in keep]:
+        d = n * n + c
+        big_l = log(d)
+        head = big_l * big_l / (4 * log_p)
+        tail = 3 * big_l + 2 * log_p + 5 * log(2)
+        full = head - tail
+        # full is the bound in floats: a math.log is within a relative
+        # classno._LIBM = 2**-46, an operation within 2**-53, and rounding
+        # d >= 5 to a float moves log d by 2**-53 < 2**-53 log d. So head is
+        # within a relative 3 * 2**-46 + 4 * 2**-53, tail 2**-46 + 4 * 2**-53,
+        # and full, after 2**-53 more, within 2**-44 (head + tail) of the
+        # bound; twice that also covers the rounding of full + slack
+        slack = 2.0**-43 * (head + tail)
+        value, err = regulator_enclosure(d)
+        bottom = mp.fsub(value, err, rounding="f")
+        low = to_float(bottom._mpf_, strict=True, rnd=round_floor)
+        yield n, n, d, full, low >= full + slack
 
 
 def yamamoto_simplified_bound(d: int, p: int) -> float:
     return log(d) ** 2 / (8 * log(p))
 
 
-def scan_cubic(p: int, q: int, k_range) -> list[ScanRecord]:
+def _cubic(p: int, q: int, k_range):
+    """d = n^2 - 4p, n = p^k q + p + 1: every p^j, j <= k, is the norm of a
+    reduced principal ideal, which is what makes the unit huge."""
     if not (is_prime(p) and is_prime(q) and p < q):
         raise ValueError("scan_cubic: need primes p < q")
-
-    def bound_of(k, n, d, reg):
-        # the structural content: every p^j, j <= k, is the norm of a
-        # reduced principal ideal, which is what makes the unit huge
-        return None, all(
-            principal_ideal_of_norm(d, p**j) is not None for j in range(1, k + 1)
-        )
-
-    ns = [(k, p**k * q + p + 1) for k in k_range if k >= 1]
-    rows = [(k, n, n * n - 4 * p) for k, n in ns if is_squarefree(n * n - 4 * p)]
-    return _family_records(rows, bound_of)
+    for k, n, d in _trial_rows(k_range, lambda k: p**k * q + p + 1, -4 * p):
+        norms = (principal_ideal_of_norm(d, p**j) for j in range(1, k + 1))
+        yield k, n, d, None, all(ideal is not None for ideal in norms)
 
 
 @dataclass(frozen=True)
 class Family:
-    """A named family: `scan(*values of params, k_range)`, and the default
-    k-range of `qrl verify`, None when verify does not cover it. `qrl verify
-    NAME --sign S` checks the kind NAME, or NAME_S when there is no NAME."""
+    """A named family: `scan(*values of params, k_range)` yields (k, n, d,
+    bound, bound_ok) for each squarefree d, and the default k-range of `qrl
+    verify`, None when verify does not cover it. `qrl verify NAME --sign S`
+    checks the kind NAME, or NAME_S when there is no NAME."""
 
-    scan: Callable[..., list[ScanRecord]]
+    scan: Callable[..., Iterable[tuple[int, int, int, float | None, bool]]]
     params: tuple[str, ...] = ()
     verify_range: tuple[int, int] | None = None
 
 
 FAMILIES = {
-    "chowla": Family(scan_chowla, verify_range=(1, 1000)),
-    "shanks": Family(scan_shanks, verify_range=(2, 14)),
-    "yamamoto_plus": Family(partial(scan_yamamoto, sign=1), ("p",), (1, 1000)),
-    "yamamoto_minus": Family(partial(scan_yamamoto, sign=-1), ("p",), (1, 1000)),
-    "cubic": Family(scan_cubic, ("p", "q")),
+    "chowla": Family(_chowla, verify_range=(1, 1000)),
+    "shanks": Family(_shanks, verify_range=(2, 14)),
+    "yamamoto_plus": Family(partial(_yamamoto, sign=1), ("p",), (1, 1000)),
+    "yamamoto_minus": Family(partial(_yamamoto, sign=-1), ("p",), (1, 1000)),
+    "cubic": Family(_cubic, ("p", "q")),
 }
 
 
 def family_scan(kind: str, params: dict, scan_range) -> list[ScanRecord]:
+    """One record per row of the family's scan, with the regulator of d."""
     family = FAMILIES.get(kind)
     if family is None:
         raise ValueError(f"family_scan: unknown kind {kind!r}")
@@ -539,4 +544,9 @@ def family_scan(kind: str, params: dict, scan_range) -> list[ScanRecord]:
         raise ValueError(
             f"family {kind} takes parameters {list(family.params)}, got {list(params)}"
         )
-    return family.scan(*(params[name] for name in family.params), scan_range)
+    rows = family.scan(*(params[name] for name in family.params), scan_range)
+    return [
+        ScanRecord(k, n, (d,), (True,), regulator=fundamental_unit(d).regulator,
+                   bound=bound, bound_ok=ok)
+        for k, n, d, bound, ok in rows
+    ]

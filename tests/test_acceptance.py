@@ -79,7 +79,7 @@ def test_criterion_02_norm_sign_law():
 
 
 def test_criterion_03_shanks_closed_form():
-    records = families.scan_shanks(range(2, 15))
+    records = families.family_scan("shanks", {}, range(2, 15))
     ok = (
         [r.k for r in records] == list(range(2, 15))
         and all(r.bound_ok for r in records)
@@ -95,7 +95,7 @@ def test_criterion_03_shanks_closed_form():
 
 
 def test_criterion_04_small_regulator_family():
-    records = families.scan_chowla(range(1, 2001))
+    records = families.family_scan("chowla", {}, range(1, 2001))
     ok = len(records) > 1500 and all(r.bound_ok for r in records)
     worst = max(r.regulator - r.bound for r in records)
     detail = (
@@ -108,7 +108,7 @@ def test_criterion_04_small_regulator_family():
 def test_criterion_05_large_regulator_family():
     total = 0
     for p in (2, 3, 5, 13):
-        records = families.scan_yamamoto(p, range(1, 3001), 1)
+        records = families.family_scan("yamamoto_plus", {"p": p}, range(1, 3001))
         assert records and all(r.bound_ok for r in records), f"full bound fails, p={p}"
         total += len(records)
     # simplified bound, sampled at d >= 1e8 on split instances (p not

@@ -19,7 +19,7 @@ from qrl.cfrac import (
     regulator_enclosure,
 )
 from qrl.criterion import CriterionInput, NormSplit, evaluate_criterion
-from qrl.families import scan_cubic
+from qrl.families import family_scan
 from qrl.intarith import is_discriminant, is_squarefree
 from qrl.quadorder import QuadIdeal, QuadIrrational, canonical_irrational, classify
 
@@ -307,6 +307,6 @@ def test_one_walk_per_census_item(monkeypatch):
 def test_one_walk_per_cubic_record(monkeypatch):
     # a cubic record checks k norms of its d besides its regulator
     walks = counting_walks(monkeypatch)
-    records = scan_cubic(2, 3, range(1, 9))
+    records = family_scan("cubic", {"p": 2, "q": 3}, range(1, 9))
     assert len(records) >= 4 and all(rec.bound_ok for rec in records)
     assert walks == [rec.d_values[0] for rec in records]

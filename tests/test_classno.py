@@ -1,3 +1,4 @@
+import math
 import random
 from math import gcd, isqrt, log, sqrt
 
@@ -245,3 +246,26 @@ def test_series_sum_within_its_error_bound(d):
         assert abs(total - exact) <= err
         h = class_number_forms(d)[0]
         assert abs(exact / (2 * h) - r) < 1e-9 * r
+
+
+def ulps(got, exact):
+    """|got - exact| in units of the last place of the float nearest exact."""
+    return float(abs(mpf(got) - exact) / math.ulp(float(exact))) if exact else abs(got)
+
+
+def test_libm_within_eight_ulp():
+    # _series_sum and the certified family checks assume 8 ulp for these,
+    # over the ranges they use; classno._LIBM allows 2**7 ulp
+    rng = np.random.default_rng(11)
+    t = 7 * (1 - rng.random(3000))  # (0, 7]
+    x = -40 * rng.random(3000)  # (-40, 0]
+    y = 10 ** (-12 * rng.random(3000))  # (1e-12, 1], log-uniform
+    z = np.exp(rng.uniform(math.log(5), 64 * math.log(2), 3000))  # [5, 2**64]
+    with mp.workdps(40):
+        worst = {
+            "math.erfc": max(ulps(math.erfc(v), mp.erfc(mpf(v))) for v in t),
+            "np.exp": max(ulps(e, mp.exp(mpf(v))) for v, e in zip(x, np.exp(x))),
+            "np.log": max(ulps(e, mp.log(mpf(v))) for v, e in zip(y, np.log(y))),
+            "math.log": max(ulps(math.log(v), mp.log(mpf(v))) for v in z),
+        }
+    assert max(worst.values()) <= 8, worst

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from qrl import classno, cli, families
+from qrl import cfrac, classno, cli, families
 from qrl.cfrac import exact_unit, fundamental_unit, principal_expansion
 from qrl.classno import l_value_exact, l_value_truncated
 from qrl.cli import main
@@ -234,12 +234,25 @@ def test_family_scan_spec_roundtrip_and_jobs(tmp_path):
         assert cells[4] == "" and cells[5] == ""
 
 
-def test_family_scan_kind_jobs_byte_identical():
-    argv = ["family", "scan", "--kind", "chowla", "--kmax", "600"]
+# every named family: its parameters, --kmin, --kmax, and the fewest CSV lines
+KIND_SCANS = {
+    "chowla": ([], 1, 600, 300),
+    "shanks": ([], 1, 20, 19),
+    "yamamoto_plus": (["--params", "p=3"], -40, 400, 200),
+    "yamamoto_minus": (["--params", "p=5"], -40, 400, 200),
+    "cubic": (["--params", "p=2,q=3"], 1, 14, 10),
+}
+
+
+@pytest.mark.parametrize("kind", list(families.FAMILIES))
+def test_family_scan_kind_jobs_byte_identical(kind):
+    params, k_min, k_max, lines = KIND_SCANS[kind]
+    argv = ["family", "scan", "--kind", kind, *params]
+    argv += ["--kmin", str(k_min), "--kmax", str(k_max)]
     code1, out1, err1 = run_cli(argv + ["--jobs", "1"])
     code3, out3, err3 = run_cli(argv + ["--jobs", "3"])
     assert code1 == code3 == 0 and err1 == err3 == ""
-    assert out1 == out3 and len(out1.splitlines()) > 300
+    assert out1 == out3 and len(out1.splitlines()) > lines
 
 
 def test_family_scan_rejects_missing_parameter():
@@ -352,6 +365,24 @@ def test_classno_refuses_long_series_before_allocating():
     assert peak < 10**6
 
 
+def test_cubic_scan_refuses_long_period_before_allocating(monkeypatch):
+    # d = (3 * 2**14 + 3)**2 - 8: a period of 48574 steps, about 7 MB
+    monkeypatch.setattr(cfrac, "PERIOD_STEP_LIMIT", 1000)
+    cfrac.principal_expansion.cache_clear()
+    argv = ["family", "scan", "--kind", "cubic", "--params", "p=2,q=3"]
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(argv + ["--kmin", "14", "--kmax", "14"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    record = one_json(err)
+    assert record["error"] == "PeriodOverflow"
+    assert "within PERIOD_STEP_LIMIT = 1000 steps" in record["message"]
+    assert peak < 10**6
+
+
 def test_family_scan_with_h_on_reference_spec(tmp_path):
     # the paper's x = 1e10 spec: d = (1365 + 6006 k)^2 + 20 is 5.4e7 at k = 1
     spec_path = tmp_path / "spec.json"
@@ -385,6 +416,14 @@ def test_verify_shanks_all_ok():
     assert [row["k"] for row in rows] == list(range(2, 9))
     assert all(row["ok"] for row in rows)
     assert all(row["family"] == "shanks" for row in rows)
+
+
+def test_verify_shanks_refuses_past_trial_division_limit():
+    code, out, err = run_cli(["verify", "shanks", "--kmax", "60"])
+    assert code == 1 and out == ""
+    record = one_json(err)
+    assert record["error"] == "ValueError"
+    assert f"SIEVE_PRIME_LIMIT = {families.SIEVE_PRIME_LIMIT}" in record["message"]
 
 
 def test_verify_chowla_all_ok():

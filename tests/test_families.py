@@ -17,9 +17,7 @@ from qrl.families import (
     family_scan,
     find_prime_tuple,
     good_residue_lower_bound,
-    scan_chowla,
     scan_squarefree,
-    scan_yamamoto,
     squarefree_density,
     _squarefree_ks,
 )
@@ -221,14 +219,15 @@ def per_value_survivors(n_range, d_of):
 
 
 def test_chowla_sieve_matches_per_value_filter():
-    got = [r.n for r in scan_chowla(range(-5, 2001))]
+    got = [r.n for r in family_scan("chowla", {}, range(-5, 2001))]
     assert got == per_value_survivors(range(1, 2001), lambda n: 4 * n * n + 1)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_yamamoto_sieve_matches_per_value_filter(sign):
+    kind = "yamamoto_plus" if sign == 1 else "yamamoto_minus"
     for p in (2, 3, 5, 13):
-        got = [r.n for r in scan_yamamoto(p, range(-40, 3001), sign)]
+        got = [r.n for r in family_scan(kind, {"p": p}, range(-40, 3001))]
         want = per_value_survivors(range(-40, 3001), lambda n: n * n + 4 * p * sign)
         assert got == want, p
 
@@ -440,6 +439,42 @@ def test_shanks_closed_form_is_certified(monkeypatch):
             enclose_every_regulator_at(monkeypatch, reg)
             (rec,) = family_scan("shanks", {}, range(k, k + 1))
             assert rec.bound_ok is ok, factor
+
+
+def test_yamamoto_bound_is_certified(monkeypatch):
+    p = 2
+    n = next(n for n in range(3000, 3100) if is_squarefree(n * n + 4 * p))
+    (rec,) = family_scan("yamamoto_plus", {"p": p}, range(n, n + 1))
+    assert rec.bound > 30
+    with mp.workdps(40):
+        for shift, ok in ((-5e-10, False), (5e-10, True)):
+            reg = mpf(rec.bound) + shift
+            # the old test, reg >= bound - 1e-9 in floats, passed both
+            assert float(reg) >= rec.bound - 1e-9
+            enclose_every_regulator_at(monkeypatch, reg)
+            (shifted,) = family_scan("yamamoto_plus", {"p": p}, range(n, n + 1))
+            assert shifted.bound == rec.bound and shifted.bound_ok is ok, shift
+
+
+@pytest.mark.parametrize(
+    "kind, params, last", [("shanks", {}, 39), ("cubic", {"p": 2, "q": 3}, 38)]
+)
+def test_trial_division_refuses_past_sieve_limit(monkeypatch, kind, params, last):
+    # past k = last, cbrt(max value) + 1 exceeds SIEVE_PRIME_LIMIT
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return False  # no record, so no cycle walk
+
+    monkeypatch.setattr(families, "is_squarefree", counting)
+    assert family_scan(kind, params, range(last, last + 1)) == []
+    assert len(calls) == 1
+    calls.clear()
+    limit = f"SIEVE_PRIME_LIMIT = {families.SIEVE_PRIME_LIMIT}"
+    with pytest.raises(ValueError, match=limit):
+        family_scan(kind, params, range(1, last + 2))
+    assert calls == []
 
 
 def test_scan_yamamoto():
