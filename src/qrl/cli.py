@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from decimal import Decimal, InvalidOperation
 from functools import cache, partial
 from multiprocessing import Pool
@@ -31,6 +31,7 @@ from .criterion import (
 )
 from .intarith import is_discriminant
 from .quadorder import (
+    QuadIdeal,
     QuadIrrational,
     classify,
     format_ideal_literal,
@@ -44,7 +45,9 @@ MAX_EULER_BOUND = 10**6
 # keeps an argument like 1e999999999 from building a huge integer
 MAX_SCALE_DIGITS = 4300
 
-SCAN_CSV_FIELDS = ["k", "n", "squarefree", "h", "regulator", "L_trunc", "bound_ok"]
+SCAN_CSV_HEADER = [
+    "k", "n", "d_1", "squarefree", "h", "regulator", "L_trunc", "bound_ok"
+]
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +82,15 @@ def _out_stream(args):
     if path:
         return open(path, "w", encoding="utf-8", newline="")
     return nullcontext(sys.stdout)
+
+
+def _write(args, records: list[dict]) -> int:
+    """Print each record as one JSON line to --out, or to stdout, and return
+    0; the stream is opened only once every record exists."""
+    with _out_stream(args) as stream:
+        for record in records:
+            _emit_json(record, stream)
+    return 0
 
 
 def _require_discriminant(d: int) -> int:
@@ -189,10 +201,6 @@ def _family_span(kind, params, k_min, k_max):
 # scan record emission
 
 
-def _scan_header(m: int) -> list[str]:
-    return ["k", "n"] + [f"d_{i + 1}" for i in range(m)] + SCAN_CSV_FIELDS[2:]
-
-
 def _scan_row(rec: families.ScanRecord) -> list[str]:
     return (
         [str(rec.k), str(rec.n)]
@@ -207,16 +215,15 @@ def _scan_row(rec: families.ScanRecord) -> list[str]:
     )
 
 
-def _emit_scan(records, m: int, args) -> None:
+def _emit_scan(records, args) -> int:
+    if args.format == "json":
+        return _write(args, [asdict(rec) for rec in records])
     with _out_stream(args) as stream:
-        if args.format == "csv":
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(_scan_header(m))
-            for rec in records:
-                writer.writerow(_scan_row(rec))
-        else:
-            for rec in records:
-                _emit_json(asdict(rec), stream)
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(SCAN_CSV_HEADER)
+        for rec in records:
+            writer.writerow(_scan_row(rec))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -224,53 +231,42 @@ def _emit_scan(records, m: int, args) -> None:
 
 
 def cmd_cf(args) -> int:
-    d = _require_discriminant(args.d)
-    a = args.a
+    d, a = args.d, args.a
     b = args.b if args.b is not None else d % 2
-    rho = QuadIrrational(d, a, b)
-    exp = cf_expand(rho, max_steps=args.max_steps)
-    with _out_stream(args) as stream:
-        _emit_json(
-            {
-                "d": d,
-                "a": a,
-                "b": b,
-                "preperiod": list(exp.preperiod),
-                "period": list(exp.period),
-                "period_length": len(exp.period),
-            },
-            stream,
-        )
-    return 0
+    exp = cf_expand(QuadIrrational(d, a, b), max_steps=args.max_steps)
+    record = {
+        "d": d,
+        "a": a,
+        "b": b,
+        "preperiod": list(exp.preperiod),
+        "period": list(exp.period),
+        "period_length": len(exp.period),
+    }
+    return _write(args, [record])
 
 
 def cmd_unit(args) -> int:
-    d = _require_discriminant(args.d)
-    info = fundamental_unit(d)
+    info = fundamental_unit(args.d)
     record = {
-        "d": d,
+        "d": args.d,
         "l": info.period_length,
         "regulator": info.regulator,
         "norm_sign": info.norm_sign,
     }
     if args.exact:
-        unit = exact_unit(d)
+        unit = exact_unit(args.d)
         record["x"] = unit.x
         record["y"] = unit.y
-    with _out_stream(args) as stream:
-        _emit_json(record, stream)
-    return 0
+    return _write(args, [record])
 
 
 def cmd_classno(args) -> int:
-    d = _require_discriminant(args.d)
-    h, h_narrow = class_number(d)
-    with _out_stream(args) as stream:
-        _emit_json({"d": d, "h": h, "h_narrow": h_narrow}, stream)
-    return 0
+    h, h_narrow = class_number(args.d)
+    return _write(args, [{"d": args.d, "h": h, "h_narrow": h_narrow}])
 
 
 def cmd_lvalue(args) -> int:
+    # the Euler product takes any integer d, so d is checked here
     d = _require_discriminant(args.d)
     if args.method == "exact":
         record = {"d": d, "method": "exact", "value": l_value_exact(d)}
@@ -281,16 +277,12 @@ def cmd_lvalue(args) -> int:
             "bound": args.bound,
             "value": l_value_truncated(d, args.bound),
         }
-    with _out_stream(args) as stream:
-        _emit_json(record, stream)
-    return 0
+    return _write(args, [record])
 
 
 def cmd_family_build(args) -> int:
     spec = families.build_progression(args.m, args.primes, args.x, args.eps1)
-    with _out_stream(args) as stream:
-        _emit_json(asdict(spec), stream)
-    return 0
+    return _write(args, [asdict(spec)])
 
 
 def _load_spec(path: str) -> families.ProgressionSpec:
@@ -335,13 +327,9 @@ def cmd_family_scan(args) -> int:
             with_h=args.with_h,
             euler_bound_B=bound,
         )
-        m = spec.m
     else:
         scan = partial(_family_span, args.kind, _parse_params(args.params))
-        m = 1
-    records = _run_chunked(scan, args.kmin, args.kmax, args.jobs)
-    _emit_scan(records, m, args)
-    return 0
+    return _emit_scan(_run_chunked(scan, args.kmin, args.kmax, args.jobs), args)
 
 
 def cmd_verify(args) -> int:
@@ -363,28 +351,22 @@ def cmd_verify(args) -> int:
             raise ValueError(f"verify {args.family} requires --{name}")
     lo = args.kmin if args.kmin is not None else family.verify_range[0]
     hi = args.kmax if args.kmax is not None else family.verify_range[1]
-    records = _run_chunked(partial(_family_span, kind, params), lo, hi, args.jobs)
-    violations = 0
-    with _out_stream(args) as stream:
-        for rec in records:
-            _emit_json(
-                {
-                    "family": args.family,
-                    "k": rec.k,
-                    "n": rec.n,
-                    "d": rec.d_values[0],
-                    "regulator": rec.regulator,
-                    "bound": rec.bound,
-                    "ok": bool(rec.bound_ok),
-                },
-                stream,
-            )
-            if not rec.bound_ok:
-                violations += 1
-        if violations:
-            _emit_json(
-                {"family": args.family, "violations": violations}, sys.stderr
-            )
+    records = [
+        {
+            "family": args.family,
+            "k": rec.k,
+            "n": rec.n,
+            "d": rec.d_values[0],
+            "regulator": rec.regulator,
+            "bound": rec.bound,
+            "ok": bool(rec.bound_ok),
+        }
+        for rec in _run_chunked(partial(_family_span, kind, params), lo, hi, args.jobs)
+    ]
+    _write(args, records)
+    violations = sum(not record["ok"] for record in records)
+    if violations:
+        _emit_json({"family": args.family, "violations": violations}, sys.stderr)
     return 1 if violations else 0
 
 
@@ -393,74 +375,49 @@ def cmd_constants(args) -> int:
     record = {"m": args.m, "primes": list(args.primes), **asdict(report)}
     witness = families.check_star(args.m, args.primes)
     if witness is not None:
-        record["star_modulus"] = witness.modulus
-        record["star_residue"] = witness.residue
-        record["star_root"] = witness.root
-    with _out_stream(args) as stream:
-        _emit_json(record, stream)
-    return 0
+        record.update((f"star_{name}", v) for name, v in asdict(witness).items())
+    return _write(args, [record])
 
 
 def cmd_criterion(args) -> int:
-    if args.mode == "hk-remark":
-        if args.params_tuple:
-            values = [int(tok) for tok in args.params_tuple.split(",")]
-            if len(values) != 5:
-                raise ValueError("--params needs five integers r,s,t,k,c")
-            rec = nonprimitive_product_example(*values)
-        elif args.search:
-            rec = search_nonprimitive_example(
-                r_max=args.r_max,
-                s_max=args.s_max,
-                t_max=args.t_max,
-                k_max=args.k_max,
-                c_max=args.c_max,
-            )
-        else:
-            raise ValueError("criterion hk-remark needs --search or --params")
-        record = {
-            "params": list(rec.params),
-            "d": rec.d,
-            "factor_1": format_ideal_literal(rec.factor_1),
-            "factor_2": format_ideal_literal(rec.factor_2),
-            "companion": format_ideal_literal(rec.companion),
-            "product": format_ideal_literal(rec.product),
-            "product_content": rec.product_content,
-            "product_norm": rec.product_norm,
-            "norm_bound_ok": rec.norm_bound_ok,
-            "subset_sums": rec.subset_sums,
-        }
-    else:
+    if args.mode != "hk-remark":
         if args.d is None or args.norms is None:
             raise ValueError("criterion needs --d and --norms")
         splits = _parse_norm_splits(args.norms)
         _, bound = evaluate_criterion(CriterionInput(args.d, splits))
-        record = asdict(bound)
-    with _out_stream(args) as stream:
-        _emit_json(record, stream)
-    return 0
+        return _write(args, [asdict(bound)])
+    if args.params_tuple:
+        values = [int(tok) for tok in args.params_tuple.split(",")]
+        if len(values) != 5:
+            raise ValueError("--params needs five integers r,s,t,k,c")
+        rec = nonprimitive_product_example(*values)
+    elif args.search:
+        rec = search_nonprimitive_example(
+            r_max=args.r_max,
+            s_max=args.s_max,
+            t_max=args.t_max,
+            k_max=args.k_max,
+            c_max=args.c_max,
+        )
+    else:
+        raise ValueError("criterion hk-remark needs --search or --params")
+    # the NonprimitiveProduct fields in order, each ideal as its literal
+    record = {field.name: getattr(rec, field.name) for field in fields(rec)}
+    for name, value in record.items():
+        if isinstance(value, QuadIdeal):
+            record[name] = format_ideal_literal(value)
+    return _write(args, [record])
 
 
 def cmd_ideal(args) -> int:
     ideal = parse_ideal_literal(args.literal)
-    flags = classify(ideal)
-    with _out_stream(args) as stream:
-        _emit_json(
-            {
-                "literal": format_ideal_literal(ideal),
-                "d": ideal.d,
-                "a": ideal.a,
-                "b": ideal.b,
-                "e": ideal.e,
-                "norm": ideal.norm,
-                "primitive": flags.primitive,
-                "regular": flags.regular,
-                "prime_to_conductor": flags.prime_to_conductor,
-                "reduced": flags.reduced,
-            },
-            stream,
-        )
-    return 0
+    record = {
+        "literal": format_ideal_literal(ideal),
+        **asdict(ideal),
+        "norm": ideal.norm,
+        **asdict(classify(ideal)),
+    }
+    return _write(args, [record])
 
 
 # ---------------------------------------------------------------------------

@@ -308,8 +308,9 @@ def regulator_lower_bound(products: PowerProductSet) -> BoundReport:
     power-product set, together with the matching simplex integral, at the
     regulator's REGULATOR_DPS digits.
 
-    The two lower bounds are rounded down to floats; the regulator, widened
-    by its error bound, is rounded up."""
+    The two lower bounds are lowered by a bound on their own rounding and
+    rounded down to floats; the regulator, widened by its error bound, is
+    rounded up."""
     d = products.d
     with mp.workdps(REGULATOR_DPS):
         root = mp.sqrt(d)
@@ -328,8 +329,25 @@ def regulator_lower_bound(products: PowerProductSet) -> BoundReport:
                     " preimage; instance rejected"
                 )
             exact_terms.append(mp.log((rho.b + root) / (2 * rho.a)))
-        exact = _to_float(mp.fsum(exact_terms), round_floor)
-        discrete = _to_float(discrete, round_floor)
+        # With u = 2**-mp.prec, mpmath rounds +, -, * and / to within u of
+        # the result, fsum too (it adds exactly, dropping only terms below
+        # u**2 of the rest), and sqrt and log to within one ulp, 2u. With
+        # N = len(vectors), L = log(sqrt(d)/2) > 0, S_v = sum e_i log n_i:
+        # - sqrt(d) and L come out within 2u sqrt(d) and 2uL + 3u, each
+        #   e_i log n_i within 3.01u of itself and S_v within 4.1u S_v.
+        #   L - S_v is a difference, so its error is absolute, 3.1uL +
+        #   5.2uS_v + 3u after its own rounding, and the discrete sum is
+        #   within 7u (N (L + 1) + sum S_v) after fsum. S_v < L, as each
+        #   product's norm is below sqrt(d)/2: within 7u N (2L + 1).
+        # - Each rho = (b + sqrt(d))/(2a) is reduced, so 1 < rho < sqrt(d)
+        #   and b + sqrt(d) >= sqrt(d): rho comes out within a relative
+        #   4.01u, its log within 2u log rho + 4.2u, and the exact sum E
+        #   within 5u (E + N) <= 5u N (L + 2).
+        # One slack of 16u N (L + 1) covers both, with its own rounding and
+        # the u N (L + 1) at most of each subtraction below.
+        slack = mp.ldexp(len(products.vectors) * (big_l + 1), 4 - mp.prec)
+        exact = _to_float(mp.fsum(exact_terms) - slack, round_floor)
+        discrete = _to_float(discrete - slack, round_floor)
         reg, err = regulator_enclosure(d)
         regulator = _to_float(mp.fadd(reg, err, rounding="c"), round_ceiling)
     log_norm_product = 1.0
@@ -347,12 +365,10 @@ def regulator_lower_bound(products: PowerProductSet) -> BoundReport:
     )
 
 
-def evaluate_criterion(
-    inp: CriterionInput, require_hypotheses: bool = True
-) -> tuple[HypothesisReport, BoundReport]:
+def evaluate_criterion(inp: CriterionInput) -> tuple[HypothesisReport, BoundReport]:
     """Full pipeline: hypothesis checks, ramified clearing, enumeration, bound."""
     report = check_hypotheses(inp)
-    if require_hypotheses and not report.all_pass:
+    if not report.all_pass:
         problems = []
         for i, ck in enumerate(report.per_split):
             sp = inp.splits[i]

@@ -10,7 +10,8 @@ k, so those scans trial-divide each value.
 Both need the primes up to cbrt(max value), so both refuse above
 SIEVE_PRIME_LIMIT. The m >= 2 progressions are out of exact reach: q =
 prod S is already about 8e20 at m = 2, so every d exceeds 1e41, and
-certifying that such a d is squarefree is about as hard as factoring it.
+certifying that such a d is squarefree is about as hard as factoring it;
+scan_squarefree refuses them.
 """
 
 from __future__ import annotations
@@ -316,13 +317,11 @@ def _root_table(n0: int, q: int, c: int) -> _RootTable:
     return _RootTable(n0, q, c)
 
 
-def _squarefree_ks(
-    n0: int, q: int, constants: tuple[int, ...], k_lo: int, k_hi: int
-) -> list[int]:
-    """The k in [k_lo, k_hi] with every (n0+kq)^2 + c, c in constants,
-    squarefree; callers keep every such value >= 5. Exact: a polynomial
-    sieve removes all prime factors up to cbrt(max value) + 1, then a
-    perfect-square test settles each cofactor.
+def _squarefree_ks(n0: int, q: int, c: int, k_lo: int, k_hi: int) -> list[int]:
+    """The k in [k_lo, k_hi] with (n0+kq)^2 + c squarefree; callers keep
+    every such value >= 5. Exact: a polynomial sieve removes all prime
+    factors up to cbrt(max value) + 1, then a perfect-square test settles
+    each cofactor.
 
     The sieve reads where each prime divides from the process's root table
     for (n0, q, c), built once and grown by doubling when a window needs
@@ -333,27 +332,25 @@ def _squarefree_ks(
     count = k_hi - k_lo + 1
     if count <= 0:
         return []
-    us = [n0 + k * q for k in range(k_lo, k_hi + 1)]
-    rems = [[u * u + c for u in us] for c in constants]
-    bound = _prime_bound(max(map(max, rems)), "sieve")
-    flag = bytearray(count)  # 1 once some value at k has a square factor
-    for c, rem in zip(constants, rems):
-        table = _root_table(n0, q, c)
-        table.grow(bound)
-        for p, first, step in table.hits(bound, k_lo, count):
-            for j in range(first, count, step):
-                v, e = rem[j], 0
-                while v % p == 0:
-                    v //= p
-                    e += 1
-                rem[j] = v
-                if e >= 2:
-                    flag[j] = 1
-        for j in range(count):
-            if not flag[j] and rem[j] > 1:
-                r = isqrt(rem[j])
-                if r * r == rem[j]:
-                    flag[j] = 1
+    rem = [(n0 + k * q) ** 2 + c for k in range(k_lo, k_hi + 1)]
+    bound = _prime_bound(max(rem), "sieve")
+    flag = bytearray(count)  # 1 once the value at k has a square factor
+    table = _root_table(n0, q, c)
+    table.grow(bound)
+    for p, first, step in table.hits(bound, k_lo, count):
+        for j in range(first, count, step):
+            v, e = rem[j], 0
+            while v % p == 0:
+                v //= p
+                e += 1
+            rem[j] = v
+            if e >= 2:
+                flag[j] = 1
+    for j in range(count):
+        if not flag[j] and rem[j] > 1:
+            r = isqrt(rem[j])
+            if r * r == rem[j]:
+                flag[j] = 1
     return [k_lo + j for j in range(count) if not flag[j]]
 
 
@@ -365,22 +362,24 @@ def scan_squarefree(
     with_h: bool = False,
     euler_bound_B: int | None = None,
 ) -> list[ScanRecord]:
-    """Survivors k in [k_min, k_max] with every d_i = (n0+kq)^2 + 4p_i
-    squarefree, by the polynomial sieve. with_h attaches h and the bound
-    report to the one d of each record, so it needs m = 1.
+    """Survivors k in [k_min, k_max] with d = (n0+kq)^2 + 4p_1 squarefree,
+    by the polynomial sieve; with_h attaches h and the bound report. Only
+    m = 1 specs are accepted: at m >= 2 every d is out of exact reach (see
+    the module docstring).
     """
-    if with_h and spec.m != 1:
-        raise ValueError(f"with_h needs a spec with m = 1, this one has m = {spec.m}")
+    if spec.m != 1:
+        raise ValueError(
+            f"scan_squarefree needs a spec with m = 1, this one has m = {spec.m}"
+        )
     k_lo = k_min
     if strict_range:
-        # keep d_i > sqrt(x): k q > x^(1/4)
+        # keep d > sqrt(x): k q > x^(1/4)
         k_lo = max(k_lo, int(spec.x**0.25 / spec.q) + 1)
-    constants = tuple(4 * pi for pi in spec.primes)
+    c = 4 * spec.primes[0]
     out: list[ScanRecord] = []
-    for k in _squarefree_ks(spec.n0, spec.q, constants, k_lo, k_max):
+    for k in _squarefree_ks(spec.n0, spec.q, c, k_lo, k_max):
         n = spec.n0 + k * spec.q
-        d_values = tuple(n * n + c for c in constants)
-        rec = ScanRecord(k, n, d_values, (True,) * len(constants))
+        rec = ScanRecord(k, n, (n * n + c,), (True,))
         out.append(
             _attach_analysis(rec, spec.primes, euler_bound_B) if with_h else rec
         )
@@ -432,7 +431,7 @@ def compute_constants(m: int, primes: list[int]) -> ConstantsReport:
 def _chowla(n_range):
     """Chowla's d = 4n^2 + 1, n >= 1: R <= log(2 sqrt d)."""
     ns = [n for n in n_range if n >= 1]
-    keep = set(_squarefree_ks(0, 2, (1,), min(ns, default=1), max(ns, default=0)))
+    keep = set(_squarefree_ks(0, 2, 1, min(ns, default=1), max(ns, default=0)))
     for n in [n for n in ns if n in keep]:
         d = 4 * n * n + 1
         # certified R <= log(2 sqrt d): the top of R's enclosure against
@@ -479,7 +478,7 @@ def _yamamoto(p: int, n_range, sign: int):
     # sieved over |n|; d grows with |n|, so every sieved value is >= 5
     ns = [n for n in n_range if n * n + c >= 5]
     mags = [abs(n) for n in ns]
-    keep = set(_squarefree_ks(0, 1, (c,), min(mags, default=1), max(mags, default=0)))
+    keep = set(_squarefree_ks(0, 1, c, min(mags, default=1), max(mags, default=0)))
     log_p = log(p)
     for n in [n for n in ns if abs(n) in keep]:
         d = n * n + c

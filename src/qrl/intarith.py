@@ -134,19 +134,16 @@ def _trial_candidates():
         k += 6
 
 
-def _trial_division(n: int, power: int, bound: int | None = None):
+def _trial_division(n: int, power: int):
     """Trial division by every p with p**power at most the cofactor left,
     power 2 or 3: yields (p, e, m) for each p with p**e exactly dividing n,
     m the cofactor after it. The final cofactor is 1 or a prime for power
     2; for power 3 also a product of two distinct primes or a prime square.
-    Raises ValueError rather than try a p above `bound`.
     """
     m = n
     for p in _trial_candidates():
         if (p * p if power == 2 else p * p * p) > m:
             return
-        if bound is not None and p > bound:
-            raise ValueError(f"is_squarefree: trial bound {bound} insufficient for {n}")
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -155,15 +152,13 @@ def _trial_division(n: int, power: int, bound: int | None = None):
             yield p, e, m
 
 
-def is_squarefree(n: int, bound: int | None = None) -> SquarefreeResult:
+def is_squarefree(n: int) -> SquarefreeResult:
     """Exact squarefreeness test by trial division up to cbrt(n), then a
-    single perfect-square check of the cofactor. If `bound` is given and is
-    too small to certify the answer, raises ValueError instead of guessing.
-    """
+    single perfect-square check of the cofactor."""
     if n <= 0:
         raise ValueError("is_squarefree: argument must be positive")
     m = n  # the loop leaves the final cofactor in m
-    for p, e, m in _trial_division(n, 3, bound):
+    for p, e, m in _trial_division(n, 3):
         if e >= 2:
             return SquarefreeResult(False, p)
     r = isqrt(m)

@@ -321,12 +321,13 @@ def test_family_scan_with_h_needs_m_1(tmp_path):
     assert code == 1 and out == ""
     assert one_json(err) == {
         "error": "ValueError",
-        "message": "with_h needs a spec with m = 1, this one has m = 2",
+        "message": "scan_squarefree needs a spec with m = 1, this one has m = 2",
     }
 
 
 def test_family_scan_refuses_m2_spec_before_allocating(tmp_path):
-    # q is about 8.1e20: the sieve would need the primes up to cbrt(d) ~ 6e14
+    # q is about 8.1e20: the sieve would need the primes up to cbrt(d) ~ 6e14,
+    # so no m >= 2 spec is sieved
     spec_path = tmp_path / "spec.json"
     code, _, _ = run_cli(
         [
@@ -344,9 +345,10 @@ def test_family_scan_refuses_m2_spec_before_allocating(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 1 and out == ""
-    record = one_json(err)
-    assert record["error"] == "ValueError"
-    assert f"SIEVE_PRIME_LIMIT = {families.SIEVE_PRIME_LIMIT}" in record["message"]
+    assert one_json(err) == {
+        "error": "ValueError",
+        "message": "scan_squarefree needs a spec with m = 1, this one has m = 2",
+    }
     assert peak < 10**6
 
 
@@ -553,6 +555,107 @@ def test_reruns_byte_identical():
         _, first, _ = run_cli(argv)
         _, second, _ = run_cli(argv)
         assert first == second
+
+
+# (argv, exit status, stdout, stderr), each byte for byte
+PINNED = {
+    "ideal": (
+        ["ideal", "--literal", "2*[10,(-7+sqrt(7049))/2]"],
+        0,
+        '{"literal": "2*[10,(-7+sqrt(7049))/2]", "d": 7049, "a": 10, "b": -7,'
+        ' "e": 2, "norm": 40, "primitive": false, "regular": false,'
+        ' "prime_to_conductor": true, "reduced": false}\n',
+        "",
+    ),
+    "hk-remark-search": (
+        ["criterion", "hk-remark", "--search"],
+        0,
+        '{"params": [2, 2, 2, 1, 43], "d": 7049,'
+        ' "factor_1": "1*[4,(-3+sqrt(7049))/2]",'
+        ' "factor_2": "1*[10,(3+sqrt(7049))/2]",'
+        ' "companion": "1*[10,(-7+sqrt(7049))/2]",'
+        ' "product": "2*[10,(-7+sqrt(7049))/2]", "product_content": 2,'
+        ' "product_norm": 40, "norm_bound_ok": true, "subset_sums":'
+        ' {"unit": 3.73717334033, "3": 1.43458824733, "2": 1.43458824733,'
+        ' "1": 3.31546359729, "1,3": 0.0482938862131}}\n',
+        "",
+    ),
+    "hk-remark-params": (
+        ["criterion", "hk-remark", "--params", "2,2,2,1,3"],
+        0,
+        '{"params": [2, 2, 2, 1, 3], "d": 2009,'
+        ' "factor_1": "1*[4,(-3+sqrt(2009))/2]",'
+        ' "factor_2": "1*[10,(3+sqrt(2009))/2]",'
+        ' "companion": "1*[10,(-7+sqrt(2009))/2]",'
+        ' "product": "2*[10,(-7+sqrt(2009))/2]", "product_content": 2,'
+        ' "product_norm": 40, "norm_bound_ok": false, "subset_sums":'
+        ' {"unit": 3.10954900185, "3": 0.806963908853, "2": 0.806963908853,'
+        ' "1": 2.06021492034}}\n',
+        "",
+    ),
+    "criterion": (
+        ["criterion", "--d", "61", "--norms", "3"],
+        0,
+        '{"d": 61, "norms": [3], "discrete_sum": 1.62596721439,'
+        ' "exact_sum": 2.90573232369, "integral": 0.844626164415,'
+        ' "lattice_count": 2, "log_norm_product": 1.09861228867,'
+        ' "regulator": 3.66421846089}\n',
+        "",
+    ),
+    "constants": (
+        ["constants", "--m", "1", "--primes", "2,5"],
+        0,
+        '{"m": 1, "primes": [2, 5], "C_m": 144.0, "C_prime_m": 9.0,'
+        ' "mertens_M": 0.26149, "headline_constant": 192.0, "star_modulus": 2,'
+        ' "star_residue": 1, "star_root": 1}\n',
+        "",
+    ),
+    "unit-exact": (
+        ["unit", "--d", "61", "--exact"],
+        0,
+        '{"d": 61, "l": 3, "regulator": 3.66421846089, "norm_sign": -1,'
+        ' "x": 39, "y": 5}\n',
+        "",
+    ),
+    "cf": (
+        ["cf", "--d", "13", "--a", "3", "--b", "1"],
+        0,
+        '{"d": 13, "a": 3, "b": 1, "preperiod": [0, 1], "period": [3],'
+        ' "period_length": 1}\n',
+        "",
+    ),
+    "verify-shanks": (
+        ["verify", "shanks", "--kmin", "2", "--kmax", "4"],
+        0,
+        '{"family": "shanks", "k": 2, "n": 7, "d": 41, "regulator": 4.15912713463,'
+        ' "bound": 4.15912713463, "ok": true}\n'
+        '{"family": "shanks", "k": 3, "n": 11, "d": 113, "regulator": 7.3473001159,'
+        ' "bound": 7.3473001159, "ok": true}\n'
+        '{"family": "shanks", "k": 4, "n": 19, "d": 353,'
+        ' "regulator": 11.8672937507, "bound": 11.8672937507, "ok": true}\n',
+        "",
+    ),
+    "unit-error": (
+        ["unit", "--d", "7"],
+        1,
+        "",
+        '{"error": "ValueError", "message": "7 is not a real quadratic'
+        ' discriminant"}\n',
+    ),
+    "cf-error": (
+        ["cf", "--d", "13", "--a", "2", "--b", "1"],
+        1,
+        "",
+        '{"error": "ValueError", "message": "quadratic irrational: 4a does not'
+        ' divide b^2 - d (a=2, b=1, d=13)"}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_output_bytes_pinned(name):
+    argv, code, out, err = PINNED[name]
+    assert run_cli(argv) == (code, out, err)
 
 
 def test_readme_commands_run(tmp_path, monkeypatch):

@@ -236,20 +236,18 @@ def test_yamamoto_sieve_matches_per_value_filter(sign):
 @given(
     st.integers(-500, 500),
     st.integers(1, 60),
-    st.lists(st.integers(0, 10**6), min_size=1, max_size=3),
+    st.integers(0, 10**6),
     st.integers(-300, 300),
     st.integers(0, 300),
 )
-def test_sieve_matches_is_squarefree(n0, q, offsets, k_lo, count):
+def test_sieve_matches_is_squarefree(n0, q, offset, k_lo, count):
     ks = range(k_lo, k_lo + count)
     us = [n0 + k * q for k in ks]
-    # shift each constant so that every value (n0 + kq)^2 + c is >= 5
+    # shift the constant so that every value (n0 + kq)^2 + c is >= 5
     low = min((u * u for u in us), default=0)
-    constants = tuple(5 + off - low for off in offsets)
-    want = [
-        k for k, u in zip(ks, us) if all(is_squarefree(u * u + c) for c in constants)
-    ]
-    assert _squarefree_ks(n0, q, constants, k_lo, k_lo + count - 1) == want
+    c = 5 + offset - low
+    want = [k for k, u in zip(ks, us) if is_squarefree(u * u + c)]
+    assert _squarefree_ks(n0, q, c, k_lo, k_lo + count - 1) == want
 
 
 def sieve_oracle(n0, q, c, k_lo, k_hi):
@@ -267,7 +265,7 @@ def test_root_table_slices_then_grows():
     table = families._root_table(n0, q, c)
     bounds = []
     for k_lo, k_hi in [(2000, 2400), (5, 60), (9000, 9300)]:
-        got = _squarefree_ks(n0, q, (c,), k_lo, k_hi)
+        got = _squarefree_ks(n0, q, c, k_lo, k_hi)
         assert got == sieve_oracle(n0, q, c, k_lo, k_hi)
         assert table.bound >= window_bound(n0, q, c, k_lo, k_hi)
         bounds.append(table.bound)
@@ -287,7 +285,7 @@ def test_sieve_reduces_k_beyond_int64():
     q, c = 7, 13
     k_lo = 2**63 + 11
     n0 = -(k_lo - 3) * q + 2
-    got = _squarefree_ks(n0, q, (c,), k_lo, k_lo + 400)
+    got = _squarefree_ks(n0, q, c, k_lo, k_lo + 400)
     assert got == sieve_oracle(n0, q, c, k_lo, k_lo + 400)
     assert len(got) < 401  # some value has a square factor
 
@@ -295,7 +293,7 @@ def test_sieve_reduces_k_beyond_int64():
 def test_sieve_primes_dividing_q_hit_every_k():
     # n0^2 + c = 30: 2, 3 and 5 divide q and every value
     n0, q, c = 1, 30, 29
-    got = _squarefree_ks(n0, q, (c,), 0, 600)
+    got = _squarefree_ks(n0, q, c, 0, 600)
     assert got == sieve_oracle(n0, q, c, 0, 600)
     assert 0 < len(got) < 601
     assert families._root_table(n0, q, c).every == [2, 3, 5]
@@ -306,7 +304,7 @@ def test_sieve_negative_constant(p):
     c = -4 * p  # the Yamamoto - values n^2 - 4p
     k_lo = isqrt(5 - c) + 1
     for lo, hi in [(k_lo, 3000), (k_lo + 17, k_lo + 90), (2900, 6000)]:
-        assert _squarefree_ks(0, 1, (c,), lo, hi) == sieve_oracle(0, 1, c, lo, hi)
+        assert _squarefree_ks(0, 1, c, lo, hi) == sieve_oracle(0, 1, c, lo, hi)
 
 
 @settings(max_examples=60, deadline=None)
@@ -323,7 +321,7 @@ def test_root_table_windows_match_is_squarefree(n0, q, c, windows):
         k_hi = k_lo + count - 1
         if min((n0 + k * q) ** 2 + c for k in range(k_lo, k_hi + 1)) < 5:
             continue
-        assert _squarefree_ks(n0, q, (c,), k_lo, k_hi) == sieve_oracle(
+        assert _squarefree_ks(n0, q, c, k_lo, k_hi) == sieve_oracle(
             n0, q, c, k_lo, k_hi
         )
 

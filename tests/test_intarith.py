@@ -87,11 +87,6 @@ def test_is_squarefree_examples():
     assert not res and res.witness == 101
 
 
-def test_is_squarefree_bound_insufficient():
-    with pytest.raises(ValueError):
-        is_squarefree(5 * 7 * 7, bound=3)
-
-
 @given(st.integers(1, 10**6))
 def test_squarefree_decomposition(n):
     s, t = squarefree_decomposition(n)
