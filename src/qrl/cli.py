@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, fields
@@ -173,12 +174,22 @@ def _run_chunk(task):
     return task()
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_chunked(task_of_span, lo: int, hi: int, jobs: int) -> list:
     """The records of task_of_span(k_min=a, k_max=b) over at most jobs spans
-    [a, b] of [lo, hi], in order, in a pool when jobs > 1. An empty range
-    runs one empty span, which checks the arguments."""
+    [a, b] of [lo, hi], in order, in a pool when more than one span; the
+    pool has at most one process per CPU. An empty range runs one empty
+    span, which checks the arguments."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
     total = max(0, hi - lo + 1)
-    jobs = max(1, min(jobs, total))
+    jobs = max(1, min(jobs, total, _cpu_count()))
     size, extra = divmod(total, jobs)
     tasks, start = [], lo
     for i in range(jobs):
@@ -233,6 +244,8 @@ def _emit_scan(records, args) -> int:
 def cmd_cf(args) -> int:
     d, a = args.d, args.a
     b = args.b if args.b is not None else d % 2
+    if args.max_steps is not None and args.max_steps < 0:
+        raise ValueError(f"cf --max-steps must be >= 0, got {args.max_steps}")
     exp = cf_expand(QuadIrrational(d, a, b), max_steps=args.max_steps)
     record = {
         "d": d,

@@ -41,22 +41,23 @@ from .intarith import (
     is_squarefree,
     kronecker,
     prime_array,
+    pow_mod_array,
     primes_up_to,
     residues_mod,
-    sqrt_mod_prime,
+    sqrt_mod_primes,
 )
 
 MERTENS_M = 0.26149
 HEADLINE_CONSTANT = 192.0
 # the largest sieve prime bound cbrt(max value) + 1 that _squarefree_ks
-# accepts: a root table costs 5-7 us per prime to build and 16 bytes per
-# root, so at this limit (5.8 million primes) about 40 s and 92 MB on a
-# 2-vCPU x86-64 host, with a 168 MB peak RSS while it builds in one step
+# accepts: a root table costs about 1.5 us per prime to build and 16 bytes
+# per root, so at this limit (5.8 million primes) 8-10 s and 92 MB on a
+# 2-vCPU x86-64 host, with a 166 MB peak RSS while it builds in one step
 SIEVE_PRIME_LIMIT = 10**8
 # root tables kept per process, one per (n0, q, c)
 ROOT_TABLE_CACHE_SIZE = 16
-# primes converted to Python ints at a time while a table grows
-ROOT_CHUNK = 1 << 16
+# primes whose roots one set of numpy arrays computes while a table grows
+ROOT_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -267,18 +268,22 @@ class _RootTable:
         primes, k0 = array("q"), array("q")
         at_zero = n0 * n0 + c
         for start in range(0, len(fresh), ROOT_CHUNK):
-            for p in fresh[start : start + ROOT_CHUNK].tolist():
-                if q % p == 0:
-                    if at_zero % p == 0:
-                        self.every.append(p)
-                    continue
-                t = sqrt_mod_prime(-c % p, p)
-                if t is None:
-                    continue
-                inv_q = pow(q, -1, p)
-                for y in (t,) if 2 * t % p == 0 else (t, p - t):
-                    primes.append(p)
-                    k0.append((y - n0) * inv_q % p)
+            p = fresh[start : start + ROOT_CHUNK]
+            q_mod = residues_mod(q, p)
+            at_q = q_mod == 0
+            self.every += p[at_q & (residues_mod(at_zero, p) == 0)].tolist()
+            p, q_mod = p[~at_q], q_mod[~at_q]
+            t = sqrt_mod_primes(residues_mod(-c, p), p)
+            # one row per prime with roots; its entries are y = t, then
+            # y = p - t unless that is t again
+            has = t >= 0
+            p, q_mod, t = p[has, None], q_mod[has, None], t[has, None]
+            y = np.hstack([t, p - t])
+            kept = np.hstack([np.ones_like(t, dtype=bool), 2 * t % p != 0])
+            inv_q = pow_mod_array(q_mod, p - 2, p)  # Fermat: p is prime
+            k = (y - residues_mod(n0, p)) % p * inv_q % p
+            primes.frombytes(np.broadcast_to(p, y.shape)[kept].tobytes())
+            k0.frombytes(k[kept].tobytes())
         del fresh  # 46 MB at the limit, freed before the copies below
         self.primes = _extended(self.primes, primes)
         del primes  # once copied, freed before k0 is copied

@@ -229,45 +229,102 @@ def crt(residues: list[int], moduli: list[int]) -> tuple[int, int]:
     return r % M, M
 
 
-def sqrt_mod_prime(a: int, p: int) -> int | None:
-    """Smallest square root of a mod p, or None when a is a non-residue.
+# The array routines below take moduli 0 < m < 2**31: every residue is then
+# below 2**31 and every product of two residues below 2**62, so int64
+# arithmetic is exact. The sieve's primes are below SIEVE_PRIME_LIMIT = 10**8.
+ARRAY_MODULUS_LIMIT = 1 << 31
 
-    p must be prime. Uses the p % 4 == 3 and p % 8 == 5 shortcuts and
-    Tonelli-Shanks otherwise.
+
+def _check_moduli(mod: np.ndarray, caller: str) -> None:
+    if mod.size and (mod.min() < 1 or mod.max() >= ARRAY_MODULUS_LIMIT):
+        raise ValueError(f"{caller}: moduli must lie in [1, 2**31)")
+
+
+def pow_mod_array(base, exp, mod) -> np.ndarray:
+    """base**exp mod mod elementwise over int64 arrays (broadcast together),
+    exp >= 0 and 0 < mod < 2**31, by square and multiply over exp's bits."""
+    base, exp, mod = np.broadcast_arrays(
+        *(np.asarray(v, dtype=np.int64) for v in (base, exp, mod))
+    )
+    _check_moduli(mod, "pow_mod_array")
+    result = np.ones_like(mod) % mod
+    base = base % mod
+    for bit in range(int(exp.max(initial=0)).bit_length()):
+        if bit:
+            base = base * base % mod
+        result = np.where((exp >> bit) & 1 == 1, result * base % mod, result)
+    return result
+
+
+def _nonresidues(p: np.ndarray) -> np.ndarray:
+    """A quadratic non-residue mod each prime p = 1 mod 4 of an int64 array,
+    by reciprocity: 2 when p = 5 mod 8, else the least odd prime l with
+    (p|l) = (l|p) = -1, read from the squares mod l. The least non-residue
+    is below sqrt(p) + 1, so the primes l up to there always find one."""
+    z = np.where(p % 8 == 5, 2, 0)
+    open_ = np.flatnonzero(z == 0)
+    bound = isqrt(int(p.max())) + 1 if p.size else 2
+    for ell in primes_up_to(bound)[1:]:
+        if not open_.size:
+            break
+        square = np.zeros(ell, dtype=bool)
+        square[np.arange(ell) ** 2 % ell] = True
+        found = ~square[p[open_] % ell]
+        z[open_[found]] = ell
+        open_ = open_[~found]
+    return z
+
+
+def sqrt_mod_primes(a, p) -> np.ndarray:
+    """The smaller square root of a mod p for each prime p of an int64 array
+    (a broadcast against it), or -1 where a is a non-residue; p < 2**31.
+
+    Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1) on arrays. With p - 1 =
+    q 2**s, q odd, x = a**((q-1)/2) gives r = x a and t = x r = a**q, so
+    r**2 = t a; c = z**q for a non-residue z has order 2**m, m = s. Each
+    round finds the least i with t**(2**i) = 1, takes b = c**(2**(m-i-1))
+    and sets r = r b, c = b**2, t = t c and m = i, until t = 1. The search
+    reaches i = s exactly when a is a non-residue, in the first round, so
+    no separate Euler test is run.
     """
-    a %= p
-    if p == 2:
-        return a
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-    elif p % 8 == 5:
-        r = pow(a, (p + 3) // 8, p)
-        if r * r % p != a:
-            r = r * pow(2, (p - 1) // 4, p) % p
-    else:
-        # Tonelli-Shanks: write p-1 = q * 2^s with q odd
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        m, c = s, pow(z, q, p)
-        t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
-        while t != 1:
-            t2, i = t, 0
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c = i, b * b % p
-            t, r = t * c % p, r * b % p
-    return min(r, p - r)
+    a, p = np.broadcast_arrays(np.asarray(a, np.int64), np.asarray(p, np.int64))
+    _check_moduli(p, "sqrt_mod_primes")
+    a = a % p
+    root = np.where(p == 2, a, 0)  # the answer at p = 2 and at a = 0
+    todo = np.flatnonzero((p != 2) & (a != 0))
+    a, p = a[todo], p[todo]
+    low = (p - 1) & (1 - p)  # the largest power of 2 dividing p - 1
+    s = np.frexp(low)[1].astype(np.int64) - 1
+    q = (p - 1) >> s
+    x = pow_mod_array(a, (q - 1) // 2, p)
+    r = x * a % p
+    t = x * r % p
+    c = np.ones_like(p)  # p = 3 mod 4 (s = 1) never reads c
+    deep = np.flatnonzero(s > 1)
+    c[deep] = pow_mod_array(_nonresidues(p[deep]), q[deep], p[deep])
+    m = s  # s is not read again
+    live = np.flatnonzero(t != 1)
+    while live.size:
+        pl, ml = p[live], m[live]
+        # the least i >= 1 with t**(2**i) = 1: t != 1 has order 2**i <= 2**m
+        i = np.zeros_like(ml)
+        power = t[live]
+        for j in range(1, int(ml.max()) + 1):
+            power = power * power % pl
+            i[(i == 0) & (power == 1)] = j
+        residue = i < ml
+        r[live[~residue]] = -1
+        live, pl, ml, i = live[residue], pl[residue], ml[residue], i[residue]
+        b, e = c[live], ml - i - 1
+        for j in range(int(e.max(initial=0))):
+            b = np.where(j < e, b * b % pl, b)
+        m[live] = i
+        c[live] = b * b % pl
+        t[live] = t[live] * c[live] % pl
+        r[live] = r[live] * b % pl
+        live = live[t[live] != 1]
+    root[todo] = np.where(r < 0, -1, np.minimum(r, p - r))
+    return root
 
 
 def prime_array(n: int) -> np.ndarray:

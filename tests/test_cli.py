@@ -13,6 +13,7 @@ import re
 import shlex
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,19 @@ def test_cf_matches_expansion():
     assert record["period"] == list(exp.period)
     assert record["period_length"] == len(exp.period)
     assert record["a"] == 1 and record["b"] == 1
+
+
+def test_cf_max_steps_zero_closes_and_negative_is_refused():
+    # d = 5 has a one-quotient period, so no step past the first is needed
+    code, out, err = run_cli(["cf", "--d", "5", "--max-steps", "0"])
+    assert code == 0 and err == ""
+    assert one_json(out)["period"] == [1]
+    code, out, err = run_cli(["cf", "--d", "5", "--max-steps", "-5"])
+    assert code == 1 and out == ""
+    assert one_json(err) == {
+        "error": "ValueError",
+        "message": "cf --max-steps must be >= 0, got -5",
+    }
 
 
 def test_lvalue_exact_golden_ratio():
@@ -253,6 +267,59 @@ def test_family_scan_kind_jobs_byte_identical(kind):
     code3, out3, err3 = run_cli(argv + ["--jobs", "3"])
     assert code1 == code3 == 0 and err1 == err3 == ""
     assert out1 == out3 and len(out1.splitlines()) > lines
+
+
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records the processes asked for
+    and maps in this process, so no worker starts."""
+
+    def __init__(self, created, processes):
+        created.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(task) for task in tasks]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    created = []
+    monkeypatch.setattr(cli, "Pool", partial(RecordingPool, created))
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
+    return created
+
+
+def test_jobs_pool_is_capped_at_cpu_count(pools):
+    argv = ["family", "scan", "--kind", "chowla", "--kmin", "1"]
+    code, out, err = run_cli(argv + ["--kmax", "200"])
+    assert code == 0 and err == "" and pools == []
+    for jobs, kmax, processes in [(8, "200", 3), (2, "200", 2), (8, "2", 2)]:
+        code, got, err = run_cli(argv + ["--kmax", kmax, "--jobs", str(jobs)])
+        assert code == 0 and err == "" and pools[-1] == processes
+        if kmax == "200":
+            assert got == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "scan", "--kind", "chowla", "--kmax", "200"],
+        ["verify", "chowla"],
+    ],
+)
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_is_refused(pools, argv, jobs):
+    code, out, err = run_cli(argv + ["--jobs", str(jobs)])
+    assert code == 1 and out == "" and pools == []
+    assert one_json(err) == {
+        "error": "ValueError",
+        "message": f"--jobs must be at least 1, got {jobs}",
+    }
 
 
 def test_family_scan_rejects_missing_parameter():

@@ -1,6 +1,7 @@
 import random
 from math import isqrt, log, sqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from qrl.families import (
     _squarefree_ks,
 )
 from qrl.intarith import icbrt, is_squarefree, kronecker, primes_up_to
+from test_intarith import sqrt_mod_prime
 
 
 def toy_spec(n0=3, q=6, primes=(5,), x=10**10, eps1=0.9):
@@ -328,13 +330,13 @@ def test_root_table_windows_match_is_squarefree(n0, q, c, windows):
 
 def test_second_window_makes_no_root_calls(monkeypatch):
     calls = []
-    original = families.sqrt_mod_prime
+    original = families.sqrt_mod_primes
 
     def counting(a, p):
-        calls.append(p)
+        calls.append(len(p))
         return original(a, p)
 
-    monkeypatch.setattr(families, "sqrt_mod_prime", counting)
+    monkeypatch.setattr(families, "sqrt_mod_primes", counting)
     families._root_table.cache_clear()
     spec = build_progression(1, [5], 10**10, 0.9)
     scan_squarefree(spec, k_max=2000, k_min=1651)
@@ -344,6 +346,58 @@ def test_second_window_makes_no_root_calls(monkeypatch):
     calls.clear()
     records = scan_squarefree(spec, k_max=650, k_min=300)
     assert calls == [] and records
+
+
+def oracle_table(n0, q, c, bound):
+    """The root table's primes, k0 and every up to bound, entry by entry
+    with the scalar Tonelli-Shanks: per prime p not dividing q the roots
+    y = t, then y = p - t unless that is t, with k0 = (y - n0) q^-1 mod p."""
+    primes, k0, every = [], [], []
+    for p in primes_up_to(bound):
+        if q % p == 0:
+            if (n0 * n0 + c) % p == 0:
+                every.append(p)
+            continue
+        t = sqrt_mod_prime(-c % p, p)
+        if t is None:
+            continue
+        for y in (t,) if 2 * t % p == 0 else (t, p - t):
+            primes.append(p)
+            k0.append((y - n0) * pow(q, -1, p) % p)
+    return primes, k0, every
+
+
+def assert_table_matches_oracle(table):
+    primes, k0, every = oracle_table(table.n0, table.q, table.c, table.bound)
+    assert table.primes.dtype == table.k0.dtype == np.int64
+    assert table.primes.tolist() == primes
+    assert table.k0.tolist() == k0
+    assert table.every == every
+
+
+def test_root_table_matches_scalar_oracle():
+    # the x = 10**10 spec (n0 = 1365, q = 6006, c = 20), grown in steps
+    # that cross several ROOT_CHUNKs, up to 4 * 10**5
+    spec = build_progression(1, [5], 10**10, 0.9)
+    table = families._RootTable(spec.n0, spec.q, 4 * spec.primes[0])
+    for bound in (10, 3000, 50_000, 4 * 10**5):
+        table.grow(bound)
+        assert_table_matches_oracle(table)
+    assert table.bound == 4 * 10**5
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(-10**25, 10**25),
+    st.integers(1, 10**7),
+    st.integers(-10**12, 10**12),
+    st.lists(st.integers(2, 60_000), min_size=1, max_size=3),
+)
+def test_root_table_grows_like_scalar_oracle(n0, q, c, bounds):
+    table = families._RootTable(n0, q, c)
+    for bound in bounds:
+        table.grow(bound)
+        assert_table_matches_oracle(table)
 
 
 def test_density_closed_form_matches_brute():

@@ -15,9 +15,10 @@ from qrl.intarith import (
     is_squarefree,
     kronecker,
     prime_array,
+    pow_mod_array,
     primes_up_to,
     smallest_prime_factors,
-    sqrt_mod_prime,
+    sqrt_mod_primes,
     squarefree_decomposition,
     xgcd,
 )
@@ -135,6 +136,45 @@ def test_crt():
         crt([1, 2], [3])
 
 
+def sqrt_mod_prime(a, p):
+    """Smallest square root of a mod the prime p, or None when a is a
+    non-residue: the scalar Tonelli-Shanks that built the sieve's root table
+    before sqrt_mod_primes, with the p % 4 == 3 and p % 8 == 5 shortcuts."""
+    a %= p
+    if p == 2:
+        return a
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+    elif p % 8 == 5:
+        r = pow(a, (p + 3) // 8, p)
+        if r * r % p != a:
+            r = r * pow(2, (p - 1) // 4, p) % p
+    else:
+        # Tonelli-Shanks: write p-1 = q * 2^s with q odd
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        m, c = s, pow(z, q, p)
+        t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
+        while t != 1:
+            t2, i = t, 0
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (m - i - 1), p)
+            m, c = i, b * b % p
+            t, r = t * c % p, r * b % p
+    return min(r, p - r)
+
+
 def test_sqrt_mod_prime():
     for p in primes_up_to(150):
         squares = {x * x % p for x in range(p)}
@@ -145,6 +185,68 @@ def test_sqrt_mod_prime():
                 assert r <= p - r or p == 2
             else:
                 assert r is None
+
+
+def oracle_roots(a, p):
+    return [
+        -1 if r is None else r
+        for r in map(sqrt_mod_prime, np.asarray(a).tolist(), np.asarray(p).tolist())
+    ]
+
+
+def test_sqrt_mod_primes_brute_force():
+    # every a mod every odd prime p < 150: the smaller root, or -1
+    pairs = [(a, p) for p in primes_up_to(150)[1:] for a in range(p)]
+    a, p = np.array(pairs).T
+    got = sqrt_mod_primes(a, p)
+    assert got.dtype == np.int64
+    for (ai, pi), r in zip(pairs, got.tolist()):
+        roots = [x for x in range(pi) if x * x % pi == ai]
+        assert r == (min(roots) if roots else -1), (ai, pi)
+
+
+@pytest.mark.parametrize("c", [20, -20, 0, 3, 12345])
+def test_sqrt_mod_primes_matches_scalar(c):
+    p = prime_array(3 * 10**5)
+    a = -c % p
+    assert sqrt_mod_primes(a, p).tolist() == oracle_roots(a, p)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        99_999_989,  # the largest prime below SIEVE_PRIME_LIMIT = 10**8
+        7 * 2**20 + 1,  # p - 1 = 7 * 2**20: twenty Tonelli-Shanks rounds
+        11 * 2**21 + 1,
+    ],
+)
+def test_sqrt_mod_primes_int64_edge(p):
+    rng = np.random.default_rng(p)
+    x = rng.integers(0, p, 300)
+    a = np.concatenate([np.arange(50), p - 1 - np.arange(50), x * x % p, x])
+    got = sqrt_mod_primes(a, p)
+    assert got.tolist() == oracle_roots(a, np.full_like(a, p))
+
+
+def test_sqrt_mod_primes_refuses_wide_moduli():
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        sqrt_mod_primes(4, 2**31 + 11)
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        pow_mod_array(2, 5, 0)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(-2**62, 2**62), st.integers(0, 2**62), st.integers(1, 2**31 - 1)
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_pow_mod_array_matches_pow(triples):
+    base, exp, mod = (np.array(v) for v in zip(*triples))
+    assert pow_mod_array(base, exp, mod).tolist() == [pow(*t) for t in triples]
 
 
 def byte_sieve_primes(n):
