@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, e, erfc, exp, factorial, fsum, gcd, isqrt, log, pi, sqrt
+from math import ceil, e, erfc, exp, factorial, fsum, isqrt, log, pi, sqrt
 
 import numpy as np
 from mpmath import mp, mpf
@@ -29,9 +29,9 @@ from mpmath.libmp import round_floor, to_float
 
 from .cfrac import cf_orbit, fundamental_unit, regulator_enclosure
 from .intarith import (
-    divisors,
     factorize,
     fundamental_decomposition,
+    is_discriminant,
     kronecker,
     primes_up_to,
     residues_mod,
@@ -55,6 +55,12 @@ SERIES_BLOCK = 1 << 16
 # most terms N of the class-number series: its character table takes about
 # 29 bytes per term, so N = 10**7 peaks near 0.3 GB RSS and takes about 4 s
 SERIES_TERM_LIMIT = 10**7
+# reduced_forms refuses d >= FORM_GRID_LIMIT: below it b*b, m_b = (d - b*b)/4
+# and every position in the (b, a) grid stay below 2**53, so they are exact
+# in int64 and m_b and an integer quotient m_b/a are exact in float64
+FORM_GRID_LIMIT = 2**53
+# (b, a) pairs of the reduced_forms grid tested per numpy block
+FORM_BLOCK = 1 << 16
 # unit roundoff of a float, and the relative error allowed for one libm
 # erfc, exp or log: 2**7 ulp, against the 8 ulp assumed (glibc documents
 # at most 5 for erfc and 1 for exp and log)
@@ -85,17 +91,51 @@ class HBoundReport:
 
 
 def reduced_forms(d: int) -> list[Form]:
-    """All reduced primitive indefinite forms (a, b, c), a > 0, of discriminant d."""
-    s = isqrt(d)
+    """All reduced primitive indefinite forms (a, b, c), a > 0, of discriminant
+    d, by b and then a ascending.
+
+    (a, b, c) is reduced when 0 < b < sqrt(d) and sqrt(d) - b < 2a < sqrt(d) + b,
+    i.e. s + 1 - b <= 2a <= s + b with s = isqrt(d). Row k of the grid is
+    b = 2k + 1 + e (e = 1 - d % 2) with its b values a = rows - k, ...,
+    rows - k + b - 1 (rows = (s + 1 - e) // 2); laid end to end, row k starts
+    at position k (k + e). A pair is a form when a divides m_b = (d - b*b)/4
+    and gcd(a, b, m_b/a) = 1. The grid is tested FORM_BLOCK pairs at a time,
+    so memory stays bounded; its work grows like d/4 pairs."""
+    if not is_discriminant(d):
+        raise ValueError(f"{d} is not a real quadratic discriminant")
+    if d >= FORM_GRID_LIMIT:
+        raise ValueError(
+            f"reduced_forms: d = {d} is not below FORM_GRID_LIMIT = {FORM_GRID_LIMIT}"
+        )
+    s, e = isqrt(d), 1 - d % 2
+    rows = (s + 1 - e) // 2
+    pairs = rows * (rows + e)
     out: list[Form] = []
-    for b in range(2 - d % 2, s + 1, 2):
-        m = (d - b * b) // 4
-        for u in divisors(m):
-            # reduced: sqrt(d) - b < 2a < sqrt(d) + b, exact via isqrt
-            if s + 1 - b <= 2 * u <= s + b:
-                c = m // u
-                if gcd(gcd(u, b), c) == 1:
-                    out.append((u, b, -c))
+    for start in range(0, pairs, FORM_BLOCK):
+        stop = min(start + FORM_BLOCK, pairs)
+        # the rows k0..k1 that meet positions start..stop - 1
+        k0 = (isqrt(e + 4 * start) - e) // 2
+        k1 = (isqrt(e + 4 * (stop - 1)) - e) // 2
+        k = np.arange(k0, k1 + 2, dtype=np.int64)
+        edges = k * (k + e)
+        counts = np.diff(np.clip(edges, start, stop))
+        k = k[:-1]
+        b = 2 * k + 1 + e
+        m = (d - b * b) >> 2
+        # position p of row k holds a = p - (edges_k - rows + k)
+        a = np.arange(start, stop, dtype=np.int64) - np.repeat(
+            edges[:-1] - rows + k, counts
+        )
+        # m and a are below 2**53, so when a | m the quotient is an integer
+        # that float64 holds exactly: the filter loses no divisor; the int64
+        # remainder below confirms each hit
+        q = np.repeat(m.astype(np.float64), counts) / a
+        hit = np.flatnonzero(q == np.floor(q))
+        row = np.searchsorted(edges, hit + start, "right") - 1
+        a, m, b = a[hit], m[row], b[row]
+        c, r = np.divmod(m, a)
+        keep = (r == 0) & (np.gcd(np.gcd(a, b), c) == 1)
+        out += zip(a[keep].tolist(), b[keep].tolist(), (-c[keep]).tolist())
     return out
 
 

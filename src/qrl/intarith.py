@@ -386,11 +386,3 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if m > 1:
         out.append((m, 1))
     return out
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    out = [1]
-    for p, e in factorize(n):
-        out = [v * p**k for v in out for k in range(e + 1)]
-    return sorted(out)

@@ -1,10 +1,11 @@
 import math
 import random
+import tracemalloc
 from math import gcd, isqrt, log, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -21,7 +22,8 @@ from qrl.classno import (
     l_value_truncated,
     reduced_forms,
 )
-from qrl.intarith import divisors, fundamental_decomposition, is_discriminant, kronecker
+from qrl.intarith import fundamental_decomposition, is_discriminant, kronecker
+from test_intarith import divisors
 
 
 def fundamental_discriminants(lo, hi):
@@ -50,6 +52,72 @@ def test_forms_are_reduced_and_cycles_partition():
             assert 0 < b < s and abs(s - 2 * abs(a)) < b
         cycles = form_cycles(d)
         assert sum(len(c) for c in cycles) == len(forms)
+
+
+def trial_division_reduced_forms(d):
+    """The reduced forms by trial division, the oracle for reduced_forms'
+    numpy grid: every divisor u of m = (d - b*b)/4 in the reduced window,
+    b ascending."""
+    s = isqrt(d)
+    out = []
+    for b in range(2 - d % 2, s + 1, 2):
+        m = (d - b * b) // 4
+        for u in divisors(m):
+            if s + 1 - b <= 2 * u <= s + b and gcd(gcd(u, b), m // u) == 1:
+                out.append((u, b, -(m // u)))
+    return out
+
+
+def test_reduced_forms_match_trial_division_below_6000():
+    for d in range(5, 6000):
+        if is_discriminant(d):
+            assert reduced_forms(d) == trial_division_reduced_forms(d), d
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(5, 10**7))
+@example(5)
+@example(8)
+@example(12)
+@example(13)
+@example(10**6 + 1)
+@example(4 * 10**6 + 8)
+@example(9_999_997)
+@example(10**7 + 1)
+def test_reduced_forms_match_trial_division_sample(d):
+    assume(is_discriminant(d))
+    assert reduced_forms(d) == trial_division_reduced_forms(d)
+
+
+def test_reduced_forms_across_block_seams(monkeypatch):
+    # a block of 7 pairs: seams fall inside rows, and each row with b > 7
+    # spans more than one block
+    monkeypatch.setattr(classno, "FORM_BLOCK", 7)
+    for d in range(5, 2000):
+        if is_discriminant(d):
+            assert reduced_forms(d) == trial_division_reduced_forms(d), d
+
+
+@pytest.mark.parametrize("d", [7, 0, -3, 9, 16, 100])
+def test_forms_refuse_non_discriminants(d):
+    message = f"^{d} is not a real quadratic discriminant$"
+    for fn in (reduced_forms, form_cycles, class_number_forms):
+        with pytest.raises(ValueError, match=message):
+            fn(d)
+
+
+def test_reduced_forms_refuse_past_grid_limit_before_allocating():
+    d = classno.FORM_GRID_LIMIT  # 2**53 = 4 * 2**51, a discriminant
+    assert is_discriminant(d)
+    tracemalloc.start()
+    try:
+        for fn in (reduced_forms, class_number_forms):
+            with pytest.raises(ValueError, match=f"FORM_GRID_LIMIT = {d}$"):
+                fn(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def signed_form_class_numbers(d):

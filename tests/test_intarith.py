@@ -293,3 +293,17 @@ def test_factorize(n):
         assert is_prime(p)
         prod *= p**e
     assert prod == n
+
+
+def divisors(n):
+    """All positive divisors of n, ascending, from its factorization; used
+    by the reduced-form oracle and to draw random ideals."""
+    out = [1]
+    for p, e in factorize(n):
+        out = [v * p**k for v in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def test_divisors():
+    for n in range(1, 2000):
+        assert divisors(n) == [u for u in range(1, n + 1) if n % u == 0], n

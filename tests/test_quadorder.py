@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from qrl.intarith import divisors, is_discriminant
+from qrl.intarith import is_discriminant
 from qrl.quadorder import (
     QuadIdeal,
     QuadIrrational,
@@ -17,6 +17,7 @@ from qrl.quadorder import (
     reduced_preimage,
     unit_ideal,
 )
+from test_intarith import divisors
 
 
 def random_ideal(rng, d, allow_content=True):
