@@ -3,15 +3,19 @@
 The expansion never touches floats: a state is the (a, b) pair of
 (b + sqrt(d))/(2a), the partial quotient is an exact floor via isqrt, and
 the period starts at the first reduced state and ends on the return to it.
-`cf_orbit` is the one step, also used for class numbers, and `cf_expand`
-the one walk. The principal cycle of d is walked once into the cached
-`principal_expansion(d)`, and its every reader starts from that record:
-the regulator is the logarithm of the fundamental unit, which is built from
-the period's quotients by the continuant recurrence on bare integers, kept
-to its top bits, and taken with one logarithm at REGULATOR_DPS digits,
-cached per d for the unit, the class number and the criterion; the reduced
-principal ideals and their norms are its states; an exact big-integer unit
-is available separately for cross-checks.
+An expansion keeps its quotients and its states as columns: the tuples
+`period`, `a` and `b` of bare integers. `cf_orbit` is the one step, also
+used for class numbers, and `cf_expand` the walk from any start. The
+principal cycle of d is ambiguous, so symmetric: `principal_expansion(d)`
+walks it only to its middle and fills in the other half by reflection,
+sharing the integers of the first, and caches the result; its every reader
+starts from that record: the regulator is the logarithm of the fundamental
+unit, which is built from the period's quotients by the continuant
+recurrence on bare integers, kept to its top bits, and taken with one
+logarithm at REGULATOR_DPS digits, cached per d for the unit, the class
+number and the criterion; the reduced principal ideals and their norms are
+its state columns; an exact big-integer unit is available separately for
+cross-checks.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from math import ceil, gcd, isqrt, log, sqrt
 
 from mpmath import mp, mpf
@@ -33,10 +37,15 @@ from .quadorder import QuadIdeal, QuadIrrational, canonical_irrational, is_reduc
 EXPANSION_CACHE_SIZE = 1
 # bits of the continuant pair kept by regulator_enclosure
 UNIT_BITS = 192
+# regulator_enclosure shifts the continuant pair once it reaches this
+_UNIT_TOP = 1 << (UNIT_BITS + 64)
 # digits of regulator_enclosure's logarithm, whatever the caller's precision
 REGULATOR_DPS = 30
-# most quotients cf_expand takes, whatever max_steps allows: an expansion
-# holds about 150 bytes per step, so about 0.3 GB at this limit
+# most quotients cf_expand takes, whatever max_steps allows; principal_expansion
+# refuses the same d. Traced on d = 1000000000061 (199 129 steps, CPython
+# 3.11), an expansion keeps 88 bytes per step and peaks at 113 while built, a
+# principal one, whose halves share their integers, 56 and 80: peaks of about
+# 0.23 and 0.16 GB at this limit
 PERIOD_STEP_LIMIT = 2 * 10**6
 
 
@@ -47,17 +56,18 @@ class PeriodOverflow(RuntimeError):
 @dataclass(frozen=True)
 class CFExpansion:
     """The expansion of a quadratic irrational of discriminant d: its
-    preperiod quotients, then its period's quotients and reduced states
-    (a, b), one for each (b + sqrt(d))/(2a) of the period."""
+    preperiod quotients, then its period's quotients and the columns a and b
+    of its reduced states, one (b + sqrt(d))/(2a) for each quotient."""
 
     d: int
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
-    states: tuple[tuple[int, int], ...]
+    a: tuple[int, ...]
+    b: tuple[int, ...]
 
     @property
     def cycle(self) -> tuple[QuadIrrational, ...]:
-        return tuple(QuadIrrational(self.d, a, b) for a, b in self.states)
+        return tuple(QuadIrrational(self.d, a, b) for a, b in zip(self.a, self.b))
 
 
 @dataclass(frozen=True)
@@ -95,6 +105,14 @@ def cf_orbit(d: int, a: int, b: int) -> Iterator[tuple[int, int, int]]:
         a = (d - b * b) // (2 * twoa)
 
 
+def _overflow(d: int, a: int, b: int, steps: int, max_steps: int) -> PeriodOverflow:
+    limit = f"PERIOD_STEP_LIMIT = {steps}" if steps < max_steps else steps
+    return PeriodOverflow(
+        f"continued fraction of ({b}+sqrt({d}))/{2 * a} did not close "
+        f"within {limit} steps"
+    )
+
+
 def cf_expand(rho: QuadIrrational, max_steps: int | None = None) -> CFExpansion:
     """Expand rho, exactly, until it returns to its first reduced state: at
     most min(max_steps, PERIOD_STEP_LIMIT) + 1 quotients, else PeriodOverflow."""
@@ -105,29 +123,82 @@ def cf_expand(rho: QuadIrrational, max_steps: int | None = None) -> CFExpansion:
     s = isqrt(d)
     preperiod: list[int] = []
     period: list[int] = []
-    states: list[tuple[int, int]] = []
+    a_col: list[int] = []
+    b_col: list[int] = []
     # at most steps + 1 quotients, then the state that closes the cycle
     for alpha, a, b in islice(cf_orbit(d, rho.a, rho.b), max(1, steps + 2)):
-        if not states:
+        if not a_col:
             # the period starts at the first reduced state: every later one is
             if not is_reduced_state(a, b, s):
                 preperiod.append(alpha)
                 continue
-        elif (a, b) == states[0]:
-            return CFExpansion(d, tuple(preperiod), tuple(period), tuple(states))
+        elif a == a_col[0] and b == b_col[0]:
+            return CFExpansion(
+                d, tuple(preperiod), tuple(period), tuple(a_col), tuple(b_col)
+            )
         period.append(alpha)
-        states.append((a, b))
-    limit = f"PERIOD_STEP_LIMIT = {steps}" if steps < max_steps else steps
-    raise PeriodOverflow(
-        f"continued fraction of ({b}+sqrt({d}))/{2 * a} did not close "
-        f"within {limit} steps"
-    )
+        a_col.append(a)
+        b_col.append(b)
+    raise _overflow(d, a, b, steps, max_steps)
 
 
 @lru_cache(maxsize=EXPANSION_CACHE_SIZE)
 def principal_expansion(d: int) -> CFExpansion:
-    """Expansion of (d%2 + sqrt(d))/2, whose cycle is the principal cycle."""
-    return cf_expand(canonical_irrational(d))
+    """Expansion of (d%2 + sqrt(d))/2, whose cycle is the principal cycle:
+    cf_expand's, refused exactly when cf_expand refuses it, from a walk
+    over half the cycle.
+
+    Number the reduced states 1..T from the first; state T is the one with
+    a = 1, so a_0 = a_T = 1. The principal cycle is ambiguous, hence
+    symmetric: alpha_j = alpha_{T-j} and a_j = a_{T-j} for 0 < j < T, and
+    b_j = b_{T+1-j}. The walk stops at the first m with a_m = a_{m-1}
+    (T = 2m - 1, which is T = 1 when the first reduced state has a = 1) or,
+    for m > 1, b_m = b_{m-1} (T = 2m - 2); the rest of the cycle is the
+    reflection of states 1..m, and alpha_T = floor((b_1 + sqrt(d))/2). A walk
+    that passes state m without stopping has T >= 2m, so it meets the step
+    budget after about half of the steps cf_expand would take."""
+    rho = canonical_irrational(d)
+    max_steps = default_max_steps(d)
+    steps = min(max_steps, PERIOD_STEP_LIMIT)
+    s = isqrt(d)
+    preperiod: list[int] = []
+    orbit = cf_orbit(d, rho.a, rho.b)
+    for alpha, a, b in orbit:
+        if is_reduced_state(a, b, s):
+            break
+        preperiod.append(alpha)
+    # cf_expand closes within its budget iff P + T <= steps + 1, P the
+    # preperiod's length
+    budget = steps + 1 - len(preperiod)
+    period: list[int] = []
+    a_col: list[int] = []
+    b_col: list[int] = []
+    # a_0 = 1, and b_0 = b_1 is the centre the walk starts from. A state m
+    # that is not the middle proves T >= 2m, so the walk goes past it only
+    # while 2m <= budget: at most budget // 2 + 1 states
+    last_a, last_b = 1, None
+    states = chain([(alpha, a, b)], orbit)
+    for alpha, a, b in islice(states, max(0, budget // 2 + 1)):
+        period.append(alpha)
+        a_col.append(a)
+        b_col.append(b)
+        if a == last_a or b == last_b:
+            break
+        last_a, last_b = a, b
+    else:
+        raise _overflow(d, a, b, steps, max_steps)
+    m = len(period)
+    length = 2 * m - 1 if a == last_a else 2 * m - 2
+    if length > budget:
+        raise _overflow(d, a, b, steps, max_steps)
+    # the walk is at state m = k + 1: alpha_j and a_j for j <= k and b_j for
+    # j <= T - k give the rest by the symmetry
+    k = m - 1
+    mirror = length - 1 - k
+    period = period[:k] + period[:mirror][::-1] + [(b_col[0] + s) // 2]
+    a_col = a_col[:k] + a_col[:mirror][::-1] + [1]
+    b_col = b_col[: length - k] + b_col[:k][::-1]
+    return CFExpansion(d, tuple(preperiod), tuple(period), tuple(a_col), tuple(b_col))
 
 
 @lru_cache(maxsize=EXPANSION_CACHE_SIZE)
@@ -149,11 +220,11 @@ def regulator_enclosure(d: int) -> tuple[mpf, mpf]:
     bound adds a generous allowance for the rounding of the few mp
     operations."""
     exp = principal_expansion(d)
-    a1, b1 = exp.states[0]
+    a1, b1 = exp.a[0], exp.b[0]
     p, q, shift = 1, 0, 0
     for alpha in exp.period:
         p, q = alpha * p + q, p
-        if p.bit_length() > UNIT_BITS + 64:
+        if p >= _UNIT_TOP:
             excess = p.bit_length() - UNIT_BITS
             p, q, shift = p >> excess, q >> excess, shift + excess
     reg = mp.log(p + mpf(2 * a1 * q) / (b1 + mp.sqrt(d))) + shift * mp.ln2
@@ -173,7 +244,7 @@ def exact_unit(d: int) -> ExactUnit:
     """The fundamental unit with big-integer coordinates; d should be modest."""
     exp = principal_expansion(d)
     x_acc, y_acc, den = 1, 0, 1
-    for a, b in exp.states:
+    for a, b in zip(exp.a, exp.b):
         x_acc, y_acc = x_acc * b + y_acc * d, x_acc + y_acc * b
         den *= 2 * a
         g = gcd(gcd(x_acc, y_acc), den)
@@ -187,7 +258,8 @@ def exact_unit(d: int) -> ExactUnit:
 
 
 def reduced_principal_ideals(d: int) -> set[QuadIdeal]:
-    return {QuadIdeal(d, a, b) for a, b in principal_expansion(d).states}
+    exp = principal_expansion(d)
+    return {QuadIdeal(d, a, b) for a, b in zip(exp.a, exp.b)}
 
 
 def principal_ideal_of_norm(d: int, n: int) -> QuadIdeal | None:
@@ -195,7 +267,9 @@ def principal_ideal_of_norm(d: int, n: int) -> QuadIdeal | None:
     cycle, or None when n is not such a norm."""
     if n < 1:
         raise ValueError("principal_ideal_of_norm: n must be positive")
-    for a, b in principal_expansion(d).states:
-        if a == n:
-            return QuadIdeal(d, a, b)
-    return None
+    exp = principal_expansion(d)
+    try:
+        i = exp.a.index(n)
+    except ValueError:
+        return None
+    return QuadIdeal(d, n, exp.b[i])

@@ -3,12 +3,14 @@ from itertools import islice
 from math import gcd, isqrt, log, sqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import mp, mpf
 
 from qrl import cfrac
 from qrl.cfrac import (
+    REGULATOR_DPS,
+    UNIT_BITS,
     PeriodOverflow,
     cf_expand,
     exact_unit,
@@ -23,6 +25,7 @@ from qrl.families import family_scan
 from qrl.intarith import is_discriminant, is_squarefree
 from qrl.quadorder import QuadIdeal, QuadIrrational, canonical_irrational, classify
 
+from test_classno import fundamental_discriminants
 from test_quadorder import random_ideal, sample_discriminants
 
 
@@ -142,6 +145,91 @@ def test_max_steps_boundary():
 def test_max_steps_overflow():
     with pytest.raises(PeriodOverflow, match="did not close"):
         cf_expand(canonical_irrational(9949), max_steps=2)
+
+
+def test_principal_expansion_matches_cf_expand_below_30000():
+    # the half walk and its reflection against the full walk, on every
+    # discriminant, fundamental or not; T = 1 for d = b^2 + 4
+    lengths = set()
+    for d in range(5, 30000):
+        if is_discriminant(d):
+            exp = principal_expansion(d)
+            assert exp == cf_expand(canonical_irrational(d)), d
+            lengths.add(len(exp.period))
+    assert {1, 2, 3, 4} <= lengths
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(5, 10**12))
+@example(1000000000061)
+def test_principal_expansion_matches_cf_expand_sample(d):
+    assume(is_discriminant(d))
+    assert principal_expansion(d) == cf_expand(canonical_irrational(d))
+
+
+def test_principal_expansion_overflow_boundary(monkeypatch):
+    # P + T quotients in all: a limit of P + T - 1 closes, P + T - 2 does
+    # not, and the half walk refuses with cf_expand's limit after the
+    # preperiod and (T - 1) // 2 + 1 states
+    ds = (5, 8, 12, 13, 21, 28, 32, 61, 73, 136, 1000, 1009, 9949, 99997, 1000001)
+    expansions = [cf_expand(canonical_irrational(d)) for d in ds]
+    assert {len(exp.period) % 2 for exp in expansions} == {0, 1}
+    taken = []
+    original = cfrac.cf_orbit
+
+    def counting(d, a, b):
+        for step in original(d, a, b):
+            taken.append(step)
+            yield step
+
+    monkeypatch.setattr(cfrac, "cf_orbit", counting)
+    for d, exp in zip(ds, expansions):
+        total = len(exp.preperiod) + len(exp.period)
+        monkeypatch.setattr(cfrac, "PERIOD_STEP_LIMIT", total - 1)
+        principal_expansion.cache_clear()
+        assert principal_expansion(d) == exp, d
+        monkeypatch.setattr(cfrac, "PERIOD_STEP_LIMIT", total - 2)
+        principal_expansion.cache_clear()
+        within = f"did not close within PERIOD_STEP_LIMIT = {total - 2} steps"
+        taken.clear()
+        with pytest.raises(PeriodOverflow, match=within):
+            principal_expansion(d)
+        assert len(taken) == len(exp.preperiod) + (len(exp.period) - 1) // 2 + 1, d
+        with pytest.raises(PeriodOverflow, match=within):
+            cf_expand(canonical_irrational(d))
+
+
+def test_principal_ideal_of_norm_is_first_on_cycle():
+    for d in range(5, 3000):
+        if not is_discriminant(d):
+            continue
+        cycle = principal_expansion(d).cycle
+        for n in range(1, max(rho.a for rho in cycle) + 2):
+            first = next((rho.to_ideal() for rho in cycle if rho.a == n), None)
+            assert principal_ideal_of_norm(d, n) == first, (d, n)
+
+
+def continuant_enclosure(d):
+    """regulator_enclosure's continuant pass, over cf_expand's full period,
+    as a pair of mpf tuples."""
+    exp = cf_expand(canonical_irrational(d))
+    a1, b1 = exp.a[0], exp.b[0]
+    with mp.workdps(REGULATOR_DPS):
+        p, q, shift = 1, 0, 0
+        for alpha in exp.period:
+            p, q = alpha * p + q, p
+            if p.bit_length() > UNIT_BITS + 64:
+                excess = p.bit_length() - UNIT_BITS
+                p, q, shift = p >> excess, q >> excess, shift + excess
+        reg = mp.log(p + mpf(2 * a1 * q) / (b1 + mp.sqrt(d))) + shift * mp.ln2
+        err = mp.ldexp(len(exp.period), 2 - UNIT_BITS) + mp.ldexp(16 + 8 * reg, -mp.prec)
+    return reg._mpf_, err._mpf_
+
+
+def test_regulator_enclosure_matches_continuant_pass():
+    for d in list(fundamental_discriminants(5, 20001)) + yamamoto_discriminants():
+        reg, err = regulator_enclosure(d)
+        assert (reg._mpf_, err._mpf_) == continuant_enclosure(d), d
 
 
 def test_fundamental_unit_examples():
