@@ -7,12 +7,18 @@ h comes from the analytic class-number formula (Cohen, GTM 138, Prop.
 
 The sum is taken in floats up to a point N chosen from a proven error
 budget, and divided by the regulator enclosure of `cfrac`; h is the only
-integer in the resulting interval. An order of conductor f > 1 takes h from
-its field and the unit index. Where an interval pins no single integer, h
-falls back to `class_number_forms`, which counts the cycles of the reduced
-primitive (b + sqrt(d))/(2a), a > 0, under the continued-fraction step and
-is kept as the independent oracle. h_narrow is h if the fundamental unit has
-norm -1, else 2h. L(1, chi_d) is evaluated exactly with the finite log-sine
+integer in the resulting interval. chi_d comes from a cached plan of the
+n <= N by their number of prime factors, so each d costs one Euler
+criterion at the primes and one gather per layer. For pi n^2/d up to 4 both
+terms come from their power series, in one Horner pass; above it from their
+continued fractions, in one backward pass whose depth falls as pi n^2/d
+grows; each term's truncation and rounding are bounded as it is computed.
+An order of conductor f > 1 takes h from its field and the unit index.
+Where an interval pins no single integer, h falls back to
+`class_number_forms`, which counts the cycles of the reduced primitive
+(b + sqrt(d))/(2a), a > 0, under the continued-fraction step and is kept as
+the independent oracle. h_narrow is h if the fundamental unit has norm -1,
+else 2h. L(1, chi_d) is evaluated exactly with the finite log-sine
 character sum, and approximately by a truncated Euler product.
 """
 
@@ -21,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, e, erfc, exp, factorial, fsum, isqrt, log, pi, sqrt
+from math import ceil, exp, factorial, fsum, isqrt, log, pi, sqrt
 
 import numpy as np
 from mpmath import mp, mpf
@@ -33,7 +39,7 @@ from .intarith import (
     fundamental_decomposition,
     is_discriminant,
     kronecker,
-    primes_up_to,
+    prime_array,
     residues_mod,
     smallest_prime_factors,
 )
@@ -46,14 +52,33 @@ LEGENDRE_CACHE_SIZE = 64
 # share of the regulator R that the proven tail bound of the class-number
 # series may take: the h interval is then at most about TAIL_SHARE wide
 TAIL_SHARE = 1 / 2
-# terms of the power series of E1(x), x <= 1, and partial quotients of the
-# continued fraction of e^x E1(x), x > 1
-E1_SERIES_TERMS = 20
-E1_CF_DEPTH = 64
+# the class-number series takes A_n and B_n from power series for x_n up to
+# SERIES_SWITCH and from continued fractions above it. The power series
+# stop after x^K, K = SERIES_TERMS > SERIES_SWITCH, so the omitted terms
+# fall from the first on; for the x_n up to each edge of SERIES_BANDS they
+# stop at the least degree whose first omitted terms there are no larger.
+# The fractions are cut after m partial quotients for the x_n of the band
+# that ends at each edge of CF_BANDS: the least m that holds the half gap of
+# the m-th and (m + 1)-th convergents below 2**-35 of each fraction across
+# its band
+SERIES_SWITCH = 4.0
+SERIES_TERMS = 30
+SERIES_BANDS = (0.25, 1.0, 2.0, 3.0, SERIES_SWITCH)
+CF_BANDS = (
+    (5.0, 30),
+    (6.0, 25),
+    (8.0, 22),
+    (10.0, 18),
+    (12.0, 16),
+    (16.0, 14),
+    (24.0, 12),
+    (float("inf"), 10),
+)
 # terms of the class-number series evaluated per numpy block
 SERIES_BLOCK = 1 << 16
-# most terms N of the class-number series: its character table takes about
-# 29 bytes per term, so N = 10**7 peaks near 0.3 GB RSS and takes about 4 s
+# most terms N of the class-number series, and the bound of the cached plan
+# of chi_d: the plan keeps 8 bytes per term, so N = 10**7 peaks near 0.18 GB
+# RSS and takes about 1.4 s (1.1 s once the plan is built)
 SERIES_TERM_LIMIT = 10**7
 # reduced_forms refuses d >= FORM_GRID_LIMIT: below it b*b, m_b = (d - b*b)/4
 # and every position in the (b, a) grid stay below 2**53, so they are exact
@@ -62,14 +87,56 @@ FORM_GRID_LIMIT = 2**53
 # (b, a) pairs of the reduced_forms grid tested per numpy block
 FORM_BLOCK = 1 << 16
 # unit roundoff of a float, and the relative error allowed for one libm
-# erfc, exp or log: 2**7 ulp, against the 8 ulp assumed (glibc documents
-# at most 5 for erfc and 1 for exp and log)
+# exp or log: 2**7 ulp, against the 8 ulp assumed (glibc documents at most
+# 1 for both)
 _U = 2.0**-53
 _LIBM = 2.0**-46
 _EULER_GAMMA = 0.5772156649015329
-# (-1)^(k+1) / (k k!), the coefficients of the E1 series
-_E1_COEFFS = [
-    (-1) ** (k + 1) / (k * factorial(k)) for k in range(1, E1_SERIES_TERMS + 1)
+
+
+def _series_coefficients(k: int) -> tuple[float, float, float]:
+    """The x^k coefficients of E1(x) + gamma + log x (DLMF 6.6.2), of
+    sqrt(pi) erf(sqrt x) / (2 sqrt x) (DLMF 7.6.1), and the first's
+    magnitude plus twice the second's."""
+    e1 = (-1) ** (k + 1) / (k * factorial(k)) if k else 0.0
+    erf = (-1) ** k / (factorial(k) * (2 * k + 1))
+    return e1, erf, abs(e1) + 2 * abs(erf)
+
+
+def _omitted_terms(x: float, k: int) -> float:
+    """The magnitudes of the first terms after x^k of the power series of
+    E1(x) and of sqrt(pi) erf(sqrt x) / sqrt x, summed."""
+    return x ** (k + 1) / factorial(k + 1) * (1 / (k + 1) + 2 / (2 * k + 3))
+
+
+# the truncation bound of the power series (see _series_sum)
+_SERIES_TRUNCATION = _omitted_terms(SERIES_SWITCH, SERIES_TERMS)
+_SERIES_DEGREES = [
+    min(
+        k
+        for k in range(SERIES_TERMS + 1)
+        if _omitted_terms(x, k) <= _SERIES_TRUNCATION
+    )
+    for x in SERIES_BANDS
+]
+# the Horner steps k = K, ..., 0 of _power_series: the x^k coefficients, and
+# the number of bands of SERIES_BANDS, from the first, whose degree is below
+# k; their x skip step k
+_SERIES_STEPS = [
+    (list(_series_coefficients(k)), sum(degree < k for degree in _SERIES_DEGREES))
+    for k in range(SERIES_TERMS, -1, -1)
+]
+# the backward steps j = m + 1, ..., 1 of _fractions, m the deepest band's:
+# j, the j-th partial numerators of e^x A and of e^x B (see _series_sum) for
+# its rows, and the number of bands of CF_BANDS, from the first, that take
+# step j; the partial denominators of both fractions are x, 1, x, 1, ...
+_CF_STEPS = [
+    (
+        j,
+        np.array([[(j - 1) / 2 if j > 1 else 1.0]] * 2 + [[max(1, j // 2)]] * 2),
+        sum(m + 1 >= j for _, m in CF_BANDS),
+    )
+    for j in range(CF_BANDS[0][1] + 1, 0, -1)
 ]
 
 
@@ -169,7 +236,8 @@ def class_number_forms(d: int) -> tuple[int, int]:
 
 def _kronecker_at_primes(d: int, primes: np.ndarray) -> np.ndarray:
     """kronecker(d, p) for an ascending int64 array of primes p < 2**31
-    that starts at 2, as int8: Euler's criterion on numpy arrays."""
+    that starts at 2 or is empty, as int8: Euler's criterion on numpy
+    arrays."""
     odd = primes[1:]
     r = residues_mod(d, odd)
     # r^((p-1)/2) mod p is 0, 1 or p - 1
@@ -179,60 +247,128 @@ def _kronecker_at_primes(d: int, primes: np.ndarray) -> np.ndarray:
         r = r * r % odd
         power >>= 1
     chi = np.empty(len(primes), dtype=np.int8)
-    chi[0] = kronecker(d, 2)
+    chi[:1] = kronecker(d, 2)  # a slice: primes may be empty
     chi[1:] = np.where(acc == odd - 1, -1, acc)
     return chi
 
 
+class _OmegaLayers:
+    """The integers 2 <= n <= bound in layers by Omega(n), their number of
+    prime factors counted with multiplicity: layer 1 holds the primes, and
+    n = p c with p = spf(n) lies one layer above its cofactor c. Each layer
+    keeps its n ascending beside c, as int32 columns, so that chi_d on a
+    layer is one gather from the layers below (8 bytes per n)."""
+
+    def __init__(self, bound: int) -> None:
+        self.bound = bound
+        cofactor = np.arange(bound + 1, dtype=np.int32)
+        cofactor[2:] //= smallest_prime_factors(bound)[2:]
+        # c < n, and c <= n/2 < lo for the n in [lo, 2 lo)
+        omega = np.zeros(bound + 1, dtype=np.int8)
+        lo = 2
+        while lo <= bound:
+            omega[lo : 2 * lo] = omega[cofactor[lo : 2 * lo]] + 1
+            lo *= 2
+        self.n = np.empty(max(bound - 1, 0), dtype=np.int32)
+        self.ends: list[int] = []
+        start = 0
+        for k in range(1, int(omega.max(initial=0)) + 1):
+            layer = np.flatnonzero(omega == k)
+            self.n[start : start + len(layer)] = layer
+            start += len(layer)
+            self.ends.append(start)
+        del omega
+        self.cofactor = cofactor[self.n]
+
+
+_layers: _OmegaLayers | None = None
+
+
+def _omega_layers(n: int) -> _OmegaLayers:
+    """Layers covering 2..n: the cached ones, or new ones to at least twice
+    their bound, capped at SERIES_TERM_LIMIT >= n."""
+    global _layers
+    if n > SERIES_TERM_LIMIT:
+        raise ValueError(f"{n} terms exceed SERIES_TERM_LIMIT = {SERIES_TERM_LIMIT}")
+    layers = _layers
+    if layers is None or layers.bound < n:
+        bound = min(max(n, 2 * layers.bound if layers else 0), SERIES_TERM_LIMIT)
+        _layers = layers = None  # freed before the larger layers are built
+        _layers = layers = _OmegaLayers(bound)
+    return layers
+
+
 def _character_table(d: int, n: int) -> np.ndarray:
-    """chi_d(k) = kronecker(d, k) for 0 <= k <= n, as an int8 array: chi_d at
-    the primes, extended by complete multiplicativity, one smallest prime
-    factor at a time."""
-    spf = smallest_prime_factors(n)
-    k = np.arange(n + 1, dtype=np.int32)
-    at_prime = np.zeros(n + 1, dtype=np.int8)
-    primes = np.flatnonzero(spf[2:] == k[2:]) + 2
-    if primes.size:
-        at_prime[primes] = _kronecker_at_primes(d, primes)
-    chi = np.ones(n + 1, dtype=np.int8)
-    chi[0] = 0
-    live = k[2:]  # the k whose cofactor rest = k / (primes taken) is > 1
-    rest = live
-    while live.size:
-        p = spf[rest]
-        chi[live] *= at_prime[p]
-        rest = rest // p
-        keep = rest > 1
-        live, rest = live[keep], rest[keep]
+    """chi_d(k) = kronecker(d, k) for 0 <= k <= n, as an int8 array: chi_d
+    at the primes by Euler's criterion, then chi_d(p c) = chi_d(p) chi_d(c)
+    one Omega layer at a time, over the prefix k <= n of each."""
+    chi = np.zeros(n + 1, dtype=np.int8)
+    chi[1:2] = 1  # a slice: n may be 0
+    layers = _omega_layers(n)
+    start = 0
+    for end in layers.ends:
+        stop = start + int(np.searchsorted(layers.n[start:end], n, "right"))
+        if stop == start:  # layer j starts at 2**j: none later has a k <= n
+            break
+        k, c = layers.n[start:stop], layers.cofactor[start:stop]
+        if start:
+            chi[k] = chi[k // c] * chi[c]
+        else:  # the primes
+            chi[k] = _kronecker_at_primes(d, k.astype(np.int64))
+        start = end
     return chi
 
 
-def _exp1_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """E1(x) for 0 < x <= 1, the magnitude that scales its rounding error,
-    and its truncation bound (see _series_sum)."""
-    # -gamma - log x + sum_{k=1}^{K} (-1)^(k+1) x^k / (k k!), by Horner
-    acc = np.full_like(x, _E1_COEFFS[-1])
-    for c in reversed(_E1_COEFFS[:-1]):
-        acc = acc * x + c
+def _power_series(
+    x: np.ndarray, root_over_n: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A_n and B_n, as rows, for 0 < x_n <= SERIES_SWITCH by the power
+    series, and a bound on the error of each A_n + B_n (see _series_sum)."""
+    # rows: the E1 series, P and the magnitude mu (see _series_sum), by
+    # Horner's rule; each x starts from 0 at the degree of its band, so its
+    # first step leaves that degree's coefficient
+    e1, p, mu = acc = [np.zeros(len(x)) for _ in range(3)]
+    ends = [0] + np.searchsorted(x, SERIES_BANDS, "right").tolist()
+    for coeffs, skipped in _SERIES_STEPS:
+        start = ends[skipped]
+        tail = x[start:]
+        for row, c in zip(acc, coeffs):
+            view = row[start:]
+            view *= tail
+            view += c
     logs = np.log(x)
-    magnitude = _EULER_GAMMA + np.abs(logs) + e
-    trunc = 1.0 / ((E1_SERIES_TERMS + 1) * factorial(E1_SERIES_TERMS + 1))
-    return acc * x - logs - _EULER_GAMMA, magnitude, np.full_like(x, trunc)
+    terms = np.empty((2, len(x)))
+    np.subtract(root_over_n, 2.0 * p, out=terms[0])
+    np.subtract(e1 - logs, _EULER_GAMMA, out=terms[1])
+    rounding = (
+        (2 * SERIES_TERMS + 5) * _U * mu
+        + (_LIBM + 4 * _U) * np.abs(logs)
+        + 5 * _U * root_over_n
+        + (4 * _EULER_GAMMA + 10) * _U
+    )
+    return terms, 2 * rounding + _SERIES_TRUNCATION
 
 
-def _exp1_fraction(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """E1(x) for x > 1, the magnitude that scales its rounding error, and
-    its truncation bound (see _series_sum)."""
-    # e^x E1(x) = 1/(x + 1/(1 + 1/(x + 2/(1 + 2/(x + 3/(1 + ...)))))), cut
-    # after m + 1 and after m partial quotients: tails 0 and infinity
-    # behind the (m + 1)-th
-    t = np.zeros((2, len(x)))
-    t[1] = np.inf
-    for j in range(E1_CF_DEPTH + 1, 0, -1):
-        t = max(1, j // 2) / ((x if j % 2 else 1.0) + t)
-    scale = np.exp(-x)
-    value = scale * t[1]
-    return value, value, scale * np.abs(t[0] - t[1])
+def _fractions(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A_n and B_n, as rows, for ascending x_n > SERIES_SWITCH by the
+    continued fractions, and a bound on the error of each A_n + B_n (see
+    _series_sum)."""
+    # rows: the fractions of A and of B cut after m and after m + 1 partial
+    # quotients (tails infinity and 0); the x of the bands that need depth
+    # j - 1 or more are a prefix of x
+    t = np.zeros((4, len(x)))
+    t[::2] = np.inf
+    ends = [0] + np.searchsorted(x, [edge for edge, _ in CF_BANDS], "right").tolist()
+    for j, numerators, bands in _CF_STEPS:
+        k = ends[bands]
+        s = t[:, :k]
+        s += x[:k] if j % 2 else 1.0
+        np.divide(numerators, s, out=s)
+    scale = 0.5 * np.exp(-x)
+    terms = scale * (t[::2] + t[1::2])
+    gaps = scale * (np.abs(t[0] - t[1]) + np.abs(t[2] - t[3]))
+    eta = 2 * (_LIBM + (5 * x + 4 * CF_BANDS[0][1] + 13) * _U)
+    return terms, eta * (terms[0] + terms[1]) + gaps
 
 
 def _series_sum(d: int, n_max: int) -> tuple[float, float]:
@@ -240,9 +376,10 @@ def _series_sum(d: int, n_max: int) -> tuple[float, float]:
     B_n = E1(x_n), x_n = pi n^2/d, as a float S~ from the n <= N = n_max,
     and a bound on |S~ - S|; chi_d = kronecker(d, .), d > 0.
 
-    u = 2**-53 is the unit roundoff. math.erfc and numpy's exp and log are
-    assumed accurate to 8 ulp; the budget allows L = 2**-46 (128 ulp) for
-    each. X = x_N is the largest argument.
+    u = 2**-53 is the unit roundoff. numpy's exp and log are assumed
+    accurate to 8 ulp; the budget allows L = 2**-46 (128 ulp) for each.
+    X = x_N is the largest argument. As sqrt(d)/n = sqrt(pi/x_n), A_n =
+    sqrt(pi) erfc(sqrt x)/sqrt x at x = x_n.
 
     Tail. erfc(t) <= e^-t^2 / (t sqrt(pi)) and E1(x) <= e^-x / x for t,
     x > 0, so A_n + B_n <= 2 e^-x_n / x_n = 2d e^-x_n / (pi n^2). Past N
@@ -251,41 +388,51 @@ def _series_sum(d: int, n_max: int) -> tuple[float, float]:
     |sum_{n > N}| <= sqrt(d/pi) e^-X X^(-3/2). The bound added is twice
     that, which covers its own float evaluation.
 
-    Terms. n and chi_n are exact; the computed x~_n (pi, d, a division,
-    two products) and sqrt(x~_n) carry relative errors of at most 5u and
-    4u.
-    - A~_n: erfc(t) > 2 e^-t^2 / (sqrt(pi) (t + sqrt(t^2 + 2))) bounds
-      erfc's condition number at t by 2t^2 + 2 <= 2X + 2, so
-      the relative error is at most L + (8X + 8)u + 5u (sqrt(d), the
-      division, the product).
-    - B~_n for x <= 1, the series to K = E1_SERIES_TERMS terms by Horner:
-      the omitted terms alternate and fall, so the truncation is at most
-      D_n = 1/((K+1)(K+1)!). Moving x by 5u x moves E1 by at most
-      5u e^-x; the log adds L |log x|; Horner (sum |c_k| x^k <= e - 1),
-      gamma and the two additions at most (2K + 4)u M_n, with
-      M_n = gamma + |log x| + e >= |B_n|. In all, L + (2K + 9)u times M_n.
-    - B~_n for x > 1, e^-x F~_m with F the continued fraction in
-      _exp1_fraction and m = E1_CF_DEPTH: its partial numerators and
-      denominators are positive, so F lies between any two consecutive
-      convergents, |F - F_m| <= |F_m - F_m+1|. The backward evaluation of
-      each convergent is exact to 2(m + 1)u relative, so D_n = e^-x~
-      |F~_m - F~_m+1| plus 4(m + 1)u B~_n covers the truncation. F = e^x E1
-      lies in (1/(x+1), 1/x) with |F'| <= F/x, so the argument's 5u x moves
-      F by 5u F relative, and exp(-x~) errs by L + 5Xu. With M_n = B~_n:
-      in all, L + (5X + 6m + 16)u times M_n, plus D_n.
-    - Adding A~ + B~ costs u (A~ + M), and so does the sum of each block
-      of terms: math.fsum is correctly rounded.
-    With eta = 2 (L + (8X + 6m + 2K + 32)u), twice each of these, the
-    computed term errs by at most eta (A~_n + M_n) + D_n; the factor 2
-    covers the second-order terms.
+    Terms. n and chi_n are exact, and the computed x~_n (pi, d, a
+    division, two products) carries a relative error of at most 5u. Each
+    bound below counts, for the term A~ + B~, its own rounding and the
+    block sum's, u (|A~| + |B~|): math.fsum is correctly rounded.
+    - x~ <= SERIES_SWITCH, _power_series: B = -gamma - log x + sum_{k>=1}
+      c_k x^k (DLMF 6.6.2) and A = r - 2 P(x), r = sqrt(d)/n, P = sqrt(pi)
+      erf(sqrt x) / (2 sqrt x) = sum_{k>=0} a_k x^k (DLMF 7.6.1). Both are
+      cut after x^k, k <= K = SERIES_TERMS the degree of x's band in
+      SERIES_BANDS. Their terms alternate and, since k + 1 > x, fall from
+      the first omitted one on, so the two truncations are at most the
+      first omitted terms at the band's edge, and these at most T =
+      _SERIES_TRUNCATION, the ones at x = SERIES_SWITCH and k = K.
+      Horner's rule errs by at most 2Ku times mu_B = sum |c_k| x^k and 2Ku
+      times mu_P = sum |a_k| x^k, and the rounded coefficients by u/2
+      times the same; Horner's third row computes mu = mu_B + 2 mu_P. log
+      errs by L |log x~|, r by 2u r and gamma by u gamma/2. The
+      subtraction in A~, the sum A~ + B~ and the block sum cost u |A~| <=
+      u r each; in B~ the series less log x~ costs u (mu_B + |log x|),
+      and the subtraction of gamma, the sum and the block sum cost u
+      |B~| <= u (gamma + |log x| + mu_B) each. Moving x by 5u x moves E1
+      by at most 5u e^-x and 2 P by at most 5u (|x P'| <= 1/2). In all,
+      at most (2K + 5)u mu + (L + 4u) |log x~| + 5u r + (4 gamma + 10)u +
+      T; the bound taken doubles all but T, which covers the second-order
+      terms and mu's own rounding.
+    - x~ > SERIES_SWITCH, _fractions: A = e^-x G and B = e^-x F with
+      F = e^x E1(x) = 1/(x + 1/(1 + 1/(x + 2/(1 + 2/(x + ...))))) (DLMF
+      6.9.1) and G = 1/(x + (1/2)/(1 + 1/(x + (3/2)/(1 + 2/(x + ...)))))
+      (DLMF 7.9.2 in x = z^2). Their partial numerators and denominators
+      are positive, so each lies between any two consecutive convergents,
+      and within half their gap of their midpoint; m is the depth of x's
+      band in CF_BANDS. The backward evaluation of each convergent is
+      exact to 2(m + 1)u relative, so e^-x~ times the computed half gaps,
+      plus 2(m + 1)u (A~ + B~), covers both truncations. F lies in
+      (1/(x + 1), 1/x) and G in (1/(x + 1/2), 1/x), which give |F'| <= F/x
+      and |G'| <= G/x: the argument's 5u x moves them by 5u relative, and
+      exp(-x~) errs by L + 5xu. With the midpoint (2(m + 1)u and u), the
+      products by e^-x~/2, the sum and the block sum (u each): in all,
+      (L + (5x + 4m + 13)u)(A~ + B~) plus the gap term. The bound taken
+      doubles the first part, with m the deepest band's.
 
     Sum. math.fsum of the block sums is correctly rounded: u |S~|. The
     nonnegative error terms are summed in floats, exact to N u < 2**-22
     relative, so the bound returned is twice their sum and u |S~|, plus
     the tail."""
     chi = _character_table(d, n_max)
-    x_max = pi * n_max * n_max / d
-    eta = 2 * (_LIBM + (8 * x_max + 6 * E1_CF_DEPTH + 2 * E1_SERIES_TERMS + 32) * _U)
     root, scale = sqrt(d), pi / d
     sums: list[float] = []
     err = 0.0
@@ -293,14 +440,14 @@ def _series_sum(d: int, n_max: int) -> tuple[float, float]:
         n = np.flatnonzero(chi[lo : lo + SERIES_BLOCK]) + lo
         nf = n.astype(np.float64)
         x = nf * (nf * scale)
-        a = root / nf * np.fromiter(map(erfc, np.sqrt(x)), np.float64, len(x))
-        b, mag, trunc = (np.empty_like(x) for _ in range(3))
-        small = x <= 1.0
-        b[small], mag[small], trunc[small] = _exp1_series(x[small])
-        b[~small], mag[~small], trunc[~small] = _exp1_fraction(x[~small])
-        sums.append(fsum((chi[n] * (a + b)).tolist()))
-        err += float(np.sum(eta * (a + mag) + trunc))
+        cut = int(np.searchsorted(x, SERIES_SWITCH, "right"))
+        near, near_err = _power_series(x[:cut], root / nf[:cut])
+        far, far_err = _fractions(x[cut:])
+        terms = np.concatenate([near, far], axis=1)
+        sums.append(fsum((chi[n] * (terms[0] + terms[1])).tolist()))
+        err += float(np.sum(near_err)) + float(np.sum(far_err))
     total = fsum(sums)
+    x_max = pi * n_max * n_max / d
     tail = 2 * sqrt(d / pi) * exp(-x_max) * x_max**-1.5
     return total, 2 * (err + _U * abs(total)) + tail
 
@@ -418,9 +565,9 @@ def l_value_truncated(d: int, B: int) -> float:
     """Euler product of L(1, chi_d) over primes p <= B (B = 1 gives 1.0)."""
     if B < 1:
         raise ValueError("l_value_truncated: bound must be >= 1")
+    primes = prime_array(B)
     prod = 1.0
-    for p in primes_up_to(B):
-        chi = kronecker(d, p)
+    for p, chi in zip(primes.tolist(), _kronecker_at_primes(d, primes).tolist()):
         if chi:
             prod *= p / (p - chi)
     return prod

@@ -167,6 +167,27 @@ def test_l_truncated_examples():
         l_value_truncated(5, 0)
 
 
+def kronecker_euler_product(d, B):
+    """The Euler product over the primes p <= B, ascending, by trial
+    division and one kronecker call per prime: the oracle for
+    l_value_truncated's numpy character."""
+    prod = 1.0
+    for p in range(2, B + 1):
+        if all(p % q for q in range(2, isqrt(p) + 1)):
+            chi = kronecker(d, p)
+            if chi:
+                prod *= p / (p - chi)
+    return prod
+
+
+@pytest.mark.parametrize("B", [1, 2, 217, 10**5])
+def test_l_truncated_matches_kronecker_product(B):
+    # d sharing the primes 2, 3, 7, 31 and 99991 with B, and ones that do not
+    ds = [5, 8, 12, 13, 21, 24, 40, 217, 4 * 217, 99991 * 4, 10**6 + 1, 2**89 - 1]
+    for d in ds:
+        assert l_value_truncated(d, B) == kronecker_euler_product(d, B), (d, B)
+
+
 def test_l_exact_examples():
     assert abs(l_value_exact(5) - 0.4304089) < 1e-6
     assert abs(l_value_exact(8) - 0.6232252) < 1e-6
@@ -274,24 +295,74 @@ def test_class_number_falls_back_to_forms(monkeypatch):
     assert calls == ds
 
 
+CHARACTER_TABLE_DS = (5, 8, 12, 13, 40, 88, 1009, 3 * 5 * 7 * 11 * 13 * 4 + 1, 2**89 - 1)
+
+
 def test_character_table_matches_kronecker():
-    big = 2**89 - 1  # d mod p through three full 31-bit limbs
-    for d in (5, 8, 12, 13, 40, 88, 1009, 3 * 5 * 7 * 11 * 13 * 4 + 1, big):
+    # 2**89 - 1: d mod p through three full 31-bit limbs
+    for d in CHARACTER_TABLE_DS:
         table = classno._character_table(d, 600)
         assert table.tolist() == [kronecker(d, k) for k in range(601)], d
 
 
-def test_exp1_within_its_error_bound():
+def test_character_table_across_plan_growth(monkeypatch):
+    # the Omega layers are built for N = 512, rebuilt twice by doubling, and
+    # then serve a smaller N from the larger layers; a power of two is the
+    # last n of its Omega layer's block
+    monkeypatch.setattr(classno, "_layers", None)
+    steps = ((512, 512), (600, 1024), (1100, 2048), (2048, 2048), (650, 2048))
+    for n, bound in steps:
+        for d in CHARACTER_TABLE_DS:
+            table = classno._character_table(d, n)
+            assert table.tolist() == [kronecker(d, k) for k in range(n + 1)], (d, n)
+        assert classno._layers.bound == bound, n
+
+
+def test_omega_layers_stop_at_series_term_limit(monkeypatch):
+    monkeypatch.setattr(classno, "_layers", None)
+    monkeypatch.setattr(classno, "SERIES_TERM_LIMIT", 1000)
+    classno._character_table(5, 600)
+    table = classno._character_table(5, 900)  # doubling would give 1200
+    assert table.tolist() == [kronecker(5, k) for k in range(901)]
+    layers = classno._layers
+    assert layers.bound == 1000
+    assert sorted(layers.n.tolist()) == list(range(2, 1001))
+    with pytest.raises(ValueError, match="SERIES_TERM_LIMIT = 1000$"):
+        classno._character_table(5, 1001)
+    assert classno._layers is layers
+
+
+def series_term_points():
+    """899 points from 1e-12 to 60, log-spaced up to 1 and evenly above,
+    and each side of every edge of SERIES_BANDS, the last SERIES_SWITCH,
+    and of CF_BANDS."""
     x = np.concatenate([np.geomspace(1e-12, 1.0, 300), np.linspace(1.0, 60.0, 600)[1:]])
-    small = x <= 1.0
-    parts = [classno._exp1_series(x[small]), classno._exp1_fraction(x[~small])]
-    value, magnitude, trunc = (np.concatenate(arrays) for arrays in zip(*parts))
-    # _series_sum's eta at X = 60
-    steps = 8 * 60 + 6 * classno.E1_CF_DEPTH + 2 * classno.E1_SERIES_TERMS + 32
-    eta = 2 * (classno._LIBM + steps * classno._U)
+    edges = list(classno.SERIES_BANDS) + [e for e, _ in classno.CF_BANDS[:-1]]
+    near = [np.nextafter(e, s) for e in edges for s in (0.0, np.inf)]
+    near += [e * (1 + s) for e in edges for s in (-1e-6, 1e-6)]
+    return np.unique(np.concatenate([x, edges, near]))
+
+
+def test_series_terms_within_their_error_bounds():
+    # A_n = sqrt(pi) erfc(sqrt x)/sqrt x and B_n = E1(x), each and their sum
+    # within the bound _series_sum adds for the term, and the bound tight
+    x = series_term_points()
     with mp.workdps(40):
-        for xi, v, m, t in zip(x, value, magnitude, trunc):
-            assert abs(v - mp.e1(mpf(xi))) <= eta * m + t, xi
+        exact_a = [mp.sqrt(mp.pi / v) * mp.erfc(mp.sqrt(v)) for v in map(mpf, x)]
+        exact_b = [mp.e1(mpf(v)) for v in x]
+        root_over_n = np.array([float(mp.sqrt(mp.pi / mpf(v))) for v in x])
+    cut = np.searchsorted(x, classno.SERIES_SWITCH, "right")
+    assert x[cut - 1] == classno.SERIES_SWITCH
+    near, near_err = classno._power_series(x[:cut], root_over_n[:cut])
+    far, far_err = classno._fractions(x[cut:])
+    terms = np.concatenate([near, far], axis=1)
+    bounds = np.concatenate([near_err, far_err])
+    with mp.workdps(40):
+        for v, a, b, ea, eb, bound in zip(x, *terms, exact_a, exact_b, bounds):
+            assert abs(a - ea) <= bound, v
+            assert abs(b - eb) <= bound, v
+            assert abs(a + b - (ea + eb)) <= bound, v
+            assert bound <= 1e-10 * (ea + eb), v
 
 
 @pytest.mark.parametrize("d", [5, 13, 1009, 4 * 1011, 100049])
@@ -322,8 +393,10 @@ def ulps(got, exact):
 
 
 def test_libm_within_eight_ulp():
-    # _series_sum and the certified family checks assume 8 ulp for these,
-    # over the ranges they use; classno._LIBM allows 2**7 ulp
+    # _series_sum and the certified family checks assume 8 ulp for np.exp,
+    # np.log and math.log, over the ranges they use; classno._LIBM allows
+    # 2**7 ulp. math.erfc, which the series no longer calls, keeps its
+    # points as a check of the same libm
     rng = np.random.default_rng(11)
     t = 7 * (1 - rng.random(3000))  # (0, 7]
     x = -40 * rng.random(3000)  # (-40, 0]
