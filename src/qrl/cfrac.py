@@ -115,10 +115,13 @@ def _overflow(d: int, a: int, b: int, steps: int, max_steps: int) -> PeriodOverf
 
 def cf_expand(rho: QuadIrrational, max_steps: int | None = None) -> CFExpansion:
     """Expand rho, exactly, until it returns to its first reduced state: at
-    most min(max_steps, PERIOD_STEP_LIMIT) + 1 quotients, else PeriodOverflow."""
+    most min(max_steps, PERIOD_STEP_LIMIT) + 1 quotients, else PeriodOverflow.
+    A negative max_steps is refused with a ValueError before any step."""
     d = rho.d
     if max_steps is None:
         max_steps = default_max_steps(d)
+    elif max_steps < 0:
+        raise ValueError(f"cf_expand: max_steps must be >= 0, got {max_steps}")
     steps = min(max_steps, PERIOD_STEP_LIMIT)
     s = isqrt(d)
     preperiod: list[int] = []
@@ -255,11 +258,6 @@ def exact_unit(d: int) -> ExactUnit:
     sign = -1 if len(exp.period) % 2 else 1
     assert x * x - d * y * y == 4 * sign
     return ExactUnit(d, x, y, sign)
-
-
-def reduced_principal_ideals(d: int) -> set[QuadIdeal]:
-    exp = principal_expansion(d)
-    return {QuadIdeal(d, a, b) for a, b in zip(exp.a, exp.b)}
 
 
 def principal_ideal_of_norm(d: int, n: int) -> QuadIdeal | None:

@@ -7,12 +7,13 @@ h comes from the analytic class-number formula (Cohen, GTM 138, Prop.
 
 The sum is taken in floats up to a point N chosen from a proven error
 budget, and divided by the regulator enclosure of `cfrac`; h is the only
-integer in the resulting interval. chi_d comes from a cached plan of the
-n <= N by their number of prime factors, so each d costs one Euler
-criterion at the primes and one gather per layer. For pi n^2/d up to 4 both
-terms come from their power series, in one Horner pass; above it from their
-continued fractions, in one backward pass whose depth falls as pi n^2/d
-grows; each term's truncation and rounding are bounded as it is computed.
+integer in the resulting interval. chi_d comes from a cached table of the
+smallest prime factors of the n <= N, so each d costs one Euler criterion
+at the primes and one gather per block [2^j, 2^(j+1)). For pi n^2/d up to
+4 both terms come from their power series, in one Horner pass; above it
+from their continued fractions, in one backward pass whose depth falls as
+pi n^2/d grows; each term's truncation and rounding are bounded as it is
+computed.
 An order of conductor f > 1 takes h from its field and the unit index.
 Where an interval pins no single integer, h falls back to
 `class_number_forms`, which counts the cycles of the reduced primitive
@@ -76,10 +77,14 @@ CF_BANDS = (
 )
 # terms of the class-number series evaluated per numpy block
 SERIES_BLOCK = 1 << 16
-# most terms N of the class-number series, and the bound of the cached plan
-# of chi_d: the plan keeps 8 bytes per term, so N = 10**7 peaks near 0.18 GB
-# RSS and takes about 1.4 s (1.1 s once the plan is built)
+# most terms N of the class-number series, and the bound of the cached
+# tables of chi_d: they keep 4.5 bytes per term at N = 10**7 (int32 smallest
+# prime factors, int64 primes), where the series peaks near 0.12 GB RSS and
+# takes 2.0-2.5 s on 2 vCPUs (1.2-1.5 s once the tables are built)
 SERIES_TERM_LIMIT = 10**7
+# largest prime bound B of l_value_truncated: its sieve and character peak
+# at 7.5 bytes per B under tracemalloc at B = 10**6
+MAX_EULER_BOUND = 10**6
 # reduced_forms refuses d >= FORM_GRID_LIMIT: below it b*b, m_b = (d - b*b)/4
 # and every position in the (b, a) grid stay below 2**53, so they are exact
 # in int64 and m_b and an integer quotient m_b/a are exact in float64
@@ -252,70 +257,43 @@ def _kronecker_at_primes(d: int, primes: np.ndarray) -> np.ndarray:
     return chi
 
 
-class _OmegaLayers:
-    """The integers 2 <= n <= bound in layers by Omega(n), their number of
-    prime factors counted with multiplicity: layer 1 holds the primes, and
-    n = p c with p = spf(n) lies one layer above its cofactor c. Each layer
-    keeps its n ascending beside c, as int32 columns, so that chi_d on a
-    layer is one gather from the layers below (8 bytes per n)."""
-
-    def __init__(self, bound: int) -> None:
-        self.bound = bound
-        cofactor = np.arange(bound + 1, dtype=np.int32)
-        cofactor[2:] //= smallest_prime_factors(bound)[2:]
-        # c < n, and c <= n/2 < lo for the n in [lo, 2 lo)
-        omega = np.zeros(bound + 1, dtype=np.int8)
-        lo = 2
-        while lo <= bound:
-            omega[lo : 2 * lo] = omega[cofactor[lo : 2 * lo]] + 1
-            lo *= 2
-        self.n = np.empty(max(bound - 1, 0), dtype=np.int32)
-        self.ends: list[int] = []
-        start = 0
-        for k in range(1, int(omega.max(initial=0)) + 1):
-            layer = np.flatnonzero(omega == k)
-            self.n[start : start + len(layer)] = layer
-            start += len(layer)
-            self.ends.append(start)
-        del omega
-        self.cofactor = cofactor[self.n]
+# the cached (spf, primes) of _character_table: spf =
+# smallest_prime_factors(bound) and the primes <= bound read from it, int64
+_spf_table: tuple[np.ndarray, np.ndarray] | None = None
 
 
-_layers: _OmegaLayers | None = None
-
-
-def _omega_layers(n: int) -> _OmegaLayers:
-    """Layers covering 2..n: the cached ones, or new ones to at least twice
-    their bound, capped at SERIES_TERM_LIMIT >= n."""
-    global _layers
+def _prime_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cached (spf, primes) if their bound is at least n, else new ones
+    to at least twice their bound, capped at SERIES_TERM_LIMIT >= n."""
+    global _spf_table
     if n > SERIES_TERM_LIMIT:
         raise ValueError(f"{n} terms exceed SERIES_TERM_LIMIT = {SERIES_TERM_LIMIT}")
-    layers = _layers
-    if layers is None or layers.bound < n:
-        bound = min(max(n, 2 * layers.bound if layers else 0), SERIES_TERM_LIMIT)
-        _layers = layers = None  # freed before the larger layers are built
-        _layers = layers = _OmegaLayers(bound)
-    return layers
+    table = _spf_table
+    if table is None or len(table[0]) <= n:
+        bound = min(max(n, 2 * len(table[0]) - 2 if table else 0), SERIES_TERM_LIMIT)
+        _spf_table = table = None  # freed before the larger table is built
+        spf = smallest_prime_factors(bound)
+        primes = np.flatnonzero(spf == np.arange(bound + 1, dtype=np.int32))[2:]
+        _spf_table = table = spf, primes
+    return table
 
 
 def _character_table(d: int, n: int) -> np.ndarray:
     """chi_d(k) = kronecker(d, k) for 0 <= k <= n, as an int8 array: chi_d
-    at the primes by Euler's criterion, then chi_d(p c) = chi_d(p) chi_d(c)
-    one Omega layer at a time, over the prefix k <= n of each."""
+    at the primes by Euler's criterion, then chi_d(k) = chi_d(p) chi_d(k/p),
+    p = spf(k), one block [lo, 2 lo) at a time; k/p <= k/2 < lo is filled by
+    then, and a prime's cofactor is 1."""
+    spf, primes = _prime_tables(n)
     chi = np.zeros(n + 1, dtype=np.int8)
     chi[1:2] = 1  # a slice: n may be 0
-    layers = _omega_layers(n)
-    start = 0
-    for end in layers.ends:
-        stop = start + int(np.searchsorted(layers.n[start:end], n, "right"))
-        if stop == start:  # layer j starts at 2**j: none later has a k <= n
-            break
-        k, c = layers.n[start:stop], layers.cofactor[start:stop]
-        if start:
-            chi[k] = chi[k // c] * chi[c]
-        else:  # the primes
-            chi[k] = _kronecker_at_primes(d, k.astype(np.int64))
-        start = end
+    primes = primes[: np.searchsorted(primes, n, "right")]
+    chi[primes] = _kronecker_at_primes(d, primes)
+    lo = 4
+    while lo <= n:
+        hi = min(2 * lo, n + 1)
+        p = spf[lo:hi]
+        chi[lo:hi] = chi[p] * chi[np.arange(lo, hi, dtype=np.int32) // p]
+        lo = hi
     return chi
 
 
@@ -562,9 +540,16 @@ def l_value_exact(d: int) -> float:
 
 
 def l_value_truncated(d: int, B: int) -> float:
-    """Euler product of L(1, chi_d) over primes p <= B (B = 1 gives 1.0)."""
+    """Euler product of L(1, chi_d) over primes p <= B (B = 1 gives 1.0), for
+    a real quadratic discriminant d and 1 <= B <= MAX_EULER_BOUND."""
+    if not is_discriminant(d):
+        raise ValueError(f"{d} is not a real quadratic discriminant")
     if B < 1:
         raise ValueError("l_value_truncated: bound must be >= 1")
+    if B > MAX_EULER_BOUND:
+        raise ValueError(
+            f"l_value_truncated: bound {B} exceeds MAX_EULER_BOUND = {MAX_EULER_BOUND}"
+        )
     primes = prime_array(B)
     prod = 1.0
     for p, chi in zip(primes.tolist(), _kronecker_at_primes(d, primes).tolist()):

@@ -22,7 +22,12 @@ from multiprocessing import Pool
 
 from . import families
 from .cfrac import cf_expand, exact_unit, fundamental_unit
-from .classno import class_number, l_value_exact, l_value_truncated
+from .classno import (
+    MAX_EULER_BOUND,
+    class_number,
+    l_value_exact,
+    l_value_truncated,
+)
 from .criterion import (
     CriterionInput,
     NormSplit,
@@ -30,7 +35,6 @@ from .criterion import (
     nonprimitive_product_example,
     search_nonprimitive_example,
 )
-from .intarith import is_discriminant
 from .quadorder import (
     QuadIdeal,
     QuadIrrational,
@@ -41,7 +45,6 @@ from .quadorder import (
 
 DEFAULT_EPS1 = 0.9
 DEFAULT_BOUND_EXPONENT = 2.05
-MAX_EULER_BOUND = 10**6
 # --x digit cap: json writes integers of at most 4300 digits, and the cap
 # keeps an argument like 1e999999999 from building a huge integer
 MAX_SCALE_DIGITS = 4300
@@ -92,12 +95,6 @@ def _write(args, records: list[dict]) -> int:
         for record in records:
             _emit_json(record, stream)
     return 0
-
-
-def _require_discriminant(d: int) -> int:
-    if not is_discriminant(d):
-        raise ValueError(f"{d} is not a real quadratic discriminant")
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +276,14 @@ def cmd_classno(args) -> int:
 
 
 def cmd_lvalue(args) -> int:
-    # the Euler product takes any integer d, so d is checked here
-    d = _require_discriminant(args.d)
     if args.method == "exact":
-        record = {"d": d, "method": "exact", "value": l_value_exact(d)}
+        record = {"d": args.d, "method": "exact", "value": l_value_exact(args.d)}
     else:
         record = {
-            "d": d,
+            "d": args.d,
             "method": "euler",
             "bound": args.bound,
-            "value": l_value_truncated(d, args.bound),
+            "value": l_value_truncated(args.d, args.bound),
         }
     return _write(args, [record])
 

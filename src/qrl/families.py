@@ -504,10 +504,6 @@ def _yamamoto(p: int, n_range, sign: int):
         yield n, n, d, full, low >= full + slack
 
 
-def yamamoto_simplified_bound(d: int, p: int) -> float:
-    return log(d) ** 2 / (8 * log(p))
-
-
 def _cubic(p: int, q: int, k_range):
     """d = n^2 - 4p, n = p^k q + p + 1: every p^j, j <= k, is the norm of a
     reduced principal ideal, which is what makes the unit huge."""

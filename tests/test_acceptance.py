@@ -46,6 +46,10 @@ def fundamental_discriminants(lo: int, hi: int):
             yield d
 
 
+def yamamoto_simplified_bound(d: int, p: int) -> float:
+    return math.log(d) ** 2 / (8 * math.log(p))
+
+
 def test_criterion_01_class_number_round_trip():
     t0 = time.time()
     worst, count = 0.0, 0
@@ -123,7 +127,7 @@ def test_criterion_05_large_regulator_family():
             if n % p and d >= 10**8 and is_squarefree(d):
                 margin = (
                     fundamental_unit(d).regulator
-                    - families.yamamoto_simplified_bound(d, p)
+                    - yamamoto_simplified_bound(d, p)
                 )
                 assert margin >= 0, f"simplified bound fails: p={p}, n={n}"
                 worst = min(worst, margin)

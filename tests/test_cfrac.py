@@ -17,7 +17,6 @@ from qrl.cfrac import (
     fundamental_unit,
     principal_expansion,
     principal_ideal_of_norm,
-    reduced_principal_ideals,
     regulator_enclosure,
 )
 from qrl.criterion import CriterionInput, NormSplit, evaluate_criterion
@@ -131,20 +130,27 @@ def test_cf_expand_matches_seen_dict_oracle():
 
 
 def test_max_steps_boundary():
-    # T quotients in all: max_steps = T - 1 closes, T - 2 does not
+    # T quotients in all: max_steps = T - 1 closes, T - 2 does not, and a
+    # negative T - 2 (T = 1, as for d = 5) is refused before any step
     starts = [canonical_irrational(d) for d in (5, 8, 13, 61, 9949)]
     starts += random_starts(random.Random(43), 50, 10**4)
     for rho in starts:
         exp = cf_expand(rho)
         total = len(exp.preperiod) + len(exp.period)
         assert cf_expand(rho, max_steps=total - 1) == exp
-        with pytest.raises(PeriodOverflow, match="did not close"):
-            cf_expand(rho, max_steps=total - 2)
+        if total - 2 < 0:
+            with pytest.raises(ValueError, match=f"got {total - 2}$"):
+                cf_expand(rho, max_steps=total - 2)
+        else:
+            with pytest.raises(PeriodOverflow, match="did not close"):
+                cf_expand(rho, max_steps=total - 2)
 
 
 def test_max_steps_overflow():
     with pytest.raises(PeriodOverflow, match="did not close"):
         cf_expand(canonical_irrational(9949), max_steps=2)
+    with pytest.raises(ValueError, match="max_steps must be >= 0, got -5$"):
+        cf_expand(QuadIrrational(61, 1, 1), max_steps=-5)
 
 
 def test_principal_expansion_matches_cf_expand_below_30000():
@@ -334,6 +340,11 @@ def test_exact_unit_values():
     assert exact_unit(5) == type(exact_unit(5))(5, 1, 1, -1)
     u = exact_unit(61)
     assert (u.x, u.y, u.norm_sign) == (39, 5, -1)
+
+
+def reduced_principal_ideals(d: int) -> set[QuadIdeal]:
+    exp = principal_expansion(d)
+    return {QuadIdeal(d, a, b) for a, b in zip(exp.a, exp.b)}
 
 
 def test_reduced_principal_ideals_examples():

@@ -22,7 +22,12 @@ from qrl.classno import (
     l_value_truncated,
     reduced_forms,
 )
-from qrl.intarith import fundamental_decomposition, is_discriminant, kronecker
+from qrl.intarith import (
+    factorize,
+    fundamental_decomposition,
+    is_discriminant,
+    kronecker,
+)
 from test_intarith import divisors
 
 
@@ -165,6 +170,13 @@ def test_l_truncated_examples():
     assert l_value_truncated(17, 2) == 2.0
     with pytest.raises(ValueError):
         l_value_truncated(5, 0)
+    for d in (7, 9, 2**89 - 1):
+        message = f"^{d} is not a real quadratic discriminant$"
+        with pytest.raises(ValueError, match=message):
+            l_value_truncated(d, 10)
+    l_value_truncated(5, classno.MAX_EULER_BOUND)
+    with pytest.raises(ValueError, match="MAX_EULER_BOUND = 1000000$"):
+        l_value_truncated(5, classno.MAX_EULER_BOUND + 1)
 
 
 def kronecker_euler_product(d, B):
@@ -182,8 +194,10 @@ def kronecker_euler_product(d, B):
 
 @pytest.mark.parametrize("B", [1, 2, 217, 10**5])
 def test_l_truncated_matches_kronecker_product(B):
-    # d sharing the primes 2, 3, 7, 31 and 99991 with B, and ones that do not
-    ds = [5, 8, 12, 13, 21, 24, 40, 217, 4 * 217, 99991 * 4, 10**6 + 1, 2**89 - 1]
+    # d sharing the primes 2, 3, 7, 31 and 99991 with B, and ones that do
+    # not; 4 (2**89 - 1): d mod p through three 31-bit limbs
+    ds = [5, 8, 12, 13, 21, 24, 40, 217, 4 * 217, 99991 * 4, 10**6 + 1]
+    ds.append(4 * (2**89 - 1))
     for d in ds:
         assert l_value_truncated(d, B) == kronecker_euler_product(d, B), (d, B)
 
@@ -299,37 +313,53 @@ CHARACTER_TABLE_DS = (5, 8, 12, 13, 40, 88, 1009, 3 * 5 * 7 * 11 * 13 * 4 + 1, 2
 
 
 def test_character_table_matches_kronecker():
-    # 2**89 - 1: d mod p through three full 31-bit limbs
+    # 2**89 - 1: d mod p through three full 31-bit limbs; n up to 4 and
+    # each side of every 2**k, k <= 12, the edges of the doubling blocks
+    ns = [0, 1, 2, 3, 4, 600]
+    ns += [m for k in range(2, 13) for m in (2**k - 1, 2**k, 2**k + 1)]
     for d in CHARACTER_TABLE_DS:
-        table = classno._character_table(d, 600)
-        assert table.tolist() == [kronecker(d, k) for k in range(601)], d
+        expected = [kronecker(d, k) for k in range(max(ns) + 1)]
+        for n in ns:
+            table = classno._character_table(d, n)
+            assert table.tolist() == expected[: n + 1], (d, n)
 
 
 def test_character_table_across_plan_growth(monkeypatch):
-    # the Omega layers are built for N = 512, rebuilt twice by doubling, and
-    # then serve a smaller N from the larger layers; a power of two is the
-    # last n of its Omega layer's block
-    monkeypatch.setattr(classno, "_layers", None)
+    # the spf table is built for N = 512, rebuilt twice by doubling, and
+    # then serves a smaller N from the larger table; a power of two is the
+    # last n of its doubling block
+    monkeypatch.setattr(classno, "_spf_table", None)
     steps = ((512, 512), (600, 1024), (1100, 2048), (2048, 2048), (650, 2048))
     for n, bound in steps:
         for d in CHARACTER_TABLE_DS:
             table = classno._character_table(d, n)
             assert table.tolist() == [kronecker(d, k) for k in range(n + 1)], (d, n)
-        assert classno._layers.bound == bound, n
+        assert len(classno._spf_table[0]) == bound + 1, n
 
 
-def test_omega_layers_stop_at_series_term_limit(monkeypatch):
-    monkeypatch.setattr(classno, "_layers", None)
+def test_prime_tables_stop_at_series_term_limit(monkeypatch):
+    monkeypatch.setattr(classno, "_spf_table", None)
     monkeypatch.setattr(classno, "SERIES_TERM_LIMIT", 1000)
     classno._character_table(5, 600)
     table = classno._character_table(5, 900)  # doubling would give 1200
     assert table.tolist() == [kronecker(5, k) for k in range(901)]
-    layers = classno._layers
-    assert layers.bound == 1000
-    assert sorted(layers.n.tolist()) == list(range(2, 1001))
+    cached = classno._spf_table
+    spf, primes = cached
+    assert len(spf) == 1001
+    assert spf[:2].tolist() == [0, 1]
+    assert spf[2:].tolist() == [factorize(k)[0][0] for k in range(2, 1001)]
+    assert primes.tolist() == [k for k in range(2, 1001) if factorize(k) == [(k, 1)]]
     with pytest.raises(ValueError, match="SERIES_TERM_LIMIT = 1000$"):
         classno._character_table(5, 1001)
-    assert classno._layers is layers
+    assert classno._spf_table is cached
+
+
+def test_prime_tables_bytes_per_term(monkeypatch):
+    monkeypatch.setattr(classno, "_spf_table", None)
+    bound = 2**20
+    spf, primes = classno._prime_tables(bound)
+    assert len(spf) == bound + 1
+    assert spf.nbytes + primes.nbytes <= 5 * bound
 
 
 def series_term_points():

@@ -434,6 +434,34 @@ def test_classno_refuses_long_series_before_allocating():
     assert peak < 10**6
 
 
+@pytest.mark.parametrize("method", ["exact", "euler"])
+def test_lvalue_refuses_non_discriminant(method):
+    code, out, err = run_cli(["lvalue", "--d", "7", "--method", method])
+    assert code == 1 and out == ""
+    assert one_json(err) == {
+        "error": "ValueError",
+        "message": "7 is not a real quadratic discriminant",
+    }
+
+
+def test_lvalue_refuses_large_euler_bound_before_allocating():
+    # the sieve would take about 7.5 bytes per B: some 75 GB at B = 1e10
+    tracemalloc.start()
+    try:
+        argv = ["lvalue", "--d", "5", "--method", "euler", "--bound", "10000000000"]
+        code, out, err = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert one_json(err) == {
+        "error": "ValueError",
+        "message": "l_value_truncated: bound 10000000000 exceeds"
+        f" MAX_EULER_BOUND = {classno.MAX_EULER_BOUND}",
+    }
+    assert peak < 10**6
+
+
 def test_cubic_scan_refuses_long_period_before_allocating(monkeypatch):
     # d = (3 * 2**14 + 3)**2 - 8: a period of 48574 steps, about 7 MB
     monkeypatch.setattr(cfrac, "PERIOD_STEP_LIMIT", 1000)
@@ -472,6 +500,19 @@ def test_family_scan_with_h_on_reference_spec(tmp_path):
         record = dict(zip(header, row))
         assert re.fullmatch(r"[1-9][0-9]*", record["h"])
         assert record["bound_ok"] in ("0", "1")
+    # an explicit Euler bound is held to MAX_EULER_BOUND too
+    code, out, err = run_cli(
+        [
+            "family", "scan", "--spec", str(spec_path), "--kmax", "1", "--with-h",
+            "--euler-bound", "10000000000",
+        ]
+    )
+    assert code == 1 and out == ""
+    assert one_json(err) == {
+        "error": "ValueError",
+        "message": "l_value_truncated: bound 10000000000 exceeds"
+        f" MAX_EULER_BOUND = {classno.MAX_EULER_BOUND}",
+    }
 
 
 # ---------------------------------------------------------------------------
