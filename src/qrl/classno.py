@@ -85,6 +85,10 @@ SERIES_TERM_LIMIT = 10**7
 # largest prime bound B of l_value_truncated: its sieve and character peak
 # at 7.5 bytes per B under tracemalloc at B = 10**6
 MAX_EULER_BOUND = 10**6
+# largest d of l_value_exact and character_row: the log-sine sum peaks at
+# 12.6 bytes per d under tracemalloc, and at the limit at 1.23 GB RSS in
+# 2.7-3.2 s on 2 vCPUs; below it the row's int32 indices are exact
+L_VALUE_LIMIT = 10**8
 # reduced_forms refuses d >= FORM_GRID_LIMIT: below it b*b, m_b = (d - b*b)/4
 # and every position in the (b, a) grid stay below 2**53, so they are exact
 # in int64 and m_b and an integer quotient m_b/a are exact in float64
@@ -509,12 +513,18 @@ _CHI_MINUS8 = np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8)
 _CHI_MINUS4 = np.array([0, 1, 0, -1], dtype=np.int8)
 
 
-def character_row(d: int) -> np.ndarray:
-    """chi_d(a) for a in [0, d), as an int8 array; d must be fundamental."""
+def character_row(d: int, n: int | None = None) -> np.ndarray:
+    """chi_d(a) for a in [0, n), n = d by default, as an int8 array; d must
+    be fundamental and at most L_VALUE_LIMIT."""
+    if d > L_VALUE_LIMIT:
+        raise ValueError(
+            f"character_row: d = {d} exceeds L_VALUE_LIMIT = {L_VALUE_LIMIT}"
+        )
     if fundamental_decomposition(d).conductor != 1:
         raise ValueError(f"character_row: {d} is not fundamental")
-    idx = np.arange(d, dtype=np.int64)
-    row = np.ones(d, dtype=np.int8)
+    n = d if n is None else n
+    idx = np.arange(n, dtype=np.int32)
+    row = np.ones(n, dtype=np.int8)
     if d % 2:
         odd = d
     else:
@@ -532,8 +542,8 @@ def character_row(d: int) -> np.ndarray:
 
 def l_value_exact(d: int) -> float:
     """L(1, chi_d) by the finite log-sine sum over half a period."""
-    row = character_row(d)  # raises for non-fundamental d
     half = d // 2
+    row = character_row(d, half + 1)  # raises for non-fundamental d
     a = np.arange(1, half + 1, dtype=np.float64)
     weights = np.log(np.sin(np.pi * a / d))
     return float(-2.0 / sqrt(d) * np.dot(row[1 : half + 1].astype(np.float64), weights))

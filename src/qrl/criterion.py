@@ -33,7 +33,6 @@ from .quadorder import (
     QuadIdeal,
     classify,
     format_ideal_literal,
-    ideal_power,
     module_product,
     multiply_ideals,
     reduced_preimage,
@@ -249,20 +248,23 @@ def enumerate_power_products(d: int, norms: Sequence[int]) -> PowerProductSet:
             f"{n} is not the norm of a reduced principal ideal for d={d}"
         )
     vectors: list[tuple[int, ...]] = []
-    ideals: list[QuadIdeal] = []
-    seen: set[int] = set()
+    # members by product norm; the member for vec, whose last nonzero
+    # exponent is at i, is the one for vec - e_i (earlier in lexicographic
+    # order, norm prod // norms[i]) times base[i]
+    seen: dict[int, QuadIdeal] = {}
     for vec, prod in _bounded_vectors(d, norms, strict=True):
         if prod in seen:
             raise CriterionError(
                 f"duplicate power product {prod}:"
                 f" the norms {norms} are multiplicatively dependent"
             )
-        seen.add(prod)
-        ideal = unit_ideal(d)
+        last = max((i for i, e in enumerate(vec) if e), default=None)
         try:
-            for base_ideal, e in zip(base, vec):
-                if e:
-                    ideal = multiply_ideals(ideal, ideal_power(base_ideal, e))
+            ideal = (
+                unit_ideal(d)
+                if last is None
+                else multiply_ideals(seen[prod // norms[last]], base[last])
+            )
         except ValueError as exc:
             raise CriterionError(
                 f"cannot build the power product for exponents {vec}: {exc}"
@@ -273,8 +275,8 @@ def enumerate_power_products(d: int, norms: Sequence[int]) -> PowerProductSet:
                 f" {vec} is not a primitive reduced ideal"
             )
         vectors.append(vec)
-        ideals.append(ideal)
-    return PowerProductSet(d, norms, tuple(vectors), tuple(ideals))
+        seen[prod] = ideal
+    return PowerProductSet(d, norms, tuple(vectors), tuple(seen.values()))
 
 
 @dataclass(frozen=True)
@@ -312,41 +314,47 @@ def regulator_lower_bound(products: PowerProductSet) -> BoundReport:
     rounded down to floats; the regulator, widened by its error bound, is
     rounded up."""
     d = products.d
+    n_products = len(products.vectors)
+    # prod_v A_v for A_v = prod_i n_i**e_i, one power per norm
+    norm_product = math.prod(
+        n**t for n, t in zip(products.norms, map(sum, zip(*products.vectors)))
+    )
+    # prod_v (b + sqrt(d)) = x + y sqrt(d) and prod_v 2a over the reduced
+    # irrationals (b + sqrt(d))/(2a), exactly
+    x, y, denom = 1, 0, 1
+    for ideal in products.ideals:
+        rho = reduced_preimage(ideal)
+        if rho is None:
+            raise CriterionError(
+                f"{format_ideal_literal(ideal)} has no reduced irrational"
+                " preimage; instance rejected"
+            )
+        x, y = x * rho.b + y * d, x + y * rho.b
+        denom *= 2 * rho.a
     with mp.workdps(REGULATOR_DPS):
         root = mp.sqrt(d)
         big_l = mp.log(root / 2)
-        logs = [mp.log(n) for n in products.norms]
-        discrete = mp.fsum(
-            big_l - mp.fsum(e * ln for e, ln in zip(vec, logs))
-            for vec in products.vectors
-        )
-        exact_terms = []
-        for ideal in products.ideals:
-            rho = reduced_preimage(ideal)
-            if rho is None:
-                raise CriterionError(
-                    f"{format_ideal_literal(ideal)} has no reduced irrational"
-                    " preimage; instance rejected"
-                )
-            exact_terms.append(mp.log((rho.b + root) / (2 * rho.a)))
-        # With u = 2**-mp.prec, mpmath rounds +, -, * and / to within u of
-        # the result, fsum too (it adds exactly, dropping only terms below
-        # u**2 of the rest), and sqrt and log to within one ulp, 2u. With
-        # N = len(vectors), L = log(sqrt(d)/2) > 0, S_v = sum e_i log n_i:
-        # - sqrt(d) and L come out within 2u sqrt(d) and 2uL + 3u, each
-        #   e_i log n_i within 3.01u of itself and S_v within 4.1u S_v.
-        #   L - S_v is a difference, so its error is absolute, 3.1uL +
-        #   5.2uS_v + 3u after its own rounding, and the discrete sum is
-        #   within 7u (N (L + 1) + sum S_v) after fsum. S_v < L, as each
-        #   product's norm is below sqrt(d)/2: within 7u N (2L + 1).
-        # - Each rho = (b + sqrt(d))/(2a) is reduced, so 1 < rho < sqrt(d)
-        #   and b + sqrt(d) >= sqrt(d): rho comes out within a relative
-        #   4.01u, its log within 2u log rho + 4.2u, and the exact sum E
-        #   within 5u (E + N) <= 5u N (L + 2).
+        discrete = n_products * big_l - mp.log(norm_product)
+        exact = mp.log((x + y * root) / denom)
+        # With u = 2**-mp.prec, mpmath takes integers exactly, rounds +, -,
+        # * and / to within u of the result and sqrt and log to within one
+        # ulp, 2u. With N = len(vectors), L = log(sqrt(d)/2) > 0 and
+        # S_v = log A_v:
+        # - sqrt(d) and L come out within 2u sqrt(d) and 2uL + 3u, N L
+        #   within 3.01u N (L + 1). Each product's norm is below sqrt(d)/2,
+        #   so 0 <= S_v < L, and log prod_v A_v = sum S_v < N L comes out
+        #   within 2u N L. The difference, the discrete sum, is at most N L
+        #   and rounds within u N L: within 7u N (L + 1) in all.
+        # - Each rho_v = (b + sqrt(d))/(2a) is reduced, so 0 < b < sqrt(d)
+        #   and 1 < rho_v < sqrt(d): x and y are positive, y sqrt(d) comes
+        #   out within a relative 3.01u, x + y sqrt(d) within 4.02u and its
+        #   quotient by prod 2a within 5.03u. Its log, the exact sum
+        #   E = sum log rho_v < N (L + 1), comes out within 2uE + 5.1u
+        #   <= 8u N (L + 1).
         # One slack of 16u N (L + 1) covers both, with its own rounding and
         # the u N (L + 1) at most of each subtraction below.
-        slack = mp.ldexp(len(products.vectors) * (big_l + 1), 4 - mp.prec)
-        exact = _to_float(mp.fsum(exact_terms) - slack, round_floor)
+        slack = mp.ldexp(n_products * (big_l + 1), 4 - mp.prec)
+        exact = _to_float(exact - slack, round_floor)
         discrete = _to_float(discrete - slack, round_floor)
         reg, err = regulator_enclosure(d)
         regulator = _to_float(mp.fadd(reg, err, rounding="c"), round_ceiling)

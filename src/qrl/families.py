@@ -141,33 +141,6 @@ def check_star(m: int, primes: list[int]) -> StarWitness | None:
     return None
 
 
-def find_prime_tuple(m: int, bound: int) -> list[int] | None:
-    """Smallest tuple p_1 < ... < p_m <= bound, all 1 mod 4, pairwise
-    kronecker(-p_j, p_i) = -1, on which check_star succeeds; None if the
-    bound is too small.
-    """
-    if m < 1:
-        raise ValueError("find_prime_tuple: m must be positive")
-    candidates = [p for p in primes_up_to(bound) if p % 4 == 1]
-    chosen: list[int] = []
-
-    def extend() -> bool:
-        if len(chosen) == m:
-            return check_star(m, chosen) is not None
-        floor_p = chosen[-1] if chosen else 0
-        for p in candidates:
-            if p <= floor_p:
-                continue
-            if all(kronecker(-p, pi) == -1 for pi in chosen):
-                chosen.append(p)
-                if extend():
-                    return True
-                chosen.pop()
-        return False
-
-    return list(chosen) if extend() else None
-
-
 def build_progression(
     m: int, primes: list[int], x: int, eps1: float
 ) -> ProgressionSpec:

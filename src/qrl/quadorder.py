@@ -158,12 +158,12 @@ def multiply_ideals(i1: QuadIdeal, i2: QuadIdeal) -> QuadIdeal:
     """
     if i1.d != i2.d:
         raise ValueError(f"multiply_ideals: discriminants differ ({i1.d} vs {i2.d})")
-    if not any(classify(QuadIdeal(i.d, i.a, i.b)).regular for i in (i1, i2)):
+    d = i1.d
+    if not any(gcd(gcd(i.a, i.b), (d - i.b * i.b) // (4 * i.a)) == 1 for i in (i1, i2)):
         raise ValueError(
             "multiply_ideals: both factors have irregular primitive parts; "
             "use module_product"
         )
-    d = i1.d
     a1, b1, a2, b2 = i1.a, i1.b, i2.a, i2.b
     s = (b1 + b2) // 2
     g12, u12, v12 = xgcd(a1, a2)
@@ -176,15 +176,6 @@ def multiply_ideals(i1: QuadIdeal, i2: QuadIdeal) -> QuadIdeal:
     assert x0 % g == 0
     b3 = (x0 // g) % (2 * a3)
     return QuadIdeal(d, a3, b3, i1.e * i2.e * g)
-
-
-def ideal_power(ideal: QuadIdeal, t: int) -> QuadIdeal:
-    if t < 0:
-        raise ValueError("ideal_power: exponent must be non-negative")
-    out = unit_ideal(ideal.d)
-    for _ in range(t):
-        out = multiply_ideals(out, ideal)
-    return out
 
 
 def module_product(i1: QuadIdeal, i2: QuadIdeal) -> QuadIdeal:

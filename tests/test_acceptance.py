@@ -10,7 +10,7 @@ import math
 import random
 import time
 
-from test_quadorder import random_ideal, sample_discriminants
+from test_quadorder import ideal_power, random_ideal, sample_discriminants
 
 from qrl import families
 from qrl.cfrac import exact_unit, fundamental_unit, principal_expansion
@@ -30,7 +30,7 @@ from qrl.intarith import (
     kronecker,
     primes_up_to,
 )
-from qrl.quadorder import classify, ideal_power, module_product, multiply_ideals
+from qrl.quadorder import classify, module_product, multiply_ideals
 
 SEED = 20260816
 

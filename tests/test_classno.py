@@ -217,6 +217,18 @@ def test_character_row_matches_kronecker():
         row = character_row(d)
         for a in range(d):
             assert row[a] == kronecker(d, a), (d, a)
+        for n in (0, 1, d // 2 + 1, d - 1):
+            prefix = character_row(d, n)
+            assert prefix.dtype == np.int8 and prefix.tolist() == row[:n].tolist()
+
+
+def test_character_row_limit():
+    with pytest.raises(ValueError, match="L_VALUE_LIMIT"):
+        character_row(classno.L_VALUE_LIMIT + 1, 10)
+    # the largest fundamental d at the limit, through its first 2**16 values
+    d = 99999997
+    row = character_row(d, 1 << 16)
+    assert all(row[a] == kronecker(d, a) for a in range(0, 1 << 16, 97))
 
 
 def test_round_trip_small_range():

@@ -462,6 +462,23 @@ def test_lvalue_refuses_large_euler_bound_before_allocating():
     assert peak < 10**6
 
 
+def test_lvalue_refuses_large_d_before_allocating():
+    # the log-sine sum would take about 12.6 bytes per d: some 13 TB here
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["lvalue", "--d", "1000000000061"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert one_json(err) == {
+        "error": "ValueError",
+        "message": "character_row: d = 1000000000061 exceeds"
+        f" L_VALUE_LIMIT = {classno.L_VALUE_LIMIT}",
+    }
+    assert peak < 10**6
+
+
 def test_cubic_scan_refuses_long_period_before_allocating(monkeypatch):
     # d = (3 * 2**14 + 3)**2 - 8: a period of 48574 steps, about 7 MB
     monkeypatch.setattr(cfrac, "PERIOD_STEP_LIMIT", 1000)

@@ -1,5 +1,6 @@
 """Tests for the regulator lower-bound criterion machinery."""
 
+import itertools
 import math
 from math import gcd
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from qrl import criterion
-from qrl.cfrac import exact_unit, principal_expansion
+from qrl.cfrac import exact_unit, principal_expansion, principal_ideal_of_norm
 from qrl.criterion import (
     BoundReport,
     CriterionError,
@@ -30,10 +31,12 @@ from qrl.criterion import (
 from qrl.quadorder import (
     QuadIdeal,
     classify,
+    module_product,
     multiply_ideals,
     reduced_preimage,
     unit_ideal,
 )
+from test_classno import fundamental_discriminants
 
 
 def test_norm_split_validation():
@@ -189,13 +192,64 @@ def reference_sums(products):
         return discrete, exact, mp.log((u.x + u.y * root) / 2)
 
 
+def cycle_norm_choices(d):
+    """For m = 1, 2 and 3, the first two choices in lexicographic order of m
+    pairwise coprime principal-cycle norms n >= 2 coprime to d."""
+    norms = sorted({a for a in principal_expansion(d).a if a >= 2 and gcd(a, d) == 1})
+    choices = []
+    for m in (1, 2, 3):
+        coprime = (
+            list(choice)
+            for choice in itertools.combinations(norms, m)
+            if all(gcd(n1, n2) == 1 for n1, n2 in itertools.combinations(choice, 2))
+        )
+        choices += itertools.islice(coprime, 2)
+    return choices
+
+
+def small_instances():
+    """(d, norms) for every fundamental d < 3000 and its cycle-norm choices."""
+    return [
+        (d, norms)
+        for d in fundamental_discriminants(5, 3000)
+        for norms in cycle_norm_choices(d)
+    ]
+
+
+def test_power_products_match_module_products():
+    """Each member is the chain of module products of its base ideals, and
+    the vectors are every e with 4 A**2 < d, in lexicographic order."""
+    counts = [0, 0, 0]
+    for d, norms in small_instances():
+        products = enumerate_power_products(d, norms)
+        ranges = [range(int(math.log(math.isqrt(d) + 1, n)) + 2) for n in norms]
+        expected = [
+            vec
+            for vec in itertools.product(*ranges)
+            if 4 * math.prod(n**e for n, e in zip(norms, vec)) ** 2 < d
+        ]
+        assert list(products.vectors) == expected, (d, norms)
+        base = [principal_ideal_of_norm(d, n) for n in norms]
+        for vec, ideal in zip(products.vectors, products.ideals):
+            chain = unit_ideal(d)
+            for base_ideal, e in zip(base, vec):
+                for _ in range(e):
+                    chain = module_product(chain, base_ideal)
+            assert ideal == chain, (d, norms, vec)
+        counts[len(norms) - 1] += 1
+    assert min(counts) >= 100, counts
+
+
 @pytest.mark.parametrize("dps", [30, 10])
 def test_soundness_on_cycle_norms(dps, monkeypatch):
     """discrete <= exact <= regulator over instances harvested from cycles,
-    each float rounded in the safe direction from its 60-digit value, also
-    when the sums are evaluated at fewer digits than the floats hold."""
+    each float rounded in the safe direction from its 60-digit value, and
+    the two lower bounds within 2 slack + 1 ulp below it, also when the sums
+    are evaluated at fewer digits than the floats hold."""
     monkeypatch.setattr(criterion, "REGULATOR_DPS", dps)
-    checked = 0
+    with mp.workdps(dps):
+        u = mp.mpf(2) ** -mp.prec
+    instances = []
     for d in (53, 61, 69, 76, 105, 136, 316, 1077, 9949):
         cycle_norms = sorted(
             {rho.a for rho in principal_expansion(d).cycle if rho.a >= 2}
@@ -207,18 +261,24 @@ def test_soundness_on_cycle_norms(dps, monkeypatch):
             for n2 in cycle_norms[i + 1 :]
             if gcd(n1, n2) == 1 and gcd(n1 * n2, d) == 1
         ]
-        for norms in singles + pairs:
-            try:
-                products = enumerate_power_products(d, norms)
-                rep = regulator_lower_bound(products)
-            except CriterionError:
-                continue  # e.g. multiplicatively dependent choices
-            assert rep.discrete_sum <= rep.exact_sum <= rep.regulator
-            discrete, exact, reg = reference_sums(products)
-            assert rep.discrete_sum <= discrete and rep.exact_sum <= exact, (d, norms)
-            assert rep.regulator >= reg, (d, norms)
-            checked += 1
-    assert checked >= 10
+        instances += [(d, norms) for norms in singles + pairs]
+    checked = 0
+    for d, norms in instances + small_instances():
+        try:
+            products = enumerate_power_products(d, norms)
+            rep = regulator_lower_bound(products)
+        except CriterionError:
+            continue  # e.g. multiplicatively dependent choices
+        assert rep.discrete_sum <= rep.exact_sum <= rep.regulator
+        discrete, exact, reg = reference_sums(products)
+        assert rep.discrete_sum <= discrete and rep.exact_sum <= exact, (d, norms)
+        assert rep.regulator >= reg, (d, norms)
+        with mp.workdps(60):
+            slack = 16 * u * len(products.vectors) * (mp.log(mp.sqrt(d) / 2) + 1)
+            for bound, ref in ((rep.discrete_sum, discrete), (rep.exact_sum, exact)):
+                assert ref - bound <= 2 * slack + math.ulp(bound), (d, norms)
+        checked += 1
+    assert checked >= 3000
 
 
 def test_simplex_integral_values():

@@ -16,7 +16,6 @@ from qrl.families import (
     compute_constants,
     count_good_residues,
     family_scan,
-    find_prime_tuple,
     good_residue_lower_bound,
     scan_squarefree,
     squarefree_density,
@@ -24,6 +23,33 @@ from qrl.families import (
 )
 from qrl.intarith import icbrt, is_squarefree, kronecker, primes_up_to
 from test_intarith import sqrt_mod_prime
+
+
+def find_prime_tuple(m: int, bound: int) -> list[int] | None:
+    """Smallest tuple p_1 < ... < p_m <= bound, all 1 mod 4, pairwise
+    kronecker(-p_j, p_i) = -1, on which check_star succeeds; None if the
+    bound is too small.
+    """
+    if m < 1:
+        raise ValueError("find_prime_tuple: m must be positive")
+    candidates = [p for p in primes_up_to(bound) if p % 4 == 1]
+    chosen: list[int] = []
+
+    def extend() -> bool:
+        if len(chosen) == m:
+            return check_star(m, chosen) is not None
+        floor_p = chosen[-1] if chosen else 0
+        for p in candidates:
+            if p <= floor_p:
+                continue
+            if all(kronecker(-p, pi) == -1 for pi in chosen):
+                chosen.append(p)
+                if extend():
+                    return True
+                chosen.pop()
+        return False
+
+    return list(chosen) if extend() else None
 
 
 def toy_spec(n0=3, q=6, primes=(5,), x=10**10, eps1=0.9):

@@ -10,7 +10,6 @@ from qrl.quadorder import (
     canonical_irrational,
     classify,
     format_ideal_literal,
-    ideal_power,
     module_product,
     multiply_ideals,
     parse_ideal_literal,
@@ -18,6 +17,15 @@ from qrl.quadorder import (
     unit_ideal,
 )
 from test_intarith import divisors
+
+
+def ideal_power(ideal: QuadIdeal, t: int) -> QuadIdeal:
+    if t < 0:
+        raise ValueError("ideal_power: exponent must be non-negative")
+    out = unit_ideal(ideal.d)
+    for _ in range(t):
+        out = multiply_ideals(out, ideal)
+    return out
 
 
 def random_ideal(rng, d, allow_content=True):
