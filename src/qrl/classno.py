@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil, exp, factorial, fsum, isqrt, log, pi, sqrt
 
 import numpy as np
@@ -47,9 +46,6 @@ from .intarith import (
 
 Form = tuple[int, int, int]
 
-# legendre_table keeps this many tables of p bytes each; a character row
-# needs the few primes of one d, and the small ones recur from d to d
-LEGENDRE_CACHE_SIZE = 64
 # share of the regulator R that the proven tail bound of the class-number
 # series may take: the h interval is then at most about TAIL_SHARE wide
 TAIL_SHARE = 1 / 2
@@ -87,7 +83,8 @@ SERIES_TERM_LIMIT = 10**7
 MAX_EULER_BOUND = 10**6
 # largest d of l_value_exact and character_row: the log-sine sum peaks at
 # 12.6 bytes per d under tracemalloc, and at the limit at 1.23 GB RSS in
-# 2.7-3.2 s on 2 vCPUs; below it the row's int32 indices are exact
+# 2.7-3.2 s on 2 vCPUs, and keeps no table once it returns; below it the
+# row's int32 indices are exact
 L_VALUE_LIMIT = 10**8
 # reduced_forms refuses d >= FORM_GRID_LIMIT: below it b*b, m_b = (d - b*b)/4
 # and every position in the (b, a) grid stay below 2**53, so they are exact
@@ -499,7 +496,6 @@ def class_number(d: int) -> tuple[int, int]:
     return h, h if fundamental_unit(d).norm_sign == -1 else 2 * h
 
 
-@lru_cache(maxsize=LEGENDRE_CACHE_SIZE)
 def legendre_table(p: int) -> np.ndarray:
     """Legendre symbols (a|p) for a in [0, p), as an int8 array."""
     t = np.full(p, -1, dtype=np.int8)
@@ -513,16 +509,17 @@ _CHI_MINUS8 = np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8)
 _CHI_MINUS4 = np.array([0, 1, 0, -1], dtype=np.int8)
 
 
-def character_row(d: int, n: int | None = None) -> np.ndarray:
-    """chi_d(a) for a in [0, n), n = d by default, as an int8 array; d must
-    be fundamental and at most L_VALUE_LIMIT."""
+def character_row(d: int) -> np.ndarray:
+    """chi_d(a) for 0 <= a <= d//2, the half period the log-sine sum
+    reads, as an int8 array; d must be fundamental and at most
+    L_VALUE_LIMIT."""
     if d > L_VALUE_LIMIT:
         raise ValueError(
             f"character_row: d = {d} exceeds L_VALUE_LIMIT = {L_VALUE_LIMIT}"
         )
     if fundamental_decomposition(d).conductor != 1:
         raise ValueError(f"character_row: {d} is not fundamental")
-    n = d if n is None else n
+    n = d // 2 + 1
     idx = np.arange(n, dtype=np.int32)
     row = np.ones(n, dtype=np.int8)
     if d % 2:
@@ -543,10 +540,10 @@ def character_row(d: int, n: int | None = None) -> np.ndarray:
 def l_value_exact(d: int) -> float:
     """L(1, chi_d) by the finite log-sine sum over half a period."""
     half = d // 2
-    row = character_row(d, half + 1)  # raises for non-fundamental d
+    row = character_row(d)  # raises for non-fundamental d
     a = np.arange(1, half + 1, dtype=np.float64)
     weights = np.log(np.sin(np.pi * a / d))
-    return float(-2.0 / sqrt(d) * np.dot(row[1 : half + 1].astype(np.float64), weights))
+    return float(-2.0 / sqrt(d) * np.dot(row[1:].astype(np.float64), weights))
 
 
 def l_value_truncated(d: int, B: int) -> float:

@@ -88,8 +88,7 @@ class QuadIrrational:
                 f"quadratic irrational: 4a does not divide b^2 - d "
                 f"(a={self.a}, b={self.b}, d={self.d})"
             )
-        c = (self.b * self.b - self.d) // (4 * self.a)
-        if gcd(gcd(self.a, self.b), c) != 1:
+        if not _is_regular(self.d, self.a, self.b):
             raise ValueError(
                 f"quadratic irrational: content gcd(a, b, (b^2-d)/(4a)) != 1 "
                 f"(a={self.a}, b={self.b}, d={self.d})"
@@ -120,11 +119,17 @@ def _reduced_window_b(ideal: QuadIdeal) -> int:
     return ideal.b + 2 * ideal.a * ((s - ideal.b) // (2 * ideal.a))
 
 
+def _is_regular(d: int, a: int, b: int) -> bool:
+    """gcd(a, b, (d - b^2)/(4a)) == 1, for 4a | d - b^2: the primitive ideal
+    [a, (b + sqrt(d))/2] is regular (invertible), and (b + sqrt(d))/(2a)
+    has content 1."""
+    return gcd(gcd(a, b), (d - b * b) // (4 * a)) == 1
+
+
 def classify(ideal: QuadIdeal) -> IdealFlags:
     d, a, b, e = ideal.d, ideal.a, ideal.b, ideal.e
     primitive = e == 1
-    c = (d - b * b) // (4 * a)
-    regular = primitive and gcd(gcd(a, b), c) == 1
+    regular = primitive and _is_regular(d, a, b)
     f = fundamental_decomposition(d).conductor
     prime_to_conductor = gcd(ideal.norm, f) == 1
     if not regular:
@@ -159,7 +164,7 @@ def multiply_ideals(i1: QuadIdeal, i2: QuadIdeal) -> QuadIdeal:
     if i1.d != i2.d:
         raise ValueError(f"multiply_ideals: discriminants differ ({i1.d} vs {i2.d})")
     d = i1.d
-    if not any(gcd(gcd(i.a, i.b), (d - i.b * i.b) // (4 * i.a)) == 1 for i in (i1, i2)):
+    if not any(_is_regular(d, i.a, i.b) for i in (i1, i2)):
         raise ValueError(
             "multiply_ideals: both factors have irregular primitive parts; "
             "use module_product"

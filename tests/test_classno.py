@@ -215,20 +215,16 @@ def test_l_exact_examples():
 def test_character_row_matches_kronecker():
     for d in (5, 8, 12, 13, 17, 21, 24, 40, 56, 61, 88, 120, 129, 140):
         row = character_row(d)
-        for a in range(d):
-            assert row[a] == kronecker(d, a), (d, a)
-        for n in (0, 1, d // 2 + 1, d - 1):
-            prefix = character_row(d, n)
-            assert prefix.dtype == np.int8 and prefix.tolist() == row[:n].tolist()
+        assert row.dtype == np.int8 and len(row) == d // 2 + 1
+        assert row.tolist() == [kronecker(d, a) for a in range(d // 2 + 1)], d
 
 
 def test_character_row_limit():
+    # the row's int32 indices stay exact up to the limit
+    assert classno.L_VALUE_LIMIT // 2 + 1 < 2**31
+    # 10**8 + 1 is fundamental, so only the limit refuses it
     with pytest.raises(ValueError, match="L_VALUE_LIMIT"):
-        character_row(classno.L_VALUE_LIMIT + 1, 10)
-    # the largest fundamental d at the limit, through its first 2**16 values
-    d = 99999997
-    row = character_row(d, 1 << 16)
-    assert all(row[a] == kronecker(d, a) for a in range(0, 1 << 16, 97))
+        character_row(classno.L_VALUE_LIMIT + 1)
 
 
 def test_round_trip_small_range():
