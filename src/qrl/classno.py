@@ -15,12 +15,13 @@ from their continued fractions, in one backward pass whose depth falls as
 pi n^2/d grows; each term's truncation and rounding are bounded as it is
 computed.
 An order of conductor f > 1 takes h from its field and the unit index.
-Where an interval pins no single integer, h falls back to
-`class_number_forms`, which counts the cycles of the reduced primitive
-(b + sqrt(d))/(2a), a > 0, under the continued-fraction step and is kept as
-the independent oracle. h_narrow is h if the fundamental unit has norm -1,
-else 2h. L(1, chi_d) is evaluated exactly with the finite log-sine
-character sum, and approximately by a truncated Euler product.
+`class_number_forms` counts the cycles of the reduced primitive
+(b + sqrt(d))/(2a), a > 0, under the continued-fraction step. It gives h
+below FORMS_BELOW, where it is the faster, and wherever an interval pins no
+single integer, and is kept as the independent oracle. h_narrow is h if the
+fundamental unit has norm -1, else 2h. L(1, chi_d) = 2 h R / sqrt(d) comes
+from the certified h and the regulator enclosure for a fundamental d, and
+approximately from a truncated Euler product.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from mpmath import mp, mpf
 from mpmath.libmp import round_floor, to_float
 
-from .cfrac import cf_orbit, fundamental_unit, regulator_enclosure
+from .cfrac import REGULATOR_DPS, cf_orbit, fundamental_unit, regulator_enclosure
 from .intarith import (
     factorize,
     fundamental_decomposition,
@@ -81,11 +82,11 @@ SERIES_TERM_LIMIT = 10**7
 # largest prime bound B of l_value_truncated: its sieve and character peak
 # at 7.5 bytes per B under tracemalloc at B = 10**6
 MAX_EULER_BOUND = 10**6
-# largest d of l_value_exact and character_row: the log-sine sum peaks at
-# 12.6 bytes per d under tracemalloc, and at the limit at 1.23 GB RSS in
-# 2.7-3.2 s on 2 vCPUs, and keeps no table once it returns; below it the
-# row's int32 indices are exact
-L_VALUE_LIMIT = 10**8
+# class_number takes h from the form cycles below FORMS_BELOW and from the
+# series from there up: cold, on 2 vCPUs, 150 consecutive fundamental d took
+# 0.16 ms each by the forms against 0.54 by the series from 2*10**4, 0.38
+# against 0.65 from 10**5, and 0.86 against 0.66 from 1.5*10**5
+FORMS_BELOW = 10**5
 # reduced_forms refuses d >= FORM_GRID_LIMIT: below it b*b, m_b = (d - b*b)/4
 # and every position in the (b, a) grid stay below 2**53, so they are exact
 # in int64 and m_b and an integer quotient m_b/a are exact in float64
@@ -468,82 +469,59 @@ def _field_class_number(d: int, r_lo: Fraction, r_hi: Fraction) -> int | None:
     return _pin(lo / (2 * r_hi), hi / (2 * r_lo))
 
 
-def class_number(d: int) -> tuple[int, int]:
-    """(h, h_narrow) for the order of discriminant d, by the analytic
-    class-number formula with certified rounding (see _series_sum).
+def _analytic_class_number(d: int) -> tuple[int, int] | None:
+    """(h, h_narrow) for the order of discriminant d by the analytic
+    class-number formula with certified rounding (see _series_sum), or None
+    when an interval pins no single integer.
 
     For d = d_K f^2 with f > 1, h = h_K f prod_{p | f} (1 - chi_K(p)/p) / i
     with i = [O_K^x : O^x] = R / R_K (Cox, Primes of the Form x^2 + ny^2,
     Thm 7.24, and its real analogue), i pinned from the two regulator
-    enclosures. When an interval pins no single integer, the form cycles
-    decide: the result is never an uncertified h."""
+    enclosures."""
     disc = fundamental_decomposition(d)
     d_k, f = disc.fundamental, disc.conductor
     k_lo, k_hi = _regulator_interval(d_k)
     h = _field_class_number(d_k, k_lo, k_hi)
-    if h is not None and f > 1:
+    if h is None:
+        return None
+    if f > 1:
         r_lo, r_hi = _regulator_interval(d)
         index = _pin(r_lo / k_hi, r_hi / k_lo)
-        if index:
-            ratio = Fraction(h * f, index)
-            for p, _ in factorize(f):
-                ratio *= Fraction(p - kronecker(d_k, p), p)
-            h = ratio.numerator if ratio.denominator == 1 else None
-        else:
-            h = None
-    if h is None:
-        return class_number_forms(d)
+        if not index:
+            return None
+        ratio = Fraction(h * f, index)
+        for p, _ in factorize(f):
+            ratio *= Fraction(p - kronecker(d_k, p), p)
+        if ratio.denominator != 1:
+            return None
+        h = ratio.numerator
     return h, h if fundamental_unit(d).norm_sign == -1 else 2 * h
 
 
-def legendre_table(p: int) -> np.ndarray:
-    """Legendre symbols (a|p) for a in [0, p), as an int8 array."""
-    t = np.full(p, -1, dtype=np.int8)
-    t[0] = 0
-    t[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
-    return t
+def class_number(d: int) -> tuple[int, int]:
+    """(h, h_narrow) for the order of discriminant d: from the form cycles
+    below FORMS_BELOW, and from the analytic formula from there up. When
+    its interval pins no single integer, the form cycles decide: the result
+    is never an uncertified h."""
+    if d >= FORMS_BELOW:
+        hs = _analytic_class_number(d)
+        if hs is not None:
+            return hs
+    return class_number_forms(d)
 
 
-_CHI8 = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)
-_CHI_MINUS8 = np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8)
-_CHI_MINUS4 = np.array([0, 1, 0, -1], dtype=np.int8)
-
-
-def character_row(d: int) -> np.ndarray:
-    """chi_d(a) for 0 <= a <= d//2, the half period the log-sine sum
-    reads, as an int8 array; d must be fundamental and at most
-    L_VALUE_LIMIT."""
-    if d > L_VALUE_LIMIT:
-        raise ValueError(
-            f"character_row: d = {d} exceeds L_VALUE_LIMIT = {L_VALUE_LIMIT}"
-        )
-    if fundamental_decomposition(d).conductor != 1:
-        raise ValueError(f"character_row: {d} is not fundamental")
-    n = d // 2 + 1
-    idx = np.arange(n, dtype=np.int32)
-    row = np.ones(n, dtype=np.int8)
-    if d % 2:
-        odd = d
-    else:
-        m = d // 4
-        if m % 4 == 3:
-            row = _CHI_MINUS4[idx % 4]
-            odd = m
-        else:
-            odd = m // 2
-            row = (_CHI8 if odd % 4 == 1 else _CHI_MINUS8)[idx % 8]
-    for p, _ in factorize(odd):
-        row = row * legendre_table(p)[idx % p]
-    return row
+@mp.workdps(REGULATOR_DPS)
+def _l_value(d: int, h: int) -> float:
+    """2 h R / sqrt(d) from the regulator enclosure of d, at REGULATOR_DPS."""
+    return float(2 * h * regulator_enclosure(d)[0] / mp.sqrt(d))
 
 
 def l_value_exact(d: int) -> float:
-    """L(1, chi_d) by the finite log-sine sum over half a period."""
-    half = d // 2
-    row = character_row(d)  # raises for non-fundamental d
-    a = np.arange(1, half + 1, dtype=np.float64)
-    weights = np.log(np.sin(np.pi * a / d))
-    return float(-2.0 / sqrt(d) * np.dot(row[1:].astype(np.float64), weights))
+    """L(1, chi_d) = 2 h R / sqrt(d) for a fundamental d (Cohen, GTM 138,
+    Prop. 5.6.9), from the certified h and the regulator enclosure."""
+    if fundamental_decomposition(d).conductor != 1:
+        raise ValueError(f"l_value_exact: {d} is not fundamental")
+    return _l_value(d, class_number(d)[0])
 
 
 def l_value_truncated(d: int, B: int) -> float:
@@ -572,7 +550,7 @@ def class_data(d: int, euler_bound_B: int = 10**5) -> ClassData:
         d,
         h,
         h_narrow,
-        l_value_exact(d) if fundamental else None,
+        _l_value(d, h) if fundamental else None,
         l_value_truncated(d, euler_bound_B),
         euler_bound_B,
     )

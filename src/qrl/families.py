@@ -33,7 +33,7 @@ from .cfrac import (
     principal_ideal_of_norm,
     regulator_enclosure,
 )
-from .classno import h_bound_report, l_value_truncated, legendre_table
+from .classno import h_bound_report, l_value_truncated
 from .intarith import (
     crt,
     icbrt,
@@ -99,6 +99,14 @@ class ConstantsReport:
     C_prime_m: float
     mertens_M: float
     headline_constant: float
+
+
+def legendre_table(p: int) -> np.ndarray:
+    """Legendre symbols (a|p) for a in [0, p), as an int8 array."""
+    t = np.full(p, -1, dtype=np.int8)
+    t[0] = 0
+    t[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
+    return t
 
 
 def count_good_residues(p: int, primes: list[int]) -> int:

@@ -12,7 +12,7 @@ from mpmath import mp, mpf
 from qrl import classno
 from qrl.cfrac import fundamental_unit, principal_expansion
 from qrl.classno import (
-    character_row,
+    _analytic_class_number,
     class_data,
     class_number,
     class_number_forms,
@@ -22,6 +22,7 @@ from qrl.classno import (
     l_value_truncated,
     reduced_forms,
 )
+from qrl.families import legendre_table
 from qrl.intarith import (
     factorize,
     fundamental_decomposition,
@@ -202,14 +203,67 @@ def test_l_truncated_matches_kronecker_product(B):
         assert l_value_truncated(d, B) == kronecker_euler_product(d, B), (d, B)
 
 
+# ---------------------------------------------------------------------------
+# L(1, chi_d) by the finite log-sine sum over half a period: the O(d) oracle
+# for l_value_exact, and for the h and R that l_value_exact reads
+
+# largest d of character_row: below it the row's int32 indices are exact
+L_VALUE_LIMIT = 10**8
+_CHI8 = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)
+_CHI_MINUS8 = np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8)
+_CHI_MINUS4 = np.array([0, 1, 0, -1], dtype=np.int8)
+
+
+def character_row(d):
+    """chi_d(a) for 0 <= a <= d//2, the half period the log-sine sum
+    reads, as an int8 array; d must be fundamental and at most
+    L_VALUE_LIMIT."""
+    if d > L_VALUE_LIMIT:
+        raise ValueError(
+            f"character_row: d = {d} exceeds L_VALUE_LIMIT = {L_VALUE_LIMIT}"
+        )
+    if fundamental_decomposition(d).conductor != 1:
+        raise ValueError(f"character_row: {d} is not fundamental")
+    n = d // 2 + 1
+    idx = np.arange(n, dtype=np.int32)
+    row = np.ones(n, dtype=np.int8)
+    if d % 2:
+        odd = d
+    else:
+        m = d // 4
+        if m % 4 == 3:
+            row = _CHI_MINUS4[idx % 4]
+            odd = m
+        else:
+            odd = m // 2
+            row = (_CHI8 if odd % 4 == 1 else _CHI_MINUS8)[idx % 8]
+    for p, _ in factorize(odd):
+        row = row * legendre_table(p)[idx % p]
+    return row
+
+
+def log_sine_l_value(d):
+    """L(1, chi_d) by the finite log-sine sum over half a period."""
+    half = d // 2
+    row = character_row(d)  # raises for non-fundamental d
+    a = np.arange(1, half + 1, dtype=np.float64)
+    weights = np.log(np.sin(np.pi * a / d))
+    return float(-2.0 / sqrt(d) * np.dot(row[1:].astype(np.float64), weights))
+
+
 def test_l_exact_examples():
     assert abs(l_value_exact(5) - 0.4304089) < 1e-6
     assert abs(l_value_exact(8) - 0.6232252) < 1e-6
     # round trip at d = 40 pins h = 2 to high accuracy
-    h_unrounded = sqrt(40) * l_value_exact(40) / (2 * fundamental_unit(40).regulator)
+    h_unrounded = sqrt(40) * log_sine_l_value(40) / (2 * fundamental_unit(40).regulator)
     assert abs(h_unrounded - 2) < 1e-9
     with pytest.raises(ValueError, match="fundamental"):
         l_value_exact(45)
+
+
+def test_l_exact_matches_log_sine_oracle():
+    for d in fundamental_discriminants(5, 3000):
+        assert l_value_exact(d) == pytest.approx(log_sine_l_value(d), rel=1e-12), d
 
 
 def test_character_row_matches_kronecker():
@@ -221,16 +275,16 @@ def test_character_row_matches_kronecker():
 
 def test_character_row_limit():
     # the row's int32 indices stay exact up to the limit
-    assert classno.L_VALUE_LIMIT // 2 + 1 < 2**31
+    assert L_VALUE_LIMIT // 2 + 1 < 2**31
     # 10**8 + 1 is fundamental, so only the limit refuses it
     with pytest.raises(ValueError, match="L_VALUE_LIMIT"):
-        character_row(classno.L_VALUE_LIMIT + 1)
+        character_row(L_VALUE_LIMIT + 1)
 
 
 def test_round_trip_small_range():
     for d in fundamental_discriminants(5, 3000):
         h, _ = class_number_forms(d)
-        unrounded = sqrt(d) * l_value_exact(d) / (2 * fundamental_unit(d).regulator)
+        unrounded = sqrt(d) * log_sine_l_value(d) / (2 * fundamental_unit(d).regulator)
         assert abs(unrounded - h) < 1e-6, d
 
 
@@ -241,16 +295,30 @@ def test_truncated_approaches_exact():
         d = rng.randrange(5, 10**6)
         if not (is_discriminant(d) and fundamental_decomposition(d).conductor == 1):
             continue
-        assert abs(l_value_truncated(d, 10**5) - l_value_exact(d)) <= 0.05
+        assert abs(l_value_truncated(d, 10**5) - log_sine_l_value(d)) <= 0.05
         picked += 1
 
 
 def test_class_data_fields():
     data = class_data(40, euler_bound_B=100)
     assert (data.d, data.h, data.h_narrow) == (40, 2, 2)
-    assert data.L_exact is not None and data.euler_bound_B == 100
+    assert data.L_exact == l_value_exact(40) and data.euler_bound_B == 100
     data = class_data(45)
     assert data.L_exact is None and data.h == 1
+
+
+def test_class_data_computes_h_once(monkeypatch):
+    calls = []
+    original = classno.class_number
+
+    def counting(d):
+        calls.append(d)
+        return original(d)
+
+    monkeypatch.setattr(classno, "class_number", counting)
+    for d in (40, 45, 10**6 + 1):
+        class_data(d, euler_bound_B=100)
+    assert calls == [40, 45, 10**6 + 1]
 
 
 def test_h_bound_report():
@@ -278,16 +346,16 @@ def test_h_bound_is_rounded_down():
 
 
 def test_class_number_examples_analytic():
-    assert class_number(5) == (1, 1)
-    assert class_number(12) == (1, 2)
-    assert class_number(40) == (2, 2)
+    assert _analytic_class_number(5) == class_number(5) == (1, 1)
+    assert _analytic_class_number(12) == class_number(12) == (1, 2)
+    assert _analytic_class_number(40) == class_number(40) == (2, 2)
     assert class_number(10000200021)[0] == 4
 
 
 def test_class_number_matches_forms_below_6000():
     for d in range(5, 6000):
         if is_discriminant(d):
-            assert class_number(d) == class_number_forms(d), d
+            assert _analytic_class_number(d) == class_number_forms(d), d
 
 
 @settings(max_examples=40, deadline=None)
@@ -297,13 +365,14 @@ def test_class_number_matches_forms_below_6000():
 def test_class_number_matches_forms_sample(q, r):
     d = 4 * q + r  # every d <= 10**7 with d = 0, 1 mod 4
     if is_discriminant(d):
-        assert class_number(d) == class_number_forms(d)
+        assert _analytic_class_number(d) == class_number_forms(d)
 
 
 def test_class_number_falls_back_to_forms(monkeypatch):
     # allowing each libm call a 100 % error leaves an h interval too wide
     # to pin one integer
     monkeypatch.setattr(classno, "_LIBM", 1.0)
+    monkeypatch.setattr(classno, "FORMS_BELOW", 0)
     calls = []
     original = classno.class_number_forms
 
@@ -313,8 +382,28 @@ def test_class_number_falls_back_to_forms(monkeypatch):
 
     monkeypatch.setattr(classno, "class_number_forms", counting)
     ds = [5, 12, 40, 45, 229, 1009, 4 * 1009, 9 * 1009]
+    assert [_analytic_class_number(d) for d in ds] == [None] * len(ds)
     assert [class_number(d) for d in ds] == [original(d) for d in ds]
     assert calls == ds
+
+
+def test_class_number_switches_at_forms_below(monkeypatch):
+    edge = classno.FORMS_BELOW
+    ds = [d for d in range(edge - 20, edge + 20) if is_discriminant(d)]
+    below = max(d for d in ds if d < edge)
+    at = min(d for d in ds if d >= edge)
+    calls = []
+    for name in ("class_number_forms", "_analytic_class_number"):
+        original = getattr(classno, name)
+
+        def counting(d, name=name, original=original):
+            calls.append((name, d))
+            return original(d)
+
+        monkeypatch.setattr(classno, name, counting)
+    class_number(below)
+    class_number(at)
+    assert calls == [("class_number_forms", below), ("_analytic_class_number", at)]
 
 
 CHARACTER_TABLE_DS = (5, 8, 12, 13, 40, 88, 1009, 3 * 5 * 7 * 11 * 13 * 4 + 1, 2**89 - 1)

@@ -17,6 +17,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
 from qrl import cfrac, classno, cli, families
 from qrl.cfrac import exact_unit, fundamental_unit, principal_expansion
@@ -462,21 +463,31 @@ def test_lvalue_refuses_large_euler_bound_before_allocating():
     assert peak < 10**6
 
 
-def test_lvalue_refuses_large_d_before_allocating():
-    # the log-sine sum would take about 12.6 bytes per d: some 13 TB here
+def test_lvalue_large_d_from_h_and_regulator():
+    # L = 2hR/sqrt(d) reads the class-number series and the principal walk,
+    # not a character row of d/2 entries (some 6 TB here)
+    d = 1000000000061
     tracemalloc.start()
     try:
-        code, out, err = run_cli(["lvalue", "--d", "1000000000061"])
+        code, out, err = run_cli(["lvalue", "--d", str(d)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert code == 0 and err == ""
+    h, _ = classno.class_number(d)
+    with mp.workdps(cfrac.REGULATOR_DPS):
+        value = float(2 * h * cfrac.regulator_enclosure(d)[0] / mp.sqrt(d))
+    assert one_json(out) == {"d": d, "method": "exact", "value": float(f"{value:.12g}")}
+    assert peak < 10**8
+
+
+def test_lvalue_refuses_non_fundamental():
+    code, out, err = run_cli(["lvalue", "--d", "45"])
     assert code == 1 and out == ""
     assert one_json(err) == {
         "error": "ValueError",
-        "message": "character_row: d = 1000000000061 exceeds"
-        f" L_VALUE_LIMIT = {classno.L_VALUE_LIMIT}",
+        "message": "l_value_exact: 45 is not fundamental",
     }
-    assert peak < 10**6
 
 
 def test_cubic_scan_refuses_long_period_before_allocating(monkeypatch):

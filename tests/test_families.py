@@ -219,6 +219,8 @@ def test_scan_with_h_computes_h_once_per_record(monkeypatch):
 
     monkeypatch.setattr(classno, "class_number", counting)
     monkeypatch.setattr(classno, "class_number_forms", form_calls.append)
+    # the toy spec's d lie below FORMS_BELOW, where class_number reads the forms
+    monkeypatch.setattr(classno, "FORMS_BELOW", 0)
     records = scan_squarefree(toy_spec(), k_max=30, with_h=True)
     ds = [r.d_values[0] for r in records]
     assert len(ds) > 10 and min(ds) >= 16  # every record gets a bound report
