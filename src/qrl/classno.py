@@ -148,16 +148,6 @@ _CF_STEPS = [
 
 
 @dataclass(frozen=True)
-class ClassData:
-    d: int
-    h: int
-    h_narrow: int
-    L_exact: float | None  # None when d is not fundamental
-    L_truncated: float
-    euler_bound_B: int
-
-
-@dataclass(frozen=True)
 class HBoundReport:
     h: int
     bound: float
@@ -510,18 +500,15 @@ def class_number(d: int) -> tuple[int, int]:
     return class_number_forms(d)
 
 
-@mp.workdps(REGULATOR_DPS)
-def _l_value(d: int, h: int) -> float:
-    """2 h R / sqrt(d) from the regulator enclosure of d, at REGULATOR_DPS."""
-    return float(2 * h * regulator_enclosure(d)[0] / mp.sqrt(d))
-
-
 def l_value_exact(d: int) -> float:
     """L(1, chi_d) = 2 h R / sqrt(d) for a fundamental d (Cohen, GTM 138,
-    Prop. 5.6.9), from the certified h and the regulator enclosure."""
+    Prop. 5.6.9), from the certified h and the regulator enclosure, at
+    REGULATOR_DPS."""
     if fundamental_decomposition(d).conductor != 1:
         raise ValueError(f"l_value_exact: {d} is not fundamental")
-    return _l_value(d, class_number(d)[0])
+    h = class_number(d)[0]
+    with mp.workdps(REGULATOR_DPS):
+        return float(2 * h * regulator_enclosure(d)[0] / mp.sqrt(d))
 
 
 def l_value_truncated(d: int, B: int) -> float:
@@ -541,19 +528,6 @@ def l_value_truncated(d: int, B: int) -> float:
         if chi:
             prod *= p / (p - chi)
     return prod
-
-
-def class_data(d: int, euler_bound_B: int = 10**5) -> ClassData:
-    h, h_narrow = class_number(d)
-    fundamental = fundamental_decomposition(d).conductor == 1
-    return ClassData(
-        d,
-        h,
-        h_narrow,
-        _l_value(d, h) if fundamental else None,
-        l_value_truncated(d, euler_bound_B),
-        euler_bound_B,
-    )
 
 
 def h_bound_report(d: int, h: int, constant: float) -> HBoundReport:

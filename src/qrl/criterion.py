@@ -31,11 +31,10 @@ from .cfrac import REGULATOR_DPS, principal_ideal_of_norm, regulator_enclosure
 from .intarith import fundamental_decomposition, is_discriminant, is_squarefree
 from .quadorder import (
     QuadIdeal,
-    classify,
     format_ideal_literal,
     module_product,
     multiply_ideals,
-    reduced_preimage,
+    reduced_b,
     unit_ideal,
 )
 
@@ -54,8 +53,6 @@ __all__ = [
     "evaluate_criterion",
     "simplex_integral",
     "simplex_integral_from_log",
-    "LatticeGap",
-    "lattice_integral_gap",
     "NonprimitiveProduct",
     "nonprimitive_product_example",
     "search_nonprimitive_example",
@@ -193,23 +190,25 @@ def clear_ramified_parts(inp: CriterionInput) -> CriterionInput:
 
 @dataclass(frozen=True)
 class PowerProductSet:
-    """All products of the base ideals with norm below sqrt(d)/2."""
+    """All products of the base ideals with norm below sqrt(d)/2.
+
+    Member v is ideals[v], generated by the reduced irrational
+    (b[v] + sqrt(d))/(2 ideals[v].a). enumerate_power_products, the only
+    constructor, proves each member primitive and reduced, and the rounding
+    argument of regulator_lower_bound rests on that proof."""
 
     d: int
     norms: tuple[int, ...]
     vectors: tuple[tuple[int, ...], ...]
     ideals: tuple[QuadIdeal, ...]
+    b: tuple[int, ...]
 
 
 def _bounded_vectors(
-    d: int, norms: Sequence[int], strict: bool = True
+    d: int, norms: Sequence[int]
 ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Exponent vectors e >= 0 with 4*A**2 < d (or <= d when strict=False),
-    A = prod(norms[i]**e[i]), in lexicographic order, paired with A."""
-
-    def fits(a: int) -> bool:
-        return 4 * a * a < d if strict else 4 * a * a <= d
-
+    """Exponent vectors e >= 0 with 4*A**2 < d, A = prod(norms[i]**e[i]), in
+    lexicographic order, paired with A."""
     m = len(norms)
     vec = [0] * m
 
@@ -218,14 +217,14 @@ def _bounded_vectors(
             yield tuple(vec), prod
             return
         e, p = 0, prod
-        while fits(p):
+        while 4 * p * p < d:
             vec[i] = e
             yield from rec(i + 1, p)
             e += 1
             p *= norms[i]
         vec[i] = 0
 
-    if fits(1):
+    if 4 < d:
         yield from rec(0, 1)
 
 
@@ -248,11 +247,12 @@ def enumerate_power_products(d: int, norms: Sequence[int]) -> PowerProductSet:
             f"{n} is not the norm of a reduced principal ideal for d={d}"
         )
     vectors: list[tuple[int, ...]] = []
+    bs: list[int] = []
     # members by product norm; the member for vec, whose last nonzero
     # exponent is at i, is the one for vec - e_i (earlier in lexicographic
     # order, norm prod // norms[i]) times base[i]
     seen: dict[int, QuadIdeal] = {}
-    for vec, prod in _bounded_vectors(d, norms, strict=True):
+    for vec, prod in _bounded_vectors(d, norms):
         if prod in seen:
             raise CriterionError(
                 f"duplicate power product {prod}:"
@@ -269,14 +269,16 @@ def enumerate_power_products(d: int, norms: Sequence[int]) -> PowerProductSet:
             raise CriterionError(
                 f"cannot build the power product for exponents {vec}: {exc}"
             ) from exc
-        if ideal.e != 1 or not classify(ideal).reduced:
+        b = reduced_b(ideal)
+        if b is None:
             raise CriterionError(
                 f"power product {format_ideal_literal(ideal)} for exponents"
                 f" {vec} is not a primitive reduced ideal"
             )
         vectors.append(vec)
+        bs.append(b)
         seen[prod] = ideal
-    return PowerProductSet(d, norms, tuple(vectors), tuple(seen.values()))
+    return PowerProductSet(d, norms, tuple(vectors), tuple(seen.values()), tuple(bs))
 
 
 @dataclass(frozen=True)
@@ -322,15 +324,9 @@ def regulator_lower_bound(products: PowerProductSet) -> BoundReport:
     # prod_v (b + sqrt(d)) = x + y sqrt(d) and prod_v 2a over the reduced
     # irrationals (b + sqrt(d))/(2a), exactly
     x, y, denom = 1, 0, 1
-    for ideal in products.ideals:
-        rho = reduced_preimage(ideal)
-        if rho is None:
-            raise CriterionError(
-                f"{format_ideal_literal(ideal)} has no reduced irrational"
-                " preimage; instance rejected"
-            )
-        x, y = x * rho.b + y * d, x + y * rho.b
-        denom *= 2 * rho.a
+    for ideal, b in zip(products.ideals, products.b):
+        x, y = x * b + y * d, x + y * b
+        denom *= 2 * ideal.a
     with mp.workdps(REGULATOR_DPS):
         root = mp.sqrt(d)
         big_l = mp.log(root / 2)
@@ -345,12 +341,12 @@ def regulator_lower_bound(products: PowerProductSet) -> BoundReport:
         #   so 0 <= S_v < L, and log prod_v A_v = sum S_v < N L comes out
         #   within 2u N L. The difference, the discrete sum, is at most N L
         #   and rounds within u N L: within 7u N (L + 1) in all.
-        # - Each rho_v = (b + sqrt(d))/(2a) is reduced, so 0 < b < sqrt(d)
-        #   and 1 < rho_v < sqrt(d): x and y are positive, y sqrt(d) comes
-        #   out within a relative 3.01u, x + y sqrt(d) within 4.02u and its
-        #   quotient by prod 2a within 5.03u. Its log, the exact sum
-        #   E = sum log rho_v < N (L + 1), comes out within 2uE + 5.1u
-        #   <= 8u N (L + 1).
+        # - Each rho_v = (b + sqrt(d))/(2a) is reduced, as the enumeration
+        #   proved, so 0 < b < sqrt(d) and 1 < rho_v < sqrt(d): x and y are
+        #   positive, y sqrt(d) comes out within a relative 3.01u,
+        #   x + y sqrt(d) within 4.02u and its quotient by prod 2a within
+        #   5.03u. Its log, the exact sum E = sum log rho_v < N (L + 1),
+        #   comes out within 2uE + 5.1u <= 8u N (L + 1).
         # One slack of 16u N (L + 1) covers both, with its own rounding and
         # the u N (L + 1) at most of each subtraction below.
         slack = mp.ldexp(n_products * (big_l + 1), 4 - mp.prec)
@@ -433,40 +429,6 @@ def simplex_integral(d: int, norms: Sequence[int]) -> float:
 
 
 @dataclass(frozen=True)
-class LatticeGap:
-    """Lattice sum vs. simplex integral for one bound region."""
-
-    d: int
-    norms: tuple[int, ...]
-    lattice_sum: float
-    integral: float
-    diff: float
-    lattice_count: int
-
-
-def lattice_integral_gap(d: int, norms: Sequence[int]) -> LatticeGap:
-    """Compare the lattice sum over integer exponent vectors (product of
-    norms**e at most sqrt(d)/2) with the simplex integral.
-
-    d only enters through log(sqrt(d)/2), so any integer d >= 5 is accepted
-    here, discriminant or not.
-    """
-    if d < 5:
-        raise CriterionError("d must be at least 5")
-    norms = tuple(int(n) for n in norms)
-    if any(n < 2 for n in norms):
-        raise CriterionError("all norms must be >= 2")
-    big_l = 0.5 * math.log(d) - math.log(2.0)
-    logs = [math.log(n) for n in norms]
-    total, count = 0.0, 0
-    for vec, _prod in _bounded_vectors(d, norms, strict=False):
-        total += big_l - sum(e * ln for e, ln in zip(vec, logs))
-        count += 1
-    integral = simplex_integral_from_log(big_l, norms)
-    return LatticeGap(d, norms, total, integral, total - integral, count)
-
-
-@dataclass(frozen=True)
 class NonprimitiveProduct:
     """An explicit product of two primitive ideals that is not primitive.
 
@@ -536,7 +498,7 @@ def nonprimitive_product_example(
     norms3 = (factor_1.norm, factor_2.norm, companion.norm)
     logs = [math.log(n) for n in norms3]
     subset_sums: dict[str, float] = {}
-    for vec, _prod in _bounded_vectors(d, norms3, strict=True):
+    for vec, _prod in _bounded_vectors(d, norms3):
         support = tuple(i for i, e in enumerate(vec) if e)
         if 0 in support and 1 in support:
             continue
@@ -574,10 +536,7 @@ def search_nonprimitive_example(
                             continue
                         if not rec.norm_bound_ok:
                             continue
-                        if not (
-                            classify(rec.factor_1).reduced
-                            and classify(rec.factor_2).reduced
-                        ):
+                        if None in (reduced_b(rec.factor_1), reduced_b(rec.factor_2)):
                             continue
                         return rec
     raise CriterionError(

@@ -101,37 +101,6 @@ class ConstantsReport:
     headline_constant: float
 
 
-def legendre_table(p: int) -> np.ndarray:
-    """Legendre symbols (a|p) for a in [0, p), as an int8 array."""
-    t = np.full(p, -1, dtype=np.int8)
-    t[0] = 0
-    t[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
-    return t
-
-
-def count_good_residues(p: int, primes: list[int]) -> int:
-    """#{y in F_p : (y|p) = 1, (y+4p_i|p) = -1 for all i}, by brute force."""
-    if p in primes:
-        raise ValueError(f"count_good_residues: {p} is one of the family primes")
-    if p == 2 or not is_prime(p):
-        raise ValueError("count_good_residues: p must be an odd prime")
-    t = legendre_table(p)
-    y = np.arange(p, dtype=np.int64)
-    mask = t == 1
-    for pi in primes:
-        mask = mask & (t[(y + 4 * pi) % p] == -1)
-    return int(np.count_nonzero(mask))
-
-
-def good_residue_lower_bound(p: int, m: int) -> float:
-    """Explicit character-sum lower bound for count_good_residues."""
-    return (
-        p / 2 ** (m + 1)
-        - ((m - 1) / 2 + 2.0 ** -(m + 1)) * sqrt(p)
-        - (m + 1) / 2
-    )
-
-
 def check_star(m: int, primes: list[int]) -> StarWitness | None:
     """Quadratic residue N mod prod{p_j <= 2m} with every N + 4p_i a unit
     mod those p_j; None when no residue works.

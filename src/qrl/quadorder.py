@@ -7,7 +7,8 @@ makes dataclass equality an ideal equality test.
 
 A quadratic irrational (b+sqrt(d))/(2a) is the content-1 case with the
 same divisibility; `to_ideal` maps it to the module it generates, and
-`reduced_preimage` inverts that map on reduced ideals.
+`reduced_b` inverts that map on reduced ideals. It is the one place that
+decides whether an ideal is reduced, on integers.
 """
 
 from __future__ import annotations
@@ -113,17 +114,25 @@ def canonical_irrational(d: int) -> QuadIrrational:
     return QuadIrrational(d, 1, d % 2)
 
 
-def _reduced_window_b(ideal: QuadIdeal) -> int:
-    # unique residue of b mod 2a inside (sqrt(d) - 2a, sqrt(d))
-    s = isqrt(ideal.d)
-    return ideal.b + 2 * ideal.a * ((s - ideal.b) // (2 * ideal.a))
-
-
 def _is_regular(d: int, a: int, b: int) -> bool:
     """gcd(a, b, (d - b^2)/(4a)) == 1, for 4a | d - b^2: the primitive ideal
     [a, (b + sqrt(d))/2] is regular (invertible), and (b + sqrt(d))/(2a)
     has content 1."""
     return gcd(gcd(a, b), (d - b * b) // (4 * a)) == 1
+
+
+def reduced_b(ideal: QuadIdeal) -> int | None:
+    """The b of the reduced irrational (b + sqrt(d))/(2a) that generates this
+    ideal, or None when the ideal is not primitive, regular and reduced.
+
+    Only the residue of b mod 2a in (s - 2a, s], s = isqrt(d), can give
+    -1 < conjugate < 0, so that residue alone is tested."""
+    d, a, b = ideal.d, ideal.a, ideal.b
+    if ideal.e != 1 or not _is_regular(d, a, b):
+        return None
+    s = isqrt(d)
+    b += 2 * a * ((s - b) // (2 * a))
+    return b if is_reduced_state(a, b, s) else None
 
 
 def classify(ideal: QuadIdeal) -> IdealFlags:
@@ -132,25 +141,8 @@ def classify(ideal: QuadIdeal) -> IdealFlags:
     regular = primitive and _is_regular(d, a, b)
     f = fundamental_decomposition(d).conductor
     prime_to_conductor = gcd(ideal.norm, f) == 1
-    if not regular:
-        reduced = False
-    elif 4 * a * a < d:
-        reduced = True
-    elif a * a >= d:
-        reduced = False
-    else:
-        reduced = _reduced_window_b(ideal) >= 2 * a - isqrt(d)
+    reduced = reduced_b(ideal) is not None
     return IdealFlags(primitive, regular, prime_to_conductor, reduced)
-
-
-def reduced_preimage(ideal: QuadIdeal) -> QuadIrrational | None:
-    """The reduced quadratic irrational generating this ideal, if one exists."""
-    if not classify(ideal).regular:
-        return None
-    bw = _reduced_window_b(ideal)
-    if bw >= 2 * ideal.a - isqrt(ideal.d):
-        return QuadIrrational(ideal.d, ideal.a, bw)
-    return None
 
 
 def multiply_ideals(i1: QuadIdeal, i2: QuadIdeal) -> QuadIdeal:

@@ -11,6 +11,8 @@ import random
 import time
 
 from test_classno import log_sine_l_value
+from test_criterion import lattice_integral_gap
+from test_families import count_good_residues, good_residue_lower_bound
 from test_quadorder import ideal_power, random_ideal, sample_discriminants
 
 from qrl import families
@@ -21,7 +23,6 @@ from qrl.criterion import (
     CriterionInput,
     NormSplit,
     evaluate_criterion,
-    lattice_integral_gap,
     search_nonprimitive_example,
 )
 from qrl.intarith import (
@@ -153,8 +154,8 @@ def test_criterion_06_good_residue_count():
         for p in primes_up_to(10**4):
             if p == 2 or p in primes:
                 continue
-            count = families.count_good_residues(p, primes)
-            lower = families.good_residue_lower_bound(p, m)
+            count = count_good_residues(p, primes)
+            lower = good_residue_lower_bound(p, m)
             assert count >= lower, f"explicit bound fails at p={p}, m={m}"
             if p >= threshold:
                 assert count >= 1, f"positivity fails at p={p}, m={m}"

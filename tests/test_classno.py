@@ -13,7 +13,6 @@ from qrl import classno
 from qrl.cfrac import fundamental_unit, principal_expansion
 from qrl.classno import (
     _analytic_class_number,
-    class_data,
     class_number,
     class_number_forms,
     form_cycles,
@@ -22,13 +21,14 @@ from qrl.classno import (
     l_value_truncated,
     reduced_forms,
 )
-from qrl.families import legendre_table
+from qrl.families import build_progression, scan_squarefree
 from qrl.intarith import (
     factorize,
     fundamental_decomposition,
     is_discriminant,
     kronecker,
 )
+from test_families import legendre_table
 from test_intarith import divisors
 
 
@@ -165,6 +165,24 @@ def test_narrow_wide_ratio():
         assert h_narrow == (h if sign == -1 else 2 * h)
 
 
+def test_genus_theory_divides_narrow_class_number():
+    """For a fundamental d with t distinct prime factors, 2**(t-1) divides h+
+    (genus theory): on every fundamental d < 6000, and on the scan records of
+    the m = 1, p1 = 5 progression with k <= 12, whose d run from 5.4e7 to
+    5.4e9 and take h from the analytic series."""
+    records = scan_squarefree(build_progression(1, [5], 10**10, 0.9), k_max=12)
+    large = [rec.d_values[0] for rec in records]
+    assert len(large) == 11 and 5 * 10**7 < min(large) < max(large) < 6 * 10**9
+    large_ts = set()
+    for d in [*fundamental_discriminants(5, 6000), *large]:
+        assert fundamental_decomposition(d).conductor == 1, d
+        t = len(factorize(d))
+        assert class_number(d)[1] % 2 ** (t - 1) == 0, (d, t)
+        if d in large:
+            large_ts.add(t)
+    assert large_ts == {1, 2, 3}
+
+
 def test_l_truncated_examples():
     assert abs(l_value_truncated(5, 10) - 0.4375) < 1e-15
     assert l_value_truncated(5, 1) == 1.0
@@ -297,28 +315,6 @@ def test_truncated_approaches_exact():
             continue
         assert abs(l_value_truncated(d, 10**5) - log_sine_l_value(d)) <= 0.05
         picked += 1
-
-
-def test_class_data_fields():
-    data = class_data(40, euler_bound_B=100)
-    assert (data.d, data.h, data.h_narrow) == (40, 2, 2)
-    assert data.L_exact == l_value_exact(40) and data.euler_bound_B == 100
-    data = class_data(45)
-    assert data.L_exact is None and data.h == 1
-
-
-def test_class_data_computes_h_once(monkeypatch):
-    calls = []
-    original = classno.class_number
-
-    def counting(d):
-        calls.append(d)
-        return original(d)
-
-    monkeypatch.setattr(classno, "class_number", counting)
-    for d in (40, 45, 10**6 + 1):
-        class_data(d, euler_bound_B=100)
-    assert calls == [40, 45, 10**6 + 1]
 
 
 def test_h_bound_report():

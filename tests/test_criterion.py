@@ -2,7 +2,9 @@
 
 import itertools
 import math
+from dataclasses import dataclass
 from math import gcd
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,6 @@ from qrl.criterion import (
     clear_ramified_parts,
     enumerate_power_products,
     evaluate_criterion,
-    lattice_integral_gap,
     nonprimitive_product_example,
     regulator_lower_bound,
     search_nonprimitive_example,
@@ -33,10 +34,45 @@ from qrl.quadorder import (
     classify,
     module_product,
     multiply_ideals,
-    reduced_preimage,
     unit_ideal,
 )
 from test_classno import fundamental_discriminants
+from test_quadorder import reduced_preimage
+
+
+@dataclass(frozen=True)
+class LatticeGap:
+    """Lattice sum vs. simplex integral for one bound region."""
+
+    d: int
+    norms: tuple[int, ...]
+    lattice_sum: float
+    integral: float
+    diff: float
+    lattice_count: int
+
+
+def lattice_integral_gap(d: int, norms: Sequence[int]) -> LatticeGap:
+    """Compare the lattice sum over integer exponent vectors (product of
+    norms**e at most sqrt(d)/2) with the simplex integral.
+
+    d only enters through log(sqrt(d)/2), so any integer d >= 5 is accepted
+    here, discriminant or not.
+    """
+    if d < 5:
+        raise CriterionError("d must be at least 5")
+    norms = tuple(int(n) for n in norms)
+    if any(n < 2 for n in norms):
+        raise CriterionError("all norms must be >= 2")
+    big_l = 0.5 * math.log(d) - math.log(2.0)
+    logs = [math.log(n) for n in norms]
+    total, count = 0.0, 0
+    # 4 A**2 <= d is 4 A**2 < d + 1
+    for vec, _prod in _bounded_vectors(d + 1, norms):
+        total += big_l - sum(e * ln for e, ln in zip(vec, logs))
+        count += 1
+    integral = simplex_integral_from_log(big_l, norms)
+    return LatticeGap(d, norms, total, integral, total - integral, count)
 
 
 def test_norm_split_validation():
@@ -110,6 +146,7 @@ def test_enumerate_power_products_61():
     assert pps.vectors == ((0,), (1,))
     assert pps.ideals[0] == unit_ideal(61)
     assert pps.ideals[1].norm == 3
+    assert pps.b == (7, 7)  # (7 + sqrt(61))/2 and (7 + sqrt(61))/6
     for ideal in pps.ideals:
         assert ideal.e == 1 and classify(ideal).reduced
 
@@ -133,9 +170,9 @@ def test_enumerate_power_products_errors():
 
 def test_bounded_vector_counts():
     # there are 33 products 2**a * 3**b strictly below sqrt(999999)/2
-    assert sum(1 for _ in _bounded_vectors(999999, [2, 3], strict=True)) == 33
-    # closed bound at d = 10**6: 2**e <= 500 gives e = 0..8
-    assert sum(1 for _ in _bounded_vectors(10**6, [2], strict=False)) == 9
+    assert sum(1 for _ in _bounded_vectors(999999, [2, 3])) == 33
+    # closed bound at d = 10**6, 4 A**2 < d + 1: 2**e <= 500 gives e = 0..8
+    assert sum(1 for _ in _bounded_vectors(10**6 + 1, [2])) == 9
 
 
 def test_regulator_lower_bound_61():
@@ -230,12 +267,15 @@ def test_power_products_match_module_products():
         ]
         assert list(products.vectors) == expected, (d, norms)
         base = [principal_ideal_of_norm(d, n) for n in norms]
-        for vec, ideal in zip(products.vectors, products.ideals):
+        for vec, ideal, b in zip(
+            products.vectors, products.ideals, products.b, strict=True
+        ):
             chain = unit_ideal(d)
             for base_ideal, e in zip(base, vec):
                 for _ in range(e):
                     chain = module_product(chain, base_ideal)
             assert ideal == chain, (d, norms, vec)
+            assert b == reduced_preimage(ideal).b, (d, norms, vec)
         counts[len(norms) - 1] += 1
     assert min(counts) >= 100, counts
 

@@ -14,14 +14,12 @@ from qrl.families import (
     build_progression,
     check_star,
     compute_constants,
-    count_good_residues,
     family_scan,
-    good_residue_lower_bound,
     scan_squarefree,
     squarefree_density,
     _squarefree_ks,
 )
-from qrl.intarith import icbrt, is_squarefree, kronecker, primes_up_to
+from qrl.intarith import icbrt, is_prime, is_squarefree, kronecker, primes_up_to
 from test_intarith import sqrt_mod_prime
 
 
@@ -50,6 +48,37 @@ def find_prime_tuple(m: int, bound: int) -> list[int] | None:
         return False
 
     return list(chosen) if extend() else None
+
+
+def legendre_table(p: int) -> np.ndarray:
+    """Legendre symbols (a|p) for a in [0, p), as an int8 array."""
+    t = np.full(p, -1, dtype=np.int8)
+    t[0] = 0
+    t[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
+    return t
+
+
+def count_good_residues(p: int, primes: list[int]) -> int:
+    """#{y in F_p : (y|p) = 1, (y+4p_i|p) = -1 for all i}, by brute force."""
+    if p in primes:
+        raise ValueError(f"count_good_residues: {p} is one of the family primes")
+    if p == 2 or not is_prime(p):
+        raise ValueError("count_good_residues: p must be an odd prime")
+    t = legendre_table(p)
+    y = np.arange(p, dtype=np.int64)
+    mask = t == 1
+    for pi in primes:
+        mask = mask & (t[(y + 4 * pi) % p] == -1)
+    return int(np.count_nonzero(mask))
+
+
+def good_residue_lower_bound(p: int, m: int) -> float:
+    """Explicit character-sum lower bound for count_good_residues."""
+    return (
+        p / 2 ** (m + 1)
+        - ((m - 1) / 2 + 2.0 ** -(m + 1)) * sqrt(p)
+        - (m + 1) / 2
+    )
 
 
 def toy_spec(n0=3, q=6, primes=(5,), x=10**10, eps1=0.9):

@@ -1,7 +1,8 @@
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
+from mpmath import mp
 
 from qrl.intarith import is_discriminant
 from qrl.quadorder import (
@@ -13,7 +14,7 @@ from qrl.quadorder import (
     module_product,
     multiply_ideals,
     parse_ideal_literal,
-    reduced_preimage,
+    reduced_b,
     unit_ideal,
 )
 from test_intarith import divisors
@@ -26,6 +27,19 @@ def ideal_power(ideal: QuadIdeal, t: int) -> QuadIdeal:
     for _ in range(t):
         out = multiply_ideals(out, ideal)
     return out
+
+
+def reduced_preimage(ideal: QuadIdeal) -> QuadIrrational | None:
+    """The reduced quadratic irrational generating this ideal, if one exists:
+    the residue of b mod 2a inside (sqrt(d) - 2a, sqrt(d)), validated as a
+    QuadIrrational. An oracle for reduced_b that does not call it."""
+    if not classify(ideal).regular:
+        return None
+    s = isqrt(ideal.d)
+    bw = ideal.b + 2 * ideal.a * ((s - ideal.b) // (2 * ideal.a))
+    if bw >= 2 * ideal.a - s:
+        return QuadIrrational(ideal.d, ideal.a, bw)
+    return None
 
 
 def random_ideal(rng, d, allow_content=True):
@@ -68,13 +82,17 @@ def test_b_normalization():
 def test_classify_examples():
     flags = classify(QuadIdeal(13, 3, 1))
     assert flags.primitive and flags.regular and not flags.reduced
+    assert reduced_b(QuadIdeal(13, 3, 1)) is None
     flags = classify(unit_ideal(13))
     assert flags.primitive and flags.regular and flags.reduced
+    assert reduced_b(unit_ideal(13)) == 3  # (3 + sqrt(13))/2
     flags = classify(QuadIdeal(61, 3, 7))
     assert flags.reduced  # norm 3 < sqrt(61)/2
+    assert reduced_b(QuadIdeal(61, 3, 7)) == 7
     # content 2: not primitive, never reduced
     flags = classify(QuadIdeal(13, 3, 1, 2))
     assert not flags.primitive and not flags.regular and not flags.reduced
+    assert reduced_b(QuadIdeal(13, 3, 1, 2)) is None
 
 
 def test_classify_conductor():
@@ -86,6 +104,49 @@ def test_classify_conductor():
 def test_irregular_example():
     flags = classify(QuadIdeal(45, 3, 3))
     assert flags.primitive and not flags.regular and not flags.reduced
+    assert reduced_b(QuadIdeal(45, 3, 3)) is None
+
+
+def all_primitive_ideals(d, a_max):
+    """Every ideal [a, (b + sqrt(d))/2] with e = 1 and a <= a_max: for each b
+    in (-a_max, a_max], b = d (mod 2), each divisor a >= |b| of (b^2 - d)/4
+    with b in (-a, a]."""
+    lo = 1 - a_max
+    for b in range(lo + (lo - d) % 2, a_max + 1, 2):
+        for a in divisors(abs(b * b - d) // 4):
+            if -a < b <= a <= a_max:
+                yield QuadIdeal(d, a, b)
+
+
+def test_reduced_b_matches_definition():
+    """On every ideal with e = 1 and a < d of every d < 500: classify's reduced
+    flag holds iff the ideal is regular and some b' = b (mod 2a) makes
+    rho = (b' + sqrt(d))/(2a) > 1 and -1 < rho' < 0, at 50 digits; reduced_b
+    returns that b', else None. -1 < rho' < 0 puts b' in (sqrt(d) - 2a,
+    sqrt(d)), so the b' with |b'| <= s + 2a + 1, s = isqrt(d), are all the
+    candidates; no a >= sqrt(d) is reduced, since rho - rho' = sqrt(d)/a."""
+    checked = found = 0
+    with mp.workdps(50):
+        for d in range(5, 500):
+            if not is_discriminant(d):
+                continue
+            root, s = mp.sqrt(d), isqrt(d)
+            for ideal in all_primitive_ideals(d, d - 1):
+                a, b = ideal.a, ideal.b
+                regular = gcd(gcd(a, b), (b * b - d) // (4 * a)) == 1
+                lo = -(s + 2 * a + 1)
+                witnesses = [
+                    bp
+                    for bp in range(lo + (b - lo) % (2 * a), s + 2 * a + 2, 2 * a)
+                    if (bp + root) / (2 * a) > 1 and -1 < (bp - root) / (2 * a) < 0
+                ]
+                assert len(witnesses) <= 1, (d, a, b)
+                reduced = regular and bool(witnesses)
+                assert classify(ideal).reduced == reduced, (d, a, b)
+                assert reduced_b(ideal) == (witnesses[0] if reduced else None), (d, a, b)
+                checked += 1
+                found += reduced
+    assert found > 1000 and checked > 10 * found, (checked, found)
 
 
 def test_multiply_examples():
