@@ -3,7 +3,8 @@
 Every command prints one JSON record per line (or CSV rows for scans) with
 floats normalized to 12 significant digits, so re-running a command with the
 same configuration produces byte-identical output.  Errors become a single
-machine-readable JSON record on stderr and a nonzero exit status.
+machine-readable JSON record on stderr and a nonzero exit status; a scan
+streams its rows, so those of the windows before a failing one stay on stdout.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, fields
 from decimal import Decimal, InvalidOperation
 from functools import cache, partial
+from itertools import chain, islice
 from multiprocessing import Pool
 
 from . import families
@@ -49,6 +51,11 @@ DEFAULT_BOUND_EXPONENT = 2.05
 # keeps an argument like 1e999999999 from building a huge integer
 MAX_SCALE_DIGITS = 4300
 
+# k per window of a one-process scan: each window pays the sieve's fixed
+# per-call cost, so a window spans a typical scan (perfbench's sieve items
+# cover 350 k) while bounding the records held at once
+SCAN_WINDOW = 4096
+
 SCAN_CSV_HEADER = [
     "k", "n", "d_1", "squarefree", "h", "regulator", "L_trunc", "bound_ok"
 ]
@@ -69,10 +76,6 @@ def _round_floats(value):
     return value
 
 
-def _emit_json(record: dict, stream) -> None:
-    print(json.dumps(_round_floats(record)), file=stream)
-
-
 def _float_cell(value) -> str:
     return "" if value is None else f"{value:.12g}"
 
@@ -81,19 +84,27 @@ def _bool_cell(value) -> str:
     return "" if value is None else ("1" if value else "0")
 
 
-def _out_stream(args):
+def _write(args, records, header=None) -> int:
+    """Print each record as one JSON line, or as a CSV row under header, and
+    return 0. The first record is pulled before any stream opens, so a
+    command that fails at once prints nothing; stdout then gets each record
+    as it arrives, and --out is opened only once every record exists, so a
+    failed command leaves that file untouched."""
     path = getattr(args, "out", None)
+    records = iter(records)
+    records = chain(list(islice(records, 1)), list(records) if path else records)
     if path:
-        return open(path, "w", encoding="utf-8", newline="")
-    return nullcontext(sys.stdout)
-
-
-def _write(args, records: list[dict]) -> int:
-    """Print each record as one JSON line to --out, or to stdout, and return
-    0; the stream is opened only once every record exists."""
-    with _out_stream(args) as stream:
-        for record in records:
-            _emit_json(record, stream)
+        stream = open(path, "w", encoding="utf-8", newline="")
+    else:
+        stream = nullcontext(sys.stdout)
+    with stream as out:
+        if header is None:
+            for record in records:
+                print(json.dumps(_round_floats(record)), file=out)
+        else:
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(records)
     return 0
 
 
@@ -168,6 +179,7 @@ def _parse_params(text: str | None) -> dict[str, int]:
 
 
 def _run_chunk(task):
+    """task(), by a module-level function that a pool can pickle."""
     return task()
 
 
@@ -178,27 +190,28 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _run_chunked(task_of_span, lo: int, hi: int, jobs: int) -> list:
-    """The records of task_of_span(k_min=a, k_max=b) over at most jobs spans
-    [a, b] of [lo, hi], in order, in a pool when more than one span; the
-    pool has at most one process per CPU. An empty range runs one empty
-    span, which checks the arguments."""
+def _run_chunked(task_of_span, lo: int, hi: int, jobs: int):
+    """Yield the records of task_of_span(k_min=a, k_max=b) over consecutive
+    windows [a, b] of [lo, hi], in order. One process runs windows of
+    SCAN_WINDOW k; a pool of at most one process per CPU runs about 16 windows
+    per process, so no process is left with the largest d alone. An empty
+    range runs one empty window, which checks the arguments."""
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
     total = max(0, hi - lo + 1)
     jobs = max(1, min(jobs, total, _cpu_count()))
-    size, extra = divmod(total, jobs)
-    tasks, start = [], lo
-    for i in range(jobs):
-        end = start + size - 1 + (1 if i < extra else 0)
-        tasks.append(partial(task_of_span, k_min=start, k_max=end))
-        start = end + 1
+    size = SCAN_WINDOW if jobs == 1 else min(SCAN_WINDOW, -(-total // (16 * jobs)))
+    tasks = (
+        partial(task_of_span, k_min=a, k_max=min(a + size - 1, hi))
+        for a in range(lo, hi + 1, size) or [lo]
+    )
     if jobs == 1:
-        chunks = [_run_chunk(task) for task in tasks]
+        for task in tasks:
+            yield from task()
     else:
         with Pool(processes=jobs) as pool:
-            chunks = pool.map(_run_chunk, tasks)
-    return [rec for chunk in chunks for rec in chunk]
+            for chunk in pool.imap(_run_chunk, tasks):
+                yield from chunk
 
 
 def _family_span(kind, params, k_min, k_max):
@@ -221,17 +234,6 @@ def _scan_row(rec: families.ScanRecord) -> list[str]:
             _bool_cell(rec.bound_ok),
         ]
     )
-
-
-def _emit_scan(records, args) -> int:
-    if args.format == "json":
-        return _write(args, [asdict(rec) for rec in records])
-    with _out_stream(args) as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(SCAN_CSV_HEADER)
-        for rec in records:
-            writer.writerow(_scan_row(rec))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +339,10 @@ def cmd_family_scan(args) -> int:
         )
     else:
         scan = partial(_family_span, args.kind, _parse_params(args.params))
-    return _emit_scan(_run_chunked(scan, args.kmin, args.kmax, args.jobs), args)
+    records = _run_chunked(scan, args.kmin, args.kmax, args.jobs)
+    if args.format == "json":
+        return _write(args, map(asdict, records))
+    return _write(args, map(_scan_row, records), SCAN_CSV_HEADER)
 
 
 def cmd_verify(args) -> int:
@@ -359,22 +364,26 @@ def cmd_verify(args) -> int:
             raise ValueError(f"verify {args.family} requires --{name}")
     lo = args.kmin if args.kmin is not None else family.verify_range[0]
     hi = args.kmax if args.kmax is not None else family.verify_range[1]
-    records = [
-        {
-            "family": args.family,
-            "k": rec.k,
-            "n": rec.n,
-            "d": rec.d_values[0],
-            "regulator": rec.regulator,
-            "bound": rec.bound,
-            "ok": bool(rec.bound_ok),
-        }
-        for rec in _run_chunked(partial(_family_span, kind, params), lo, hi, args.jobs)
-    ]
-    _write(args, records)
-    violations = sum(not record["ok"] for record in records)
+    violations = 0
+
+    def rows():
+        nonlocal violations
+        for rec in _run_chunked(partial(_family_span, kind, params), lo, hi, args.jobs):
+            violations += not rec.bound_ok
+            yield {
+                "family": args.family,
+                "k": rec.k,
+                "n": rec.n,
+                "d": rec.d_values[0],
+                "regulator": rec.regulator,
+                "bound": rec.bound,
+                "ok": bool(rec.bound_ok),
+            }
+
+    _write(args, rows())
     if violations:
-        _emit_json({"family": args.family, "violations": violations}, sys.stderr)
+        summary = {"family": args.family, "violations": violations}
+        print(json.dumps(summary), file=sys.stderr)
     return 1 if violations else 0
 
 

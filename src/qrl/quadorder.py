@@ -6,7 +6,7 @@ module a*Z + ((b+sqrt(d))/2)*Z. Validity needs b == d (mod 2) and
 makes dataclass equality an ideal equality test.
 
 A quadratic irrational (b+sqrt(d))/(2a) is the content-1 case with the
-same divisibility; `to_ideal` maps it to the module it generates, and
+same divisibility; it generates the module [a, (b+sqrt(d))/2], and
 `reduced_b` inverts that map on reduced ideals. It is the one place that
 decides whether an ideal is reduced, on integers.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd, isqrt, sqrt
+from math import gcd, isqrt
 
 from .intarith import fundamental_decomposition, is_discriminant, xgcd
 
@@ -52,9 +52,6 @@ class QuadIdeal:
     @property
     def norm(self) -> int:
         return self.a * self.e * self.e
-
-    def conjugate(self) -> "QuadIdeal":
-        return QuadIdeal(self.d, self.a, -self.b, self.e)
 
 
 @dataclass(frozen=True)
@@ -94,15 +91,6 @@ class QuadIrrational:
                 f"quadratic irrational: content gcd(a, b, (b^2-d)/(4a)) != 1 "
                 f"(a={self.a}, b={self.b}, d={self.d})"
             )
-
-    def value(self) -> float:
-        return (self.b + sqrt(self.d)) / (2 * self.a)
-
-    def is_reduced(self) -> bool:
-        return is_reduced_state(self.a, self.b, isqrt(self.d))
-
-    def to_ideal(self) -> QuadIdeal:
-        return QuadIdeal(self.d, self.a, self.b)
 
 
 def unit_ideal(d: int) -> QuadIdeal:

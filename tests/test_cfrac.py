@@ -25,7 +25,7 @@ from qrl.intarith import is_discriminant, is_squarefree
 from qrl.quadorder import QuadIdeal, QuadIrrational, canonical_irrational, classify
 
 from test_classno import fundamental_discriminants
-from test_quadorder import random_ideal, sample_discriminants
+from test_quadorder import is_reduced, random_ideal, sample_discriminants, to_ideal
 
 
 def quotient_stream(exp):
@@ -73,7 +73,7 @@ def test_cycle_states_reduced_and_distinct():
         assert len(exp.period) == len(exp.cycle) > 0
         assert len(set(exp.cycle)) == len(exp.cycle)
         for rho in exp.cycle:
-            assert rho.is_reduced()
+            assert is_reduced(rho)
         assert all(q >= 1 for q in exp.period)
 
 
@@ -87,7 +87,7 @@ def test_purely_periodic_iff_reduced():
             continue
         rho = QuadIrrational(d, ideal.a, ideal.b)
         exp = cf_expand(rho)
-        assert (exp.preperiod == ()) == rho.is_reduced()
+        assert (exp.preperiod == ()) == is_reduced(rho)
         done += 1
 
 
@@ -211,7 +211,7 @@ def test_principal_ideal_of_norm_is_first_on_cycle():
             continue
         cycle = principal_expansion(d).cycle
         for n in range(1, max(rho.a for rho in cycle) + 2):
-            first = next((rho.to_ideal() for rho in cycle if rho.a == n), None)
+            first = next((to_ideal(rho) for rho in cycle if rho.a == n), None)
             assert principal_ideal_of_norm(d, n) == first, (d, n)
 
 
@@ -296,12 +296,27 @@ def test_unit_matches_expansion_and_exact_unit(k, r):
 @given(st.integers(5, 10**6))
 def test_regulator_enclosure_holds_exact_log(d):
     assume(is_discriminant(d))
+    assert_enclosure_holds_exact_log(d)
+
+
+def assert_enclosure_holds_exact_log(d):
     reg, err = regulator_enclosure(d)
     u = exact_unit(d)
     with mp.workdps(60):
         exact = mp.log((u.x + u.y * mp.sqrt(d)) / 2)
     # the ends exactly, not rounded to the ambient precision
-    assert mp.fsub(reg, err, exact=True) <= exact <= mp.fadd(reg, err, exact=True)
+    assert mp.fsub(reg, err, exact=True) <= exact <= mp.fadd(reg, err, exact=True), d
+
+
+def test_regulator_enclosure_holds_exact_log_at_paper_scale():
+    # short cycles at d ~ 1e11 to 4e12 keep exact_unit cheap: Chowla's
+    # 4n^2 + 1 (period 3) and Shanks' (2^k + 3)^2 - 8 (period 37 to 43)
+    chowla = [4 * n * n + 1 for n in range(158110, 158125)]
+    shanks = [(2**k + 3) ** 2 - 8 for k in range(18, 22)]
+    ds = [d for d in chowla + shanks if is_squarefree(d)]
+    assert len(ds) == 18
+    for d in ds:
+        assert_enclosure_holds_exact_log(d)
 
 
 def test_regulator_enclosure_ignores_ambient_precision():

@@ -9,14 +9,18 @@ import argparse
 import io
 import json
 import math
+import os
 import re
 import shlex
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from qrl import cfrac, classno, cli, families
@@ -283,8 +287,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        return [fn(task) for task in tasks]
+    def imap(self, fn, tasks):
+        return map(fn, tasks)
 
 
 @pytest.fixture
@@ -321,6 +325,99 @@ def test_jobs_below_one_is_refused(pools, argv, jobs):
         "error": "ValueError",
         "message": f"--jobs must be at least 1, got {jobs}",
     }
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lo=st.integers(-50, 10_000),
+    length=st.integers(-3, 10_000),
+    jobs=st.integers(1, 8),
+    cpus=st.integers(1, 4),
+    window=st.integers(1, cli.SCAN_WINDOW),
+)
+@example(lo=1, length=10_000, jobs=1, cpus=4, window=cli.SCAN_WINDOW)
+@example(lo=1, length=10_000, jobs=2, cpus=4, window=100)
+@example(lo=7, length=0, jobs=8, cpus=4, window=cli.SCAN_WINDOW)
+def test_run_chunked_windows_cover_the_range_in_order(lo, length, jobs, cpus, window):
+    hi = lo + length - 1
+    windows, created = [], []
+
+    def span(k_min, k_max):
+        windows.append((k_min, k_max))
+        return list(range(k_min, k_max + 1))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "Pool", partial(RecordingPool, created))
+        patch.setattr(cli, "_cpu_count", lambda: cpus)
+        patch.setattr(cli, "SCAN_WINDOW", window)
+        records = list(cli._run_chunked(span, lo, hi, jobs))
+    assert records == list(range(lo, hi + 1))
+    assert all(b - a + 1 <= window for a, b in windows)
+    if length <= 0:
+        assert windows == [(lo, hi)]
+    processes = min(jobs, max(length, 0), cpus)
+    assert created == ([processes] if processes > 1 else [])
+
+
+def test_scan_failing_window_keeps_earlier_rows(monkeypatch, tmp_path):
+    argv = ["family", "scan", "--kind", "chowla", "--kmax", "200"]
+    code, full, err = run_cli(argv)
+    assert code == 0 and err == ""
+    header, *rows = full.splitlines(keepends=True)
+    kept = [row for row in rows if int(row.split(",")[0]) <= 100]
+    assert 0 < len(kept) < len(rows)
+    span = cli._family_span
+
+    def failing_span(kind, params, k_min, k_max):
+        if k_min > 100:
+            raise ValueError(f"window from k = {k_min}")
+        return span(kind, params, k_min, k_max)
+
+    monkeypatch.setattr(cli, "SCAN_WINDOW", 50)
+    monkeypatch.setattr(cli, "_family_span", failing_span)
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == header + "".join(kept)
+    assert one_json(err) == {"error": "ValueError", "message": "window from k = 101"}
+    # --out is opened only once every record exists
+    target = tmp_path / "scan.csv"
+    target.write_bytes(b"earlier contents\n")
+    code, out, err = run_cli(argv + ["--out", str(target)])
+    assert code == 1 and out == "" and one_json(err)["error"] == "ValueError"
+    assert target.read_bytes() == b"earlier contents\n"
+
+
+def test_verify_counts_violations_as_rows_pass(monkeypatch):
+    span = cli._family_span
+
+    def odd_k_fail(kind, params, k_min, k_max):
+        records = span(kind, params, k_min, k_max)
+        return [replace(rec, bound_ok=rec.k % 2 == 0) for rec in records]
+
+    monkeypatch.setattr(cli, "_family_span", odd_k_fail)
+    code, out, err = run_cli(["verify", "chowla", "--kmax", "20"])
+    rows = [json.loads(line) for line in out.splitlines()]
+    odd = sum(row["k"] % 2 for row in rows)
+    assert code == 1 and 0 < odd < len(rows)
+    assert [row["ok"] for row in rows] == [row["k"] % 2 == 0 for row in rows]
+    assert one_json(err) == {"family": "chowla", "violations": odd}
+
+
+def test_scan_memory_does_not_grow_with_the_range(monkeypatch):
+    # records reach stdout a window at a time, so the peak is one window's
+    monkeypatch.setattr(cli, "SCAN_WINDOW", 100)
+
+    def peak(kmax):
+        with open(os.devnull, "w") as sink, redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(["family", "scan", "--kind", "chowla", "--kmax", kmax]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    peak("2000")  # warm-up: the caches fill here, not in the measured runs
+    small, large = peak("500"), peak("2000")
+    assert large < 1.2 * small, (small, large)
 
 
 def test_family_scan_rejects_missing_parameter():

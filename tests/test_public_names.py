@@ -3,7 +3,9 @@
 A public top-level function or class of src/qrl that nothing reads, neither
 src/qrl outside its own definition nor perfbench, serves only the tests and
 belongs in them. The `cmd_*` functions are exempt: the CLI reaches them by
-name, through `set_defaults`.
+name, through `set_defaults`. The same holds for a public method or property
+of a src/qrl class that no attribute access reads, in src/qrl outside its own
+definition or in perfbench.
 """
 
 import ast
@@ -24,16 +26,20 @@ def read_names(node: ast.AST) -> set[str]:
 
 def unreferenced_public_names(src: Path, users: list[Path]) -> list[str]:
     """module.name for each public top-level function or class under src that
-    no other top-level statement under src, and nothing under users, reads."""
-    statements = [
-        (path.stem, stmt)
-        for path in sorted(src.glob("*.py"))
-        for stmt in ast.parse(path.read_text()).body
+    no other top-level statement under src, and nothing under users, reads;
+    then module.Class.name for each public method or property of a class
+    under src that no attribute access outside its own definition, under src
+    or users, reads."""
+    modules = [
+        (path.stem, ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))
     ]
-    outside = set()
-    for root in users:
-        for path in sorted(root.glob("*.py")):
-            outside |= read_names(ast.parse(path.read_text()))
+    statements = [(module, stmt) for module, tree in modules for stmt in tree.body]
+    user_trees = [
+        ast.parse(path.read_text())
+        for root in users
+        for path in sorted(root.glob("*.py"))
+    ]
+    outside = set().union(*map(read_names, user_trees))
     read_by = [read_names(stmt) for _, stmt in statements]
     flagged = []
     for i, (module, stmt) in enumerate(statements):
@@ -44,6 +50,23 @@ def unreferenced_public_names(src: Path, users: list[Path]) -> list[str]:
             continue
         if not any(name in names for j, names in enumerate(read_by) if j != i):
             flagged.append(f"{module}.{name}")
+    attributes = [
+        sub
+        for tree in [tree for _, tree in modules] + user_trees
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute)
+    ]
+    for module, stmt in statements:
+        if not isinstance(stmt, ast.ClassDef):
+            continue
+        for method in stmt.body:
+            if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                continue
+            inside = {id(sub) for sub in ast.walk(method)}
+            if not any(
+                sub.attr == method.name and id(sub) not in inside for sub in attributes
+            ):
+                flagged.append(f"{module}.{stmt.name}.{method.name}")
     return flagged
 
 
@@ -59,12 +82,24 @@ def test_scan_flags_a_test_only_name(tmp_path):
         "def used(): return 1\n"
         "def unused(): return used()\n"
         "def recursive(n): return recursive(n - 1) if n else 0\n"
-        "class Shape: pass\n"
+        "class Shape:\n"
+        "    def area(self): return self.side\n"
+        "    @property\n"
+        "    def side(self): return 1\n"
+        "    @property\n"
+        "    def unread(self): return 2\n"
+        "    def again(self, n): return self.again(n - 1) if n else 0\n"
+        "    def _private(self): pass\n"
         "def _private(): pass\n"
         "def cmd_run(args): pass\n"
     )
     (src / "other.py").write_text("from .core import unused\n")
     bench = tmp_path / "bench"
     bench.mkdir()
-    (bench / "run.py").write_text("import pkg.core\npkg.core.Shape()\n")
-    assert unreferenced_public_names(src, [bench]) == ["core.unused", "core.recursive"]
+    (bench / "run.py").write_text("import pkg.core\npkg.core.Shape().area()\n")
+    assert unreferenced_public_names(src, [bench]) == [
+        "core.unused",
+        "core.recursive",
+        "core.Shape.unread",
+        "core.Shape.again",
+    ]

@@ -1,5 +1,5 @@
 import random
-from math import gcd, isqrt
+from math import gcd, isqrt, sqrt
 
 import pytest
 from mpmath import mp
@@ -11,6 +11,7 @@ from qrl.quadorder import (
     canonical_irrational,
     classify,
     format_ideal_literal,
+    is_reduced_state,
     module_product,
     multiply_ideals,
     parse_ideal_literal,
@@ -27,6 +28,23 @@ def ideal_power(ideal: QuadIdeal, t: int) -> QuadIdeal:
     for _ in range(t):
         out = multiply_ideals(out, ideal)
     return out
+
+
+def conjugate(ideal: QuadIdeal) -> QuadIdeal:
+    return QuadIdeal(ideal.d, ideal.a, -ideal.b, ideal.e)
+
+
+def irrational_value(rho: QuadIrrational) -> float:
+    return (rho.b + sqrt(rho.d)) / (2 * rho.a)
+
+
+def is_reduced(rho: QuadIrrational) -> bool:
+    return is_reduced_state(rho.a, rho.b, isqrt(rho.d))
+
+
+def to_ideal(rho: QuadIrrational) -> QuadIdeal:
+    """The module [a, (b + sqrt(d))/2] that rho generates."""
+    return QuadIdeal(rho.d, rho.a, rho.b)
 
 
 def reduced_preimage(ideal: QuadIdeal) -> QuadIrrational | None:
@@ -152,7 +170,7 @@ def test_reduced_b_matches_definition():
 def test_multiply_examples():
     a = QuadIdeal(13, 3, 1)
     assert multiply_ideals(unit_ideal(13), a) == a
-    assert multiply_ideals(a, a.conjugate()) == QuadIdeal(13, 1, 1, 3)
+    assert multiply_ideals(a, conjugate(a)) == QuadIdeal(13, 1, 1, 3)
     sq = multiply_ideals(a, a)
     assert sq == QuadIdeal(13, 9, 7) and sq.e == 1
 
@@ -181,9 +199,9 @@ def test_ideal_power_examples():
 
 
 def test_to_ideal_examples():
-    assert QuadIrrational(13, 1, 3).to_ideal() == unit_ideal(13)
-    assert QuadIrrational(13, 3, 1).to_ideal() == QuadIdeal(13, 3, 1)
-    assert QuadIrrational(61, 3, 7).to_ideal() == QuadIdeal(61, 3, 7)
+    assert to_ideal(QuadIrrational(13, 1, 3)) == unit_ideal(13)
+    assert to_ideal(QuadIrrational(13, 3, 1)) == QuadIdeal(13, 3, 1)
+    assert to_ideal(QuadIrrational(61, 3, 7)) == QuadIdeal(61, 3, 7)
 
 
 def test_canonical_irrational():
@@ -191,7 +209,7 @@ def test_canonical_irrational():
     assert (w.a, w.b) == (1, 1)
     w = canonical_irrational(8)
     assert (w.a, w.b) == (1, 0)
-    assert abs(w.value() - 8**0.5 / 2) < 1e-12
+    assert abs(irrational_value(w) - 8**0.5 / 2) < 1e-12
 
 
 def test_irrational_validation():
@@ -235,7 +253,7 @@ def test_conjugation_law():
         i1 = random_ideal(rng, d)
         if not classify(QuadIdeal(d, i1.a, i1.b)).regular:
             continue
-        assert multiply_ideals(i1, i1.conjugate()) == QuadIdeal(
+        assert multiply_ideals(i1, conjugate(i1)) == QuadIdeal(
             d, 1, d % 2, i1.e * i1.e * i1.a
         )
         done += 1
@@ -263,12 +281,12 @@ def test_reduced_round_trip():
             flags = classify(i1)
             rho = reduced_preimage(i1)
             if flags.reduced:
-                assert rho is not None and rho.is_reduced()
-                assert rho.to_ideal() == i1
-                assert classify(rho.to_ideal()).reduced
+                assert rho is not None and is_reduced(rho)
+                assert to_ideal(rho) == i1
+                assert classify(to_ideal(rho)).reduced
                 seen_reduced += 1
             else:
-                assert rho is None or not rho.is_reduced()
+                assert rho is None or not is_reduced(rho)
     assert seen_reduced > 20
 
 
@@ -281,8 +299,8 @@ def test_reduced_irrational_maps_to_reduced_ideal():
         rho = reduced_preimage(i1)
         if rho is None:
             continue
-        assert rho.is_reduced()
-        assert classify(rho.to_ideal()).reduced
+        assert is_reduced(rho)
+        assert classify(to_ideal(rho)).reduced
         done += 1
 
 
