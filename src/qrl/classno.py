@@ -26,7 +26,6 @@ approximately from a truncated Euler product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, exp, factorial, fsum, isqrt, log, pi, sqrt
 
@@ -145,13 +144,6 @@ _CF_STEPS = [
     )
     for j in range(CF_BANDS[0][1] + 1, 0, -1)
 ]
-
-
-@dataclass(frozen=True)
-class HBoundReport:
-    h: int
-    bound: float
-    satisfied: bool
 
 
 def reduced_forms(d: int) -> list[Form]:
@@ -530,14 +522,14 @@ def l_value_truncated(d: int, B: int) -> float:
     return prod
 
 
-def h_bound_report(d: int, h: int, constant: float) -> HBoundReport:
+def h_bound(d: int, constant: float) -> float:
+    """constant sqrt(d) / (log(d)^2 log log d) for d >= 16, evaluated at 30
+    digits, lowered by 2**-90 relative to cover their rounding, and rounded
+    down, so that h <= h_bound(d, constant) certifies the inequality."""
     if d < 16:
-        raise ValueError("h_bound_report: need d >= 16 so log log d > 0")
-    # evaluated at 30 digits, lowered by 2**-90 relative to cover their
-    # rounding, and rounded down, so that h <= bound certifies the inequality
+        raise ValueError("h_bound: need d >= 16 so log log d > 0")
     with mp.workdps(30):
         log_d = mp.log(d)
         value = mpf(constant) * mp.sqrt(d) / (log_d**2 * mp.log(log_d))
         lowered = value * (1 - mpf(2) ** -90)
-        bound = to_float(lowered._mpf_, strict=True, rnd=round_floor)
-    return HBoundReport(h, bound, h <= bound)
+        return to_float(lowered._mpf_, strict=True, rnd=round_floor)

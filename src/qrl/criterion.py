@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -37,27 +38,6 @@ from .quadorder import (
     reduced_b,
     unit_ideal,
 )
-
-__all__ = [
-    "CriterionError",
-    "NormSplit",
-    "CriterionInput",
-    "SplitChecks",
-    "HypothesisReport",
-    "check_hypotheses",
-    "clear_ramified_parts",
-    "PowerProductSet",
-    "enumerate_power_products",
-    "BoundReport",
-    "regulator_lower_bound",
-    "evaluate_criterion",
-    "simplex_integral",
-    "simplex_integral_from_log",
-    "NonprimitiveProduct",
-    "nonprimitive_product_example",
-    "search_nonprimitive_example",
-]
-
 
 class CriterionError(ValueError):
     """A hypothesis or construction step of the bound criterion failed."""
@@ -99,53 +79,34 @@ class CriterionInput:
             raise CriterionError(f"{self.d} is not a real quadratic discriminant")
 
 
-@dataclass(frozen=True)
-class SplitChecks:
-    """Per-decomposition hypothesis results."""
-
-    norm_in_cycle: bool
-    coprime_part_ok: bool
-    ramified_part_ok: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.norm_in_cycle and self.coprime_part_ok and self.ramified_part_ok
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    d: int
-    per_split: tuple[SplitChecks, ...]
-    pairwise_coprime: bool
-    offending_pair: tuple[int, int] | None
-    all_pass: bool
-
-
-def check_hypotheses(inp: CriterionInput) -> HypothesisReport:
-    """Check, per decomposition: the total is the norm of a reduced principal
-    ideal; the coprime part is coprime to d; the ramified part is a squarefree
-    divisor of the fundamental discriminant; and globally that the coprime
-    parts are pairwise coprime."""
-    d0 = fundamental_decomposition(inp.d).fundamental
-    per = tuple(
-        SplitChecks(
-            norm_in_cycle=principal_ideal_of_norm(inp.d, sp.total) is not None,
-            coprime_part_ok=gcd(sp.coprime_part, inp.d) == 1,
-            ramified_part_ok=bool(is_squarefree(sp.ramified_part))
-            and d0 % sp.ramified_part == 0,
-        )
-        for sp in inp.splits
-    )
-    offending = None
-    for i in range(len(inp.splits)):
-        for j in range(i + 1, len(inp.splits)):
-            if gcd(inp.splits[i].coprime_part, inp.splits[j].coprime_part) != 1:
-                offending = (i, j)
-                break
-        if offending:
+def check_hypotheses(inp: CriterionInput) -> list[str]:
+    """The hypotheses that fail, as messages, empty when all hold. Per
+    decomposition, in order: the total is the norm of a reduced principal
+    ideal; the coprime part is coprime to d; the ramified part is a
+    squarefree divisor of the fundamental discriminant. Then the coprime
+    parts must be pairwise coprime; the first pair (i < j) that is not is
+    reported."""
+    d = inp.d
+    d0 = fundamental_decomposition(d).fundamental
+    problems = []
+    for sp in inp.splits:
+        if principal_ideal_of_norm(d, sp.total) is None:
+            problems.append(f"{sp.total} is not the norm of a reduced principal ideal")
+        if gcd(sp.coprime_part, d) != 1:
+            problems.append(f"gcd({sp.coprime_part}, {d}) != 1")
+        if not (is_squarefree(sp.ramified_part) and d0 % sp.ramified_part == 0):
+            problems.append(
+                f"{sp.ramified_part} is not a squarefree divisor of the"
+                " fundamental discriminant"
+            )
+    parts = [sp.coprime_part for sp in inp.splits]
+    for i, j in combinations(range(len(parts)), 2):
+        if gcd(parts[i], parts[j]) != 1:
+            problems.append(
+                f"coprime parts of entries {i} and {j} share a common factor"
+            )
             break
-    all_pass = offending is None and all(ck.all_ok for ck in per)
-    return HypothesisReport(inp.d, per, offending is None, offending, all_pass)
+    return problems
 
 
 def _ramified_ideal(d: int, r: int) -> QuadIdeal:
@@ -156,8 +117,8 @@ def _ramified_ideal(d: int, r: int) -> QuadIdeal:
     raise CriterionError(f"no primitive ideal of norm {r} exists for d={d}")
 
 
-def clear_ramified_parts(inp: CriterionInput) -> CriterionInput:
-    """Replace each norm by the square of its coprime part.
+def clear_ramified_parts(inp: CriterionInput) -> tuple[int, ...]:
+    """The norms with each replaced by the square of its coprime part.
 
     For a decomposition n = n_c * n_r with n_r > 1, the norm-n_r ideal must
     square to n_r times the unit ideal; this is verified by the exact module
@@ -166,10 +127,11 @@ def clear_ramified_parts(inp: CriterionInput) -> CriterionInput:
     it shares a factor with the conductor).  Entries whose coprime part is 1
     reduce to the unit ideal and are dropped.
     """
-    new_splits: list[NormSplit] = []
+    norms: list[int] = []
     for sp in inp.splits:
+        c = sp.coprime_part
         if sp.ramified_part == 1:
-            new_splits.append(sp)
+            norms.append(c)
             continue
         frak = _ramified_ideal(inp.d, sp.ramified_part)
         square = module_product(frak, frak)
@@ -181,11 +143,9 @@ def clear_ramified_parts(inp: CriterionInput) -> CriterionInput:
                 f" the unit ideal; the ramified part {sp.ramified_part}"
                 f" of {sp.total} cannot be cleared"
             )
-        c = sp.coprime_part
-        if c == 1:
-            continue
-        new_splits.append(NormSplit(c * c, c * c, 1))
-    return CriterionInput(inp.d, tuple(new_splits))
+        if c > 1:
+            norms.append(c * c)
+    return tuple(norms)
 
 
 @dataclass(frozen=True)
@@ -369,35 +329,13 @@ def regulator_lower_bound(products: PowerProductSet) -> BoundReport:
     )
 
 
-def evaluate_criterion(inp: CriterionInput) -> tuple[HypothesisReport, BoundReport]:
+def evaluate_criterion(inp: CriterionInput) -> tuple[PowerProductSet, BoundReport]:
     """Full pipeline: hypothesis checks, ramified clearing, enumeration, bound."""
-    report = check_hypotheses(inp)
-    if not report.all_pass:
-        problems = []
-        for i, ck in enumerate(report.per_split):
-            sp = inp.splits[i]
-            if not ck.norm_in_cycle:
-                problems.append(
-                    f"{sp.total} is not the norm of a reduced principal ideal"
-                )
-            if not ck.coprime_part_ok:
-                problems.append(f"gcd({sp.coprime_part}, {inp.d}) != 1")
-            if not ck.ramified_part_ok:
-                problems.append(
-                    f"{sp.ramified_part} is not a squarefree divisor of the"
-                    " fundamental discriminant"
-                )
-        if not report.pairwise_coprime:
-            i, j = report.offending_pair
-            problems.append(
-                f"coprime parts of entries {i} and {j} share a common factor"
-            )
+    problems = check_hypotheses(inp)
+    if problems:
         raise CriterionError("hypotheses fail: " + "; ".join(problems))
-    cleared = clear_ramified_parts(inp)
-    products = enumerate_power_products(
-        inp.d, [sp.total for sp in cleared.splits]
-    )
-    return report, regulator_lower_bound(products)
+    products = enumerate_power_products(inp.d, clear_ramified_parts(inp))
+    return products, regulator_lower_bound(products)
 
 
 def simplex_integral_from_log(bound_log: float, norms: Sequence[int]) -> float:

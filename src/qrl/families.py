@@ -33,7 +33,7 @@ from .cfrac import (
     principal_ideal_of_norm,
     regulator_enclosure,
 )
-from .classno import h_bound_report, l_value_truncated
+from .classno import class_number, h_bound, l_value_truncated
 from .intarith import (
     crt,
     icbrt,
@@ -169,16 +169,14 @@ def build_progression(
 def _attach_analysis(
     rec: ScanRecord, primes: tuple[int, ...], euler_bound_B: int | None
 ) -> ScanRecord:
-    from .classno import class_number
-
     (d,) = rec.d_values
     h, _ = class_number(d)
     reg = fundamental_unit(d).regulator
     l_val = l_value_truncated(d, euler_bound_B) if euler_bound_B else None
     bound = bound_ok = None
     if d >= 16:
-        rep = h_bound_report(d, h, HEADLINE_CONSTANT * log(max(primes)))
-        bound, bound_ok = rep.bound, rep.satisfied
+        bound = h_bound(d, HEADLINE_CONSTANT * log(max(primes)))
+        bound_ok = h <= bound
     return replace(
         rec, h=h, regulator=reg, L_truncated=l_val, bound=bound, bound_ok=bound_ok
     )

@@ -8,14 +8,9 @@ than silently going probabilistic. The prime sieves run on numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
-
-# fundamental_decomposition keeps this many d; its callers ask for one d
-# many times in a row (once per ideal classified), then move on
-DECOMPOSITION_CACHE_SIZE = 64
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -115,15 +110,6 @@ def icbrt(n: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class SquarefreeResult:
-    is_squarefree: bool
-    witness: int | None = None  # a prime (or square root) whose square divides n
-
-    def __bool__(self) -> bool:
-        return self.is_squarefree
-
-
 def _trial_candidates():
     yield 2
     yield 3
@@ -152,19 +138,16 @@ def _trial_division(n: int, power: int):
             yield p, e, m
 
 
-def is_squarefree(n: int) -> SquarefreeResult:
+def is_squarefree(n: int) -> bool:
     """Exact squarefreeness test by trial division up to cbrt(n), then a
     single perfect-square check of the cofactor."""
     if n <= 0:
         raise ValueError("is_squarefree: argument must be positive")
     m = n  # the loop leaves the final cofactor in m
-    for p, e, m in _trial_division(n, 3):
+    for _, e, m in _trial_division(n, 3):
         if e >= 2:
-            return SquarefreeResult(False, p)
-    r = isqrt(m)
-    if r * r == m and m > 1:
-        return SquarefreeResult(False, r)
-    return SquarefreeResult(True)
+            return False
+    return m == 1 or isqrt(m) ** 2 != m
 
 
 def squarefree_decomposition(n: int) -> tuple[int, int]:
@@ -198,7 +181,6 @@ def is_discriminant(d: int) -> bool:
     return r * r != d
 
 
-@lru_cache(maxsize=DECOMPOSITION_CACHE_SIZE)
 def fundamental_decomposition(d: int) -> Discriminant:
     """Split d = d0 * f**2 with d0 a fundamental discriminant."""
     if not is_discriminant(d):

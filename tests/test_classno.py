@@ -16,7 +16,7 @@ from qrl.classno import (
     class_number,
     class_number_forms,
     form_cycles,
-    h_bound_report,
+    h_bound,
     l_value_exact,
     l_value_truncated,
     reduced_forms,
@@ -317,19 +317,17 @@ def test_truncated_approaches_exact():
         picked += 1
 
 
-def test_h_bound_report():
-    rep = h_bound_report(61, 1, 192 * log(3))
-    assert rep.h == 1 and rep.satisfied and abs(rep.bound - 68.96) < 0.1
-    rep = h_bound_report(61, 1, 0.0)
-    assert not rep.satisfied
+def test_h_bound_examples():
+    assert abs(h_bound(61, 192 * log(3)) - 68.96) < 0.1
+    assert h_bound(61, 0.0) == 0.0
     with pytest.raises(ValueError):
-        h_bound_report(15, 2, 1.0)
+        h_bound(15, 1.0)
 
 
 def test_h_bound_is_rounded_down():
     constant = 192 * log(3)
     for d in fundamental_discriminants(16, 20001):
-        bound = h_bound_report(d, 1, constant).bound
+        bound = h_bound(d, constant)
         with mp.workdps(60):
             log_d = mp.log(d)
             exact = mpf(constant) * mp.sqrt(d) / (log_d**2 * mp.log(log_d))
@@ -508,6 +506,34 @@ def test_series_sum_within_its_error_bound(d):
         assert abs(total - exact) <= err
         h = class_number_forms(d)[0]
         assert abs(exact / (2 * h) - r) < 1e-9 * r
+
+
+def test_series_sum_within_its_error_bound_at_paper_scale():
+    # d = 10**9 + 9 is a prime 1 mod 4, so fundamental, with h = 1. The sum
+    # to the budget's N, against a 30-digit sum over the same n <= N (a sum
+    # to isqrt(60 d), as above, would take some 245 000 terms)
+    d, n_max = 10**9 + 9, 17842
+    r = fundamental_unit(d).regulator
+    x_cut = max(1.0, log(2 * sqrt(d / np.pi) / (classno.TAIL_SHARE * r)))
+    assert isqrt(int(x_cut * d / np.pi) + 1) + 1 == n_max
+    total, err = classno._series_sum(d, n_max)
+    x_max = np.pi * n_max * n_max / d
+    tail = 2 * sqrt(d / np.pi) * math.exp(-x_max) * x_max**-1.5
+    with mp.workdps(30):
+        root, scale = mp.sqrt(d), mp.pi / d
+        exact = mp.fsum(
+            chi * (root / n * mp.erfc(n * mp.sqrt(scale)) + mp.e1(scale * n * n))
+            for n in range(1, n_max + 1)
+            if (chi := kronecker(d, n))
+        )
+        assert abs(total - exact) <= err
+        # the tail takes nearly all of err; the rest bounds the rounding alone
+        assert abs(total - exact) <= err - tail
+        # the sum past N is within the tail bound, so h = S / (2R) lies in
+        # [lo, hi], and 1 is the only integer there
+        lo, hi = (exact - tail) / (2 * r), (exact + tail) / (2 * r)
+        assert 0 < lo <= 1 <= hi < 2
+    assert class_number(d)[0] == 1
 
 
 def ulps(got, exact):

@@ -868,6 +868,15 @@ PINNED = {
         ' "regulator": 11.8672937507, "bound": 11.8672937507, "ok": true}\n',
         "",
     ),
+    "criterion-error": (
+        ["criterion", "--d", "105", "--norms", "6=3*2,10=2*5,4"],
+        1,
+        "",
+        '{"error": "CriterionError", "message": "hypotheses fail: gcd(3, 105)'
+        " != 1; 2 is not a squarefree divisor of the fundamental discriminant;"
+        " 10 is not the norm of a reduced principal ideal; coprime parts of"
+        ' entries 1 and 2 share a common factor"}\n',
+    ),
     "unit-error": (
         ["unit", "--d", "7"],
         1,

@@ -85,53 +85,45 @@ def test_norm_split_validation():
 
 
 def test_check_hypotheses_pass():
-    rep = check_hypotheses(CriterionInput(61, (NormSplit(3, 3, 1),)))
-    assert rep.all_pass and rep.pairwise_coprime and rep.offending_pair is None
-    assert rep.per_split[0].norm_in_cycle
-    assert rep.per_split[0].coprime_part_ok
-    assert rep.per_split[0].ramified_part_ok
+    assert check_hypotheses(CriterionInput(61, (NormSplit(3, 3, 1),))) == []
 
 
 def test_check_hypotheses_norm_not_in_cycle():
     # 61 is 5 mod 8, so no ideal of norm 2 exists at all.
-    rep = check_hypotheses(CriterionInput(61, (NormSplit(2, 2, 1),)))
-    assert not rep.per_split[0].norm_in_cycle
-    assert not rep.all_pass
+    assert check_hypotheses(CriterionInput(61, (NormSplit(2, 2, 1),))) == [
+        "2 is not the norm of a reduced principal ideal"
+    ]
 
 
 def test_check_hypotheses_split_parts():
     # d=60: norm 6 is in the cycle but its coprime part 2 divides 60.
-    rep = check_hypotheses(CriterionInput(60, (NormSplit(6, 2, 3),)))
-    ck = rep.per_split[0]
-    assert ck.norm_in_cycle and not ck.coprime_part_ok and ck.ramified_part_ok
+    assert check_hypotheses(CriterionInput(60, (NormSplit(6, 2, 3),))) == [
+        "gcd(2, 60) != 1"
+    ]
     # orientation flipped: 3 shares a factor with 105 and 2 does not divide it
-    rep = check_hypotheses(CriterionInput(105, (NormSplit(6, 3, 2),)))
-    ck = rep.per_split[0]
-    assert not ck.coprime_part_ok and not ck.ramified_part_ok
+    assert check_hypotheses(CriterionInput(105, (NormSplit(6, 3, 2),))) == [
+        "gcd(3, 105) != 1",
+        "2 is not a squarefree divisor of the fundamental discriminant",
+    ]
 
 
 def test_check_hypotheses_pairwise():
-    rep = check_hypotheses(
-        CriterionInput(105, (NormSplit(6, 2, 3), NormSplit(4, 4, 1)))
-    )
-    assert not rep.pairwise_coprime
-    assert rep.offending_pair == (0, 1)
-    assert not rep.all_pass
+    splits = (NormSplit(6, 2, 3), NormSplit(4, 4, 1))
+    assert check_hypotheses(CriterionInput(105, splits)) == [
+        "coprime parts of entries 0 and 1 share a common factor"
+    ]
 
 
 def test_clear_ramified_parts_squares_coprime_part():
-    out = clear_ramified_parts(CriterionInput(60, (NormSplit(6, 2, 3),)))
-    assert out.splits == (NormSplit(4, 4, 1),)
+    assert clear_ramified_parts(CriterionInput(60, (NormSplit(6, 2, 3),))) == (4,)
 
 
 def test_clear_ramified_parts_keeps_plain_entries():
-    inp = CriterionInput(61, (NormSplit(3, 3, 1),))
-    assert clear_ramified_parts(inp).splits == inp.splits
+    assert clear_ramified_parts(CriterionInput(61, (NormSplit(3, 3, 1),))) == (3,)
 
 
 def test_clear_ramified_parts_drops_pure_ramified():
-    out = clear_ramified_parts(CriterionInput(105, (NormSplit(3, 1, 3),)))
-    assert out.splits == ()
+    assert clear_ramified_parts(CriterionInput(105, (NormSplit(3, 1, 3),))) == ()
 
 
 def test_clear_ramified_parts_detects_conductor_clash():
@@ -199,9 +191,10 @@ def test_regulator_lower_bound_empty_norms():
 def test_evaluate_criterion_ramified_end_to_end():
     # d = 105: norm 6 = 2 * 3 with 3 dividing the fundamental discriminant;
     # clearing replaces it by 4, which is again a cycle norm.
-    hyp, bound = evaluate_criterion(CriterionInput(105, (NormSplit(6, 2, 3),)))
-    assert hyp.all_pass
-    assert bound.norms == (4,)
+    inp = CriterionInput(105, (NormSplit(6, 2, 3),))
+    assert check_hypotheses(inp) == []
+    products, bound = evaluate_criterion(inp)
+    assert products.norms == bound.norms == (4,)
     assert bound.discrete_sum == pytest.approx(1.881372, abs=1e-4)
     assert bound.exact_sum == pytest.approx(2.768531, abs=1e-4)
     assert bound.regulator == pytest.approx(4.406570, abs=1e-4)

@@ -246,7 +246,7 @@ def test_scan_with_h_computes_h_once_per_record(monkeypatch):
         calls.append(d)
         return original(d)
 
-    monkeypatch.setattr(classno, "class_number", counting)
+    monkeypatch.setattr(families, "class_number", counting)
     monkeypatch.setattr(classno, "class_number_forms", form_calls.append)
     # the toy spec's d lie below FORMS_BELOW, where class_number reads the forms
     monkeypatch.setattr(classno, "FORMS_BELOW", 0)

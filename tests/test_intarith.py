@@ -77,15 +77,12 @@ def test_icbrt(n):
 
 
 def test_is_squarefree_examples():
-    assert is_squarefree(41)
-    assert is_squarefree(1)
-    res = is_squarefree(49)
-    assert not res and res.witness == 7
-    res = is_squarefree(12)
-    assert not res and res.witness == 2
+    assert is_squarefree(41) is True
+    assert is_squarefree(1) is True
+    assert is_squarefree(49) is False
+    assert is_squarefree(12) is False
     # cofactor is a prime square past the cbrt cut
-    res = is_squarefree(2 * 101 * 101)
-    assert not res and res.witness == 101
+    assert is_squarefree(2 * 101 * 101) is False
 
 
 @given(st.integers(1, 10**6))
