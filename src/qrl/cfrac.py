@@ -24,7 +24,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
-from math import ceil, gcd, isqrt, log, sqrt
+from math import gcd, isqrt
 
 from mpmath import mp, mpf
 
@@ -87,10 +87,6 @@ class ExactUnit:
     norm_sign: int
 
 
-def default_max_steps(d: int) -> int:
-    return 10 * ceil(sqrt(d) * log(d)) + 10
-
-
 def cf_orbit(d: int, a: int, b: int) -> Iterator[tuple[int, int, int]]:
     """(quotient, a, b) of (b + sqrt(d))/(2a), then of each complete quotient."""
     s = isqrt(d)
@@ -105,8 +101,8 @@ def cf_orbit(d: int, a: int, b: int) -> Iterator[tuple[int, int, int]]:
         a = (d - b * b) // (2 * twoa)
 
 
-def _overflow(d: int, a: int, b: int, steps: int, max_steps: int) -> PeriodOverflow:
-    limit = f"PERIOD_STEP_LIMIT = {steps}" if steps < max_steps else steps
+def _overflow(d: int, a: int, b: int, steps: int) -> PeriodOverflow:
+    limit = f"PERIOD_STEP_LIMIT = {steps}" if steps == PERIOD_STEP_LIMIT else steps
     return PeriodOverflow(
         f"continued fraction of ({b}+sqrt({d}))/{2 * a} did not close "
         f"within {limit} steps"
@@ -115,11 +111,12 @@ def _overflow(d: int, a: int, b: int, steps: int, max_steps: int) -> PeriodOverf
 
 def cf_expand(rho: QuadIrrational, max_steps: int | None = None) -> CFExpansion:
     """Expand rho, exactly, until it returns to its first reduced state: at
-    most min(max_steps, PERIOD_STEP_LIMIT) + 1 quotients, else PeriodOverflow.
-    A negative max_steps is refused with a ValueError before any step."""
+    most min(max_steps, PERIOD_STEP_LIMIT) + 1 quotients, else PeriodOverflow;
+    max_steps None means the limit. A negative max_steps is refused with a
+    ValueError before any step."""
     d = rho.d
     if max_steps is None:
-        max_steps = default_max_steps(d)
+        max_steps = PERIOD_STEP_LIMIT
     elif max_steps < 0:
         raise ValueError(f"cf_expand: max_steps must be >= 0, got {max_steps}")
     steps = min(max_steps, PERIOD_STEP_LIMIT)
@@ -142,7 +139,7 @@ def cf_expand(rho: QuadIrrational, max_steps: int | None = None) -> CFExpansion:
         period.append(alpha)
         a_col.append(a)
         b_col.append(b)
-    raise _overflow(d, a, b, steps, max_steps)
+    raise _overflow(d, a, b, steps)
 
 
 @lru_cache(maxsize=EXPANSION_CACHE_SIZE)
@@ -161,8 +158,6 @@ def principal_expansion(d: int) -> CFExpansion:
     that passes state m without stopping has T >= 2m, so it meets the step
     budget after about half of the steps cf_expand would take."""
     rho = canonical_irrational(d)
-    max_steps = default_max_steps(d)
-    steps = min(max_steps, PERIOD_STEP_LIMIT)
     s = isqrt(d)
     preperiod: list[int] = []
     orbit = cf_orbit(d, rho.a, rho.b)
@@ -170,9 +165,9 @@ def principal_expansion(d: int) -> CFExpansion:
         if is_reduced_state(a, b, s):
             break
         preperiod.append(alpha)
-    # cf_expand closes within its budget iff P + T <= steps + 1, P the
-    # preperiod's length
-    budget = steps + 1 - len(preperiod)
+    # cf_expand closes within its budget iff P + T <= PERIOD_STEP_LIMIT + 1,
+    # P the preperiod's length
+    budget = PERIOD_STEP_LIMIT + 1 - len(preperiod)
     period: list[int] = []
     a_col: list[int] = []
     b_col: list[int] = []
@@ -189,11 +184,11 @@ def principal_expansion(d: int) -> CFExpansion:
             break
         last_a, last_b = a, b
     else:
-        raise _overflow(d, a, b, steps, max_steps)
+        raise _overflow(d, a, b, PERIOD_STEP_LIMIT)
     m = len(period)
     length = 2 * m - 1 if a == last_a else 2 * m - 2
     if length > budget:
-        raise _overflow(d, a, b, steps, max_steps)
+        raise _overflow(d, a, b, PERIOD_STEP_LIMIT)
     # the walk is at state m = k + 1: alpha_j and a_j for j <= k and b_j for
     # j <= T - k give the rest by the symmetry
     k = m - 1

@@ -179,8 +179,8 @@ def _parse_params(text: str | None) -> dict[str, int]:
 
 
 def _run_chunk(task):
-    """task(), by a module-level function that a pool can pickle."""
-    return task()
+    """list(task()), by a module-level function that a pool can pickle."""
+    return list(task())
 
 
 def _cpu_count() -> int:

@@ -33,7 +33,6 @@ from .intarith import fundamental_decomposition, is_discriminant, is_squarefree
 from .quadorder import (
     QuadIdeal,
     format_ideal_literal,
-    module_product,
     multiply_ideals,
     reduced_b,
     unit_ideal,
@@ -121,11 +120,11 @@ def clear_ramified_parts(inp: CriterionInput) -> tuple[int, ...]:
     """The norms with each replaced by the square of its coprime part.
 
     For a decomposition n = n_c * n_r with n_r > 1, the norm-n_r ideal must
-    square to n_r times the unit ideal; this is verified by the exact module
-    product and a failure raises (it indicates the ramified part does not
-    actually behave as a product of distinct ramified primes, e.g. because
-    it shares a factor with the conductor).  Entries whose coprime part is 1
-    reduce to the unit ideal and are dropped.
+    be regular and square to n_r times the unit ideal; this is verified by
+    exact composition and a failure raises (it indicates the ramified part
+    does not actually behave as a product of distinct ramified primes, e.g.
+    because it shares a factor with the conductor).  Entries whose coprime
+    part is 1 reduce to the unit ideal and are dropped.
     """
     norms: list[int] = []
     for sp in inp.splits:
@@ -134,14 +133,16 @@ def clear_ramified_parts(inp: CriterionInput) -> tuple[int, ...]:
             norms.append(c)
             continue
         frak = _ramified_ideal(inp.d, sp.ramified_part)
-        square = module_product(frak, frak)
         expected = QuadIdeal(inp.d, 1, inp.d % 2, sp.ramified_part)
-        if square != expected:
+        try:
+            cleared = multiply_ideals(frak, frak) == expected
+        except ValueError:  # frak is not regular
+            cleared = False
+        if not cleared:
             raise CriterionError(
-                f"square of {format_ideal_literal(frak)} is"
-                f" {format_ideal_literal(square)}, not {sp.ramified_part} times"
-                f" the unit ideal; the ramified part {sp.ramified_part}"
-                f" of {sp.total} cannot be cleared"
+                f"{format_ideal_literal(frak)} does not square to"
+                f" {sp.ramified_part} times the unit ideal; the ramified part"
+                f" {sp.ramified_part} of {sp.total} cannot be cleared"
             )
         if c > 1:
             norms.append(c * c)
@@ -152,15 +153,15 @@ def clear_ramified_parts(inp: CriterionInput) -> tuple[int, ...]:
 class PowerProductSet:
     """All products of the base ideals with norm below sqrt(d)/2.
 
-    Member v is ideals[v], generated by the reduced irrational
-    (b[v] + sqrt(d))/(2 ideals[v].a). enumerate_power_products, the only
+    Member v is the primitive ideal [A_v, (b[v] + sqrt(d))/2] of norm A_v =
+    prod_i norms[i]**vectors[v][i], generated by the reduced irrational
+    (b[v] + sqrt(d))/(2 A_v). enumerate_power_products, the only
     constructor, proves each member primitive and reduced, and the rounding
     argument of regulator_lower_bound rests on that proof."""
 
     d: int
     norms: tuple[int, ...]
     vectors: tuple[tuple[int, ...], ...]
-    ideals: tuple[QuadIdeal, ...]
     b: tuple[int, ...]
 
 
@@ -238,7 +239,7 @@ def enumerate_power_products(d: int, norms: Sequence[int]) -> PowerProductSet:
         vectors.append(vec)
         bs.append(b)
         seen[prod] = ideal
-    return PowerProductSet(d, norms, tuple(vectors), tuple(seen.values()), tuple(bs))
+    return PowerProductSet(d, norms, tuple(vectors), tuple(bs))
 
 
 @dataclass(frozen=True)
@@ -281,12 +282,13 @@ def regulator_lower_bound(products: PowerProductSet) -> BoundReport:
     norm_product = math.prod(
         n**t for n, t in zip(products.norms, map(sum, zip(*products.vectors)))
     )
-    # prod_v (b + sqrt(d)) = x + y sqrt(d) and prod_v 2a over the reduced
-    # irrationals (b + sqrt(d))/(2a), exactly
-    x, y, denom = 1, 0, 1
-    for ideal, b in zip(products.ideals, products.b):
+    # prod_v (b + sqrt(d)) = x + y sqrt(d) over the reduced irrationals
+    # (b + sqrt(d))/(2 A_v), exactly; their denominators multiply to
+    # norm_product * 2**N
+    x, y = 1, 0
+    for b in products.b:
         x, y = x * b + y * d, x + y * b
-        denom *= 2 * ideal.a
+    denom = norm_product << n_products
     with mp.workdps(REGULATOR_DPS):
         root = mp.sqrt(d)
         big_l = mp.log(root / 2)
@@ -322,7 +324,7 @@ def regulator_lower_bound(products: PowerProductSet) -> BoundReport:
         norms=products.norms,
         discrete_sum=discrete,
         exact_sum=exact,
-        integral=simplex_integral(d, products.norms),
+        integral=simplex_integral(0.5 * math.log(d) - math.log(2.0), products.norms),
         lattice_count=len(products.vectors),
         log_norm_product=log_norm_product,
         regulator=regulator,
@@ -338,7 +340,7 @@ def evaluate_criterion(inp: CriterionInput) -> tuple[PowerProductSet, BoundRepor
     return products, regulator_lower_bound(products)
 
 
-def simplex_integral_from_log(bound_log: float, norms: Sequence[int]) -> float:
+def simplex_integral(bound_log: float, norms: Sequence[int]) -> float:
     """Integral of (bound_log - sum_i x_i*log(n_i)) over the simplex where the
     x_i are nonnegative and that sum is at most bound_log.
 
@@ -356,14 +358,6 @@ def simplex_integral_from_log(bound_log: float, norms: Sequence[int]) -> float:
     for n in norms:
         p_product *= math.log(n)
     return bound_log ** (m + 1) / (math.factorial(m + 1) * p_product)
-
-
-def simplex_integral(d: int, norms: Sequence[int]) -> float:
-    """Continuous approximation of the discrete bound sum for discriminant d:
-    the simplex integral with upper log-bound log(sqrt(d)/2)."""
-    if d < 5:
-        raise CriterionError("d must be at least 5")
-    return simplex_integral_from_log(0.5 * math.log(d) - math.log(2.0), norms)
 
 
 @dataclass(frozen=True)
@@ -420,13 +414,10 @@ def nonprimitive_product_example(
             f"parameters (r,s,t,k,c)=({r},{s},{t},{k},{c}) give no valid"
             f" ideal triple: {exc}"
         ) from exc
-    product = module_product(factor_1, factor_2)
+    # factor_2 is regular, so composition applies: a prime l dividing its
+    # content gcd(q, A + c, p**k) divides p and q, so r, so c, against gcd(q, c) = 1
+    product = multiply_ideals(factor_1, factor_2)
     norm_product = factor_1.norm * factor_2.norm
-    if product.norm != norm_product:
-        raise CriterionError(
-            f"product norm {product.norm} is not multiplicative"
-            f" (expected {norm_product}); a factor is not regular"
-        )
     if product.e != r:
         raise CriterionError(
             f"product content is {product.e}, not r={r}, for parameters"

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import isqrt, log, prod, sqrt
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from mpmath import mp, mpf
@@ -35,6 +35,7 @@ from .cfrac import (
 )
 from .classno import class_number, h_bound, l_value_truncated
 from .intarith import (
+    SIEVE_PRIME_LIMIT,
     crt,
     icbrt,
     is_prime,
@@ -49,11 +50,6 @@ from .intarith import (
 
 MERTENS_M = 0.26149
 HEADLINE_CONSTANT = 192.0
-# the largest sieve prime bound cbrt(max value) + 1 that _squarefree_ks
-# accepts: a root table costs about 1.5 us per prime to build and 16 bytes
-# per root, so at this limit (5.8 million primes) 8-10 s and 92 MB on a
-# 2-vCPU x86-64 host, with a 166 MB peak RSS while it builds in one step
-SIEVE_PRIME_LIMIT = 10**8
 # root tables kept per process, one per (n0, q, c)
 ROOT_TABLE_CACHE_SIZE = 16
 # primes whose roots one set of numpy arrays computes while a table grows
@@ -327,7 +323,7 @@ def scan_squarefree(
     k_lo = k_min
     if strict_range:
         # keep d > sqrt(x): k q > x^(1/4)
-        k_lo = max(k_lo, int(spec.x**0.25 / spec.q) + 1)
+        k_lo = max(k_lo, isqrt(isqrt(spec.x)) // spec.q + 1)
     c = 4 * spec.primes[0]
     out: list[ScanRecord] = []
     for k in _squarefree_ks(spec.n0, spec.q, c, k_lo, k_max):
@@ -483,8 +479,9 @@ FAMILIES = {
 }
 
 
-def family_scan(kind: str, params: dict, scan_range) -> list[ScanRecord]:
-    """One record per row of the family's scan, with the regulator of d."""
+def family_scan(kind: str, params: dict, scan_range) -> Iterator[ScanRecord]:
+    """One record per row of the family's scan, with the regulator of d: the
+    kind and the parameter names are checked at once, the records made lazily."""
     family = FAMILIES.get(kind)
     if family is None:
         raise ValueError(f"family_scan: unknown kind {kind!r}")
@@ -493,8 +490,8 @@ def family_scan(kind: str, params: dict, scan_range) -> list[ScanRecord]:
             f"family {kind} takes parameters {list(family.params)}, got {list(params)}"
         )
     rows = family.scan(*(params[name] for name in family.params), scan_range)
-    return [
+    return (
         ScanRecord(k, n, (d,), (True,), regulator=fundamental_unit(d).regulator,
                    bound=bound, bound_ok=ok)
         for k, n, d, bound, ok in rows
-    ]
+    )

@@ -139,16 +139,13 @@ def multiply_ideals(i1: QuadIdeal, i2: QuadIdeal) -> QuadIdeal:
     Uses the classical composition of the primitive parts. That formula
     needs at least one invertible (regular) factor: without it norms are
     not multiplicative and no standard-form product formula applies, so
-    two irregular factors raise (module_product still handles them).
+    two irregular factors raise.
     """
     if i1.d != i2.d:
         raise ValueError(f"multiply_ideals: discriminants differ ({i1.d} vs {i2.d})")
     d = i1.d
     if not any(_is_regular(d, i.a, i.b) for i in (i1, i2)):
-        raise ValueError(
-            "multiply_ideals: both factors have irregular primitive parts; "
-            "use module_product"
-        )
+        raise ValueError("multiply_ideals: both factors have irregular primitive parts")
     a1, b1, a2, b2 = i1.a, i1.b, i2.a, i2.b
     s = (b1 + b2) // 2
     g12, u12, v12 = xgcd(a1, a2)
@@ -161,37 +158,6 @@ def multiply_ideals(i1: QuadIdeal, i2: QuadIdeal) -> QuadIdeal:
     assert x0 % g == 0
     b3 = (x0 // g) % (2 * a3)
     return QuadIdeal(d, a3, b3, i1.e * i2.e * g)
-
-
-def module_product(i1: QuadIdeal, i2: QuadIdeal) -> QuadIdeal:
-    """Product computed as a Z-module: pairwise generator products, then
-    a two-column Hermite form. Independent of multiply_ideals; also valid
-    when both factors are irregular.
-    """
-    if i1.d != i2.d:
-        raise ValueError(f"module_product: discriminants differ ({i1.d} vs {i2.d})")
-    d = i1.d
-    # generators of 2*I in coordinates (x, y) <-> x + y*sqrt(d)
-    gens1 = ((2 * i1.e * i1.a, 0), (i1.e * i1.b, i1.e))
-    gens2 = ((2 * i2.e * i2.a, 0), (i2.e * i2.b, i2.e))
-    prods = [
-        (x1 * x2 + y1 * y2 * d, x1 * y2 + y1 * x2)
-        for x1, y1 in gens1
-        for x2, y2 in gens2
-    ]
-    # Bezout fold: w spans the image of the y-column
-    wx, wy = 0, 0
-    for x, y in prods:
-        g_, u_, v_ = xgcd(wy, y)
-        wx, wy = u_ * wx + v_ * x, g_
-    assert wy > 0
-    kernel_gcd = 0
-    for x, y in prods:
-        kernel_gcd = gcd(kernel_gcd, x - (y // wy) * wx)
-    assert kernel_gcd > 0
-    # the module a_hnf*Z + (wx + wy*sqrt(d))*Z equals 4*(i1*i2)
-    assert wy % 2 == 0 and kernel_gcd % (2 * wy) == 0 and wx % wy == 0
-    return QuadIdeal(d, kernel_gcd // (2 * wy), wx // wy, wy // 2)
 
 
 _IDEAL_RE = re.compile(

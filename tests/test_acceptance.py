@@ -13,7 +13,12 @@ import time
 from test_classno import log_sine_l_value
 from test_criterion import lattice_integral_gap
 from test_families import count_good_residues, good_residue_lower_bound
-from test_quadorder import ideal_power, random_ideal, sample_discriminants
+from test_quadorder import (
+    ideal_power,
+    module_product,
+    random_ideal,
+    sample_discriminants,
+)
 
 from qrl import families
 from qrl.cfrac import exact_unit, fundamental_unit, principal_expansion
@@ -32,7 +37,7 @@ from qrl.intarith import (
     kronecker,
     primes_up_to,
 )
-from qrl.quadorder import classify, module_product, multiply_ideals
+from qrl.quadorder import classify, multiply_ideals
 
 SEED = 20260816
 
@@ -85,7 +90,7 @@ def test_criterion_02_norm_sign_law():
 
 
 def test_criterion_03_shanks_closed_form():
-    records = families.family_scan("shanks", {}, range(2, 15))
+    records = list(families.family_scan("shanks", {}, range(2, 15)))
     ok = (
         [r.k for r in records] == list(range(2, 15))
         and all(r.bound_ok for r in records)
@@ -101,7 +106,7 @@ def test_criterion_03_shanks_closed_form():
 
 
 def test_criterion_04_small_regulator_family():
-    records = families.family_scan("chowla", {}, range(1, 2001))
+    records = list(families.family_scan("chowla", {}, range(1, 2001)))
     ok = len(records) > 1500 and all(r.bound_ok for r in records)
     worst = max(r.regulator - r.bound for r in records)
     detail = (
@@ -114,7 +119,7 @@ def test_criterion_04_small_regulator_family():
 def test_criterion_05_large_regulator_family():
     total = 0
     for p in (2, 3, 5, 13):
-        records = families.family_scan("yamamoto_plus", {"p": p}, range(1, 3001))
+        records = list(families.family_scan("yamamoto_plus", {"p": p}, range(1, 3001)))
         assert records and all(r.bound_ok for r in records), f"full bound fails, p={p}"
         total += len(records)
     # simplified bound, sampled at d >= 1e8 on split instances (p not

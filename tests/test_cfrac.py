@@ -153,6 +153,21 @@ def test_max_steps_overflow():
         cf_expand(QuadIrrational(61, 1, 1), max_steps=-5)
 
 
+def test_cf_expand_default_budget_is_the_step_limit():
+    # rho = [c_1; c_2, ..., c_121, theta] for theta = (1 + sqrt(5))/2 and c =
+    # 3, 2, 2, 3, 2, 2, ...: the c_i are a preperiod of 121 quotients, and
+    # theta = [1; 1, ...] closes at the 122nd. Built backwards from theta by
+    # the inverse step rho = c + 1/rho'.
+    d, a, b = 5, 1, 1
+    quotients = [(3, 2, 2)[i % 3] for i in range(121)]
+    for c in reversed(quotients):
+        a = (d - b * b) // (4 * a)
+        b = 2 * a * c - b
+    exp = cf_expand(QuadIrrational(d, a, b))
+    assert exp.preperiod == tuple(quotients)
+    assert (exp.period, exp.a, exp.b) == ((1,), (1,), (1,))
+
+
 def test_principal_expansion_matches_cf_expand_below_30000():
     # the half walk and its reflection against the full walk, on every
     # discriminant, fundamental or not; T = 1 for d = b^2 + 4
@@ -421,6 +436,6 @@ def test_one_walk_per_census_item(monkeypatch):
 def test_one_walk_per_cubic_record(monkeypatch):
     # a cubic record checks k norms of its d besides its regulator
     walks = counting_walks(monkeypatch)
-    records = family_scan("cubic", {"p": 2, "q": 3}, range(1, 9))
+    records = list(family_scan("cubic", {"p": 2, "q": 3}, range(1, 9)))
     assert len(records) >= 4 and all(rec.bound_ok for rec in records)
     assert walks == [rec.d_values[0] for rec in records]

@@ -486,6 +486,26 @@ def test_series_terms_within_their_error_bounds():
             assert bound <= 1e-10 * (ea + eb), v
 
 
+def test_power_series_bound_covers_its_truncation(monkeypatch):
+    # with the rounding allowances off (u = L = 0), the bound _power_series
+    # returns is its truncation part alone. At each band's upper edge, where
+    # the omitted terms are largest, the series cut after the band's degree
+    # and summed in 40 digits must lie within it of A + B; the rounding
+    # allowances are thousands of times larger, so only this check sees it
+    monkeypatch.setattr(classno, "_U", 0.0)
+    monkeypatch.setattr(classno, "_LIBM", 0.0)
+    x = np.array(classno.SERIES_BANDS)
+    _, bounds = classno._power_series(x, np.sqrt(np.pi / x))
+    with mp.workdps(40):
+        for v, degree, bound in zip(map(mpf, x), classno._SERIES_DEGREES, bounds):
+            k = range(degree + 1)
+            e1 = mp.fsum((-1) ** (j + 1) * v**j / (j * mp.factorial(j)) for j in k[1:])
+            p = mp.fsum((-1) ** j * v**j / (mp.factorial(j) * (2 * j + 1)) for j in k)
+            cut = mp.sqrt(mp.pi / v) - 2 * p + e1 - mp.euler - mp.log(v)
+            exact = mp.sqrt(mp.pi / v) * mp.erfc(mp.sqrt(v)) + mp.e1(v)
+            assert 0 < abs(cut - exact) <= bound, v
+
+
 @pytest.mark.parametrize("d", [5, 13, 1009, 4 * 1011, 100049])
 def test_series_sum_within_its_error_bound(d):
     # the sum to the budget's N, against a 30-digit sum far past it
@@ -559,3 +579,6 @@ def test_libm_within_eight_ulp():
             "math.log": max(ulps(math.log(v), mp.log(mpf(v))) for v in z),
         }
     assert max(worst.values()) <= 8, worst
+    # and the series' budget allows each exp and log the relative error seen
+    # here; an ulp of the result is at most 2**-52 of it
+    assert max(worst.values()) * 2.0**-52 <= classno._LIBM, worst

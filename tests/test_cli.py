@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from qrl import cfrac, classno, cli, families
+from qrl import cfrac, classno, cli, families, intarith
 from qrl.cfrac import exact_unit, fundamental_unit, principal_expansion
 from qrl.classno import l_value_exact, l_value_truncated
 from qrl.cli import main
@@ -93,6 +93,32 @@ def test_cf_matches_expansion():
     assert record["period"] == list(exp.period)
     assert record["period_length"] == len(exp.period)
     assert record["a"] == 1 and record["b"] == 1
+
+
+def test_unit_and_cf_take_d_beyond_float_range():
+    # d = 4 * 10**400 + 1 = (2 * 10**200)**2 + 1 has period 3
+    d = str(4 * 10**400 + 1)
+    code, out, err = run_cli(["unit", "--d", d])
+    assert code == 0 and err == ""
+    record = one_json(out)
+    assert (record["l"], record["norm_sign"]) == (3, -1)
+    code, out, err = run_cli(["cf", "--d", d])
+    assert code == 0 and err == ""
+    assert one_json(out)["period_length"] == 3
+
+
+def test_classno_refuses_unsettled_trial_division(monkeypatch):
+    # d = 4 * 10**30 + 1 has no prime factor up to the limit (patched to
+    # 1000 here), so its fundamental part cannot be settled
+    monkeypatch.setattr(intarith, "SIEVE_PRIME_LIMIT", 1000)
+    d = 4 * 10**30 + 1
+    code, out, err = run_cli(["classno", "--d", str(d)])
+    assert code == 1 and out == ""
+    assert one_json(err) == {
+        "error": "ValueError",
+        "message": f"trial division of {d}: no prime up to SIEVE_PRIME_LIMIT ="
+        " 1000 settles its cofactor",
+    }
 
 
 def test_cf_max_steps_zero_closes_and_negative_is_refused():
@@ -203,7 +229,7 @@ def test_family_scan_chowla_csv():
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "k,n,d_1,squarefree,h,regulator,L_trunc,bound_ok"
-    records = families.family_scan("chowla", {}, range(1, 11))
+    records = list(families.family_scan("chowla", {}, range(1, 11)))
     assert len(lines) == 1 + len(records)
     first = lines[1].split(",")
     assert first[0] == str(records[0].k)
@@ -386,6 +412,22 @@ def test_scan_failing_window_keeps_earlier_rows(monkeypatch, tmp_path):
     assert target.read_bytes() == b"earlier contents\n"
 
 
+def test_one_process_scan_prints_the_rows_before_a_failing_record():
+    # cubic p = 2, q = 3: the period at k = 21 passes PERIOD_STEP_LIMIT; the
+    # squarefree k up to 20 (all but 9 and 20) are printed before the error
+    argv = ["family", "scan", "--kind", "cubic", "--params", "p=2,q=3"]
+    code, out, err = run_cli(argv + ["--kmax", "22"])
+    assert code == 1
+    header, *rows = out.splitlines()
+    assert header == ",".join(cli.SCAN_CSV_HEADER)
+    assert [int(row.split(",")[0]) for row in rows] == [
+        k for k in range(1, 21) if k not in (9, 20)
+    ]
+    record = one_json(err)
+    assert record["error"] == "PeriodOverflow"
+    assert "PERIOD_STEP_LIMIT" in record["message"]
+
+
 def test_verify_counts_violations_as_rows_pass(monkeypatch):
     span = cli._family_span
 
@@ -448,7 +490,7 @@ def test_family_scan_json_format():
     )
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
-    records = families.family_scan("shanks", {}, range(2, 6))
+    records = list(families.family_scan("shanks", {}, range(2, 6)))
     assert [row["k"] for row in rows] == [rec.k for rec in records]
     assert all(row["bound_ok"] for row in rows)
 

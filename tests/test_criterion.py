@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
@@ -26,18 +27,25 @@ from qrl.criterion import (
     regulator_lower_bound,
     search_nonprimitive_example,
     simplex_integral,
-    simplex_integral_from_log,
     _bounded_vectors,
 )
 from qrl.quadorder import (
     QuadIdeal,
     classify,
-    module_product,
     multiply_ideals,
     unit_ideal,
 )
 from test_classno import fundamental_discriminants
-from test_quadorder import reduced_preimage
+from test_quadorder import module_product, reduced_preimage
+
+
+def members(products) -> list[QuadIdeal]:
+    """The member ideals [A_v, (b_v + sqrt(d))/2] of a power-product set,
+    A_v = prod_i norms[i]**vectors[v][i]."""
+    return [
+        QuadIdeal(products.d, math.prod(n**e for n, e in zip(products.norms, vec)), b)
+        for vec, b in zip(products.vectors, products.b, strict=True)
+    ]
 
 
 @dataclass(frozen=True)
@@ -71,7 +79,7 @@ def lattice_integral_gap(d: int, norms: Sequence[int]) -> LatticeGap:
     for vec, _prod in _bounded_vectors(d + 1, norms):
         total += big_l - sum(e * ln for e, ln in zip(vec, logs))
         count += 1
-    integral = simplex_integral_from_log(big_l, norms)
+    integral = simplex_integral(big_l, norms)
     return LatticeGap(d, norms, total, integral, total - integral, count)
 
 
@@ -128,25 +136,31 @@ def test_clear_ramified_parts_drops_pure_ramified():
 
 def test_clear_ramified_parts_detects_conductor_clash():
     # d = 125 = 5 * 5**2: the norm-5 ideal shares its prime with the
-    # conductor, so its square is 5 times itself, not 5 times the unit ideal.
-    with pytest.raises(CriterionError, match="cannot be cleared"):
+    # conductor, so it is not regular: its square is 5 times itself, not 5
+    # times the unit ideal, and composition refuses the product.
+    frak = QuadIdeal(125, 5, 5)
+    assert module_product(frak, frak) == QuadIdeal(125, 5, 5, 5)
+    message = (
+        "1*[5,(5+sqrt(125))/2] does not square to 5 times the unit ideal;"
+        " the ramified part 5 of 5 cannot be cleared"
+    )
+    with pytest.raises(CriterionError, match=re.escape(message)):
         clear_ramified_parts(CriterionInput(125, (NormSplit(5, 1, 5),)))
 
 
 def test_enumerate_power_products_61():
     pps = enumerate_power_products(61, [3])
     assert pps.vectors == ((0,), (1,))
-    assert pps.ideals[0] == unit_ideal(61)
-    assert pps.ideals[1].norm == 3
+    assert members(pps) == [unit_ideal(61), QuadIdeal(61, 3, 7)]
     assert pps.b == (7, 7)  # (7 + sqrt(61))/2 and (7 + sqrt(61))/6
-    for ideal in pps.ideals:
+    for ideal in members(pps):
         assert ideal.e == 1 and classify(ideal).reduced
 
 
 def test_enumerate_power_products_empty_norms():
     pps = enumerate_power_products(61, [])
     assert pps.vectors == ((),)
-    assert pps.ideals == (unit_ideal(61),)
+    assert members(pps) == [unit_ideal(61)]
 
 
 def test_enumerate_power_products_errors():
@@ -216,7 +230,7 @@ def reference_sums(products):
             - mp.log(math.prod(n**e for n, e in zip(products.norms, vec)))
             for vec in products.vectors
         )
-        rhos = [reduced_preimage(ideal) for ideal in products.ideals]
+        rhos = [reduced_preimage(ideal) for ideal in members(products)]
         exact = mp.fsum(mp.log((rho.b + root) / (2 * rho.a)) for rho in rhos)
         u = exact_unit(d)
         return discrete, exact, mp.log((u.x + u.y * root) / 2)
@@ -261,7 +275,7 @@ def test_power_products_match_module_products():
         assert list(products.vectors) == expected, (d, norms)
         base = [principal_ideal_of_norm(d, n) for n in norms]
         for vec, ideal, b in zip(
-            products.vectors, products.ideals, products.b, strict=True
+            products.vectors, members(products), products.b, strict=True
         ):
             chain = unit_ideal(d)
             for base_ideal, e in zip(base, vec):
@@ -315,18 +329,20 @@ def test_soundness_on_cycle_norms(dps, monkeypatch):
 
 
 def test_simplex_integral_values():
-    assert simplex_integral_from_log(10.0, [2]) == pytest.approx(
+    assert simplex_integral(10.0, [2]) == pytest.approx(
         100 / (2 * math.log(2)), rel=1e-12
     )
-    assert simplex_integral_from_log(10.0, [2]) == pytest.approx(72.134752, abs=1e-5)
-    assert simplex_integral_from_log(10.0, [2, 3]) == pytest.approx(
+    assert simplex_integral(10.0, [2]) == pytest.approx(72.134752, abs=1e-5)
+    assert simplex_integral(10.0, [2, 3]) == pytest.approx(
         1000 / (6 * math.log(2) * math.log(3)), rel=1e-12
     )
-    assert simplex_integral_from_log(10.0, []) == 10.0
-    assert simplex_integral_from_log(-1.0, [2]) == 0.0
-    assert simplex_integral(10**6, [2]) == pytest.approx(27.8594, abs=1e-3)
+    assert simplex_integral(10.0, []) == 10.0
+    assert simplex_integral(-1.0, [2]) == 0.0
+    # the log-bound log(sqrt(d)/2) of d = 10**6
+    big_l = 0.5 * math.log(10**6) - math.log(2.0)
+    assert simplex_integral(big_l, [2]) == pytest.approx(27.8594, abs=1e-3)
     with pytest.raises(CriterionError):
-        simplex_integral_from_log(10.0, [1])
+        simplex_integral(10.0, [1])
 
 
 def _simpson(f, lo, hi, panels=16):
@@ -364,7 +380,7 @@ def _simplex_quadrature(big_l, norms):
     ],
 )
 def test_simplex_integral_matches_quadrature(big_l, norms):
-    closed = simplex_integral_from_log(big_l, norms)
+    closed = simplex_integral(big_l, norms)
     quad = _simplex_quadrature(big_l, norms)
     assert closed == pytest.approx(quad, rel=1e-6)
 
@@ -453,3 +469,5 @@ def test_nonprimitive_content_always_r(r, s, t, k, c):
         return
     assert rec.product_content == r
     assert rec.product_norm == (r * s) * (r * (t * s + 1))
+    # the composition that builds the product needs a regular factor
+    assert classify(rec.factor_2).regular

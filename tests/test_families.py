@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from math import isqrt, log, sqrt
 
 import numpy as np
@@ -225,6 +226,21 @@ def test_scan_strict_range():
     for r in records:
         assert r.d_values[0] > spec.x**0.5
         assert r.k * spec.q > spec.x**0.25
+    # the first k is the least with k q > x**(1/4), in integers: k = 1 here,
+    # as x**(1/4) = 316.2... < q = 6006
+    assert records[0].k == scan_squarefree(spec, k_max=60)[0].k == 1
+    # at x = (7q)**4 the bound k q > 7q is strict: k starts at 8; one below
+    # it, where x**0.25 rounds to 7q in floats, k = 7 already qualifies
+    exact = replace(spec, x=(7 * spec.q) ** 4)
+    assert scan_squarefree(exact, k_max=8, strict_range=True)[0].k == 8
+    assert scan_squarefree(exact, k_max=7, strict_range=True) == []
+    below = replace(spec, x=(7 * spec.q) ** 4 - 1)
+    assert scan_squarefree(below, k_max=7, strict_range=True)[0].k == 7
+    # at x = 10**400 the first k's value is far past the sieve's reach
+    huge = replace(spec, x=10**400)
+    k_lo = 10**100 // spec.q + 1
+    with pytest.raises(ValueError, match="exceeds SIEVE_PRIME_LIMIT"):
+        scan_squarefree(huge, k_max=k_lo + 5, strict_range=True)
 
 
 def test_scan_with_analysis():
@@ -499,7 +515,7 @@ def test_compute_constants():
 
 
 def test_scan_shanks():
-    records = family_scan("shanks", {}, range(2, 7))
+    records = list(family_scan("shanks", {}, range(2, 7)))
     by_k = {r.k: r for r in records}
     assert by_k[2].d_values == (41,)
     assert abs(by_k[2].regulator - 4.159127) < 1e-5
@@ -508,7 +524,7 @@ def test_scan_shanks():
 
 
 def test_scan_chowla():
-    records = family_scan("chowla", {}, range(1, 60))
+    records = list(family_scan("chowla", {}, range(1, 60)))
     by_n = {r.n: r for r in records}
     assert by_n[2].d_values == (17,)
     assert abs(by_n[2].regulator - 2.0947) < 1e-4
@@ -577,17 +593,17 @@ def test_trial_division_refuses_past_sieve_limit(monkeypatch, kind, params, last
         return False  # no record, so no cycle walk
 
     monkeypatch.setattr(families, "is_squarefree", counting)
-    assert family_scan(kind, params, range(last, last + 1)) == []
+    assert list(family_scan(kind, params, range(last, last + 1))) == []
     assert len(calls) == 1
     calls.clear()
     limit = f"SIEVE_PRIME_LIMIT = {families.SIEVE_PRIME_LIMIT}"
     with pytest.raises(ValueError, match=limit):
-        family_scan(kind, params, range(1, last + 2))
+        list(family_scan(kind, params, range(1, last + 2)))
     assert calls == []
 
 
 def test_scan_yamamoto():
-    records = family_scan("yamamoto_plus", {"p": 3}, range(1, 120))
+    records = list(family_scan("yamamoto_plus", {"p": 3}, range(1, 120)))
     by_n = {r.n: r for r in records}
     assert by_n[7].d_values == (61,)
     assert abs(by_n[7].regulator - 3.6642) < 1e-4
@@ -597,7 +613,7 @@ def test_scan_yamamoto():
     minus = family_scan("yamamoto_minus", {"p": 3}, range(4, 60))
     assert all(r.d_values[0] == r.n * r.n - 12 for r in minus)
     with pytest.raises(ValueError, match="prime"):
-        family_scan("yamamoto_plus", {"p": 4}, range(3, 5))
+        list(family_scan("yamamoto_plus", {"p": 4}, range(3, 5)))
 
 
 def test_scan_cubic():
@@ -606,6 +622,6 @@ def test_scan_cubic():
         assert r.bound_ok, r.k
         assert r.d_values[0] == (2 ** r.k * 3 + 3) ** 2 - 8
     with pytest.raises(ValueError):
-        family_scan("cubic", {"p": 5, "q": 3}, range(1, 3))
+        list(family_scan("cubic", {"p": 5, "q": 3}, range(1, 3)))
     with pytest.raises(ValueError, match="unknown"):
         family_scan("nope", {}, range(3))

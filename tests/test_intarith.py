@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qrl import intarith
 from qrl.intarith import (
     Discriminant,
     crt,
@@ -290,6 +291,26 @@ def test_factorize(n):
         assert is_prime(p)
         prod *= p**e
     assert prod == n
+
+
+def test_trial_division_refuses_past_the_limit(monkeypatch):
+    # with the limit at 100, 101 is the first candidate past it: a cofactor
+    # of at least 101**2 (factorize) or 101**3 (the squarefree tests) is
+    # refused, while smooth numbers and a prime below 101**2 still finish
+    monkeypatch.setattr(intarith, "SIEVE_PRIME_LIMIT", 100)
+    limit = "no prime up to SIEVE_PRIME_LIMIT = 100 settles its cofactor"
+    with pytest.raises(ValueError, match=limit):
+        factorize(101 * 103)
+    with pytest.raises(ValueError, match=limit):
+        is_squarefree(101 * 103 * 107)
+    with pytest.raises(ValueError, match=limit):
+        fundamental_decomposition(101 * 103 * 107)  # = 1 mod 4
+    assert factorize(2**20 * 3**7 * 97) == [(2, 20), (3, 7), (97, 1)]
+    assert factorize(9973) == [(9973, 1)]
+    assert is_squarefree(101 * 103) and not is_squarefree(4 * 101 * 103)
+    assert fundamental_decomposition(4 * 97**2 * 5) == Discriminant(
+        4 * 97**2 * 5, 5, 2 * 97
+    )
 
 
 def divisors(n):

@@ -4,7 +4,7 @@ from math import gcd, isqrt, sqrt
 import pytest
 from mpmath import mp
 
-from qrl.intarith import is_discriminant
+from qrl.intarith import is_discriminant, xgcd
 from qrl.quadorder import (
     QuadIdeal,
     QuadIrrational,
@@ -12,7 +12,6 @@ from qrl.quadorder import (
     classify,
     format_ideal_literal,
     is_reduced_state,
-    module_product,
     multiply_ideals,
     parse_ideal_literal,
     reduced_b,
@@ -28,6 +27,37 @@ def ideal_power(ideal: QuadIdeal, t: int) -> QuadIdeal:
     for _ in range(t):
         out = multiply_ideals(out, ideal)
     return out
+
+
+def module_product(i1: QuadIdeal, i2: QuadIdeal) -> QuadIdeal:
+    """The oracle of multiply_ideals: the product computed as a Z-module,
+    from the pairwise generator products, then a two-column Hermite form.
+    Independent of composition; also valid when both factors are irregular.
+    """
+    if i1.d != i2.d:
+        raise ValueError(f"module_product: discriminants differ ({i1.d} vs {i2.d})")
+    d = i1.d
+    # generators of 2*I in coordinates (x, y) <-> x + y*sqrt(d)
+    gens1 = ((2 * i1.e * i1.a, 0), (i1.e * i1.b, i1.e))
+    gens2 = ((2 * i2.e * i2.a, 0), (i2.e * i2.b, i2.e))
+    prods = [
+        (x1 * x2 + y1 * y2 * d, x1 * y2 + y1 * x2)
+        for x1, y1 in gens1
+        for x2, y2 in gens2
+    ]
+    # Bezout fold: w spans the image of the y-column
+    wx, wy = 0, 0
+    for x, y in prods:
+        g_, u_, v_ = xgcd(wy, y)
+        wx, wy = u_ * wx + v_ * x, g_
+    assert wy > 0
+    kernel_gcd = 0
+    for x, y in prods:
+        kernel_gcd = gcd(kernel_gcd, x - (y // wy) * wx)
+    assert kernel_gcd > 0
+    # the module a_hnf*Z + (wx + wy*sqrt(d))*Z equals 4*(i1*i2)
+    assert wy % 2 == 0 and kernel_gcd % (2 * wy) == 0 and wx % wy == 0
+    return QuadIdeal(d, kernel_gcd // (2 * wy), wx // wy, wy // 2)
 
 
 def conjugate(ideal: QuadIdeal) -> QuadIdeal:
