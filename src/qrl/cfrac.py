@@ -27,6 +27,18 @@ from itertools import chain, islice
 from math import gcd, isqrt
 
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    dps_to_prec,
+    from_int,
+    mpf_add,
+    mpf_div,
+    mpf_ln2,
+    mpf_log,
+    mpf_mul_int,
+    mpf_shift,
+    mpf_sqrt,
+    round_nearest,
+)
 
 from .quadorder import QuadIdeal, QuadIrrational, canonical_irrational, is_reduced_state
 
@@ -41,6 +53,8 @@ UNIT_BITS = 192
 _UNIT_TOP = 1 << (UNIT_BITS + 64)
 # digits of regulator_enclosure's logarithm, whatever the caller's precision
 REGULATOR_DPS = 30
+# the same precision in bits (103), for arithmetic on raw libmp values
+REGULATOR_PREC = dps_to_prec(REGULATOR_DPS)
 # most quotients cf_expand takes, whatever max_steps allows; principal_expansion
 # refuses the same d. Traced on d = 1000000000061 (199 129 steps, CPython
 # 3.11), an expansion keeps 88 bytes per step and peaks at 113 while built, a
@@ -200,7 +214,6 @@ def principal_expansion(d: int) -> CFExpansion:
 
 
 @lru_cache(maxsize=EXPANSION_CACHE_SIZE)
-@mp.workdps(REGULATOR_DPS)
 def regulator_enclosure(d: int) -> tuple[mpf, mpf]:
     """log eps for the fundamental unit eps of O_d, at REGULATOR_DPS digits,
     and a bound on its absolute error.
@@ -225,9 +238,27 @@ def regulator_enclosure(d: int) -> tuple[mpf, mpf]:
         if p >= _UNIT_TOP:
             excess = p.bit_length() - UNIT_BITS
             p, q, shift = p >> excess, q >> excess, shift + excess
-    reg = mp.log(p + mpf(2 * a1 * q) / (b1 + mp.sqrt(d))) + shift * mp.ln2
-    err = mp.ldexp(len(exp.period), 2 - UNIT_BITS) + mp.ldexp(16 + 8 * reg, -mp.prec)
-    return reg, err
+    # log(p + 2 a1 q/(b1 + sqrt(d))) + shift log 2 and the error bound
+    # 2**(2 - UNIT_BITS) T + (16 + 8 reg) 2**-prec, on raw libmp values at
+    # REGULATOR_PREC, each operation rounded to nearest; 2 a1 q is rounded
+    # to prec bits, every other integer enters exactly
+    prec, rnd = REGULATOR_PREC, round_nearest
+    denom = mpf_add(mpf_sqrt(from_int(d), prec, rnd), from_int(b1), prec, rnd)
+    tail = mpf_div(from_int(2 * a1 * q, prec, rnd), denom, prec, rnd)
+    reg = mpf_add(
+        mpf_log(mpf_add(tail, from_int(p), prec, rnd), prec, rnd),
+        mpf_mul_int(mpf_ln2(prec, rnd), shift, prec, rnd),
+        prec,
+        rnd,
+    )
+    slack = mpf_add(mpf_mul_int(reg, 8, prec, rnd), from_int(16), prec, rnd)
+    err = mpf_add(
+        mpf_shift(from_int(len(exp.period)), 2 - UNIT_BITS),
+        mpf_shift(slack, -prec),
+        prec,
+        rnd,
+    )
+    return mp.make_mpf(reg), mp.make_mpf(err)
 
 
 def fundamental_unit(d: int) -> UnitInfo:

@@ -30,10 +30,24 @@ from fractions import Fraction
 from math import ceil, exp, factorial, fsum, isqrt, log, pi, sqrt
 
 import numpy as np
-from mpmath import mp, mpf
-from mpmath.libmp import round_floor, to_float
+from mpmath import mpf
+from mpmath.libmp import (
+    dps_to_prec,
+    from_float,
+    from_int,
+    from_man_exp,
+    mpf_div,
+    mpf_log,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pow_int,
+    mpf_sqrt,
+    round_floor,
+    round_nearest,
+    to_float,
+)
 
-from .cfrac import REGULATOR_DPS, cf_orbit, fundamental_unit, regulator_enclosure
+from .cfrac import REGULATOR_PREC, cf_orbit, fundamental_unit, regulator_enclosure
 from .intarith import (
     factorize,
     fundamental_decomposition,
@@ -81,6 +95,8 @@ SERIES_TERM_LIMIT = 10**7
 # largest prime bound B of l_value_truncated: its sieve and character peak
 # at 7.5 bytes per B under tracemalloc at B = 10**6
 MAX_EULER_BOUND = 10**6
+# bits of h_bound's 30-digit arithmetic
+_H_BOUND_PREC = dps_to_prec(30)
 # class_number takes h from the form cycles below FORMS_BELOW and from the
 # series from there up: cold, on 2 vCPUs, 150 consecutive fundamental d took
 # 0.16 ms each by the forms against 0.54 by the series from 2*10**4, 0.38
@@ -495,12 +511,14 @@ def class_number(d: int) -> tuple[int, int]:
 def l_value_exact(d: int) -> float:
     """L(1, chi_d) = 2 h R / sqrt(d) for a fundamental d (Cohen, GTM 138,
     Prop. 5.6.9), from the certified h and the regulator enclosure, at
-    REGULATOR_DPS."""
+    REGULATOR_PREC, each operation rounded to nearest, as is the float."""
     if fundamental_decomposition(d).conductor != 1:
         raise ValueError(f"l_value_exact: {d} is not fundamental")
     h = class_number(d)[0]
-    with mp.workdps(REGULATOR_DPS):
-        return float(2 * h * regulator_enclosure(d)[0] / mp.sqrt(d))
+    prec, rnd = REGULATOR_PREC, round_nearest
+    two_h_reg = mpf_mul_int(regulator_enclosure(d)[0]._mpf_, 2 * h, prec, rnd)
+    value = mpf_div(two_h_reg, mpf_sqrt(from_int(d), prec, rnd), prec, rnd)
+    return to_float(value, rnd=rnd)
 
 
 def l_value_truncated(d: int, B: int) -> float:
@@ -528,8 +546,14 @@ def h_bound(d: int, constant: float) -> float:
     down, so that h <= h_bound(d, constant) certifies the inequality."""
     if d < 16:
         raise ValueError("h_bound: need d >= 16 so log log d > 0")
-    with mp.workdps(30):
-        log_d = mp.log(d)
-        value = mpf(constant) * mp.sqrt(d) / (log_d**2 * mp.log(log_d))
-        lowered = value * (1 - mpf(2) ** -90)
-        return to_float(lowered._mpf_, strict=True, rnd=round_floor)
+    # each operation rounded to nearest at 30 digits; the float constant
+    # and the factor 1 - 2**-90 enter exactly
+    prec, rnd = _H_BOUND_PREC, round_nearest
+    log_d = mpf_log(from_int(d), prec, rnd)
+    top = mpf_mul(from_float(constant), mpf_sqrt(from_int(d), prec, rnd), prec, rnd)
+    below = mpf_mul(
+        mpf_pow_int(log_d, 2, prec, rnd), mpf_log(log_d, prec, rnd), prec, rnd
+    )
+    value = mpf_div(top, below, prec, rnd)
+    lowered = mpf_mul(value, from_man_exp((1 << 90) - 1, -90), prec, rnd)
+    return to_float(lowered, strict=True, rnd=round_floor)

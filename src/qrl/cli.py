@@ -4,7 +4,8 @@ Every command prints one JSON record per line (or CSV rows for scans) with
 floats normalized to 12 significant digits, so re-running a command with the
 same configuration produces byte-identical output.  Errors become a single
 machine-readable JSON record on stderr and a nonzero exit status; a scan
-streams its rows, so those of the windows before a failing one stay on stdout.
+streams its rows, so those of the windows before a failing one stay on stdout,
+while an --out file is replaced only by the complete output.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import csv
 import json
 import math
 import os
+import stat
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, fields
 from decimal import Decimal, InvalidOperation
 from functools import cache, partial
@@ -84,19 +86,49 @@ def _bool_cell(value) -> str:
     return "" if value is None else ("1" if value else "0")
 
 
+@contextmanager
+def _replacing(path: str):
+    """A text stream for --out. A path that exists and is not a regular
+    file, such as /dev/null, is opened and written as it is. Otherwise the
+    stream is a new file beside the path's target (a symlink is followed,
+    as open() does), created like open() would create it (mode 0o666 less
+    the umask, or the mode of the file it replaces), and moved onto the
+    target by os.replace once the block ends; if the block fails, the new
+    file is removed and the target left untouched."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, "w", encoding="utf-8", newline="") as out:
+            yield out
+        return
+    folder, name = os.path.split(target)
+    temp = os.path.join(folder, f".{name}.{os.getpid()}.{os.urandom(4).hex()}")
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        exc.filename = path  # the error names the path asked for
+        raise
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as out:
+            with suppress(FileNotFoundError):  # a new file keeps its mode
+                os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
+            yield out
+        os.replace(temp, target)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(temp)
+        raise
+
+
 def _write(args, records, header=None) -> int:
     """Print each record as one JSON line, or as a CSV row under header, and
     return 0. The first record is pulled before any stream opens, so a
-    command that fails at once prints nothing; stdout then gets each record
-    as it arrives, and --out is opened only once every record exists, so a
-    failed command leaves that file untouched."""
+    command that fails at once prints nothing; the stream, stdout or --out
+    (see _replacing), then gets each record as it arrives, so a failure
+    leaves the rows before it on stdout and an --out file untouched."""
     path = getattr(args, "out", None)
     records = iter(records)
-    records = chain(list(islice(records, 1)), list(records) if path else records)
-    if path:
-        stream = open(path, "w", encoding="utf-8", newline="")
-    else:
-        stream = nullcontext(sys.stdout)
+    records = chain(list(islice(records, 1)), records)
+    stream = _replacing(path) if path else nullcontext(sys.stdout)
     with stream as out:
         if header is None:
             for record in records:
@@ -222,18 +254,19 @@ def _family_span(kind, params, k_min, k_max):
 # scan record emission
 
 
-def _scan_row(rec: families.ScanRecord) -> list[str]:
-    return (
-        [str(rec.k), str(rec.n)]
-        + [str(d) for d in rec.d_values]
-        + [
-            ";".join("1" if s else "0" for s in rec.squarefree),
-            "" if rec.h is None else str(rec.h),
-            _float_cell(rec.regulator),
-            _float_cell(rec.L_truncated),
-            _bool_cell(rec.bound_ok),
-        ]
-    )
+def _scan_row(rec: families.ScanRecord) -> list:
+    """The CSV cells of a record. The csv writer turns an int into str(int)
+    and None into "", so those cells pass through as they are."""
+    return [
+        rec.k,
+        rec.n,
+        *rec.d_values,
+        ";".join(map(_bool_cell, rec.squarefree)),
+        rec.h,
+        _float_cell(rec.regulator),
+        _float_cell(rec.L_truncated),
+        _bool_cell(rec.bound_ok),
+    ]
 
 
 # ---------------------------------------------------------------------------

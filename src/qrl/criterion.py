@@ -25,10 +25,22 @@ from itertools import combinations
 from math import gcd
 from typing import Iterator, Sequence
 
-from mpmath import mp
-from mpmath.libmp import round_ceiling, round_floor, to_float
+from mpmath.libmp import (
+    from_int,
+    mpf_add,
+    mpf_div,
+    mpf_log,
+    mpf_mul_int,
+    mpf_shift,
+    mpf_sqrt,
+    mpf_sub,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+    to_float,
+)
 
-from .cfrac import REGULATOR_DPS, principal_ideal_of_norm, regulator_enclosure
+from .cfrac import REGULATOR_PREC, principal_ideal_of_norm, regulator_enclosure
 from .intarith import fundamental_decomposition, is_discriminant, is_squarefree
 from .quadorder import (
     QuadIdeal,
@@ -263,15 +275,15 @@ class BoundReport:
     regulator: float
 
 
-def _to_float(x, rnd) -> float:
-    # without strict=True, to_float ignores the rounding direction
-    return to_float(x._mpf_, strict=True, rnd=rnd)
+def _to_float(x: tuple, rnd: str) -> float:
+    # strict=True: a value out of float range raises instead of becoming inf
+    return to_float(x, strict=True, rnd=rnd)
 
 
 def regulator_lower_bound(products: PowerProductSet) -> BoundReport:
     """Evaluate the discrete and exact regulator lower bounds for a
     power-product set, together with the matching simplex integral, at the
-    regulator's REGULATOR_DPS digits.
+    regulator's REGULATOR_PREC bits.
 
     The two lower bounds are lowered by a bound on their own rounding and
     rounded down to floats; the regulator, widened by its error bound, is
@@ -289,33 +301,41 @@ def regulator_lower_bound(products: PowerProductSet) -> BoundReport:
     for b in products.b:
         x, y = x * b + y * d, x + y * b
     denom = norm_product << n_products
-    with mp.workdps(REGULATOR_DPS):
-        root = mp.sqrt(d)
-        big_l = mp.log(root / 2)
-        discrete = n_products * big_l - mp.log(norm_product)
-        exact = mp.log((x + y * root) / denom)
-        # With u = 2**-mp.prec, mpmath takes integers exactly, rounds +, -,
-        # * and / to within u of the result and sqrt and log to within one
-        # ulp, 2u. With N = len(vectors), L = log(sqrt(d)/2) > 0 and
-        # S_v = log A_v:
-        # - sqrt(d) and L come out within 2u sqrt(d) and 2uL + 3u, N L
-        #   within 3.01u N (L + 1). Each product's norm is below sqrt(d)/2,
-        #   so 0 <= S_v < L, and log prod_v A_v = sum S_v < N L comes out
-        #   within 2u N L. The difference, the discrete sum, is at most N L
-        #   and rounds within u N L: within 7u N (L + 1) in all.
-        # - Each rho_v = (b + sqrt(d))/(2a) is reduced, as the enumeration
-        #   proved, so 0 < b < sqrt(d) and 1 < rho_v < sqrt(d): x and y are
-        #   positive, y sqrt(d) comes out within a relative 3.01u,
-        #   x + y sqrt(d) within 4.02u and its quotient by prod 2a within
-        #   5.03u. Its log, the exact sum E = sum log rho_v < N (L + 1),
-        #   comes out within 2uE + 5.1u <= 8u N (L + 1).
-        # One slack of 16u N (L + 1) covers both, with its own rounding and
-        # the u N (L + 1) at most of each subtraction below.
-        slack = mp.ldexp(n_products * (big_l + 1), 4 - mp.prec)
-        exact = _to_float(exact - slack, round_floor)
-        discrete = _to_float(discrete - slack, round_floor)
-        reg, err = regulator_enclosure(d)
-        regulator = _to_float(mp.fadd(reg, err, rounding="c"), round_ceiling)
+    # raw libmp values at REGULATOR_PREC, each operation rounded to nearest
+    prec, rnd = REGULATOR_PREC, round_nearest
+    root = mpf_sqrt(from_int(d), prec, rnd)
+    big_l = mpf_log(mpf_shift(root, -1), prec, rnd)
+    discrete = mpf_sub(
+        mpf_mul_int(big_l, n_products, prec, rnd),
+        mpf_log(from_int(norm_product), prec, rnd),
+        prec,
+        rnd,
+    )
+    product = mpf_add(mpf_mul_int(root, y, prec, rnd), from_int(x), prec, rnd)
+    exact = mpf_log(mpf_div(product, from_int(denom), prec, rnd), prec, rnd)
+    # With u = 2**-prec, the integers enter exactly, +, -, * and / round
+    # to within u of the result and sqrt and log to within one ulp, 2u.
+    # With N = len(vectors), L = log(sqrt(d)/2) > 0 and S_v = log A_v:
+    # - sqrt(d) and L come out within 2u sqrt(d) and 2uL + 3u, N L
+    #   within 3.01u N (L + 1). Each product's norm is below sqrt(d)/2,
+    #   so 0 <= S_v < L, and log prod_v A_v = sum S_v < N L comes out
+    #   within 2u N L. The difference, the discrete sum, is at most N L
+    #   and rounds within u N L: within 7u N (L + 1) in all.
+    # - Each rho_v = (b + sqrt(d))/(2a) is reduced, as the enumeration
+    #   proved, so 0 < b < sqrt(d) and 1 < rho_v < sqrt(d): x and y are
+    #   positive, y sqrt(d) comes out within a relative 3.01u,
+    #   x + y sqrt(d) within 4.02u and its quotient by prod 2a within
+    #   5.03u. Its log, the exact sum E = sum log rho_v < N (L + 1),
+    #   comes out within 2uE + 5.1u <= 8u N (L + 1).
+    # One slack of 16u N (L + 1) covers both, with its own rounding and
+    # the u N (L + 1) at most of each subtraction below.
+    big_l_1 = mpf_add(big_l, from_int(1), prec, rnd)
+    slack = mpf_shift(mpf_mul_int(big_l_1, n_products, prec, rnd), 4 - prec)
+    exact = _to_float(mpf_sub(exact, slack, prec, rnd), round_floor)
+    discrete = _to_float(mpf_sub(discrete, slack, prec, rnd), round_floor)
+    reg, err = regulator_enclosure(d)
+    top = mpf_add(reg._mpf_, err._mpf_, prec, round_ceiling)
+    regulator = _to_float(top, round_ceiling)
     log_norm_product = 1.0
     for n in products.norms:
         log_norm_product *= math.log(n)

@@ -24,11 +24,24 @@ from math import isqrt, log, prod, sqrt
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
-from mpmath import mp, mpf
-from mpmath.libmp import round_floor, to_float
+from mpmath import mp
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    mpf_add,
+    mpf_le,
+    mpf_log,
+    mpf_mul,
+    mpf_shift,
+    mpf_sub,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+    to_float,
+)
 
 from .cfrac import (
-    REGULATOR_DPS,
+    REGULATOR_PREC,
     fundamental_unit,
     principal_ideal_of_norm,
     regulator_enclosure,
@@ -69,8 +82,12 @@ class ProgressionSpec:
     n0: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ScanRecord:
+    """One row of a scan. Slotted and not frozen: nothing hashes or mutates
+    a record, and a scan builds one per squarefree d, which slots make
+    several times cheaper; an unknown attribute is still refused."""
+
     k: int
     n: int
     d_values: tuple[int, ...]
@@ -384,13 +401,17 @@ def _chowla(n_range):
     for n in [n for n in ns if n in keep]:
         d = 4 * n * n + 1
         # certified R <= log(2 sqrt d): the top of R's enclosure against
-        # the REGULATOR_DPS-digit log(2 sqrt d) = log(4d)/2, lowered by
-        # 2**-90 relative to cover its rounding
+        # the REGULATOR_PREC-bit log(2 sqrt d) = log(4d)/2, lowered by
+        # 2**-90 relative to cover its rounding (the halving and the factor
+        # 1 - 2**-90 are exact)
         value, err = regulator_enclosure(d)
-        with mp.workdps(REGULATOR_DPS):
-            lowered = mp.log(4 * d) / 2 * (1 - mpf(2) ** -90)
-            ok = mp.fadd(value, err, rounding="c") <= lowered
-        yield n, n, d, log(2 * sqrt(d)), ok
+        prec = REGULATOR_PREC
+        half_log = mpf_shift(mpf_log(from_int(4 * d), prec, round_nearest), -1)
+        lowered = mpf_mul(
+            half_log, from_man_exp((1 << 90) - 1, -90), prec, round_nearest
+        )
+        top = mpf_add(value._mpf_, err._mpf_, prec, round_ceiling)
+        yield n, n, d, log(2 * sqrt(d)), mpf_le(top, lowered)
 
 
 def _trial_rows(k_range, u_of, c: int) -> list[tuple[int, int, int]]:
@@ -442,9 +463,11 @@ def _yamamoto(p: int, n_range, sign: int):
         # and full, after 2**-53 more, within 2**-44 (head + tail) of the
         # bound; twice that also covers the rounding of full + slack
         slack = 2.0**-43 * (head + tail)
+        # the bottom of R's enclosure rounded down to 53 bits, then to a
+        # float: the float floor of the exact difference
         value, err = regulator_enclosure(d)
-        bottom = mp.fsub(value, err, rounding="f")
-        low = to_float(bottom._mpf_, strict=True, rnd=round_floor)
+        bottom = mpf_sub(value._mpf_, err._mpf_, 53, round_floor)
+        low = to_float(bottom, strict=True, rnd=round_floor)
         yield n, n, d, full, low >= full + slack
 
 

@@ -404,12 +404,13 @@ def test_scan_failing_window_keeps_earlier_rows(monkeypatch, tmp_path):
     code, out, err = run_cli(argv)
     assert code == 1 and out == header + "".join(kept)
     assert one_json(err) == {"error": "ValueError", "message": "window from k = 101"}
-    # --out is opened only once every record exists
+    # --out is replaced only by the complete output
     target = tmp_path / "scan.csv"
     target.write_bytes(b"earlier contents\n")
     code, out, err = run_cli(argv + ["--out", str(target)])
     assert code == 1 and out == "" and one_json(err)["error"] == "ValueError"
     assert target.read_bytes() == b"earlier contents\n"
+    assert os.listdir(tmp_path) == ["scan.csv"]
 
 
 def test_one_process_scan_prints_the_rows_before_a_failing_record():
@@ -460,6 +461,61 @@ def test_scan_memory_does_not_grow_with_the_range(monkeypatch):
     peak("2000")  # warm-up: the caches fill here, not in the measured runs
     small, large = peak("500"), peak("2000")
     assert large < 1.2 * small, (small, large)
+
+
+def test_scan_to_out_memory_does_not_grow_with_the_range(monkeypatch, tmp_path):
+    # --out streams into a new file that replaces the path at the end, so
+    # the peak is one window's, as on stdout
+    monkeypatch.setattr(cli, "SCAN_WINDOW", 100)
+    target = tmp_path / "scan.csv"
+
+    def peak(kmax):
+        tracemalloc.start()
+        try:
+            argv = ["family", "scan", "--kind", "chowla", "--kmax", kmax]
+            assert main(argv + ["--out", str(target)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("2000")  # warm-up: the caches fill here, not in the measured runs
+    small, large = peak("500"), peak("2000")
+    assert large < 1.2 * small, (small, large)
+    _, stdout, _ = run_cli(["family", "scan", "--kind", "chowla", "--kmax", "2000"])
+    assert target.read_text() == stdout
+    assert os.listdir(tmp_path) == ["scan.csv"]
+
+
+def test_out_to_a_special_file_is_written_in_place(monkeypatch):
+    replaced = []
+    monkeypatch.setattr(os, "replace", lambda *paths: replaced.append(paths))
+    argv = ["family", "scan", "--kind", "chowla", "--kmax", "50"]
+    assert run_cli(argv + ["--out", os.devnull]) == (0, "", "")
+    assert replaced == []
+
+
+def test_out_creates_like_open_and_follows_symlinks(tmp_path):
+    _, stdout, _ = run_cli(["unit", "--d", "61"])
+    umask = os.umask(0o027)
+    try:
+        new = tmp_path / "new.json"
+        assert run_cli(["unit", "--d", "61", "--out", str(new)]) == (0, "", "")
+        assert new.stat().st_mode & 0o777 == 0o640
+    finally:
+        os.umask(umask)
+    assert new.read_text() == stdout
+    # a replaced file keeps its mode; a symlink is written through
+    new.chmod(0o600)
+    link = tmp_path / "link.json"
+    link.symlink_to(new)
+    _, other, _ = run_cli(["unit", "--d", "13"])
+    assert run_cli(["unit", "--d", "13", "--out", str(link)]) == (0, "", "")
+    assert link.is_symlink() and new.read_text() == other
+    assert new.stat().st_mode & 0o777 == 0o600
+    # an error opening the file names the path asked for
+    missing = tmp_path / "no-such-folder" / "x.json"
+    code, _, err = run_cli(["unit", "--d", "61", "--out", str(missing)])
+    assert code == 1 and str(missing) in one_json(err)["message"]
 
 
 def test_family_scan_rejects_missing_parameter():
@@ -940,6 +996,63 @@ PINNED = {
 def test_output_bytes_pinned(name):
     argv, code, out, err = PINNED[name]
     assert run_cli(argv) == (code, out, err)
+
+
+# the x = 10**10 progression spec scanned without and with h, byte for byte
+SCAN_K30 = (
+    "k,n,d_1,squarefree,h,regulator,L_trunc,bound_ok\n"
+    "1,7371,54331661,1,,,,\n"
+    "2,13377,178944149,1,,,,\n"
+    "3,19383,375700709,1,,,,\n"
+    "4,25389,644601341,1,,,,\n"
+    "5,31395,985646045,1,,,,\n"
+    "6,37401,1398834821,1,,,,\n"
+    "7,43407,1884167669,1,,,,\n"
+    "8,49413,2441644589,1,,,,\n"
+    "9,55419,3071265581,1,,,,\n"
+    "10,61425,3773030645,1,,,,\n"
+    "12,73437,5392992989,1,,,,\n"
+    "13,79443,6311190269,1,,,,\n"
+    "14,85449,7301531621,1,,,,\n"
+    "15,91455,8364017045,1,,,,\n"
+    "16,97461,9498646541,1,,,,\n"
+    "17,103467,10705420109,1,,,,\n"
+    "18,109473,11984337749,1,,,,\n"
+    "19,115479,13335399461,1,,,,\n"
+    "20,121485,14758605245,1,,,,\n"
+    "21,127491,16253955101,1,,,,\n"
+    "22,133497,17821449029,1,,,,\n"
+    "23,139503,19461087029,1,,,,\n"
+    "24,145509,21172869101,1,,,,\n"
+    "25,151515,22956795245,1,,,,\n"
+    "26,157521,24812865461,1,,,,\n"
+    "27,163527,26741079749,1,,,,\n"
+    "28,169533,28741438109,1,,,,\n"
+    "29,175539,30813940541,1,,,,\n"
+    "30,181545,32958587045,1,,,,\n"
+)
+SCAN_K3_WITH_H = (
+    "k,n,d_1,squarefree,h,regulator,L_trunc,bound_ok\n"
+    "1,7371,54331661,1,6,335.728044607,0.549232700743,1\n"
+    "2,13377,178944149,1,1,2955.54750928,0.432912298186,1\n"
+    "3,19383,375700709,1,4,944.621660995,0.385745406663,1\n"
+)
+SCAN_K30_JSON = (
+    '{"k": 30, "n": 181545, "d_values": [32958587045], "squarefree": [true],'
+    ' "h": 1390, "regulator": 22.6090797596, "L_truncated": 0.345467491151,'
+    ' "bound": 30010.0385325, "bound_ok": true}\n'
+)
+
+
+def test_scan_output_bytes_pinned(tmp_path):
+    spec = tmp_path / "spec.json"
+    build = ["family", "build", "--m", "1", "--primes", "5", "--x", "1e10"]
+    assert run_cli(build + ["--out", str(spec)]) == (0, "", "")
+    scan = ["family", "scan", "--spec", str(spec)]
+    assert run_cli(scan + ["--kmax", "30"]) == (0, SCAN_K30, "")
+    assert run_cli(scan + ["--kmax", "3", "--with-h"]) == (0, SCAN_K3_WITH_H, "")
+    argv = scan + ["--kmin", "30", "--kmax", "30", "--with-h", "--format", "json"]
+    assert run_cli(argv) == (0, SCAN_K30_JSON, "")
 
 
 def test_readme_commands_run(tmp_path, monkeypatch):

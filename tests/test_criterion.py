@@ -11,9 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import dps_to_prec, round_ceiling, round_floor, to_float
 
 from qrl import criterion
-from qrl.cfrac import exact_unit, principal_expansion, principal_ideal_of_norm
+from qrl.cfrac import (
+    REGULATOR_DPS,
+    exact_unit,
+    principal_expansion,
+    principal_ideal_of_norm,
+    regulator_enclosure,
+)
 from qrl.criterion import (
     BoundReport,
     CriterionError,
@@ -236,6 +243,62 @@ def reference_sums(products):
         return discrete, exact, mp.log((u.x + u.y * root) / 2)
 
 
+def regulator_lower_bound_in_context(products):
+    """regulator_lower_bound's arithmetic through mpmath's context and mpf
+    objects at REGULATOR_DPS digits: the oracle of its raw libmp values."""
+    d = products.d
+    n_products = len(products.vectors)
+    norm_product = math.prod(
+        n**t for n, t in zip(products.norms, map(sum, zip(*products.vectors)))
+    )
+    x, y = 1, 0
+    for b in products.b:
+        x, y = x * b + y * d, x + y * b
+    denom = norm_product << n_products
+
+    def down(value, rnd):
+        return to_float(value._mpf_, strict=True, rnd=rnd)
+
+    with mp.workdps(REGULATOR_DPS):
+        root = mp.sqrt(d)
+        big_l = mp.log(root / 2)
+        discrete = n_products * big_l - mp.log(norm_product)
+        exact = mp.log((x + y * root) / denom)
+        slack = mp.ldexp(n_products * (big_l + 1), 4 - mp.prec)
+        exact = down(exact - slack, round_floor)
+        discrete = down(discrete - slack, round_floor)
+        reg, err = regulator_enclosure(d)
+        regulator = down(mp.fadd(reg, err, rounding="c"), round_ceiling)
+    log_norm_product = 1.0
+    for n in products.norms:
+        log_norm_product *= math.log(n)
+    return BoundReport(
+        d=d,
+        norms=products.norms,
+        discrete_sum=discrete,
+        exact_sum=exact,
+        integral=simplex_integral(0.5 * math.log(d) - math.log(2.0), products.norms),
+        lattice_count=n_products,
+        log_norm_product=log_norm_product,
+        regulator=regulator,
+    )
+
+
+def test_regulator_lower_bound_matches_mpmath_context():
+    # every fourth fundamental d <= 2*10**4 with the census's norm: the
+    # smallest principal-cycle norm n > 1 coprime to d
+    checked = 0
+    for d in list(fundamental_discriminants(5, 20001))[::4]:
+        norms = [a for a in principal_expansion(d).a if a > 1 and gcd(a, d) == 1]
+        if not norms:
+            continue
+        n = min(norms)
+        products, report = evaluate_criterion(CriterionInput(d, (NormSplit(n, n, 1),)))
+        assert report == regulator_lower_bound_in_context(products), d
+        checked += 1
+    assert checked >= 1000
+
+
 def cycle_norm_choices(d):
     """For m = 1, 2 and 3, the first two choices in lexicographic order of m
     pairwise coprime principal-cycle norms n >= 2 coprime to d."""
@@ -293,7 +356,7 @@ def test_soundness_on_cycle_norms(dps, monkeypatch):
     each float rounded in the safe direction from its 60-digit value, and
     the two lower bounds within 2 slack + 1 ulp below it, also when the sums
     are evaluated at fewer digits than the floats hold."""
-    monkeypatch.setattr(criterion, "REGULATOR_DPS", dps)
+    monkeypatch.setattr(criterion, "REGULATOR_PREC", dps_to_prec(dps))
     with mp.workdps(dps):
         u = mp.mpf(2) ** -mp.prec
     instances = []
