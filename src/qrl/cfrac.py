@@ -43,9 +43,10 @@ from mpmath.libmp import (
 from .quadorder import QuadIdeal, QuadIrrational, canonical_irrational, is_reduced_state
 
 
-# principal_expansion and regulator_enclosure keep this many d: every caller
-# asks for one d a few times in a row (unit, norms, bound, h) and then moves
-# on, and a few dozen long cycles hold megabytes of states
+# principal_expansion, regulator_enclosure and classno.class_number_forms
+# keep this many d: every caller asks for one d a few times in a row (unit,
+# norms, bound, h, L) and then moves on, and a few dozen long cycles hold
+# megabytes of states
 EXPANSION_CACHE_SIZE = 1
 # bits of the continuant pair kept by regulator_enclosure
 UNIT_BITS = 192

@@ -16,17 +16,22 @@ pi n^2/d grows; each term's truncation and rounding are bounded as it is
 computed.
 An order of conductor f > 1 takes h from its field and the unit index.
 `class_number_forms` counts the cycles of the reduced primitive
-(b + sqrt(d))/(2a), a > 0, under the continued-fraction step. It gives h
-below FORMS_BELOW, where it is the faster, and wherever an interval pins no
-single integer, and is kept as the independent oracle. h_narrow is h if the
-fundamental unit has norm -1, else 2h. L(1, chi_d) = 2 h R / sqrt(d) comes
-from the certified h and the regulator enclosure for a fundamental d, and
-approximately from a truncated Euler product.
+(b + sqrt(d))/(2a), a > 0, under the continued-fraction step: one numpy
+pass maps every form to its successor's row, and pointer doubling counts
+the cycles of that permutation. It gives h below FORMS_BELOW, where it is
+the faster, and wherever an interval pins no single integer, and is the
+series' independent check. Like cfrac's expansion and regulator, it keeps
+its last d (EXPANSION_CACHE_SIZE), so h and then L of one d count the
+cycles once. The tests walk each cycle form by form as the count's oracle.
+h_narrow is h if the fundamental unit has norm -1, else 2h. L(1, chi_d) =
+2 h R / sqrt(d) comes from the certified h and the regulator enclosure for
+a fundamental d, and approximately from a truncated Euler product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, exp, factorial, fsum, isqrt, log, pi, sqrt
 
 import numpy as np
@@ -47,7 +52,12 @@ from mpmath.libmp import (
     to_float,
 )
 
-from .cfrac import REGULATOR_PREC, cf_orbit, fundamental_unit, regulator_enclosure
+from .cfrac import (
+    EXPANSION_CACHE_SIZE,
+    REGULATOR_PREC,
+    fundamental_unit,
+    regulator_enclosure,
+)
 from .intarith import (
     factorize,
     fundamental_decomposition,
@@ -57,8 +67,6 @@ from .intarith import (
     residues_mod,
     smallest_prime_factors,
 )
-
-Form = tuple[int, int, int]
 
 # share of the regulator R that the proven tail bound of the class-number
 # series may take: the h interval is then at most about TAIL_SHARE wide
@@ -98,9 +106,10 @@ MAX_EULER_BOUND = 10**6
 # bits of h_bound's 30-digit arithmetic
 _H_BOUND_PREC = dps_to_prec(30)
 # class_number takes h from the form cycles below FORMS_BELOW and from the
-# series from there up: cold, on 2 vCPUs, 150 consecutive fundamental d took
-# 0.16 ms each by the forms against 0.54 by the series from 2*10**4, 0.38
-# against 0.65 from 10**5, and 0.86 against 0.66 from 1.5*10**5
+# series from there up: on 2 vCPUs, best of five passes, 150 consecutive
+# fundamental d took 0.11 ms each by the forms against 0.54 by the series
+# from 2*10**4, 0.21 against 0.62 from 10**5, 0.70 against 0.64 from
+# 1.5*10**5 and 0.83 against 0.59 from 2*10**5
 FORMS_BELOW = 10**5
 # reduced_forms refuses d >= FORM_GRID_LIMIT: below it b*b, m_b = (d - b*b)/4
 # and every position in the (b, a) grid stay below 2**53, so they are exact
@@ -162,9 +171,10 @@ _CF_STEPS = [
 ]
 
 
-def reduced_forms(d: int) -> list[Form]:
+def reduced_forms(d: int) -> np.ndarray:
     """All reduced primitive indefinite forms (a, b, c), a > 0, of discriminant
-    d, by b and then a ascending.
+    d, as the rows of an int64 array of shape (F, 3), by b and then a
+    ascending.
 
     (a, b, c) is reduced when 0 < b < sqrt(d) and sqrt(d) - b < 2a < sqrt(d) + b,
     i.e. s + 1 - b <= 2a <= s + b with s = isqrt(d). Row k of the grid is
@@ -182,7 +192,7 @@ def reduced_forms(d: int) -> list[Form]:
     s, e = isqrt(d), 1 - d % 2
     rows = (s + 1 - e) // 2
     pairs = rows * (rows + e)
-    out: list[Form] = []
+    blocks = []
     for start in range(0, pairs, FORM_BLOCK):
         stop = min(start + FORM_BLOCK, pairs)
         # the rows k0..k1 that meet positions start..stop - 1
@@ -190,7 +200,9 @@ def reduced_forms(d: int) -> list[Form]:
         k1 = (isqrt(e + 4 * (stop - 1)) - e) // 2
         k = np.arange(k0, k1 + 2, dtype=np.int64)
         edges = k * (k + e)
-        counts = np.diff(np.clip(edges, start, stop))
+        # np.clip and np.diff cost more per call than the ufuncs they wrap
+        clipped = np.minimum(np.maximum(edges, start), stop)
+        counts = clipped[1:] - clipped[:-1]
         k = k[:-1]
         b = 2 * k + 1 + e
         m = (d - b * b) >> 2
@@ -202,41 +214,50 @@ def reduced_forms(d: int) -> list[Form]:
         # that float64 holds exactly: the filter loses no divisor; the int64
         # remainder below confirms each hit
         q = np.repeat(m.astype(np.float64), counts) / a
-        hit = np.flatnonzero(q == np.floor(q))
-        row = np.searchsorted(edges, hit + start, "right") - 1
+        hit = (q == np.floor(q)).nonzero()[0]
+        row = edges.searchsorted(hit + start, "right") - 1
         a, m, b = a[hit], m[row], b[row]
         c, r = np.divmod(m, a)
         keep = (r == 0) & (np.gcd(np.gcd(a, b), c) == 1)
-        out += zip(a[keep].tolist(), b[keep].tolist(), (-c[keep]).tolist())
-    return out
+        blocks.append(np.array([a, b, -c]).T[keep])
+    # a discriminant d >= 5 has at least one pair
+    return np.concatenate(blocks)
 
 
-def form_cycles(d: int) -> list[list[Form]]:
-    """Reduced forms grouped into cycles of the continued-fraction step."""
-    forms = reduced_forms(d)
-    unvisited = {(a, b) for a, b, _ in forms}
-    cycles: list[list[Form]] = []
-    for a0, b0, _ in forms:
-        if (a0, b0) not in unvisited:
-            continue
-        cyc: list[Form] = []
-        for _, a, b in cf_orbit(d, a0, b0):
-            if (a, b) not in unvisited:
-                break
-            unvisited.remove((a, b))
-            cyc.append((a, b, (b * b - d) // (4 * a)))
-        assert (a, b) == (a0, b0)  # the step permutes reduced forms
-        cycles.append(cyc)
-    return cycles
-
-
+@lru_cache(maxsize=EXPANSION_CACHE_SIZE)
 def class_number_forms(d: int) -> tuple[int, int]:
-    """(h, h_narrow) for the order of discriminant d."""
-    cycles = form_cycles(d)
-    h = len(cycles)
-    # the cycle through the a = 1 form is the principal one
-    principal = next(cyc for cyc in cycles if min(cyc)[0] == 1)
-    return h, h if len(principal) % 2 else 2 * h
+    """(h, h_narrow) for the order of discriminant d: the number of cycles of
+    the reduced forms under the continued-fraction step, and h or 2h as the
+    cycle through the a = 1 form, the principal one, is odd or even.
+
+    The step takes (b + sqrt(d))/(2a) to (b' + sqrt(d))/(2a') with alpha =
+    (b + s) // 2a, b' = 2 a alpha - b = s - (b + s) % 2a and a' = (d -
+    b'^2)/(4a), s = isqrt(d), for every form at once. Each successor's row is found by its key
+    b (s + 1) + a, which is sorted along the rows as a <= s. The cycles are
+    labelled by pointer doubling: after j rounds each form holds the least
+    row among its next 2**j, so ceil(log2 F) rounds give every form the
+    least row of its cycle, and h counts the rows that label themselves."""
+    forms = reduced_forms(d)
+    a, b = forms[:, 0], forms[:, 1]
+    s, n = isqrt(d), len(forms)
+    b_next = s - (b + s) % (2 * a)
+    a_next = (d - b_next * b_next) // (4 * a)
+    key = b * (s + 1) + a
+    nxt = key.searchsorted(b_next * (s + 1) + a_next)
+    # every successor is a reduced form, and the step permutes them
+    assert nxt.max() < n
+    assert ((a[nxt] == a_next) & (b[nxt] == b_next)).all()
+    assert (np.bincount(nxt, minlength=n) == 1).all()
+    rows = np.arange(n)
+    label = rows
+    for _ in range((n - 1).bit_length()):
+        label = np.minimum(label, label[nxt])
+        nxt = nxt[nxt]
+    h = int(np.count_nonzero(label == rows))
+    # the a = 1 form is the first of the last b, s or s - 1
+    principal = label[key.searchsorted((s - (d + s) % 2) * (s + 1) + 1)]
+    odd = np.count_nonzero(label == principal) % 2
+    return h, h if odd else 2 * h
 
 
 def _kronecker_at_primes(d: int, primes: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from dataclasses import asdict, fields
 from decimal import Decimal, InvalidOperation
 from functools import cache, partial
 from itertools import chain, islice
-from multiprocessing import Pool
 
 from . import families
 from .cfrac import cf_expand, exact_unit, fundamental_unit
@@ -241,7 +240,11 @@ def _run_chunked(task_of_span, lo: int, hi: int, jobs: int):
         for task in tasks:
             yield from task()
     else:
-        with Pool(processes=jobs) as pool:
+        # imported here: multiprocessing brings socket and friends, which
+        # a single-process run never needs
+        import multiprocessing
+
+        with multiprocessing.Pool(processes=jobs) as pool:
             for chunk in pool.imap(_run_chunk, tasks):
                 yield from chunk
 

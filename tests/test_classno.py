@@ -13,6 +13,7 @@ from mpmath.libmp import round_floor, to_float
 from qrl import classno
 from qrl.cfrac import (
     REGULATOR_DPS,
+    cf_orbit,
     fundamental_unit,
     principal_expansion,
     regulator_enclosure,
@@ -21,7 +22,6 @@ from qrl.classno import (
     _analytic_class_number,
     class_number,
     class_number_forms,
-    form_cycles,
     h_bound,
     l_value_exact,
     l_value_truncated,
@@ -53,6 +53,75 @@ def test_class_number_examples():
     assert class_number_forms(229) == (3, 3)
 
 
+def form_cycles(d):
+    """Reduced forms grouped into cycles of the continued-fraction step, by
+    a walk of each cycle: the oracle for class_number_forms' permutation
+    count."""
+    forms = reduced_forms(d).tolist()
+    unvisited = {(a, b) for a, b, _ in forms}
+    cycles = []
+    for a0, b0, _ in forms:
+        if (a0, b0) not in unvisited:
+            continue
+        cyc = []
+        for _, a, b in cf_orbit(d, a0, b0):
+            if (a, b) not in unvisited:
+                break
+            unvisited.remove((a, b))
+            cyc.append((a, b, (b * b - d) // (4 * a)))
+        assert (a, b) == (a0, b0)  # the step permutes reduced forms
+        cycles.append(cyc)
+    return cycles
+
+
+def walked_class_numbers(d):
+    """(h, h_narrow) from the cycles of form_cycles: h_narrow is h when the
+    cycle through the a = 1 form is odd, else 2h."""
+    cycles = form_cycles(d)
+    h = len(cycles)
+    principal = next(cyc for cyc in cycles if min(cyc)[0] == 1)
+    return h, h if len(principal) % 2 else 2 * h
+
+
+def test_class_number_forms_match_walked_cycles_below_6000():
+    for d in range(5, 6000):
+        if is_discriminant(d):
+            assert class_number_forms(d) == walked_class_numbers(d), d
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(5, 10**7))
+@example(5)
+@example(8)
+@example(12)
+@example(10**6 + 1)
+@example(4 * 10**6 + 8)
+@example(9_999_997)
+@example(10**7 + 1)
+def test_class_number_forms_match_walked_cycles_sample(d):
+    assume(is_discriminant(d))
+    assert class_number_forms(d) == walked_class_numbers(d)
+
+
+def test_reduced_forms_once_per_d(monkeypatch):
+    # the census asks for h by the forms, then for L, which reads h again
+    calls = []
+    original = classno.reduced_forms
+
+    def counting(d):
+        calls.append(d)
+        return original(d)
+
+    monkeypatch.setattr(classno, "reduced_forms", counting)
+    class_number_forms.cache_clear()
+    d = 4 * 3 * 5 * 7 * 11 + 1  # fundamental and below FORMS_BELOW
+    assert fundamental_decomposition(d).conductor == 1 and d < classno.FORMS_BELOW
+    h = class_number_forms(d)
+    l_value_exact(d)
+    assert class_number(d) == h
+    assert calls == [d]
+
+
 def test_forms_are_reduced_and_cycles_partition():
     for d in (5, 12, 40, 61, 145, 1020):
         if not is_discriminant(d):
@@ -69,21 +138,23 @@ def test_forms_are_reduced_and_cycles_partition():
 def trial_division_reduced_forms(d):
     """The reduced forms by trial division, the oracle for reduced_forms'
     numpy grid: every divisor u of m = (d - b*b)/4 in the reduced window,
-    b ascending."""
+    b ascending, as rows [a, b, c]."""
     s = isqrt(d)
     out = []
     for b in range(2 - d % 2, s + 1, 2):
         m = (d - b * b) // 4
         for u in divisors(m):
             if s + 1 - b <= 2 * u <= s + b and gcd(gcd(u, b), m // u) == 1:
-                out.append((u, b, -(m // u)))
+                out.append([u, b, -(m // u)])
     return out
 
 
 def test_reduced_forms_match_trial_division_below_6000():
     for d in range(5, 6000):
         if is_discriminant(d):
-            assert reduced_forms(d) == trial_division_reduced_forms(d), d
+            forms = reduced_forms(d)
+            assert forms.dtype == np.int64 and forms.shape == (len(forms), 3)
+            assert forms.tolist() == trial_division_reduced_forms(d), d
 
 
 @settings(max_examples=30, deadline=None)
@@ -98,22 +169,26 @@ def test_reduced_forms_match_trial_division_below_6000():
 @example(10**7 + 1)
 def test_reduced_forms_match_trial_division_sample(d):
     assume(is_discriminant(d))
-    assert reduced_forms(d) == trial_division_reduced_forms(d)
+    assert reduced_forms(d).tolist() == trial_division_reduced_forms(d)
 
 
 def test_reduced_forms_across_block_seams(monkeypatch):
     # a block of 7 pairs: seams fall inside rows, and each row with b > 7
     # spans more than one block
     monkeypatch.setattr(classno, "FORM_BLOCK", 7)
+    # the cached h of the last d came from the default blocks
+    class_number_forms.cache_clear()
     for d in range(5, 2000):
         if is_discriminant(d):
-            assert reduced_forms(d) == trial_division_reduced_forms(d), d
+            assert reduced_forms(d).tolist() == trial_division_reduced_forms(d), d
+            assert class_number_forms(d) == walked_class_numbers(d), d
 
 
 @pytest.mark.parametrize("d", [7, 0, -3, 9, 16, 100])
 def test_forms_refuse_non_discriminants(d):
     message = f"^{d} is not a real quadratic discriminant$"
-    for fn in (reduced_forms, form_cycles, class_number_forms):
+    # twice: the cache of class_number_forms keeps no refusal
+    for fn in (reduced_forms, form_cycles, class_number_forms) * 2:
         with pytest.raises(ValueError, match=message):
             fn(d)
 
@@ -123,7 +198,7 @@ def test_reduced_forms_refuse_past_grid_limit_before_allocating():
     assert is_discriminant(d)
     tracemalloc.start()
     try:
-        for fn in (reduced_forms, class_number_forms):
+        for fn in (reduced_forms, class_number_forms) * 2:
             with pytest.raises(ValueError, match=f"FORM_GRID_LIMIT = {d}$"):
                 fn(d)
         peak = tracemalloc.get_traced_memory()[1]
@@ -415,6 +490,7 @@ def test_class_number_falls_back_to_forms(monkeypatch):
         return original(d)
 
     monkeypatch.setattr(classno, "class_number_forms", counting)
+    original.cache_clear()
     ds = [5, 12, 40, 45, 229, 1009, 4 * 1009, 9 * 1009]
     assert [_analytic_class_number(d) for d in ds] == [None] * len(ds)
     assert [class_number(d) for d in ds] == [original(d) for d in ds]
@@ -435,6 +511,7 @@ def test_class_number_switches_at_forms_below(monkeypatch):
             return original(d)
 
         monkeypatch.setattr(classno, name, counting)
+    class_number_forms.cache_clear()
     class_number(below)
     class_number(at)
     assert calls == [("class_number_forms", below), ("_analytic_class_number", at)]

@@ -9,9 +9,12 @@ import argparse
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -320,9 +323,24 @@ class RecordingPool:
 @pytest.fixture
 def pools(monkeypatch):
     created = []
-    monkeypatch.setattr(cli, "Pool", partial(RecordingPool, created))
+    monkeypatch.setattr(multiprocessing, "Pool", partial(RecordingPool, created))
     monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
     return created
+
+
+def test_import_leaves_multiprocessing_out():
+    # only a pool of two or more processes needs it, and it brings socket
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, qrl.cli; print({'multiprocessing', 'socket'} & {*sys.modules})"
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "set()\n"
 
 
 def test_jobs_pool_is_capped_at_cpu_count(pools):
@@ -373,7 +391,7 @@ def test_run_chunked_windows_cover_the_range_in_order(lo, length, jobs, cpus, wi
         return list(range(k_min, k_max + 1))
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "Pool", partial(RecordingPool, created))
+        patch.setattr(multiprocessing, "Pool", partial(RecordingPool, created))
         patch.setattr(cli, "_cpu_count", lambda: cpus)
         patch.setattr(cli, "SCAN_WINDOW", window)
         records = list(cli._run_chunked(span, lo, hi, jobs))

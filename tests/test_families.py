@@ -263,6 +263,7 @@ def test_scan_with_h_computes_h_once_per_record(monkeypatch):
         return original(d)
 
     monkeypatch.setattr(families, "class_number", counting)
+    classno.class_number_forms.cache_clear()
     monkeypatch.setattr(classno, "class_number_forms", form_calls.append)
     # the toy spec's d lie below FORMS_BELOW, where class_number reads the forms
     monkeypatch.setattr(classno, "FORMS_BELOW", 0)
