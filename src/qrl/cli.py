@@ -11,7 +11,6 @@ while an --out file is replaced only by the complete output.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -119,11 +118,13 @@ def _replacing(path: str):
 
 
 def _write(args, records, header=None) -> int:
-    """Print each record as one JSON line, or as a CSV row under header, and
-    return 0. The first record is pulled before any stream opens, so a
-    command that fails at once prints nothing; the stream, stdout or --out
-    (see _replacing), then gets each record as it arrives, so a failure
-    leaves the rows before it on stdout and an --out file untouched."""
+    """Print each record as one JSON line, or, given header (a list of cell
+    names), the CSV header line and then each record, a finished CSV line
+    such as _scan_row's; return 0. The first record is pulled before any
+    stream opens, so a command that fails at once prints nothing; the
+    stream, stdout or --out (see _replacing), then gets each record as it
+    arrives, so a failure leaves the rows before it on stdout and an --out
+    file untouched."""
     path = getattr(args, "out", None)
     records = iter(records)
     records = chain(list(islice(records, 1)), records)
@@ -133,9 +134,8 @@ def _write(args, records, header=None) -> int:
             for record in records:
                 print(json.dumps(_round_floats(record)), file=out)
         else:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(records)
+            out.write(",".join(header) + "\n")
+            out.writelines(records)
     return 0
 
 
@@ -257,19 +257,19 @@ def _family_span(kind, params, k_min, k_max):
 # scan record emission
 
 
-def _scan_row(rec: families.ScanRecord) -> list:
-    """The CSV cells of a record. The csv writer turns an int into str(int)
-    and None into "", so those cells pass through as they are."""
-    return [
-        rec.k,
-        rec.n,
-        *rec.d_values,
-        ";".join(map(_bool_cell, rec.squarefree)),
-        rec.h,
-        _float_cell(rec.regulator),
-        _float_cell(rec.L_truncated),
-        _bool_cell(rec.bound_ok),
-    ]
+def _scan_row(rec: families.ScanRecord) -> str:
+    """The CSV line of a record, with its newline: an int as str(int), None
+    as "", a float to 12 significant digits, a bool as 1 or 0, one cell per
+    d and the squarefree flags joined by ";". No cell can hold a comma, a
+    quote or a line break, so csv.writer would quote none of them and would
+    write the same bytes."""
+    h = rec.h
+    return (
+        f"{rec.k},{rec.n},{','.join(map(str, rec.d_values))},"
+        f"{';'.join(map(_bool_cell, rec.squarefree))},{'' if h is None else h},"
+        f"{_float_cell(rec.regulator)},{_float_cell(rec.L_truncated)},"
+        f"{_bool_cell(rec.bound_ok)}\n"
+    )
 
 
 # ---------------------------------------------------------------------------

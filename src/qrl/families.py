@@ -259,7 +259,10 @@ class _RootTable:
         out = [(p, 0, 1) for p in self.every if p <= bound]
         n = np.searchsorted(self.primes, bound, side="right")
         p = self.primes[:n]
-        first = (self.k0[:n] - residues_mod(k_lo, p)) % p
+        # k0 - (k_lo mod p) lies in (-p, p): adding p where it is negative
+        # reduces it mod p without a second pass of int64 division
+        first = self.k0[:n] - residues_mod(k_lo, p)
+        first += p * (first < 0)
         live = np.flatnonzero(first < count)
         steps = p[live].tolist()
         out.extend(zip(steps, first[live].tolist(), steps))
@@ -292,7 +295,9 @@ def _squarefree_ks(n0: int, q: int, c: int, k_lo: int, k_hi: int) -> list[int]:
     The sieve reads where each prime divides from the process's root table
     for (n0, q, c), built once and grown by doubling when a window needs
     larger primes, so a window costs numpy work over the table plus one
-    division loop per prime that hits it. Refuses with ValueError when
+    division per hit. The table lists each (p, j) once, with p dividing
+    the value at j, so one exact division by p and one remainder of the
+    quotient decide whether p^2 divides it. Refuses with ValueError when
     cbrt(max value) + 1 passes SIEVE_PRIME_LIMIT.
     """
     count = k_hi - k_lo + 1
@@ -305,12 +310,10 @@ def _squarefree_ks(n0: int, q: int, c: int, k_lo: int, k_hi: int) -> list[int]:
     table.grow(bound)
     for p, first, step in table.hits(bound, k_lo, count):
         for j in range(first, count, step):
-            v, e = rem[j], 0
-            while v % p == 0:
-                v //= p
-                e += 1
-            rem[j] = v
-            if e >= 2:
+            v = rem[j] // p
+            if v % p:
+                rem[j] = v
+            else:
                 flag[j] = 1
     for j in range(count):
         if not flag[j] and rem[j] > 1:

@@ -353,8 +353,9 @@ def residues_mod(n: int, moduli: np.ndarray) -> np.ndarray:
     for any integer n, by Horner's rule over the 31-bit limbs of |n|; r < m
     keeps every intermediate below 2**62."""
     a = abs(n)
-    r = np.zeros_like(moduli)
-    for shift in range(31 * (a.bit_length() // 31), -1, -31):
+    top = 31 * (a.bit_length() // 31)
+    r = (a >> top) % moduli  # the top limb, below 2**31
+    for shift in range(top - 31, -1, -31):
         r = ((r << 31) + ((a >> shift) & 0x7FFFFFFF)) % moduli
     return (moduli - r) % moduli if n < 0 else r
 

@@ -6,6 +6,7 @@ is part of the contract.
 """
 
 import argparse
+import csv
 import io
 import json
 import math
@@ -238,6 +239,57 @@ def test_family_scan_chowla_csv():
     assert first[0] == str(records[0].k)
     assert first[2] == str(records[0].d_values[0])
     assert first[-1] == "1"
+
+
+def csv_writer_row(rec):
+    """The CSV line of a scan record as csv.writer writes its cells: the
+    oracle of cli._scan_row, which formats the line itself."""
+
+    def float_cell(value):
+        return "" if value is None else f"{value:.12g}"
+
+    def bool_cell(value):
+        return "" if value is None else ("1" if value else "0")
+
+    cells = [
+        rec.k,
+        rec.n,
+        *rec.d_values,
+        ";".join(map(bool_cell, rec.squarefree)),
+        rec.h,
+        float_cell(rec.regulator),
+        float_cell(rec.L_truncated),
+        bool_cell(rec.bound_ok),
+    ]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(cells)
+    return out.getvalue()
+
+
+def optional(strategy):
+    return st.none() | strategy
+
+
+scan_records = st.builds(
+    families.ScanRecord,
+    k=st.integers(),
+    n=st.integers(),
+    d_values=st.lists(st.integers(), min_size=1, max_size=2).map(tuple),
+    squarefree=st.lists(st.booleans(), min_size=1, max_size=2).map(tuple),
+    h=optional(st.integers()),
+    regulator=optional(st.floats()),
+    L_truncated=optional(st.floats()),
+    bound=optional(st.floats()),
+    bound_ok=optional(st.booleans()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_records)
+@example(families.ScanRecord(1, 7371, (54331661,), (True,)))
+@example(families.ScanRecord(-3, 0, (5, 8), (True, False), 0, -0.0, 1e300, None, False))
+def test_scan_row_matches_csv_writer(rec):
+    assert cli._scan_row(rec) == csv_writer_row(rec)
 
 
 def test_family_scan_empty_range_header_only():

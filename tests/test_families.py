@@ -474,6 +474,40 @@ def test_root_table_grows_like_scalar_oracle(n0, q, c, bounds):
         assert_table_matches_oracle(table)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(-10**12, 10**12),
+    st.integers(1, 10**4),
+    st.sampled_from([1, 2, 3, 6, 30, 210]),
+    st.integers(-10**6, 10**6),
+    st.sampled_from([1, 2, 5, 12, 35]),
+    st.integers(2**31, 2**100),
+    st.integers(1, 80),
+    st.integers(2, 1500),
+)
+def test_root_table_hits_each_dividing_prime_once(
+    n0, q_part, q_primes, c_part, c_primes, k_lo, count, bound
+):
+    # small primes divide q and c, c may be negative, and k_lo >= 2**31
+    # takes residues_mod over several limbs; the sieve's one division per
+    # hit needs each (p, j) listed once, exactly when p divides the value
+    q, c = q_part * q_primes, c_part * c_primes
+    table = families._RootTable(n0, q, c)
+    table.grow(2 * bound)
+    pairs = [
+        (p, j)
+        for p, first, step in table.hits(bound, k_lo, count)
+        for j in range(first, count, step)
+    ]
+    assert len(pairs) == len(set(pairs))
+    values = [(n0 + (k_lo + j) * q) ** 2 + c for j in range(count)]
+    assert all(values[j] % p == 0 for p, j in pairs)
+    dividing = {
+        (p, j) for p in primes_up_to(bound) for j, v in enumerate(values) if v % p == 0
+    }
+    assert set(pairs) == dividing
+
+
 def test_density_closed_form_matches_brute():
     spec = toy_spec()
     p1 = 5

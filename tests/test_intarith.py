@@ -18,6 +18,7 @@ from qrl.intarith import (
     prime_array,
     pow_mod_array,
     primes_up_to,
+    residues_mod,
     smallest_prime_factors,
     sqrt_mod_primes,
     squarefree_decomposition,
@@ -245,6 +246,23 @@ def test_sqrt_mod_primes_refuses_wide_moduli():
 def test_pow_mod_array_matches_pow(triples):
     base, exp, mod = (np.array(v) for v in zip(*triples))
     assert pow_mod_array(base, exp, mod).tolist() == [pow(*t) for t in triples]
+
+
+RESIDUE_CASES = [0, 1, 2**31 - 1, 2**31, 2**62, 2**93 + 1]
+
+
+@pytest.mark.parametrize("n", RESIDUE_CASES + [-n for n in RESIDUE_CASES[1:]])
+def test_residues_mod_matches_python(n):
+    moduli = np.array([1, 2, 2**31 - 1], dtype=np.int64)
+    r = residues_mod(n, moduli)
+    assert r.dtype == np.int64
+    assert r.tolist() == [n % 1, n % 2, n % (2**31 - 1)]
+
+
+@given(st.integers(-2**200, 2**200), st.lists(st.integers(1, 2**31 - 1), max_size=8))
+def test_residues_mod_random(n, moduli):
+    got = residues_mod(n, np.array(moduli, dtype=np.int64))
+    assert got.tolist() == [n % m for m in moduli]
 
 
 def byte_sieve_primes(n):
