@@ -76,14 +76,6 @@ def _round_floats(value):
     return value
 
 
-def _float_cell(value) -> str:
-    return "" if value is None else f"{value:.12g}"
-
-
-def _bool_cell(value) -> str:
-    return "" if value is None else ("1" if value else "0")
-
-
 @contextmanager
 def _replacing(path: str):
     """A text stream for --out. A path that exists and is not a regular
@@ -258,17 +250,19 @@ def _family_span(kind, params, k_min, k_max):
 
 
 def _scan_row(rec: families.ScanRecord) -> str:
-    """The CSV line of a record, with its newline: an int as str(int), None
-    as "", a float to 12 significant digits, a bool as 1 or 0, one cell per
-    d and the squarefree flags joined by ";". No cell can hold a comma, a
-    quote or a line break, so csv.writer would quote none of them and would
-    write the same bytes."""
-    h = rec.h
+    """The CSV line of a record of one d, with its newline: an int as
+    str(int), None as "", a float to 12 significant digits, a bool as 1 or 0.
+    No cell can hold a comma, a quote or a line break, so csv.writer would
+    quote none of them and would write the same bytes. A record of two d,
+    which would not fit SCAN_CSV_HEADER, raises ValueError."""
+    (d,) = rec.d_values
+    (squarefree,) = rec.squarefree
+    h, reg, l_val, ok = rec.h, rec.regulator, rec.L_truncated, rec.bound_ok
     return (
-        f"{rec.k},{rec.n},{','.join(map(str, rec.d_values))},"
-        f"{';'.join(map(_bool_cell, rec.squarefree))},{'' if h is None else h},"
-        f"{_float_cell(rec.regulator)},{_float_cell(rec.L_truncated)},"
-        f"{_bool_cell(rec.bound_ok)}\n"
+        f"{rec.k},{rec.n},{d},{1 if squarefree else 0},{'' if h is None else h},"
+        f"{'' if reg is None else format(reg, '.12g')},"
+        f"{'' if l_val is None else format(l_val, '.12g')},"
+        f"{'' if ok is None else 1 if ok else 0}\n"
     )
 
 
@@ -341,9 +335,12 @@ def _load_spec(path: str) -> families.ProgressionSpec:
         int(data["x"]),
         float(data["eps1"]),
     )
-    # compared in JSON form, where the spec's tuples are lists
-    built = json.loads(json.dumps(asdict(spec)))
-    wrong = [key for key, value in built.items() if data[key] != value]
+    # compared as JSON reads them, with the spec's tuples as lists
+    wrong = []
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        if data[field.name] != (list(value) if isinstance(value, tuple) else value):
+            wrong.append(field.name)
     if wrong:
         raise ValueError(
             f"spec {path} does not match build_progression(m, primes, x, eps1)"

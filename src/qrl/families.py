@@ -67,6 +67,16 @@ HEADLINE_CONSTANT = 192.0
 ROOT_TABLE_CACHE_SIZE = 16
 # primes whose roots one set of numpy arrays computes while a table grows
 ROOT_CHUNK = 1 << 12
+# the sieve runs a window in int64 arrays from this many values up: the
+# arrays' fixed cost of some 20 numpy calls meets the per-hit loop's cost
+# near 40 values. On the x = 1e10 progression (2-vCPU host, hits listed
+# beforehand, median of 15 runs) the arrays took 28 us and the loop 20-26 us
+# at 32 values, 28 against 30-37 us at 48, and 46 against 205-240 us at 350
+ARRAY_WINDOW = 48
+# every value and every u^2 of an int64 window lies below this, so the
+# rounded square root s of a cofactor is at most 2^31 and no product, s^2
+# included, leaves int64
+INT64_VALUES_BELOW = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -251,22 +261,31 @@ class _RootTable:
         self.k0 = _extended(self.k0, k0)
         self.bound = new_bound
 
-    def hits(self, bound: int, k_lo: int, count: int) -> list[tuple[int, int, int]]:
-        """Triples (p, first, step): the prime p <= bound (covered by the
-        table) divides the value at k = k_lo + j for j = first, first +
-        step, ... below count. Each such (p, j), 0 <= j < count, is listed
-        once."""
-        out = [(p, 0, 1) for p in self.every if p <= bound]
+    def hits(
+        self, bound: int, k_lo: int, count: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Int64 arrays (p, first, step), one listing per index: the prime
+        p <= bound (covered by the table) divides the value at k = k_lo + j
+        for j = first, first + step, ... below count, where step is 1 for a
+        p in every and p otherwise. Each such (p, j), 0 <= j < count, is
+        listed once."""
         n = np.searchsorted(self.primes, bound, side="right")
         p = self.primes[:n]
         # k0 - (k_lo mod p) lies in (-p, p): adding p where it is negative
         # reduces it mod p without a second pass of int64 division
         first = self.k0[:n] - residues_mod(k_lo, p)
         first += p * (first < 0)
-        live = np.flatnonzero(first < count)
-        steps = p[live].tolist()
-        out.extend(zip(steps, first[live].tolist(), steps))
-        return out
+        live = first < count
+        p, first = p[live], first[live]
+        every = [e for e in self.every if e <= bound]
+        if not every:
+            return p, first, p
+        every = np.array(every, dtype=np.int64)
+        return (
+            np.concatenate([every, p]),
+            np.concatenate([np.zeros_like(every), first]),
+            np.concatenate([np.ones_like(every), p]),
+        )
 
 
 def _prime_bound(top: int, method: str) -> int:
@@ -286,29 +305,13 @@ def _root_table(n0: int, q: int, c: int) -> _RootTable:
     return _RootTable(n0, q, c)
 
 
-def _squarefree_ks(n0: int, q: int, c: int, k_lo: int, k_hi: int) -> list[int]:
-    """The k in [k_lo, k_hi] with (n0+kq)^2 + c squarefree; callers keep
-    every such value >= 5. Exact: a polynomial sieve removes all prime
-    factors up to cbrt(max value) + 1, then a perfect-square test settles
-    each cofactor.
-
-    The sieve reads where each prime divides from the process's root table
-    for (n0, q, c), built once and grown by doubling when a window needs
-    larger primes, so a window costs numpy work over the table plus one
-    division per hit. The table lists each (p, j) once, with p dividing
-    the value at j, so one exact division by p and one remainder of the
-    quotient decide whether p^2 divides it. Refuses with ValueError when
-    cbrt(max value) + 1 passes SIEVE_PRIME_LIMIT.
-    """
-    count = k_hi - k_lo + 1
-    if count <= 0:
-        return []
-    rem = [(n0 + k * q) ** 2 + c for k in range(k_lo, k_hi + 1)]
-    bound = _prime_bound(max(rem), "sieve")
-    flag = bytearray(count)  # 1 once the value at k has a square factor
-    table = _root_table(n0, q, c)
-    table.grow(bound)
-    for p, first, step in table.hits(bound, k_lo, count):
+def _loop_survivors(u_lo: int, q: int, c: int, count: int, hits) -> list[int]:
+    """The j < count with (u_lo + jq)^2 + c squarefree, in Python integers:
+    one exact division by p and one remainder of the quotient per hit (p, j)
+    decide whether p^2 divides the value, and isqrt tests each cofactor."""
+    rem = [(u_lo + j * q) ** 2 + c for j in range(count)]
+    flag = bytearray(count)  # 1 once the value at j has a square factor
+    for p, first, step in zip(*(a.tolist() for a in hits)):
         for j in range(first, count, step):
             v = rem[j] // p
             if v % p:
@@ -320,7 +323,69 @@ def _squarefree_ks(n0: int, q: int, c: int, k_lo: int, k_hi: int) -> list[int]:
             r = isqrt(rem[j])
             if r * r == rem[j]:
                 flag[j] = 1
-    return [k_lo + j for j in range(count) if not flag[j]]
+    return [j for j in range(count) if not flag[j]]
+
+
+def _int64_survivors(u_lo: int, q: int, c: int, count: int, hits) -> list[int]:
+    """_loop_survivors in int64 arrays, for a window whose u^2 and values
+    all lie below INT64_VALUES_BELOW. The listings expand to one
+    (j, p) per hit; p^2 divides the value at j where p divides the
+    quotient. The hitting primes at j are distinct and divide the value, so
+    their product does too, and the cofactor r = value / product is a
+    square exactly when s = round(sqrt(float(r))) has s^2 = r: for a
+    square r < 2^62 that sqrt is within 2^-22 of the root."""
+    p, first, step = hits
+    value = np.arange(count, dtype=np.int64) * q + u_lo
+    value = value * value + c
+    # the hits of a listing are j = first + i step, 0 <= i < n
+    n = (count - 1 - first) // step + 1
+    start = np.cumsum(n) - n  # index of each listing's first hit
+    steps = np.repeat(step, n)
+    j = np.repeat(first - start * step, n) + np.arange(len(steps)) * steps
+    p = np.repeat(p, n)
+    flag = np.zeros(count, dtype=bool)
+    flag[j[value[j] // p % p == 0]] = True
+    product = np.ones(count, dtype=np.int64)
+    np.multiply.at(product, j, p)
+    r = value // product
+    s = np.rint(np.sqrt(r)).astype(np.int64)
+    flag |= (s * s == r) & (r > 1)
+    return np.flatnonzero(~flag).tolist()
+
+
+def _squarefree_ks(n0: int, q: int, c: int, k_lo: int, k_hi: int) -> list[int]:
+    """The k in [k_lo, k_hi] with (n0+kq)^2 + c squarefree; callers keep
+    every such value >= 5. Exact: a polynomial sieve removes all prime
+    factors up to cbrt(max value) + 1, then a perfect-square test settles
+    each cofactor.
+
+    The sieve reads where each prime divides from the process's root table
+    for (n0, q, c), built once and grown by doubling when a window needs
+    larger primes, so a window costs numpy work over the table plus the
+    work per hit. The table lists each (p, j) once, with p dividing the
+    value at j, so one exact division by p and one remainder of the
+    quotient decide whether p^2 divides it. A window of at least
+    ARRAY_WINDOW values whose (n0 + kq)^2 and values all lie below
+    INT64_VALUES_BELOW = 2^62 does this and the square test in int64
+    arrays; any other window (a narrow one, or larger values) runs the same
+    steps per hit in Python integers. Refuses with ValueError when
+    cbrt(max value) + 1 passes SIEVE_PRIME_LIMIT.
+    """
+    count = k_hi - k_lo + 1
+    if count <= 0:
+        return []
+    u_lo, u_hi = n0 + k_lo * q, n0 + k_hi * q
+    # the values are convex in k: the largest is at an end of the window
+    square = max(u_lo * u_lo, u_hi * u_hi)
+    bound = _prime_bound(square + c, "sieve")
+    table = _root_table(n0, q, c)
+    table.grow(bound)
+    hits = table.hits(bound, k_lo, count)
+    if count >= ARRAY_WINDOW and max(square, square + c) < INT64_VALUES_BELOW:
+        survivors = _int64_survivors(u_lo, q, c, count, hits)
+    else:
+        survivors = _loop_survivors(u_lo, q, c, count, hits)
+    return [k_lo + j for j in survivors]
 
 
 def scan_squarefree(

@@ -215,15 +215,26 @@ def test_family_scan_rejects_inconsistent_spec(tmp_path):
         ]
     )
     assert code == 0
-    data = json.loads(spec_path.read_text())
-    data["n0"] += 1
-    spec_path.write_text(json.dumps(data))
-    code, out, err = run_cli(
-        ["family", "scan", "--spec", str(spec_path), "--kmax", "200"]
-    )
-    assert code == 1 and out == ""
-    record = one_json(err)
-    assert record["error"] == "ValueError" and "n0" in record["message"]
+    built = json.loads(spec_path.read_text())
+    altered = {
+        "S": built["S"][:-1],
+        "P_small": built["P_small"] + [7],
+        "S_prime": built["S_prime"][1:],
+        "q": built["q"] + 1,
+        "n0": built["n0"] + 1,
+    }
+    for key, value in altered.items():
+        spec_path.write_text(json.dumps({**built, key: value}))
+        code, out, err = run_cli(
+            ["family", "scan", "--spec", str(spec_path), "--kmax", "200"]
+        )
+        assert code == 1 and out == ""
+        record = one_json(err)
+        assert record["error"] == "ValueError"
+        assert record["message"] == (
+            f"spec {spec_path} does not match build_progression(m, primes, x, eps1)"
+            f" in {key}"
+        )
 
 
 def test_family_scan_chowla_csv():
@@ -274,8 +285,8 @@ scan_records = st.builds(
     families.ScanRecord,
     k=st.integers(),
     n=st.integers(),
-    d_values=st.lists(st.integers(), min_size=1, max_size=2).map(tuple),
-    squarefree=st.lists(st.booleans(), min_size=1, max_size=2).map(tuple),
+    d_values=st.tuples(st.integers()),
+    squarefree=st.tuples(st.booleans()),
     h=optional(st.integers()),
     regulator=optional(st.floats()),
     L_truncated=optional(st.floats()),
@@ -287,9 +298,20 @@ scan_records = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(scan_records)
 @example(families.ScanRecord(1, 7371, (54331661,), (True,)))
-@example(families.ScanRecord(-3, 0, (5, 8), (True, False), 0, -0.0, 1e300, None, False))
+@example(families.ScanRecord(-3, 0, (5,), (False,), 0, -0.0, 1e300, None, False))
 def test_scan_row_matches_csv_writer(rec):
     assert cli._scan_row(rec) == csv_writer_row(rec)
+
+
+@pytest.mark.parametrize(
+    "d_values, squarefree", [((5, 8), (True, False)), ((5, 8), (True,)), ((5,), (True, False))]
+)
+def test_scan_row_refuses_two_d(d_values, squarefree):
+    # the header has one d_1 and one squarefree cell: a second d or flag
+    # would make a row of 9 cells
+    rec = families.ScanRecord(-3, 0, d_values, squarefree, 0, -0.0, 1e300, None, False)
+    with pytest.raises(ValueError):
+        cli._scan_row(rec)
 
 
 def test_family_scan_empty_range_header_only():

@@ -4,7 +4,7 @@ from math import isqrt, log, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -494,11 +494,8 @@ def test_root_table_hits_each_dividing_prime_once(
     q, c = q_part * q_primes, c_part * c_primes
     table = families._RootTable(n0, q, c)
     table.grow(2 * bound)
-    pairs = [
-        (p, j)
-        for p, first, step in table.hits(bound, k_lo, count)
-        for j in range(first, count, step)
-    ]
+    listings = zip(*(a.tolist() for a in table.hits(bound, k_lo, count)))
+    pairs = [(p, j) for p, first, step in listings for j in range(first, count, step)]
     assert len(pairs) == len(set(pairs))
     values = [(n0 + (k_lo + j) * q) ** 2 + c for j in range(count)]
     assert all(values[j] % p == 0 for p, j in pairs)
@@ -506,6 +503,111 @@ def test_root_table_hits_each_dividing_prime_once(
         (p, j) for p in primes_up_to(bound) for j, v in enumerate(values) if v % p == 0
     }
     assert set(pairs) == dividing
+
+
+def single_k_survivors(n0, q, c, k_lo, k_hi):
+    """The survivors of a window as windows of one k each, which run the
+    per-hit loop in Python integers."""
+    return [k for k in range(k_lo, k_hi + 1) if _squarefree_ks(n0, q, c, k, k)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(-10**6, 10**6),
+    st.integers(1, 500),
+    st.sampled_from([1, 2, 6, 30, 210]),
+    st.integers(-10**6, 10**6),
+    st.sampled_from([1, 4, 9, 12, 45, 98]),
+    st.integers(-2000, 2000),
+    st.integers(1, 3 * families.ARRAY_WINDOW),
+)
+def test_int64_windows_match_single_k(n0, q_part, q_primes, c_part, c_square, k_lo, count):
+    # small primes divide q, squares divide c, c may be negative, and the
+    # widths fall on both sides of ARRAY_WINDOW
+    q, c = q_part * q_primes, c_part * c_square
+    k_hi = k_lo + count - 1
+    assume(min((n0 + k * q) ** 2 + c for k in range(k_lo, k_hi + 1)) >= 5)
+    got = _squarefree_ks(n0, q, c, k_lo, k_hi)
+    assert got == single_k_survivors(n0, q, c, k_lo, k_hi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(2**21, 2**30),
+    st.sampled_from([1, 2, 3]),
+    st.integers(-1000, 1000),
+    st.integers(1, 100),
+    st.integers(0, 1000),
+    st.integers(families.ARRAY_WINDOW, 150),
+    st.data(),
+)
+def test_int64_window_flags_square_of_large_prime(start, m, n0, q, k_lo, count, data):
+    # the value at k_lo + j is m P^2, P a prime above every prime the sieve
+    # divides by (cbrt(2**62) < 2**21), so only the square test of its
+    # cofactor P^2 can reject it; every value lies between 2**41 and 2**62
+    big = next(p for p in range(start, 0, -1) if is_prime(p))
+    j = data.draw(st.integers(0, count - 1))
+    u = n0 + (k_lo + j) * q
+    c = m * big * big - u * u
+    k_hi = k_lo + count - 1
+    got = _squarefree_ks(n0, q, c, k_lo, k_hi)
+    assert k_lo + j not in got
+    assert got == single_k_survivors(n0, q, c, k_lo, k_hi)
+
+
+def test_int64_window_square_of_prime_at_the_top():
+    # (2**31 - 1)^2 = 2**62 - 2**32 + 1, a prime squared just below
+    # INT64_VALUES_BELOW, is the value at k = 50 of a 64-value window
+    big = 2**31 - 1
+    c = big * big - 50 * 50
+    assert 63 * 63 + c < 2**62
+    got = _squarefree_ks(0, 1, c, 0, 63)
+    assert 50 not in got
+    assert got == single_k_survivors(0, 1, c, 0, 63)
+
+
+# the last k of the x = 10**10 spec whose u = n0 + kq is below 2**31, so that
+# its value u^2 + 20 is below 2**62, and the last whose value fits in int64
+INT64_EDGE_K = 357_556
+INT64_TOP_K = 505_660
+
+
+def test_int64_path_at_its_edge_on_the_paper_spec(monkeypatch):
+    spec = build_progression(1, [5], 10**10, 0.9)
+    n0, q, c = spec.n0, spec.q, 4 * spec.primes[0]
+    for k, top in [(INT64_EDGE_K, 2**62), (INT64_TOP_K, 2**63)]:
+        assert (n0 + k * q) ** 2 + c < top <= (n0 + (k + 1) * q) ** 2 + c
+    widths = []
+    original = families._int64_survivors
+
+    def recording(u_lo, q, c, count, hits):
+        widths.append(count)
+        return original(u_lo, q, c, count, hits)
+
+    monkeypatch.setattr(families, "_int64_survivors", recording)
+    # the 200 values just below 2**62, then 200 that straddle it, then 200
+    # that straddle 2**63
+    for k_lo, k_hi in [
+        (INT64_EDGE_K - 199, INT64_EDGE_K),
+        (INT64_EDGE_K - 99, INT64_EDGE_K + 100),
+        (INT64_TOP_K - 99, INT64_TOP_K + 100),
+    ]:
+        got = _squarefree_ks(n0, q, c, k_lo, k_hi)
+        assert got == single_k_survivors(n0, q, c, k_lo, k_hi)
+        for k in random.Random(k_lo).sample(range(k_lo, k_hi + 1), 6):
+            assert (k in got) == is_squarefree((n0 + k * q) ** 2 + c)
+    assert widths == [200]  # only the window below 2**62 ran in int64 arrays
+
+
+def test_sieve_benchmark_windows_match_loop(monkeypatch):
+    # the sieve workload's 110 windows of 350 k on the x = 10**10 spec, in
+    # int64 arrays and then, with ARRAY_WINDOW out of reach, on the loop
+    spec = build_progression(1, [5], 10**10, 0.9)
+    n0, q, c = spec.n0, spec.q, 4 * spec.primes[0]
+    windows = [(lo, lo + 349) for lo in range(1, 38_501, 350)]
+    arrays = [_squarefree_ks(n0, q, c, lo, hi) for lo, hi in windows]
+    monkeypatch.setattr(families, "ARRAY_WINDOW", 10**9)
+    assert arrays == [_squarefree_ks(n0, q, c, lo, hi) for lo, hi in windows]
 
 
 def test_density_closed_form_matches_brute():
