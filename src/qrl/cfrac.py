@@ -26,7 +26,6 @@ from functools import lru_cache
 from itertools import chain, islice
 from math import gcd, isqrt
 
-from mpmath import mp, mpf
 from mpmath.libmp import (
     dps_to_prec,
     from_int,
@@ -38,6 +37,7 @@ from mpmath.libmp import (
     mpf_shift,
     mpf_sqrt,
     round_nearest,
+    to_float,
 )
 
 from .quadorder import QuadIdeal, QuadIrrational, canonical_irrational, is_reduced_state
@@ -215,9 +215,9 @@ def principal_expansion(d: int) -> CFExpansion:
 
 
 @lru_cache(maxsize=EXPANSION_CACHE_SIZE)
-def regulator_enclosure(d: int) -> tuple[mpf, mpf]:
-    """log eps for the fundamental unit eps of O_d, at REGULATOR_DPS digits,
-    and a bound on its absolute error.
+def regulator_enclosure(d: int) -> tuple[tuple, tuple]:
+    """log eps for the fundamental unit eps of O_d at REGULATOR_DPS digits,
+    and a bound on its absolute error, as a pair of raw libmp values.
 
     With theta_1 = (b_1 + sqrt(d))/(2a_1) the first reduced principal state,
     alpha_1..alpha_T the period quotients, P_-1 = 0, P_0 = 1 and
@@ -229,7 +229,7 @@ def regulator_enclosure(d: int) -> tuple[mpf, mpf]:
     each shift lowers eps by a relative 2**(2 - UNIT_BITS) at most: the
     truncated unit is at most eps, and its log falls short of log eps by at
     most T * 2**-190, a relative error of about T * 2**-190. The returned
-    bound adds a generous allowance for the rounding of the few mp
+    bound adds a generous allowance for the rounding of the few libmp
     operations."""
     exp = principal_expansion(d)
     a1, b1 = exp.a[0], exp.b[0]
@@ -259,13 +259,13 @@ def regulator_enclosure(d: int) -> tuple[mpf, mpf]:
         prec,
         rnd,
     )
-    return mp.make_mpf(reg), mp.make_mpf(err)
+    return reg, err
 
 
 def fundamental_unit(d: int) -> UnitInfo:
     """Regulator log eps, regulator_enclosure's value rounded to the nearest
     float; period length T; norm sign (-1)^T."""
-    reg = float(regulator_enclosure(d)[0])
+    reg = to_float(regulator_enclosure(d)[0], rnd=round_nearest)
     length = len(principal_expansion(d).period)
     return UnitInfo(reg, length, -1 if length % 2 else 1)
 

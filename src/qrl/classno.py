@@ -7,7 +7,8 @@ h comes from the analytic class-number formula (Cohen, GTM 138, Prop.
 
 The sum is taken in floats up to a point N chosen from a proven error
 budget, and divided by the regulator enclosure of `cfrac`; h is the only
-integer in the resulting interval. chi_d comes from a cached table of the
+integer in the resulting interval, else d is refused with a ValueError
+(see _field_class_number). chi_d comes from a cached table of the
 smallest prime factors of the n <= N, so each d costs one Euler criterion
 at the primes and one gather per block [2^j, 2^(j+1)). For pi n^2/d up to
 4 both terms come from their power series, in one Horner pass; above it
@@ -19,10 +20,10 @@ An order of conductor f > 1 takes h from its field and the unit index.
 (b + sqrt(d))/(2a), a > 0, under the continued-fraction step: one numpy
 pass maps every form to its successor's row, and pointer doubling counts
 the cycles of that permutation. It gives h below FORMS_BELOW, where it is
-the faster, and wherever an interval pins no single integer, and is the
-series' independent check. Like cfrac's expansion and regulator, it keeps
-its last d (EXPANSION_CACHE_SIZE), so h and then L of one d count the
-cycles once. The tests walk each cycle form by form as the count's oracle.
+the faster, and is the series' independent check. Like cfrac's expansion
+and regulator, it keeps its last d (EXPANSION_CACHE_SIZE), so h and then L
+of one d count the cycles once. The tests walk each cycle form by form as
+the count's oracle.
 h_narrow is h if the fundamental unit has norm -1, else 2h. L(1, chi_d) =
 2 h R / sqrt(d) comes from the certified h and the regulator enclosure for
 a fundamental d, and approximately from a truncated Euler product.
@@ -35,7 +36,6 @@ from functools import lru_cache
 from math import ceil, exp, factorial, fsum, isqrt, log, pi, sqrt
 
 import numpy as np
-from mpmath import mpf
 from mpmath.libmp import (
     dps_to_prec,
     from_float,
@@ -50,6 +50,7 @@ from mpmath.libmp import (
     round_floor,
     round_nearest,
     to_float,
+    to_rational,
 )
 
 from .cfrac import (
@@ -451,82 +452,77 @@ def _series_sum(d: int, n_max: int) -> tuple[float, float]:
     return total, 2 * (err + _U * abs(total)) + tail
 
 
-def _pin(lo: Fraction, hi: Fraction) -> int | None:
-    """The only integer in [lo, hi], or None."""
+def _pin(d: int, what: str, lo: Fraction, hi: Fraction) -> int:
+    """The only integer in [lo, hi], else a ValueError naming d and [lo, hi]."""
     k = ceil(lo)
-    return k if k <= hi < k + 1 else None
-
-
-def _exact(x: mpf) -> Fraction:
-    """The binary number x as an exact fraction."""
-    man, shift = x.man_exp
-    return Fraction(man) * Fraction(2) ** shift
+    if k <= hi < k + 1:
+        return k
+    span = f"[{float(lo)!r}, {float(hi)!r}]"
+    raise ValueError(f"class_number: {span} pins no {what} of d = {d}")
 
 
 def _regulator_interval(d: int) -> tuple[Fraction, Fraction]:
     """Exact rational bounds lo <= R <= hi from regulator_enclosure."""
-    reg, err = map(_exact, regulator_enclosure(d))
+    reg, err = (Fraction(*to_rational(x)) for x in regulator_enclosure(d))
     return reg - err, reg + err
 
 
-def _field_class_number(d: int, r_lo: Fraction, r_hi: Fraction) -> int | None:
-    """h of the fundamental discriminant d, given r_lo <= R <= r_hi, from
-    the class-number formula, or None when the budget pins no integer."""
-    if r_lo <= 0:
-        return None
-    # X >= 1 with 2 sqrt(d/pi) e^-X <= TAIL_SHARE R, so that the tail
-    # bound 2 sqrt(d/pi) e^-X X^(-3/2) of _series_sum is below it too
-    x_cut = max(1.0, log(2 * sqrt(d / pi) / (TAIL_SHARE * float(r_lo))))
-    n_max = isqrt(ceil(x_cut * d / pi)) + 1
+def _field_class_number(d: int, d_k: int, r_lo: Fraction, r_hi: Fraction) -> int:
+    """h of the field, of discriminant d_k, of the order of discriminant d,
+    given r_lo <= R <= r_hi, by the class-number formula, else a ValueError
+    naming d.
+
+    The interval pins h: |S~ - 2hR| <= E for _series_sum's S~ and E, so h
+    lies in [(S~ - E)/(2 r_hi), (S~ + E)/(2 r_lo)], about E/R + h (r_hi -
+    r_lo)/R wide. x_cut holds E's tail below r_lo/2, within a factor 1 +
+    2**-40 for its own rounding, and r_hi - r_lo, twice (16 + 8R) 2**-103 +
+    T 2**-190, is below 2**-95 R. So the width is below 1, and h the one
+    integer inside, while E's rounding part stays below about R/2: measured,
+    below 6.9e-11 R on 7082 fundamental d up to 10**9 + 300."""
+    # r_lo > 0, as R >= log((1 + sqrt 5)/2) > 0.48 lies far above the
+    # error. X >= 1 with 2 sqrt(d_k/pi) e^-X <= TAIL_SHARE R, so that the
+    # tail bound 2 sqrt(d_k/pi) e^-X X^(-3/2) of _series_sum is below it too
+    x_cut = max(1.0, log(2 * sqrt(d_k / pi) / (TAIL_SHARE * float(r_lo))))
+    n_max = isqrt(ceil(x_cut * d_k / pi)) + 1
     if n_max > SERIES_TERM_LIMIT:
         raise ValueError(
-            f"class_number: the series for d = {d} needs N = {n_max} terms,"
+            f"class_number: the series for d = {d_k} needs N = {n_max} terms,"
             f" above SERIES_TERM_LIMIT = {SERIES_TERM_LIMIT}"
         )
-    total, err = _series_sum(d, n_max)
+    total, err = _series_sum(d_k, n_max)
     lo, hi = Fraction(total) - Fraction(err), Fraction(total) + Fraction(err)
-    return _pin(lo / (2 * r_hi), hi / (2 * r_lo))
+    return _pin(d, "field's class number", lo / (2 * r_hi), hi / (2 * r_lo))
 
 
-def _analytic_class_number(d: int) -> tuple[int, int] | None:
+def _analytic_class_number(d: int) -> tuple[int, int]:
     """(h, h_narrow) for the order of discriminant d by the analytic
-    class-number formula with certified rounding (see _series_sum), or None
-    when an interval pins no single integer.
+    class-number formula with certified rounding (see _series_sum), or a
+    ValueError naming d when an interval pins no single integer.
 
     For d = d_K f^2 with f > 1, h = h_K f prod_{p | f} (1 - chi_K(p)/p) / i
     with i = [O_K^x : O^x] = R / R_K (Cox, Primes of the Form x^2 + ny^2,
     Thm 7.24, and its real analogue), i pinned from the two regulator
-    enclosures."""
+    enclosures; i and the integrality of h fail only on a wrong input."""
     disc = fundamental_decomposition(d)
     d_k, f = disc.fundamental, disc.conductor
     k_lo, k_hi = _regulator_interval(d_k)
-    h = _field_class_number(d_k, k_lo, k_hi)
-    if h is None:
-        return None
+    h = _field_class_number(d, d_k, k_lo, k_hi)
     if f > 1:
         r_lo, r_hi = _regulator_interval(d)
-        index = _pin(r_lo / k_hi, r_hi / k_lo)
-        if not index:
-            return None
-        ratio = Fraction(h * f, index)
+        ratio = Fraction(h * f, _pin(d, "unit index", r_lo / k_hi, r_hi / k_lo))
         for p, _ in factorize(f):
             ratio *= Fraction(p - kronecker(d_k, p), p)
-        if ratio.denominator != 1:
-            return None
-        h = ratio.numerator
+        h = _pin(d, "class number", ratio, ratio)
     return h, h if fundamental_unit(d).norm_sign == -1 else 2 * h
 
 
 def class_number(d: int) -> tuple[int, int]:
     """(h, h_narrow) for the order of discriminant d: from the form cycles
-    below FORMS_BELOW, and from the analytic formula from there up. When
-    its interval pins no single integer, the form cycles decide: the result
-    is never an uncertified h."""
-    if d >= FORMS_BELOW:
-        hs = _analytic_class_number(d)
-        if hs is not None:
-            return hs
-    return class_number_forms(d)
+    below FORMS_BELOW, and from the analytic formula from there up, which
+    pins h or refuses d with a ValueError: never an uncertified h."""
+    if d < FORMS_BELOW:
+        return class_number_forms(d)
+    return _analytic_class_number(d)
 
 
 def l_value_exact(d: int) -> float:
@@ -537,7 +533,7 @@ def l_value_exact(d: int) -> float:
         raise ValueError(f"l_value_exact: {d} is not fundamental")
     h = class_number(d)[0]
     prec, rnd = REGULATOR_PREC, round_nearest
-    two_h_reg = mpf_mul_int(regulator_enclosure(d)[0]._mpf_, 2 * h, prec, rnd)
+    two_h_reg = mpf_mul_int(regulator_enclosure(d)[0], 2 * h, prec, rnd)
     value = mpf_div(two_h_reg, mpf_sqrt(from_int(d), prec, rnd), prec, rnd)
     return to_float(value, rnd=rnd)
 

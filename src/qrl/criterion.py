@@ -333,8 +333,7 @@ def regulator_lower_bound(products: PowerProductSet) -> BoundReport:
     slack = mpf_shift(mpf_mul_int(big_l_1, n_products, prec, rnd), 4 - prec)
     exact = _to_float(mpf_sub(exact, slack, prec, rnd), round_floor)
     discrete = _to_float(mpf_sub(discrete, slack, prec, rnd), round_floor)
-    reg, err = regulator_enclosure(d)
-    top = mpf_add(reg._mpf_, err._mpf_, prec, round_ceiling)
+    top = mpf_add(*regulator_enclosure(d), prec, round_ceiling)
     regulator = _to_float(top, round_ceiling)
     log_norm_product = 1.0
     for n in products.norms:

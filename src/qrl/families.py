@@ -24,15 +24,18 @@ from math import isqrt, log, prod, sqrt
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
-from mpmath import mp
 from mpmath.libmp import (
+    dps_to_prec,
     from_int,
     from_man_exp,
+    mpf_abs,
     mpf_add,
     mpf_le,
     mpf_log,
     mpf_mul,
+    mpf_mul_int,
     mpf_shift,
+    mpf_sqrt,
     mpf_sub,
     round_ceiling,
     round_floor,
@@ -472,13 +475,10 @@ def _chowla(n_range):
         # the REGULATOR_PREC-bit log(2 sqrt d) = log(4d)/2, lowered by
         # 2**-90 relative to cover its rounding (the halving and the factor
         # 1 - 2**-90 are exact)
-        value, err = regulator_enclosure(d)
-        prec = REGULATOR_PREC
-        half_log = mpf_shift(mpf_log(from_int(4 * d), prec, round_nearest), -1)
-        lowered = mpf_mul(
-            half_log, from_man_exp((1 << 90) - 1, -90), prec, round_nearest
-        )
-        top = mpf_add(value._mpf_, err._mpf_, prec, round_ceiling)
+        prec, rnd = REGULATOR_PREC, round_nearest
+        half_log = mpf_shift(mpf_log(from_int(4 * d), prec, rnd), -1)
+        lowered = mpf_mul(half_log, from_man_exp((1 << 90) - 1, -90), prec, rnd)
+        top = mpf_add(*regulator_enclosure(d), prec, round_ceiling)
         yield n, n, d, log(2 * sqrt(d)), mpf_le(top, lowered)
 
 
@@ -494,17 +494,21 @@ def _shanks(k_range):
     """Shanks' d = n^2 - 8, n = 2^k + 3, whose unit has a closed form."""
     for k, n, d in _trial_rows(k_range, lambda k: 2**k + 3, -8):
         # R equals the closed form as far as enclosures can tell: R's
-        # enclosure meets the 40-digit closed form widened by its rounding,
-        # a few units of 2**-prec per operation on terms that are all >= 0
+        # enclosure meets the 40-digit k log((n + sqrt d)/4) + log((2^k + 1 +
+        # sqrt d)/2), each operation rounded to nearest, widened by a few
+        # units of 2**-prec per operation on terms that are all >= 0
         value, err = regulator_enclosure(d)
-        with mp.workdps(40):
-            root = mp.sqrt(d)
-            closed = k * mp.log((n + root) / 4) + mp.log((2**k + 1 + root) / 2)
-            slack = mp.fadd(
-                err, mp.ldexp(8 * (k + 1) + 4 * closed, -mp.prec), rounding="c"
-            )
-            ok = abs(mp.fsub(value, closed, exact=True)) <= slack
-        yield k, n, d, float(closed), ok
+        prec, rnd = dps_to_prec(40), round_nearest
+        root = mpf_sqrt(from_int(d), prec, rnd)
+        first, second = (
+            mpf_log(mpf_shift(mpf_add(root, from_int(u), prec, rnd), -e), prec, rnd)
+            for u, e in ((n, 2), (2**k + 1, 1))
+        )
+        closed = mpf_add(mpf_mul_int(first, k, prec, rnd), second, prec, rnd)
+        widen = mpf_add(mpf_shift(closed, 2), from_int(8 * (k + 1)), prec, rnd)
+        slack = mpf_add(err, mpf_shift(widen, -prec), prec, round_ceiling)
+        gap = mpf_abs(mpf_sub(value, closed), prec, rnd)
+        yield k, n, d, to_float(closed, rnd=rnd), mpf_le(gap, slack)
 
 
 def _yamamoto(p: int, n_range, sign: int):
@@ -533,8 +537,7 @@ def _yamamoto(p: int, n_range, sign: int):
         slack = 2.0**-43 * (head + tail)
         # the bottom of R's enclosure rounded down to 53 bits, then to a
         # float: the float floor of the exact difference
-        value, err = regulator_enclosure(d)
-        bottom = mpf_sub(value._mpf_, err._mpf_, 53, round_floor)
+        bottom = mpf_sub(*regulator_enclosure(d), 53, round_floor)
         low = to_float(bottom, strict=True, rnd=round_floor)
         yield n, n, d, full, low >= full + slack
 

@@ -424,7 +424,7 @@ def test_h_bound_is_rounded_down():
 def l_value_exact_in_context(d):
     h = class_number(d)[0]
     with mp.workdps(REGULATOR_DPS):
-        return float(2 * h * regulator_enclosure(d)[0] / mp.sqrt(d))
+        return float(2 * h * mp.make_mpf(regulator_enclosure(d)[0]) / mp.sqrt(d))
 
 
 def h_bound_in_context(d, constant):
@@ -477,9 +477,9 @@ def test_class_number_matches_forms_sample(q, r):
         assert _analytic_class_number(d) == class_number_forms(d)
 
 
-def test_class_number_falls_back_to_forms(monkeypatch):
+def test_class_number_refuses_an_unpinned_h(monkeypatch):
     # allowing each libm call a 100 % error leaves an h interval too wide
-    # to pin one integer
+    # to pin one integer: the series refuses d, and no form grid runs
     monkeypatch.setattr(classno, "_LIBM", 1.0)
     monkeypatch.setattr(classno, "FORMS_BELOW", 0)
     calls = []
@@ -491,10 +491,26 @@ def test_class_number_falls_back_to_forms(monkeypatch):
 
     monkeypatch.setattr(classno, "class_number_forms", counting)
     original.cache_clear()
-    ds = [5, 12, 40, 45, 229, 1009, 4 * 1009, 9 * 1009]
-    assert [_analytic_class_number(d) for d in ds] == [None] * len(ds)
-    assert [class_number(d) for d in ds] == [original(d) for d in ds]
-    assert calls == ds
+    for d in [5, 12, 40, 45, 229, 1009, 4 * 1009, 9 * 1009]:
+        with pytest.raises(ValueError, match=f"pins no field's class number of d = {d}$"):
+            class_number(d)
+    assert calls == []
+
+
+def test_class_number_never_reads_forms_from_forms_below(monkeypatch):
+    # d >= FORMS_BELOW from the tests, three of conductor f > 1: the series
+    # pins each h with the forms out of reach. On 2 vCPUs the forms took
+    # 8.4 s on 9 (10**9 + 9), and agree; the series 0.04 s
+    ds = [100001, 100009, 10**7, 10**9 + 9, 9 * (10**9 + 9), 10000200021]
+    assert min(ds) >= classno.FORMS_BELOW
+    assert [fundamental_decomposition(d).conductor for d in ds] == [1, 7, 500, 1, 3, 1]
+    expected = [class_number_forms(d) for d in ds[:3]] + [(1, 1), (1, 2), (4, 8)]
+
+    def refuse(d):
+        raise AssertionError(f"class_number_forms({d})")
+
+    monkeypatch.setattr(classno, "class_number_forms", refuse)
+    assert [class_number(d) for d in ds] == expected
 
 
 def test_class_number_switches_at_forms_below(monkeypatch):

@@ -763,7 +763,8 @@ def test_lvalue_large_d_from_h_and_regulator():
     assert code == 0 and err == ""
     h, _ = classno.class_number(d)
     with mp.workdps(cfrac.REGULATOR_DPS):
-        value = float(2 * h * cfrac.regulator_enclosure(d)[0] / mp.sqrt(d))
+        reg = mp.make_mpf(cfrac.regulator_enclosure(d)[0])
+        value = float(2 * h * reg / mp.sqrt(d))
     assert one_json(out) == {"d": d, "method": "exact", "value": float(f"{value:.12g}")}
     assert peak < 10**8
 

@@ -267,7 +267,7 @@ def regulator_lower_bound_in_context(products):
         slack = mp.ldexp(n_products * (big_l + 1), 4 - mp.prec)
         exact = down(exact - slack, round_floor)
         discrete = down(discrete - slack, round_floor)
-        reg, err = regulator_enclosure(d)
+        reg, err = map(mp.make_mpf, regulator_enclosure(d))
         regulator = down(mp.fadd(reg, err, rounding="c"), round_ceiling)
     log_norm_product = 1.0
     for n in products.norms:

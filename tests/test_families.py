@@ -669,9 +669,32 @@ def test_scan_chowla():
         assert r.bound_ok and r.regulator <= log(2 * sqrt(r.d_values[0])) + 1e-9
 
 
+def shanks_in_context(k_range):
+    """_shanks through mpmath's 40-digit context and mpf objects: the oracle
+    of its raw libmp values."""
+    for k, n, d in families._trial_rows(k_range, lambda k: 2**k + 3, -8):
+        value, err = map(mp.make_mpf, regulator_enclosure(d))
+        with mp.workdps(40):
+            root = mp.sqrt(d)
+            closed = k * mp.log((n + root) / 4) + mp.log((2**k + 1 + root) / 2)
+            slack = mp.fadd(
+                err, mp.ldexp(8 * (k + 1) + 4 * closed, -mp.prec), rounding="c"
+            )
+            ok = abs(mp.fsub(value, closed, exact=True)) <= slack
+        yield k, n, d, float(closed), ok
+
+
+def test_shanks_matches_mpmath_context():
+    rows = list(families._shanks(range(2, 31)))
+    assert len(rows) == 28 and all(ok for *_, ok in rows)
+    assert rows == list(shanks_in_context(range(2, 31)))
+
+
 def enclose_every_regulator_at(monkeypatch, value):
+    # as raw libmp values, as regulator_enclosure returns them
     tiny = mpf(10) ** -30  # far inside the old slack of 1e-9
-    monkeypatch.setattr(families, "regulator_enclosure", lambda d: (value, tiny))
+    enclosure = (value._mpf_, tiny._mpf_)
+    monkeypatch.setattr(families, "regulator_enclosure", lambda d: enclosure)
 
 
 def test_chowla_bound_is_certified(monkeypatch):

@@ -103,3 +103,46 @@ def test_scan_flags_a_test_only_name(tmp_path):
         "core.Shape.unread",
         "core.Shape.again",
     ]
+
+
+def mpmath_context_imports(src: Path) -> list[str]:
+    """module: import for each import of mpmath under src other than from
+    mpmath.libmp: certified values are raw libmp values at an explicit
+    precision, with no ambient context or mpf objects."""
+    flagged = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                if top == "mpmath" and not (
+                    isinstance(node, ast.ImportFrom) and module == "mpmath.libmp"
+                ):
+                    flagged.append(f"{path.stem}: {module}")
+    return flagged
+
+
+def test_no_mpmath_context_in_src():
+    assert mpmath_context_imports(ROOT / "src" / "qrl") == []
+
+
+def test_scan_flags_mpmath_context_imports(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from mpmath.libmp import mpf_add\n"
+        "from mpmath import mp\n"
+        "import mpmath\n"
+        "import mpmath.libmp\n"
+        "def f():\n"
+        "    from mpmath import mpf\n"
+    )
+    assert mpmath_context_imports(tmp_path) == [
+        "a: mpmath",
+        "a: mpmath",
+        "a: mpmath.libmp",
+        "a: mpmath",
+    ]
