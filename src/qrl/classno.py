@@ -13,8 +13,8 @@ smallest prime factors of the n <= N, so each d costs one Euler criterion
 at the primes and one gather per block [2^j, 2^(j+1)). For pi n^2/d up to
 4 both terms come from their power series, in one Horner pass; above it
 from their continued fractions, in one backward pass whose depth falls as
-pi n^2/d grows; each term's truncation and rounding are bounded as it is
-computed.
+pi n^2/d grows. Only values are computed: one closed form in d, N and the
+number of power-series terms bounds the truncation and rounding of them all.
 An order of conductor f > 1 takes h from its field and the unit index.
 `class_number_forms` counts the cycles of the reduced primitive
 (b + sqrt(d))/(2a), a > 0, under the continued-fraction step: one numpy
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import ceil, exp, factorial, fsum, isqrt, log, pi, sqrt
 
 import numpy as np
@@ -77,29 +78,20 @@ TAIL_SHARE = 1 / 2
 # stop after x^K, K = SERIES_TERMS > SERIES_SWITCH, so the omitted terms
 # fall from the first on; for the x_n up to each edge of SERIES_BANDS they
 # stop at the least degree whose first omitted terms there are no larger.
-# The fractions are cut after m partial quotients for the x_n of the band
-# that ends at each edge of CF_BANDS: the least m that holds the half gap of
-# the m-th and (m + 1)-th convergents below 2**-35 of each fraction across
-# its band
+# The fractions are cut after m + 1 partial quotients for the x_n of the
+# band that ends at each edge of CF_BANDS, m the least depth whose
+# convergent gap at the band's lower edge is at most CF_GAP (_cf_depth)
 SERIES_SWITCH = 4.0
 SERIES_TERMS = 30
 SERIES_BANDS = (0.25, 1.0, 2.0, 3.0, SERIES_SWITCH)
-CF_BANDS = (
-    (5.0, 30),
-    (6.0, 25),
-    (8.0, 22),
-    (10.0, 18),
-    (12.0, 16),
-    (16.0, 14),
-    (24.0, 12),
-    (float("inf"), 10),
-)
+CF_BANDS = (5.0, 6.0, 8.0, 10.0, 12.0, 16.0, 24.0, float("inf"))
+CF_GAP = 2**-36
 # terms of the class-number series evaluated per numpy block
 SERIES_BLOCK = 1 << 16
 # most terms N of the class-number series, and the bound of the cached
 # tables of chi_d: they keep 4.5 bytes per term at N = 10**7 (int32 smallest
 # prime factors, int64 primes), where the series peaks near 0.12 GB RSS and
-# takes 2.0-2.5 s on 2 vCPUs (1.2-1.5 s once the tables are built)
+# takes 1.7-2.0 s on 2 vCPUs (about 1.5 s once the tables are built)
 SERIES_TERM_LIMIT = 10**7
 # largest prime bound B of l_value_truncated: its sieve and character peak
 # at 7.5 bytes per B under tracemalloc at B = 10**6
@@ -126,13 +118,12 @@ _LIBM = 2.0**-46
 _EULER_GAMMA = 0.5772156649015329
 
 
-def _series_coefficients(k: int) -> tuple[float, float, float]:
-    """The x^k coefficients of E1(x) + gamma + log x (DLMF 6.6.2), of
-    sqrt(pi) erf(sqrt x) / (2 sqrt x) (DLMF 7.6.1), and the first's
-    magnitude plus twice the second's."""
+def _series_coefficients(k: int) -> tuple[float, float]:
+    """The x^k coefficients of E1(x) + gamma + log x (DLMF 6.6.2) and of
+    sqrt(pi) erf(sqrt x) / (2 sqrt x) (DLMF 7.6.1)."""
     e1 = (-1) ** (k + 1) / (k * factorial(k)) if k else 0.0
     erf = (-1) ** k / (factorial(k) * (2 * k + 1))
-    return e1, erf, abs(e1) + 2 * abs(erf)
+    return e1, erf
 
 
 def _omitted_terms(x: float, k: int) -> float:
@@ -141,34 +132,54 @@ def _omitted_terms(x: float, k: int) -> float:
     return x ** (k + 1) / factorial(k + 1) * (1 / (k + 1) + 2 / (2 * k + 3))
 
 
-# the truncation bound of the power series (see _series_sum)
+def _cf_numerators(j: int) -> tuple[float, float]:
+    """The j-th partial numerators, j >= 1, of e^x A and e^x B (_series_sum)."""
+    return (j - 1) / 2 if j > 1 else 1.0, max(1, j // 2)
+
+
+def _cf_depth(x: float) -> int:
+    """The least m at which the m-th and (m + 1)-th convergents of both
+    fractions of _fractions differ by at most CF_GAP at x: by a_1 ... a_j /
+    (B_(j-1) B_j), j = m + 1, B_j = b_j B_(j-1) + a_j B_(j-2) from B_(-1) =
+    0 and B_0 = 1, b_j = x, 1, x, 1, ... (see _series_sum). Every B_j is a
+    sum of positive terms, so 1 + 2**-40 covers the float recurrence's
+    rounding."""
+    prev, cur, top = [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]
+    for j in count(1):
+        b = x if j % 2 else 1.0
+        for i, a in enumerate(_cf_numerators(j)):
+            prev[i], cur[i] = cur[i], b * cur[i] + a * prev[i]
+            top[i] *= a
+        gap = max(t / (p * c) for t, p, c in zip(top, prev, cur))
+        if gap * (1 + 2**-40) <= CF_GAP:
+            return j - 1
+
+
+# the truncation bound of the power series, and mu = sum (|c_k| + 2 |a_k|)
+# x^k, k <= SERIES_TERMS, at x = SERIES_SWITCH (see _series_sum)
 _SERIES_TRUNCATION = _omitted_terms(SERIES_SWITCH, SERIES_TERMS)
+_SERIES_MAGNITUDE = sum(
+    (abs(e1) + 2 * abs(erf)) * SERIES_SWITCH**k
+    for k, (e1, erf) in enumerate(map(_series_coefficients, range(SERIES_TERMS + 1)))
+)
 _SERIES_DEGREES = [
-    min(
-        k
-        for k in range(SERIES_TERMS + 1)
-        if _omitted_terms(x, k) <= _SERIES_TRUNCATION
-    )
+    next(k for k in count() if _omitted_terms(x, k) <= _SERIES_TRUNCATION)
     for x in SERIES_BANDS
 ]
-# the Horner steps k = K, ..., 0 of _power_series: the x^k coefficients, and
-# the number of bands of SERIES_BANDS, from the first, whose degree is below
-# k; their x skip step k
+# the Horner steps k = K, ..., 0 of _power_series: the x^k coefficients as a
+# column, and the number of bands of SERIES_BANDS, from the first, whose
+# degree is below k; their x skip step k
 _SERIES_STEPS = [
-    (list(_series_coefficients(k)), sum(degree < k for degree in _SERIES_DEGREES))
+    (np.array(_series_coefficients(k))[:, None], sum(g < k for g in _SERIES_DEGREES))
     for k in range(SERIES_TERMS, -1, -1)
 ]
+# the depth m of each band of CF_BANDS, falling as the bands rise
+_CF_DEPTHS = [_cf_depth(x) for x in (SERIES_SWITCH,) + CF_BANDS[:-1]]
 # the backward steps j = m + 1, ..., 1 of _fractions, m the deepest band's:
-# j, the j-th partial numerators of e^x A and of e^x B (see _series_sum) for
-# its rows, and the number of bands of CF_BANDS, from the first, that take
-# step j; the partial denominators of both fractions are x, 1, x, 1, ...
+# j, the j-th partial numerators, and the number of bands that take step j
 _CF_STEPS = [
-    (
-        j,
-        np.array([[(j - 1) / 2 if j > 1 else 1.0]] * 2 + [[max(1, j // 2)]] * 2),
-        sum(m + 1 >= j for _, m in CF_BANDS),
-    )
-    for j in range(CF_BANDS[0][1] + 1, 0, -1)
+    (j, np.array(_cf_numerators(j))[:, None], sum(m + 1 >= j for m in _CF_DEPTHS))
+    for j in range(_CF_DEPTHS[0] + 1, 0, -1)
 ]
 
 
@@ -319,62 +330,41 @@ def _character_table(d: int, n: int) -> np.ndarray:
     return chi
 
 
-def _power_series(
-    x: np.ndarray, root_over_n: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _power_series(x: np.ndarray, root_over_n: np.ndarray) -> np.ndarray:
     """A_n and B_n, as rows, for 0 < x_n <= SERIES_SWITCH by the power
-    series, and a bound on the error of each A_n + B_n (see _series_sum)."""
-    # rows: the E1 series, P and the magnitude mu (see _series_sum), by
-    # Horner's rule; each x starts from 0 at the degree of its band, so its
-    # first step leaves that degree's coefficient
-    e1, p, mu = acc = [np.zeros(len(x)) for _ in range(3)]
+    series (see _series_sum)."""
+    # rows: the E1 series and P (see _series_sum), by Horner's rule; each x
+    # starts from 0 at the degree of its band, so its first step leaves that
+    # degree's coefficients
+    acc = np.zeros((2, len(x)))
     ends = [0] + np.searchsorted(x, SERIES_BANDS, "right").tolist()
     for coeffs, skipped in _SERIES_STEPS:
-        start = ends[skipped]
-        tail = x[start:]
-        for row, c in zip(acc, coeffs):
-            view = row[start:]
-            view *= tail
-            view += c
-    logs = np.log(x)
-    terms = np.empty((2, len(x)))
-    np.subtract(root_over_n, 2.0 * p, out=terms[0])
-    np.subtract(e1 - logs, _EULER_GAMMA, out=terms[1])
-    rounding = (
-        (2 * SERIES_TERMS + 5) * _U * mu
-        + (_LIBM + 4 * _U) * np.abs(logs)
-        + 5 * _U * root_over_n
-        + (4 * _EULER_GAMMA + 10) * _U
-    )
-    return terms, 2 * rounding + _SERIES_TRUNCATION
+        view = acc[:, ends[skipped] :]
+        view *= x[ends[skipped] :]
+        view += coeffs
+    e1, p = acc
+    return np.array([root_over_n - 2.0 * p, e1 - np.log(x) - _EULER_GAMMA])
 
 
-def _fractions(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fractions(x: np.ndarray) -> np.ndarray:
     """A_n and B_n, as rows, for ascending x_n > SERIES_SWITCH by the
-    continued fractions, and a bound on the error of each A_n + B_n (see
-    _series_sum)."""
-    # rows: the fractions of A and of B cut after m and after m + 1 partial
-    # quotients (tails infinity and 0); the x of the bands that need depth
-    # j - 1 or more are a prefix of x
-    t = np.zeros((4, len(x)))
-    t[::2] = np.inf
-    ends = [0] + np.searchsorted(x, [edge for edge, _ in CF_BANDS], "right").tolist()
+    continued fractions (see _series_sum)."""
+    # rows: the fractions of A and of B cut after m + 1 partial quotients
+    # (tails 0); the x of the bands that need depth j - 1 or more are a
+    # prefix of x
+    t = np.zeros((2, len(x)))
+    ends = [0] + np.searchsorted(x, CF_BANDS, "right").tolist()
     for j, numerators, bands in _CF_STEPS:
-        k = ends[bands]
-        s = t[:, :k]
-        s += x[:k] if j % 2 else 1.0
+        s = t[:, : ends[bands]]
+        s += x[: ends[bands]] if j % 2 else 1.0
         np.divide(numerators, s, out=s)
-    scale = 0.5 * np.exp(-x)
-    terms = scale * (t[::2] + t[1::2])
-    gaps = scale * (np.abs(t[0] - t[1]) + np.abs(t[2] - t[3]))
-    eta = 2 * (_LIBM + (5 * x + 4 * CF_BANDS[0][1] + 13) * _U)
-    return terms, eta * (terms[0] + terms[1]) + gaps
+    return np.exp(-x) * t
 
 
 def _series_sum(d: int, n_max: int) -> tuple[float, float]:
     """S = sum_{n >= 1} chi_d(n) (A_n + B_n), A_n = sqrt(d)/n erfc(sqrt(x_n)),
     B_n = E1(x_n), x_n = pi n^2/d, as a float S~ from the n <= N = n_max,
-    and a bound on |S~ - S|; chi_d = kronecker(d, .), d > 0.
+    and a bound E on |S~ - S|; chi_d = kronecker(d, .), d > 0.
 
     u = 2**-53 is the unit roundoff. numpy's exp and log are assumed
     accurate to 8 ulp; the budget allows L = 2**-46 (128 ulp) for each.
@@ -390,66 +380,75 @@ def _series_sum(d: int, n_max: int) -> tuple[float, float]:
 
     Terms. n and chi_n are exact, and the computed x~_n (pi, d, a
     division, two products) carries a relative error of at most 5u. Each
-    bound below counts, for the term A~ + B~, its own rounding and the
-    block sum's, u (|A~| + |B~|): math.fsum is correctly rounded.
+    term's error counts its own rounding and the block sum's, u (|A~| +
+    |B~|): math.fsum is correctly rounded.
     - x~ <= SERIES_SWITCH, _power_series: B = -gamma - log x + sum_{k>=1}
       c_k x^k (DLMF 6.6.2) and A = r - 2 P(x), r = sqrt(d)/n, P = sqrt(pi)
-      erf(sqrt x) / (2 sqrt x) = sum_{k>=0} a_k x^k (DLMF 7.6.1). Both are
-      cut after x^k, k <= K = SERIES_TERMS the degree of x's band in
+      erf(sqrt x) / (2 sqrt x) = sum_{k>=0} a_k x^k (DLMF 7.6.1), cut
+      after x^k, k <= K = SERIES_TERMS the degree of x's band in
       SERIES_BANDS. Their terms alternate and, since k + 1 > x, fall from
-      the first omitted one on, so the two truncations are at most the
-      first omitted terms at the band's edge, and these at most T =
-      _SERIES_TRUNCATION, the ones at x = SERIES_SWITCH and k = K.
-      Horner's rule errs by at most 2Ku times mu_B = sum |c_k| x^k and 2Ku
-      times mu_P = sum |a_k| x^k, and the rounded coefficients by u/2
-      times the same; Horner's third row computes mu = mu_B + 2 mu_P. log
-      errs by L |log x~|, r by 2u r and gamma by u gamma/2. The
-      subtraction in A~, the sum A~ + B~ and the block sum cost u |A~| <=
-      u r each; in B~ the series less log x~ costs u (mu_B + |log x|),
-      and the subtraction of gamma, the sum and the block sum cost u
-      |B~| <= u (gamma + |log x| + mu_B) each. Moving x by 5u x moves E1
-      by at most 5u e^-x and 2 P by at most 5u (|x P'| <= 1/2). In all,
-      at most (2K + 5)u mu + (L + 4u) |log x~| + 5u r + (4 gamma + 10)u +
-      T; the bound taken doubles all but T, which covers the second-order
-      terms and mu's own rounding.
+      the first omitted one on, so the cuts cost at most the first omitted
+      terms at the band's edge, and these at most T = _SERIES_TRUNCATION,
+      the ones at x = SERIES_SWITCH and k = K. Horner's rule errs by 2Ku
+      mu and the rounded coefficients by u mu/2, mu = sum (|c_k| + 2
+      |a_k|) x^k; log errs by L |log x~|, r by 2u r, gamma by u gamma/2,
+      and moving x by 5u x moves E1 by 5u e^-x and 2 P by 5u (|x P'| <=
+      1/2). The subtraction in A~, the sum and the block sum cost u |A~| <=
+      u r each; the series less log x~ costs u (mu + |log x|), and the
+      subtraction of gamma, the sum and the block sum u |B~| <= u (gamma +
+      |log x| + mu) each. In all, (2K + 5)u mu + (L + 4u) |log x~| + 5u r
+      + (4 gamma + 10)u + T. mu rises with x, so mu <= _SERIES_MAGNITUDE,
+      its value at SERIES_SWITCH; x~ >= (1 - 5u) pi/d bounds |log x~| by
+      log max(d/pi, 4) to second order; and the r of the n <= N sum to at
+      most sqrt(d) (1 + log N). So the n_near terms err by at most n_near
+      ((2K + 5)u mu + (L + 4u) log max(d/pi, 4) + (4 gamma + 10)u + T) +
+      5u sqrt(d) (1 + log N).
     - x~ > SERIES_SWITCH, _fractions: A = e^-x G and B = e^-x F with
       F = e^x E1(x) = 1/(x + 1/(1 + 1/(x + 2/(1 + 2/(x + ...))))) (DLMF
       6.9.1) and G = 1/(x + (1/2)/(1 + 1/(x + (3/2)/(1 + 2/(x + ...)))))
-      (DLMF 7.9.2 in x = z^2). Their partial numerators and denominators
-      are positive, so each lies between any two consecutive convergents,
-      and within half their gap of their midpoint; m is the depth of x's
-      band in CF_BANDS. The backward evaluation of each convergent is
-      exact to 2(m + 1)u relative, so e^-x~ times the computed half gaps,
-      plus 2(m + 1)u (A~ + B~), covers both truncations. F lies in
-      (1/(x + 1), 1/x) and G in (1/(x + 1/2), 1/x), which give |F'| <= F/x
-      and |G'| <= G/x: the argument's 5u x moves them by 5u relative, and
-      exp(-x~) errs by L + 5xu. With the midpoint (2(m + 1)u and u), the
-      products by e^-x~/2, the sum and the block sum (u each): in all,
-      (L + (5x + 4m + 13)u)(A~ + B~) plus the gap term. The bound taken
-      doubles the first part, with m the deepest band's.
+      (DLMF 7.9.2 in x = z^2). Their partial numerators a_j and
+      denominators b_j are positive, so each lies between its consecutive
+      convergents f_m = A_m/B_m, which differ by a_1 ... a_(m+1) / (B_m
+      B_(m+1)); the B_j = b_j B_(j-1) + a_j B_(j-2) are polynomials in x
+      with nonnegative coefficients, so that gap falls as x rises. At the
+      depth m of x's band it is at most CF_GAP (_cf_depth, at the band's
+      lower edge), so the (m + 1)-th convergent, the one evaluated, errs
+      by at most CF_GAP; its backward evaluation, of positive terms, by
+      2(m + 1)u <= 2(M + 1)u relative, M = _CF_DEPTHS[0]. F lies in (1/(x
+      + 1), 1/x) and G in (1/(x + 1/2), 1/x), so |F'| <= F/x and |G'| <=
+      G/x: the argument's 5u x moves them by 5u relative, and exp(-x~)
+      errs by L + 5Xu. The products by e^-x~, the sum and the block sum
+      cost u each. As F + G < 2/x < 1/2, a term errs by at most e^-x (2
+      CF_GAP + (L + (5X + 2M + 10)u)/2), and the e^-x_n sum to at most
+      e^-s + int_{n_1}^oo e^(-pi y^2/d) dy <= e^-s (1 + sqrt(d)/(2 sqrt(pi
+      s))) <= e^-s (1 + sqrt(d)/4), s = SERIES_SWITCH and n_1 the least n
+      with x_n > s.
 
-    Sum. math.fsum of the block sums is correctly rounded: u |S~|. The
-    nonnegative error terms are summed in floats, exact to N u < 2**-22
-    relative, so the bound returned is twice their sum and u |S~|, plus
-    the tail."""
+    Sum. math.fsum of the block sums is correctly rounded: u |S~|. E is twice
+    the rounding bounds above and u |S~|, which covers the second-order
+    terms and E's own float evaluation, plus n_near T and the tail."""
     chi = _character_table(d, n_max)
     root, scale = sqrt(d), pi / d
     sums: list[float] = []
-    err = 0.0
+    n_near = 0
     for lo in range(1, n_max + 1, SERIES_BLOCK):
         n = np.flatnonzero(chi[lo : lo + SERIES_BLOCK]) + lo
         nf = n.astype(np.float64)
         x = nf * (nf * scale)
         cut = int(np.searchsorted(x, SERIES_SWITCH, "right"))
-        near, near_err = _power_series(x[:cut], root / nf[:cut])
-        far, far_err = _fractions(x[cut:])
-        terms = np.concatenate([near, far], axis=1)
+        near = _power_series(x[:cut], root / nf[:cut])
+        terms = np.concatenate([near, _fractions(x[cut:])], axis=1)
         sums.append(fsum((chi[n] * (terms[0] + terms[1])).tolist()))
-        err += float(np.sum(near_err)) + float(np.sum(far_err))
+        n_near += cut
     total = fsum(sums)
     x_max = pi * n_max * n_max / d
+    per_near = ((2 * SERIES_TERMS + 5) * _SERIES_MAGNITUDE + 4 * _EULER_GAMMA + 10) * _U
+    per_near += (_LIBM + 4 * _U) * log(max(d / pi, 4.0))
+    per_far = 2 * CF_GAP + (_LIBM + (5 * x_max + 2 * _CF_DEPTHS[0] + 10) * _U) / 2
+    rounding = n_near * per_near + 5 * _U * root * (1 + log(n_max))
+    rounding += exp(-SERIES_SWITCH) * (1 + root / 4) * per_far + _U * abs(total)
     tail = 2 * sqrt(d / pi) * exp(-x_max) * x_max**-1.5
-    return total, 2 * (err + _U * abs(total)) + tail
+    return total, 2 * rounding + n_near * _SERIES_TRUNCATION + tail
 
 
 def _pin(d: int, what: str, lo: Fraction, hi: Fraction) -> int:
@@ -477,8 +476,8 @@ def _field_class_number(d: int, d_k: int, r_lo: Fraction, r_hi: Fraction) -> int
     r_lo)/R wide. x_cut holds E's tail below r_lo/2, within a factor 1 +
     2**-40 for its own rounding, and r_hi - r_lo, twice (16 + 8R) 2**-103 +
     T 2**-190, is below 2**-95 R. So the width is below 1, and h the one
-    integer inside, while E's rounding part stays below about R/2: measured,
-    below 6.9e-11 R on 7082 fundamental d up to 10**9 + 300."""
+    integer inside, while E's rounding part stays below about R/2: at most
+    5.4e-7 R at N near SERIES_TERM_LIMIT, where it is loosest."""
     # r_lo > 0, as R >= log((1 + sqrt 5)/2) > 0.48 lies far above the
     # error. X >= 1 with 2 sqrt(d_k/pi) e^-X <= TAIL_SHARE R, so that the
     # tail bound 2 sqrt(d_k/pi) e^-X X^(-3/2) of _series_sum is below it too

@@ -132,11 +132,13 @@ def clear_ramified_parts(inp: CriterionInput) -> tuple[int, ...]:
     """The norms with each replaced by the square of its coprime part.
 
     For a decomposition n = n_c * n_r with n_r > 1, the norm-n_r ideal must
-    be regular and square to n_r times the unit ideal; this is verified by
-    exact composition and a failure raises (it indicates the ramified part
-    does not actually behave as a product of distinct ramified primes, e.g.
-    because it shares a factor with the conductor).  Entries whose coprime
-    part is 1 reduce to the unit ideal and are dropped.
+    be regular, and then it squares to n_r times the unit ideal: a regular
+    primitive ideal [r, (b + sqrt(d))/2] with r | d squarefree has r | b,
+    so it equals its conjugate. Composition refuses an irregular one, and
+    that refusal raises (the ramified part does not behave as a product of
+    distinct ramified primes, e.g. because it shares a factor with the
+    conductor).  Entries whose coprime part is 1 reduce to the unit ideal
+    and are dropped.
     """
     norms: list[int] = []
     for sp in inp.splits:
@@ -145,17 +147,14 @@ def clear_ramified_parts(inp: CriterionInput) -> tuple[int, ...]:
             norms.append(c)
             continue
         frak = _ramified_ideal(inp.d, sp.ramified_part)
-        expected = QuadIdeal(inp.d, 1, inp.d % 2, sp.ramified_part)
         try:
-            cleared = multiply_ideals(frak, frak) == expected
-        except ValueError:  # frak is not regular
-            cleared = False
-        if not cleared:
+            multiply_ideals(frak, frak)
+        except ValueError as exc:  # frak is not regular
             raise CriterionError(
                 f"{format_ideal_literal(frak)} does not square to"
                 f" {sp.ramified_part} times the unit ideal; the ramified part"
                 f" {sp.ramified_part} of {sp.total} cannot be cleared"
-            )
+            ) from exc
         if c > 1:
             norms.append(c * c)
     return tuple(norms)

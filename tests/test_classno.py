@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from math import gcd, isqrt, log, sqrt
 
 import numpy as np
@@ -591,52 +592,151 @@ def series_term_points():
     and each side of every edge of SERIES_BANDS, the last SERIES_SWITCH,
     and of CF_BANDS."""
     x = np.concatenate([np.geomspace(1e-12, 1.0, 300), np.linspace(1.0, 60.0, 600)[1:]])
-    edges = list(classno.SERIES_BANDS) + [e for e, _ in classno.CF_BANDS[:-1]]
+    edges = list(classno.SERIES_BANDS) + list(classno.CF_BANDS[:-1])
     near = [np.nextafter(e, s) for e in edges for s in (0.0, np.inf)]
     near += [e * (1 + s) for e in edges for s in (-1e-6, 1e-6)]
     return np.unique(np.concatenate([x, edges, near]))
 
 
 def test_series_terms_within_their_error_bounds():
-    # A_n = sqrt(pi) erfc(sqrt x)/sqrt x and B_n = E1(x), each and their sum
-    # within the bound _series_sum adds for the term, and the bound tight
+    # A_n = sqrt(pi) erfc(sqrt x)/sqrt x and B_n = E1(x), each and their sum,
+    # within the charge that _series_sum's closed-form bound makes for one
+    # term at d = 10**13 and X = 60: twice the rounding of a power-series
+    # term plus T, or twice e^-x (2 CF_GAP + (L + (5X + 2M + 10)u)/2) for a
+    # fraction term. log(d/pi) >= |log x| at every point
     x = series_term_points()
+    d, x_max = 10**13, x[-1]
+    assert log(d / np.pi) >= -log(x[0])
     with mp.workdps(40):
         exact_a = [mp.sqrt(mp.pi / v) * mp.erfc(mp.sqrt(v)) for v in map(mpf, x)]
         exact_b = [mp.e1(mpf(v)) for v in x]
         root_over_n = np.array([float(mp.sqrt(mp.pi / mpf(v))) for v in x])
     cut = np.searchsorted(x, classno.SERIES_SWITCH, "right")
     assert x[cut - 1] == classno.SERIES_SWITCH
-    near, near_err = classno._power_series(x[:cut], root_over_n[:cut])
-    far, far_err = classno._fractions(x[cut:])
-    terms = np.concatenate([near, far], axis=1)
-    bounds = np.concatenate([near_err, far_err])
+    near = classno._power_series(x[:cut], root_over_n[:cut])
+    terms = np.concatenate([near, classno._fractions(x[cut:])], axis=1)
+    u, libm = classno._U, classno._LIBM
+    near_charge = 2 * (
+        (2 * classno.SERIES_TERMS + 5) * u * classno._SERIES_MAGNITUDE
+        + (libm + 4 * u) * log(d / np.pi)
+        + (4 * classno._EULER_GAMMA + 10) * u
+        + 5 * u * root_over_n[:cut]
+    )
+    far = (libm + (5 * x_max + 2 * classno._CF_DEPTHS[0] + 10) * u) / 2
+    far_charge = 2 * np.exp(-x[cut:]) * (2 * classno.CF_GAP + far)
+    charges = np.concatenate([near_charge + classno._SERIES_TRUNCATION, far_charge])
     with mp.workdps(40):
-        for v, a, b, ea, eb, bound in zip(x, *terms, exact_a, exact_b, bounds):
-            assert abs(a - ea) <= bound, v
-            assert abs(b - eb) <= bound, v
-            assert abs(a + b - (ea + eb)) <= bound, v
-            assert bound <= 1e-10 * (ea + eb), v
+        for v, a, b, ea, eb, charge in zip(x, *terms, exact_a, exact_b, charges):
+            assert abs(a - ea) <= charge, v
+            assert abs(b - eb) <= charge, v
+            assert abs(a + b - (ea + eb)) <= charge, v
+            # and no charge exceeds 1e-8 of its term
+            assert charge <= 1e-8 * (ea + eb), v
 
 
-def test_power_series_bound_covers_its_truncation(monkeypatch):
-    # with the rounding allowances off (u = L = 0), the bound _power_series
-    # returns is its truncation part alone. At each band's upper edge, where
-    # the omitted terms are largest, the series cut after the band's degree
-    # and summed in 40 digits must lie within it of A + B; the rounding
-    # allowances are thousands of times larger, so only this check sees it
-    monkeypatch.setattr(classno, "_U", 0.0)
-    monkeypatch.setattr(classno, "_LIBM", 0.0)
-    x = np.array(classno.SERIES_BANDS)
-    _, bounds = classno._power_series(x, np.sqrt(np.pi / x))
+def test_power_series_bound_covers_its_truncation():
+    # at each band's upper edge, where the omitted terms are largest, the
+    # series cut after the band's degree and summed in 40 digits lies within
+    # T = _SERIES_TRUNCATION of A + B; the rounding charges are thousands of
+    # times larger, so only this check sees T. At SERIES_SWITCH, degree
+    # SERIES_TERMS, the cut takes most of T
+    t = classno._SERIES_TRUNCATION
     with mp.workdps(40):
-        for v, degree, bound in zip(map(mpf, x), classno._SERIES_DEGREES, bounds):
-            k = range(degree + 1)
+        for edge, degree in zip(classno.SERIES_BANDS, classno._SERIES_DEGREES):
+            v, k = mpf(edge), range(degree + 1)
             e1 = mp.fsum((-1) ** (j + 1) * v**j / (j * mp.factorial(j)) for j in k[1:])
             p = mp.fsum((-1) ** j * v**j / (mp.factorial(j) * (2 * j + 1)) for j in k)
             cut = mp.sqrt(mp.pi / v) - 2 * p + e1 - mp.euler - mp.log(v)
             exact = mp.sqrt(mp.pi / v) * mp.erfc(mp.sqrt(v)) + mp.e1(v)
-            assert 0 < abs(cut - exact) <= bound, v
+            assert 0 < abs(cut - exact) <= t, edge
+        assert abs(cut - exact) >= t / 2
+    assert degree == classno.SERIES_TERMS
+
+
+# the partial numerators of e^x A = sqrt(pi) e^x erfc(sqrt x) / sqrt x (DLMF
+# 7.9.2 in x = z^2) and of e^x B = e^x E1(x) (DLMF 6.9.1), the rows of
+# _fractions; both fractions' partial denominators are x, 1, x, 1, ...
+FRACTION_NUMERATORS = (
+    lambda j: Fraction(j - 1, 2) if j > 1 else Fraction(1),
+    lambda j: Fraction(max(1, j // 2)),
+)
+
+
+def convergent(numerators, x, m):
+    """The m-th convergent of a fraction of FRACTION_NUMERATORS at x, exactly."""
+    f = Fraction(0)
+    for j in range(m, 0, -1):
+        f = numerators(j) / ((x if j % 2 else 1) + f)
+    return f
+
+
+def test_fraction_depths_are_the_least_within_cf_gap():
+    # at each band's lower edge, in exact arithmetic, the convergents m and
+    # m + 1 of both fractions differ by at most CF_GAP, and m - 1 and m of
+    # one of them by more; just above the edge _fractions returns e^-x
+    # times convergent m + 1, to its rounding charge (x exact), so a depth
+    # of m - 1 fails here
+    lower = (classno.SERIES_SWITCH,) + classno.CF_BANDS[:-1]
+    assert len(classno._CF_DEPTHS) == len(lower)
+    relative = classno._LIBM + (2 * classno._CF_DEPTHS[0] + 10) * classno._U
+    fractions = FRACTION_NUMERATORS
+    for edge, m in zip(lower, classno._CF_DEPTHS):
+        x = Fraction(edge)
+        f = [[convergent(a, x, k) for k in range(m - 1, m + 2)] for a in fractions]
+        assert max(abs(c[2] - c[1]) for c in f) <= classno.CF_GAP, edge
+        assert max(abs(c[1] - c[0]) for c in f) > classno.CF_GAP, edge
+        v = float(np.nextafter(edge, np.inf))
+        got = classno._fractions(np.array([v]))[:, 0]
+        with mp.workdps(40):
+            for value, a in zip(got, fractions):
+                c = convergent(a, Fraction(v), m + 1)
+                want = mp.exp(-mpf(v)) * mpf(c.numerator) / c.denominator
+                assert abs(value - want) <= relative * want, edge
+
+
+def record_series(monkeypatch):
+    """Lists that fill with each (what, lo, hi) that classno._pin is asked to
+    pin and each (d, N, E) of classno._series_sum, as class numbers run."""
+    pins, sums = [], []
+    pin, series_sum = classno._pin, classno._series_sum
+
+    def recording_pin(d, what, lo, hi):
+        pins.append((what, lo, hi))
+        return pin(d, what, lo, hi)
+
+    def recording_sum(d, n_max):
+        total, err = series_sum(d, n_max)
+        sums.append((d, n_max, err))
+        return total, err
+
+    monkeypatch.setattr(classno, "_pin", recording_pin)
+    monkeypatch.setattr(classno, "_series_sum", recording_sum)
+    return pins, sums
+
+
+def check_widths(pins, sums):
+    """Every field h interval in pins is narrower than 1/2 + 1e-6, the bound
+    argued at TAIL_SHARE = 1/2, and the rounding part of every E in sums,
+    E less its tail, is below 1e-6 R."""
+    widths = [hi - lo for what, lo, hi in pins if what == "field's class number"]
+    assert len(widths) == len(sums)
+    assert max(widths) < 0.5 + 1e-6, max(widths)
+    for d, n_max, err in sums:
+        x_max = np.pi * n_max * n_max / d
+        tail = 2 * sqrt(d / np.pi) * math.exp(-x_max) * x_max**-1.5
+        assert err - tail < 1e-6 * fundamental_unit(d).regulator, d
+
+
+def test_class_number_interval_width_and_rounding(monkeypatch):
+    # small d, where X is near 1 and the intervals are widest; d with
+    # conductor f > 1; and two paper-scale d, the second the T = 2 d with
+    # h = 3018 of the x = 1e10 progression
+    ds = list(fundamental_discriminants(5, 6000))
+    ds += [45, 9 * 1009, 100009, 10**7, 9 * (10**9 + 9), 10**9 + 9, 130844975645]
+    pins, sums = record_series(monkeypatch)
+    hs = [_analytic_class_number(d) for d in ds]
+    assert hs[-2:] == [(1, 1), (3018, 6036)]
+    check_widths(pins, sums)
 
 
 @pytest.mark.parametrize("d", [5, 13, 1009, 4 * 1011, 100049])
@@ -702,7 +802,10 @@ def test_libm_within_eight_ulp():
     rng = np.random.default_rng(11)
     t = 7 * (1 - rng.random(3000))  # (0, 7]
     x = -40 * rng.random(3000)  # (-40, 0]
-    y = 10 ** (-12 * rng.random(3000))  # (1e-12, 1], log-uniform
+    # [1e-14, SERIES_SWITCH], log-uniform: the x of the power series for d
+    # up to about 3e13
+    y = np.exp(rng.uniform(math.log(1e-14), math.log(classno.SERIES_SWITCH), 3000))
+    y = np.append(y, [1e-14, classno.SERIES_SWITCH])
     z = np.exp(rng.uniform(math.log(5), 64 * math.log(2), 3000))  # [5, 2**64]
     with mp.workdps(40):
         worst = {
