@@ -20,7 +20,7 @@ from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, fields
 from decimal import Decimal, InvalidOperation
 from functools import cache, partial
-from itertools import chain, islice
+from itertools import chain, islice, starmap
 
 from . import families
 from .cfrac import cf_expand, exact_unit, fundamental_unit
@@ -111,12 +111,13 @@ def _replacing(path: str):
 
 def _write(args, records, header=None) -> int:
     """Print each record as one JSON line, or, given header (a list of cell
-    names), the CSV header line and then each record, a finished CSV line
-    such as _scan_row's; return 0. The first record is pulled before any
-    stream opens, so a command that fails at once prints nothing; the
-    stream, stdout or --out (see _replacing), then gets each record as it
-    arrives, so a failure leaves the rows before it on stdout and an --out
-    file untouched."""
+    names), the CSV header line and then each item of records as it is:
+    finished CSV text, the rows of one scan window or one row of a record
+    (see _scan_row); return 0. The first item is pulled before any stream
+    opens, so a command that fails at once prints nothing; the stream,
+    stdout or --out (see _replacing), then gets each item as it arrives, so
+    a failure leaves the items before it on stdout and an --out file
+    untouched."""
     path = getattr(args, "out", None)
     records = iter(records)
     records = chain(list(islice(records, 1)), records)
@@ -202,7 +203,8 @@ def _parse_params(text: str | None) -> dict[str, int]:
 
 
 def _run_chunk(task):
-    """list(task()), by a module-level function that a pool can pickle."""
+    """list(task()), a window's result as a pool sends it back, by a
+    module-level function that a pool can pickle."""
     return list(task())
 
 
@@ -214,11 +216,13 @@ def _cpu_count() -> int:
 
 
 def _run_chunked(task_of_span, lo: int, hi: int, jobs: int):
-    """Yield the records of task_of_span(k_min=a, k_max=b) over consecutive
-    windows [a, b] of [lo, hi], in order. One process runs windows of
-    SCAN_WINDOW k; a pool of at most one process per CPU runs about 16 windows
-    per process, so no process is left with the largest d alone. An empty
-    range runs one empty window, which checks the arguments."""
+    """Yield task_of_span(k_min=a, k_max=b), an iterable of records or of
+    CSV text, for consecutive windows [a, b] of [lo, hi], one result per
+    window, in order; a pool's results are lists. One process runs windows
+    of SCAN_WINDOW k, each result as its task returns it, so a lazy one is
+    made as it is read; a pool of at most one process per CPU runs about 16
+    windows per process, so no process is left with the largest d alone. An
+    empty range runs one empty window, which checks the arguments."""
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
     total = max(0, hi - lo + 1)
@@ -230,15 +234,14 @@ def _run_chunked(task_of_span, lo: int, hi: int, jobs: int):
     )
     if jobs == 1:
         for task in tasks:
-            yield from task()
+            yield task()
     else:
         # imported here: multiprocessing brings socket and friends, which
         # a single-process run never needs
         import multiprocessing
 
         with multiprocessing.Pool(processes=jobs) as pool:
-            for chunk in pool.imap(_run_chunk, tasks):
-                yield from chunk
+            yield from pool.imap(_run_chunk, tasks)
 
 
 def _family_span(kind, params, k_min, k_max):
@@ -249,21 +252,53 @@ def _family_span(kind, params, k_min, k_max):
 # scan record emission
 
 
-def _scan_row(rec: families.ScanRecord) -> str:
-    """The CSV line of a record of one d, with its newline: an int as
+def _scan_row(
+    k, n, d, squarefree=True, h=None, regulator=None, L_truncated=None, bound_ok=None
+) -> str:
+    """The CSV line of the cells of one d, with its newline: an int as
     str(int), None as "", a float to 12 significant digits, a bool as 1 or 0.
     No cell can hold a comma, a quote or a line break, so csv.writer would
-    quote none of them and would write the same bytes. A record of two d,
-    which would not fit SCAN_CSV_HEADER, raises ValueError."""
+    quote none of them and would write the same bytes. A squarefree d with
+    no analysis, a row of a scan without h, takes one shorter f-string."""
+    if (
+        squarefree
+        and h is None
+        and regulator is None
+        and L_truncated is None
+        and bound_ok is None
+    ):
+        return f"{k},{n},{d},1,,,,\n"
+    return (
+        f"{k},{n},{d},{1 if squarefree else 0},{'' if h is None else h},"
+        f"{'' if regulator is None else format(regulator, '.12g')},"
+        f"{'' if L_truncated is None else format(L_truncated, '.12g')},"
+        f"{'' if bound_ok is None else 1 if bound_ok else 0}\n"
+    )
+
+
+def _record_row(rec: families.ScanRecord) -> str:
+    """_scan_row of a record's cells. A record of two d, which would not fit
+    SCAN_CSV_HEADER, raises ValueError."""
     (d,) = rec.d_values
     (squarefree,) = rec.squarefree
-    h, reg, l_val, ok = rec.h, rec.regulator, rec.L_truncated, rec.bound_ok
-    return (
-        f"{rec.k},{rec.n},{d},{1 if squarefree else 0},{'' if h is None else h},"
-        f"{'' if reg is None else format(reg, '.12g')},"
-        f"{'' if l_val is None else format(l_val, '.12g')},"
-        f"{'' if ok is None else 1 if ok else 0}\n"
+    return _scan_row(
+        rec.k, rec.n, d, squarefree, rec.h, rec.regulator, rec.L_truncated,
+        rec.bound_ok,
     )
+
+
+def _record_lines(scan, k_min, k_max):
+    """The CSV lines of the records of scan(k_min=, k_max=), each made as it
+    is read, so a one-process scan prints the rows before a failing record."""
+    return map(_record_row, scan(k_min=k_min, k_max=k_max))
+
+
+def _progression_text(spec, strict_range, k_min, k_max) -> list[str]:
+    """The CSV text of a window of the progression without h, made in the
+    process that sieved it, as one string: a pool pickles that string, and
+    no record is built."""
+    rows = families.progression_rows(spec, k_max, k_min, strict_range)
+    return ["".join(starmap(_scan_row, rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +407,15 @@ def cmd_family_scan(args) -> int:
         )
     else:
         scan = partial(_family_span, args.kind, _parse_params(args.params))
-    records = _run_chunked(scan, args.kmin, args.kmax, args.jobs)
     if args.format == "json":
-        return _write(args, map(asdict, records))
-    return _write(args, map(_scan_row, records), SCAN_CSV_HEADER)
+        windows = _run_chunked(scan, args.kmin, args.kmax, args.jobs)
+        return _write(args, map(asdict, chain.from_iterable(windows)))
+    if args.spec and not args.with_h:
+        window = partial(_progression_text, spec, args.strict_range)
+    else:
+        window = partial(_record_lines, scan)
+    windows = _run_chunked(window, args.kmin, args.kmax, args.jobs)
+    return _write(args, chain.from_iterable(windows), SCAN_CSV_HEADER)
 
 
 def cmd_verify(args) -> int:
@@ -401,7 +441,8 @@ def cmd_verify(args) -> int:
 
     def rows():
         nonlocal violations
-        for rec in _run_chunked(partial(_family_span, kind, params), lo, hi, args.jobs):
+        windows = _run_chunked(partial(_family_span, kind, params), lo, hi, args.jobs)
+        for rec in chain.from_iterable(windows):
             violations += not rec.bound_ok
             yield {
                 "family": args.family,

@@ -274,9 +274,17 @@ class _RootTable:
         listed once."""
         n = np.searchsorted(self.primes, bound, side="right")
         p = self.primes[:n]
-        # k0 - (k_lo mod p) lies in (-p, p): adding p where it is negative
-        # reduces it mod p without a second pass of int64 division
-        first = self.k0[:n] - residues_mod(k_lo, p)
+        # k_lo mod p takes an int64 remainder only for the p <= |k_lo|: for
+        # a larger p it is k_lo, or k_lo + p when k_lo < 0 (and then |k_lo|
+        # < 2**31). Either way k0 - (k_lo mod p) lies in (-p, p), and adding
+        # p where it is negative reduces it mod p
+        small = np.searchsorted(p, abs(k_lo), side="right")
+        first = self.k0[:n].copy()
+        first[:small] -= residues_mod(k_lo, p[:small])
+        if small < n:
+            first[small:] -= k_lo
+            if k_lo < 0:
+                first[small:] -= p[small:]
         first += p * (first < 0)
         live = first < count
         p, first = p[live], first[live]
@@ -391,6 +399,26 @@ def _squarefree_ks(n0: int, q: int, c: int, k_lo: int, k_hi: int) -> list[int]:
     return [k_lo + j for j in survivors]
 
 
+def progression_rows(
+    spec: ProgressionSpec, k_max: int, k_min: int = 1, strict_range: bool = False
+) -> list[tuple[int, int, int]]:
+    """(k, n, d) for each k in [k_min, k_max] with d = n^2 + 4p_1 squarefree,
+    n = n0 + kq, by the polynomial sieve; strict_range also keeps d >
+    sqrt(x). Only m = 1 specs are accepted: at m >= 2 every d is out of
+    exact reach (see the module docstring)."""
+    if spec.m != 1:
+        # README and the CLI's error record quote this message as it is
+        raise ValueError(
+            f"scan_squarefree needs a spec with m = 1, this one has m = {spec.m}"
+        )
+    n0, q, c = spec.n0, spec.q, 4 * spec.primes[0]
+    if strict_range:
+        # keep d > sqrt(x): k q > x^(1/4)
+        k_min = max(k_min, isqrt(isqrt(spec.x)) // q + 1)
+    ks = _squarefree_ks(n0, q, c, k_min, k_max)
+    return [(k, n, n * n + c) for k in ks for n in (n0 + k * q,)]
+
+
 def scan_squarefree(
     spec: ProgressionSpec,
     k_max: int,
@@ -399,28 +427,15 @@ def scan_squarefree(
     with_h: bool = False,
     euler_bound_B: int | None = None,
 ) -> list[ScanRecord]:
-    """Survivors k in [k_min, k_max] with d = (n0+kq)^2 + 4p_1 squarefree,
-    by the polynomial sieve; with_h attaches h and the bound report. Only
-    m = 1 specs are accepted: at m >= 2 every d is out of exact reach (see
-    the module docstring).
-    """
-    if spec.m != 1:
-        raise ValueError(
-            f"scan_squarefree needs a spec with m = 1, this one has m = {spec.m}"
-        )
-    k_lo = k_min
-    if strict_range:
-        # keep d > sqrt(x): k q > x^(1/4)
-        k_lo = max(k_lo, isqrt(isqrt(spec.x)) // spec.q + 1)
-    c = 4 * spec.primes[0]
-    out: list[ScanRecord] = []
-    for k in _squarefree_ks(spec.n0, spec.q, c, k_lo, k_max):
-        n = spec.n0 + k * spec.q
-        rec = ScanRecord(k, n, (n * n + c,), (True,))
-        out.append(
-            _attach_analysis(rec, spec.primes, euler_bound_B) if with_h else rec
-        )
-    return out
+    """One record per row of progression_rows; with_h attaches h and the
+    bound report."""
+    records = [
+        ScanRecord(k, n, (d,), (True,))
+        for k, n, d in progression_rows(spec, k_max, k_min, strict_range)
+    ]
+    if with_h:
+        return [_attach_analysis(rec, spec.primes, euler_bound_B) for rec in records]
+    return records
 
 
 def squarefree_density(spec: ProgressionSpec, prime_bound: int) -> float:

@@ -31,6 +31,7 @@ from qrl import cfrac, classno, cli, families, intarith
 from qrl.cfrac import exact_unit, fundamental_unit, principal_expansion
 from qrl.classno import l_value_exact, l_value_truncated
 from qrl.cli import main
+from test_families import INT64_EDGE_K
 
 
 def run_cli(argv):
@@ -300,7 +301,12 @@ scan_records = st.builds(
 @example(families.ScanRecord(1, 7371, (54331661,), (True,)))
 @example(families.ScanRecord(-3, 0, (5,), (False,), 0, -0.0, 1e300, None, False))
 def test_scan_row_matches_csv_writer(rec):
-    assert cli._scan_row(rec) == csv_writer_row(rec)
+    cells = (rec.k, rec.n, *rec.d_values, *rec.squarefree, rec.h, rec.regulator)
+    cells += (rec.L_truncated, rec.bound_ok)
+    assert cli._scan_row(*cells) == cli._record_row(rec) == csv_writer_row(rec)
+    # a row of (k, n, d) alone is that of a squarefree d with no analysis
+    bare = families.ScanRecord(rec.k, rec.n, rec.d_values, (True,))
+    assert cli._scan_row(rec.k, rec.n, *rec.d_values) == csv_writer_row(bare)
 
 
 @pytest.mark.parametrize(
@@ -311,7 +317,52 @@ def test_scan_row_refuses_two_d(d_values, squarefree):
     # would make a row of 9 cells
     rec = families.ScanRecord(-3, 0, d_values, squarefree, 0, -0.0, 1e300, None, False)
     with pytest.raises(ValueError):
-        cli._scan_row(rec)
+        cli._record_row(rec)
+
+
+def assert_progression_text_matches_records(spec, k_min, k_max, strict_range):
+    # a window's CSV text, made from the survivors' (k, n, d) with no
+    # record, against the rows of scan_squarefree's records
+    records = families.scan_squarefree(spec, k_max, k_min, strict_range)
+    want = "".join(map(csv_writer_row, records))
+    assert "".join(map(cli._record_row, records)) == want
+    text = cli._progression_text(spec, strict_range, k_min, k_max)
+    assert len(text) == 1 and text[0] == want
+    return records
+
+
+@pytest.mark.parametrize(
+    "k_min, k_max, strict_range",
+    [
+        (5, 4, False),  # empty
+        (1, 1, False),
+        (1, 20, True),  # narrower than ARRAY_WINDOW
+        (-400, 5, False),
+        (-400, 5, True),
+        (20_001, 20_350, False),  # a sieve benchmark window
+        (INT64_EDGE_K - 99, INT64_EDGE_K + 100, False),  # straddles 2**62
+        (505_600, 505_700, False),  # past 2**62: the per-hit loop
+    ],
+)
+def test_progression_text_matches_records_on_the_paper_spec(k_min, k_max, strict_range):
+    spec = families.build_progression(1, [5], 10**10, 0.9)
+    records = assert_progression_text_matches_records(spec, k_min, k_max, strict_range)
+    assert (records == []) == (k_min > k_max)
+    if strict_range:
+        assert records[0].k == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(intarith.primes_up_to(60)),
+    st.integers(10, 10**9),
+    st.integers(-2000, 2000),
+    st.integers(-1, 3 * families.ARRAY_WINDOW),
+    st.booleans(),
+)
+def test_progression_text_matches_records_on_random_specs(p, x, k_min, count, strict_range):
+    spec = families.build_progression(1, [p], x, 0.9)
+    assert_progression_text_matches_records(spec, k_min, k_min + count - 1, strict_range)
 
 
 def test_family_scan_empty_range_header_only():
@@ -468,8 +519,10 @@ def test_run_chunked_windows_cover_the_range_in_order(lo, length, jobs, cpus, wi
         patch.setattr(multiprocessing, "Pool", partial(RecordingPool, created))
         patch.setattr(cli, "_cpu_count", lambda: cpus)
         patch.setattr(cli, "SCAN_WINDOW", window)
-        records = list(cli._run_chunked(span, lo, hi, jobs))
-    assert records == list(range(lo, hi + 1))
+        results = list(cli._run_chunked(span, lo, hi, jobs))
+    # one result per window, in order
+    assert results == [list(range(a, b + 1)) for a, b in windows]
+    assert [k for result in results for k in result] == list(range(lo, hi + 1))
     assert all(b - a + 1 <= window for a, b in windows)
     if length <= 0:
         assert windows == [(lo, hi)]

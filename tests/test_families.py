@@ -4,7 +4,7 @@ from math import isqrt, log, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -474,23 +474,47 @@ def test_root_table_grows_like_scalar_oracle(n0, q, c, bounds):
         assert_table_matches_oracle(table)
 
 
-@settings(max_examples=60, deadline=None)
+# k_lo for hits: |k_lo| >= 2**31, above every table prime, takes
+# residues_mod over several limbs; 0 and small k_lo of either sign, and
+# k_lo just below, at and just above a table prime, split the table into
+# the primes p <= |k_lo| that residues_mod reduces k_lo by and the larger
+# ones, where k_lo mod p is k_lo or k_lo + p
+HITS_K_LO = st.one_of(
+    st.integers(2**31, 2**100),
+    st.integers(-(2**100), -(2**31)),
+    st.just(0),
+    st.integers(-3000, 3000),
+    st.builds(
+        lambda p, offset, sign: sign * (p + offset),
+        st.sampled_from(primes_up_to(1500)),
+        st.integers(-1, 1),
+        st.sampled_from([1, -1]),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
 @given(
     st.integers(-10**12, 10**12),
     st.integers(1, 10**4),
     st.sampled_from([1, 2, 3, 6, 30, 210]),
     st.integers(-10**6, 10**6),
     st.sampled_from([1, 2, 5, 12, 35]),
-    st.integers(2**31, 2**100),
+    HITS_K_LO,
     st.integers(1, 80),
     st.integers(2, 1500),
 )
+# the values k^2 + 1 from k = -5, and from k = -13, at the table prime 13:
+# 13 divides the value at k = -5 = 8 - 13, which k_lo mod 13 = k_lo + 13
+# puts at j = 0
+@example(0, 1, 1, 1, 1, -5, 80, 1500)
+@example(0, 1, 1, 1, 1, -13, 80, 1500)
 def test_root_table_hits_each_dividing_prime_once(
     n0, q_part, q_primes, c_part, c_primes, k_lo, count, bound
 ):
-    # small primes divide q and c, c may be negative, and k_lo >= 2**31
-    # takes residues_mod over several limbs; the sieve's one division per
-    # hit needs each (p, j) listed once, exactly when p divides the value
+    # small primes divide q and c, and c may be negative; the sieve's one
+    # division per hit needs each (p, j) listed once, exactly when p
+    # divides the value
     q, c = q_part * q_primes, c_part * c_primes
     table = families._RootTable(n0, q, c)
     table.grow(2 * bound)
@@ -503,6 +527,30 @@ def test_root_table_hits_each_dividing_prime_once(
         (p, j) for p in primes_up_to(bound) for j, v in enumerate(values) if v % p == 0
     }
     assert set(pairs) == dividing
+
+
+def test_window_reduces_k_lo_only_modulo_the_primes_up_to_it(monkeypatch):
+    # a 350-k window at k_lo = 20001 of the x = 10**10 spec reads some
+    # 21 700 table entries, but takes k_lo mod p by residues_mod only for
+    # the p <= k_lo: at most pi(20001) = 2262 of them
+    spec = build_progression(1, [5], 10**10, 0.9)
+    n0, q, c = spec.n0, spec.q, 4 * spec.primes[0]
+    k_lo, k_hi = 20_001, 20_350
+    families._root_table.cache_clear()
+    want = _squarefree_ks(n0, q, c, k_lo, k_hi)  # the table grows here
+    table = families._root_table(n0, q, c)
+    assert np.searchsorted(table.primes, window_bound(n0, q, c, k_lo, k_hi)) > 20_000
+    moduli = []
+    original = families.residues_mod
+
+    def counting(n, m):
+        moduli.append(len(m))
+        return original(n, m)
+
+    monkeypatch.setattr(families, "residues_mod", counting)
+    assert _squarefree_ks(n0, q, c, k_lo, k_hi) == want
+    assert want == sieve_oracle(n0, q, c, k_lo, k_hi)
+    assert 0 < sum(moduli) <= len(primes_up_to(k_lo)) == 2262
 
 
 def single_k_survivors(n0, q, c, k_lo, k_hi):
