@@ -4,7 +4,7 @@ Every command prints one JSON record per line (or CSV rows for scans) with
 floats normalized to 12 significant digits, so re-running a command with the
 same configuration produces byte-identical output.  Errors become a single
 machine-readable JSON record on stderr and a nonzero exit status; a scan
-streams its rows, so those of the windows before a failing one stay on stdout,
+streams its rows, so those before a failing record or window stay on stdout,
 while an --out file is replaced only by the complete output.
 """
 
@@ -112,12 +112,12 @@ def _replacing(path: str):
 def _write(args, records, header=None) -> int:
     """Print each record as one JSON line, or, given header (a list of cell
     names), the CSV header line and then each item of records as it is:
-    finished CSV text, the rows of one scan window or one row of a record
-    (see _scan_row); return 0. The first item is pulled before any stream
-    opens, so a command that fails at once prints nothing; the stream,
-    stdout or --out (see _replacing), then gets each item as it arrives, so
-    a failure leaves the items before it on stdout and an --out file
-    untouched."""
+    finished CSV text, the line of one record (see _record_row) or the rows
+    of a scan window without h (see _progression_text); return 0. The first
+    item is pulled before any stream opens, so a command that fails at once
+    prints nothing; the stream, stdout or --out (see _replacing), then gets
+    each item as it arrives, so a failure leaves the items before it on
+    stdout and an --out file untouched."""
     path = getattr(args, "out", None)
     records = iter(records)
     records = chain(list(islice(records, 1)), records)
@@ -203,7 +203,7 @@ def _parse_params(text: str | None) -> dict[str, int]:
 
 
 def _run_chunk(task):
-    """list(task()), a window's result as a pool sends it back, by a
+    """list(task()), a window's items as a pool sends them back, by a
     module-level function that a pool can pickle."""
     return list(task())
 
@@ -216,13 +216,14 @@ def _cpu_count() -> int:
 
 
 def _run_chunked(task_of_span, lo: int, hi: int, jobs: int):
-    """Yield task_of_span(k_min=a, k_max=b), an iterable of records or of
-    CSV text, for consecutive windows [a, b] of [lo, hi], one result per
-    window, in order; a pool's results are lists. One process runs windows
-    of SCAN_WINDOW k, each result as its task returns it, so a lazy one is
-    made as it is read; a pool of at most one process per CPU runs about 16
-    windows per process, so no process is left with the largest d alone. An
-    empty range runs one empty window, which checks the arguments."""
+    """Yield the items of task_of_span(k_min=a, k_max=b), records or CSV
+    text, for consecutive windows [a, b] of [lo, hi], in order. One process
+    reads windows of SCAN_WINDOW k, each item as its task makes it, so a
+    lazy task's items are made as they are read; a pool of at most one
+    process per CPU runs about 16 windows per process, so no process is left
+    with the largest d alone, and sends each window back as a list
+    (_run_chunk). An empty range runs one empty window, which checks the
+    arguments."""
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
     total = max(0, hi - lo + 1)
@@ -234,14 +235,15 @@ def _run_chunked(task_of_span, lo: int, hi: int, jobs: int):
     )
     if jobs == 1:
         for task in tasks:
-            yield task()
-    else:
-        # imported here: multiprocessing brings socket and friends, which
-        # a single-process run never needs
-        import multiprocessing
+            yield from task()
+        return
+    # imported here: multiprocessing brings socket and friends, which a
+    # single-process run never needs
+    import multiprocessing
 
-        with multiprocessing.Pool(processes=jobs) as pool:
-            yield from pool.imap(_run_chunk, tasks)
+    with multiprocessing.Pool(processes=jobs) as pool:
+        for window in pool.imap(_run_chunk, tasks):
+            yield from window
 
 
 def _family_span(kind, params, k_min, k_max):
@@ -285,12 +287,6 @@ def _record_row(rec: families.ScanRecord) -> str:
         rec.k, rec.n, d, squarefree, rec.h, rec.regulator, rec.L_truncated,
         rec.bound_ok,
     )
-
-
-def _record_lines(scan, k_min, k_max):
-    """The CSV lines of the records of scan(k_min=, k_max=), each made as it
-    is read, so a one-process scan prints the rows before a failing record."""
-    return map(_record_row, scan(k_min=k_min, k_max=k_max))
 
 
 def _progression_text(spec, strict_range, k_min, k_max) -> list[str]:
@@ -399,7 +395,7 @@ def cmd_family_scan(args) -> int:
                 min(math.log(spec.x) ** args.bound_exponent, MAX_EULER_BOUND)
             )
         scan = partial(
-            families.scan_squarefree,
+            families.progression_records,
             spec,
             strict_range=args.strict_range,
             with_h=args.with_h,
@@ -407,15 +403,13 @@ def cmd_family_scan(args) -> int:
         )
     else:
         scan = partial(_family_span, args.kind, _parse_params(args.params))
+    span = (args.kmin, args.kmax, args.jobs)
     if args.format == "json":
-        windows = _run_chunked(scan, args.kmin, args.kmax, args.jobs)
-        return _write(args, map(asdict, chain.from_iterable(windows)))
+        return _write(args, map(asdict, _run_chunked(scan, *span)))
     if args.spec and not args.with_h:
-        window = partial(_progression_text, spec, args.strict_range)
-    else:
-        window = partial(_record_lines, scan)
-    windows = _run_chunked(window, args.kmin, args.kmax, args.jobs)
-    return _write(args, chain.from_iterable(windows), SCAN_CSV_HEADER)
+        text = _run_chunked(partial(_progression_text, spec, args.strict_range), *span)
+        return _write(args, text, SCAN_CSV_HEADER)
+    return _write(args, map(_record_row, _run_chunked(scan, *span)), SCAN_CSV_HEADER)
 
 
 def cmd_verify(args) -> int:
@@ -441,8 +435,7 @@ def cmd_verify(args) -> int:
 
     def rows():
         nonlocal violations
-        windows = _run_chunked(partial(_family_span, kind, params), lo, hi, args.jobs)
-        for rec in chain.from_iterable(windows):
+        for rec in _run_chunked(partial(_family_span, kind, params), lo, hi, args.jobs):
             violations += not rec.bound_ok
             yield {
                 "family": args.family,

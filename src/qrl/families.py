@@ -16,8 +16,7 @@ scan_squarefree refuses them.
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import isqrt, log, prod, sqrt
@@ -97,9 +96,10 @@ class ProgressionSpec:
 
 @dataclass(slots=True)
 class ScanRecord:
-    """One row of a scan. Slotted and not frozen: nothing hashes or mutates
-    a record, and a scan builds one per squarefree d, which slots make
-    several times cheaper; an unknown attribute is still refused."""
+    """One row of a scan, made once, complete, as the scan is read. Slotted
+    and not frozen: nothing hashes or mutates a record, and a scan builds
+    one per squarefree d, which slots make several times cheaper; an
+    unknown attribute is still refused."""
 
     k: int
     n: int
@@ -192,29 +192,6 @@ def build_progression(
     return ProgressionSpec(m, tuple(primes), x, eps1, s_set, p_small, s_prime, q, n0)
 
 
-def _attach_analysis(
-    rec: ScanRecord, primes: tuple[int, ...], euler_bound_B: int | None
-) -> ScanRecord:
-    (d,) = rec.d_values
-    h, _ = class_number(d)
-    reg = fundamental_unit(d).regulator
-    l_val = l_value_truncated(d, euler_bound_B) if euler_bound_B else None
-    bound = bound_ok = None
-    if d >= 16:
-        bound = h_bound(d, HEADLINE_CONSTANT * log(max(primes)))
-        bound_ok = h <= bound
-    return replace(
-        rec, h=h, regulator=reg, L_truncated=l_val, bound=bound, bound_ok=bound_ok
-    )
-
-
-def _extended(table: np.ndarray, tail: array) -> np.ndarray:
-    """table followed by the int64 buffer tail; a view of tail, with no
-    copy, when table is empty."""
-    view = np.frombuffer(tail, np.int64)
-    return np.concatenate([table, view]) if len(table) else view
-
-
 class _RootTable:
     """Where the primes p <= bound divide u^2 + c for u = n0 + kq: one entry
     (p, k0) per root y = +-sqrt(-c) mod p of each p not dividing q, with
@@ -239,7 +216,7 @@ class _RootTable:
         new_bound = min(max(bound, 2 * self.bound), SIEVE_PRIME_LIMIT)
         fresh = prime_array(new_bound)
         fresh = fresh[np.searchsorted(fresh, self.bound, side="right") :]
-        primes, k0 = array("q"), array("q")
+        primes, k0 = [self.primes], [self.k0]
         at_zero = n0 * n0 + c
         for start in range(0, len(fresh), ROOT_CHUNK):
             p = fresh[start : start + ROOT_CHUNK]
@@ -256,12 +233,15 @@ class _RootTable:
             kept = np.hstack([np.ones_like(t, dtype=bool), 2 * t % p != 0])
             inv_q = pow_mod_array(q_mod, p - 2, p)  # Fermat: p is prime
             k = (y - residues_mod(n0, p)) % p * inv_q % p
-            primes.frombytes(np.broadcast_to(p, y.shape)[kept].tobytes())
-            k0.frombytes(k[kept].tobytes())
-        del fresh  # 46 MB at the limit, freed before the copies below
-        self.primes = _extended(self.primes, primes)
-        del primes  # once copied, freed before k0 is copied
-        self.k0 = _extended(self.k0, k0)
+            # int32 until joined (every p is below SIEVE_PRIME_LIMIT <
+            # 2**31), which halves the chunks: the memory of the primes
+            # chunks stays with the process while k0 is joined
+            primes.append(np.broadcast_to(p, y.shape)[kept].astype(np.int32))
+            k0.append(k[kept].astype(np.int32))
+        del fresh  # 46 MB at the limit, freed before the joins below
+        self.primes = np.concatenate(primes, dtype=np.int64)
+        del primes  # once joined, freed before k0 is joined
+        self.k0 = np.concatenate(k0, dtype=np.int64)
         self.bound = new_bound
 
     def hits(
@@ -419,6 +399,30 @@ def progression_rows(
     return [(k, n, n * n + c) for k in ks for n in (n0 + k * q,)]
 
 
+def progression_records(
+    spec: ProgressionSpec,
+    k_max: int,
+    k_min: int = 1,
+    strict_range: bool = False,
+    with_h: bool = False,
+    euler_bound_B: int | None = None,
+) -> Iterator[ScanRecord]:
+    """One record per row of progression_rows, each made as it is read.
+    with_h adds h, the regulator, the Euler product of L at euler_bound_B
+    when that is given, and for d >= 16 the headline bound with h <= bound."""
+    constant = HEADLINE_CONSTANT * log(max(spec.primes))
+    for k, n, d in progression_rows(spec, k_max, k_min, strict_range):
+        if not with_h:
+            yield ScanRecord(k, n, (d,), (True,))
+            continue
+        h, _ = class_number(d)
+        reg = fundamental_unit(d).regulator
+        l_val = l_value_truncated(d, euler_bound_B) if euler_bound_B else None
+        bound = h_bound(d, constant) if d >= 16 else None
+        ok = None if bound is None else h <= bound
+        yield ScanRecord(k, n, (d,), (True,), h, reg, l_val, bound, ok)
+
+
 def scan_squarefree(
     spec: ProgressionSpec,
     k_max: int,
@@ -427,15 +431,10 @@ def scan_squarefree(
     with_h: bool = False,
     euler_bound_B: int | None = None,
 ) -> list[ScanRecord]:
-    """One record per row of progression_rows; with_h attaches h and the
-    bound report."""
-    records = [
-        ScanRecord(k, n, (d,), (True,))
-        for k, n, d in progression_rows(spec, k_max, k_min, strict_range)
-    ]
-    if with_h:
-        return [_attach_analysis(rec, spec.primes, euler_bound_B) for rec in records]
-    return records
+    """The records of progression_records, as a list."""
+    return list(
+        progression_records(spec, k_max, k_min, strict_range, with_h, euler_bound_B)
+    )
 
 
 def squarefree_density(spec: ProgressionSpec, prime_bound: int) -> float:

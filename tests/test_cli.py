@@ -519,10 +519,10 @@ def test_run_chunked_windows_cover_the_range_in_order(lo, length, jobs, cpus, wi
         patch.setattr(multiprocessing, "Pool", partial(RecordingPool, created))
         patch.setattr(cli, "_cpu_count", lambda: cpus)
         patch.setattr(cli, "SCAN_WINDOW", window)
-        results = list(cli._run_chunked(span, lo, hi, jobs))
-    # one result per window, in order
-    assert results == [list(range(a, b + 1)) for a, b in windows]
-    assert [k for result in results for k in result] == list(range(lo, hi + 1))
+        items = list(cli._run_chunked(span, lo, hi, jobs))
+    # the windows' items, one after another, in order
+    assert items == list(range(lo, hi + 1))
+    assert [k for a, b in windows for k in range(a, b + 1)] == items
     assert all(b - a + 1 <= window for a, b in windows)
     if length <= 0:
         assert windows == [(lo, hi)]
@@ -572,6 +572,45 @@ def test_one_process_scan_prints_the_rows_before_a_failing_record():
     record = one_json(err)
     assert record["error"] == "PeriodOverflow"
     assert "PERIOD_STEP_LIMIT" in record["message"]
+
+
+def test_one_process_spec_scan_prints_the_records_before_a_failing_one(
+    monkeypatch, tmp_path
+):
+    # the x = 1e10 progression with h, whose 4th d has its class number
+    # refused: the 3 records before it, all in one window, are printed
+    spec_path = tmp_path / "spec.json"
+    assert main(["family", "build", "--m", "1", "--primes", "5", "--x", "1e10",
+                 "--out", str(spec_path)]) == 0
+    argv = ["family", "scan", "--spec", str(spec_path), "--kmax", "12", "--with-h"]
+    code, full, err = run_cli(argv)
+    assert code == 0 and err == ""
+    header, *rows = full.splitlines(keepends=True)
+    refused = int(rows[3].split(",")[2])
+    class_number = families.class_number
+
+    def refusing(d):
+        if d == refused:
+            raise ValueError(f"no h for d = {d}")
+        return class_number(d)
+
+    monkeypatch.setattr(families, "class_number", refusing)
+    error = {"error": "ValueError", "message": f"no h for d = {refused}"}
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == header + "".join(rows[:3])
+    assert one_json(err) == error
+    code, out, err = run_cli(argv + ["--format", "json"])
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 1 and [rec["k"] for rec in records] == [1, 2, 3]
+    assert [rec["h"] for rec in records] == [int(row.split(",")[4]) for row in rows[:3]]
+    assert one_json(err) == error
+    # --out is replaced only by the complete output
+    target = tmp_path / "scan.csv"
+    target.write_bytes(b"earlier contents\n")
+    code, out, err = run_cli(argv + ["--out", str(target)])
+    assert code == 1 and out == "" and one_json(err) == error
+    assert target.read_bytes() == b"earlier contents\n"
+    assert sorted(os.listdir(tmp_path)) == ["scan.csv", "spec.json"]
 
 
 def test_verify_counts_violations_as_rows_pass(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from math import isqrt, log, sqrt
 
@@ -459,6 +460,22 @@ def test_root_table_matches_scalar_oracle():
         assert_table_matches_oracle(table)
     assert table.bound == 4 * 10**5
 
+
+
+def test_root_table_growth_peaks_near_the_table():
+    # the x = 10**10 spec grown at once to 10**7 (about 2 s): each column's
+    # chunks are held as int32 and joined once, so the peak, the joined
+    # table beside one column's chunks, is about 1.25 times the table
+    spec = build_progression(1, [5], 10**10, 0.9)
+    table = families._RootTable(spec.n0, spec.q, 4 * spec.primes[0])
+    tracemalloc.start()
+    try:
+        table.grow(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = table.primes.nbytes + table.k0.nbytes
+    assert held > 10**7 and peak <= 1.4 * held, (held, peak)
 
 @settings(max_examples=40, deadline=None)
 @given(
