@@ -65,6 +65,7 @@ from .intarith import (
     fundamental_decomposition,
     is_discriminant,
     kronecker,
+    pow_mod_array,
     prime_array,
     residues_mod,
     smallest_prime_factors,
@@ -277,13 +278,8 @@ def _kronecker_at_primes(d: int, primes: np.ndarray) -> np.ndarray:
     that starts at 2 or is empty, as int8: Euler's criterion on numpy
     arrays."""
     odd = primes[1:]
-    r = residues_mod(d, odd)
-    # r^((p-1)/2) mod p is 0, 1 or p - 1
-    power, acc = (odd - 1) >> 1, np.ones_like(odd)
-    while power.any():
-        acc = np.where(power & 1, acc * r % odd, acc)
-        r = r * r % odd
-        power >>= 1
+    # d^((p-1)/2) mod p is 0, 1 or p - 1
+    acc = pow_mod_array(residues_mod(d, odd), (odd - 1) >> 1, odd)
     chi = np.empty(len(primes), dtype=np.int8)
     chi[:1] = kronecker(d, 2)  # a slice: primes may be empty
     chi[1:] = np.where(acc == odd - 1, -1, acc)

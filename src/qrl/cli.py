@@ -20,7 +20,7 @@ from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, fields
 from decimal import Decimal, InvalidOperation
 from functools import cache, partial
-from itertools import chain, islice, starmap
+from itertools import chain, islice
 
 from . import families
 from .cfrac import cf_expand, exact_unit, fundamental_unit
@@ -254,47 +254,29 @@ def _family_span(kind, params, k_min, k_max):
 # scan record emission
 
 
-def _scan_row(
-    k, n, d, squarefree=True, h=None, regulator=None, L_truncated=None, bound_ok=None
-) -> str:
-    """The CSV line of the cells of one d, with its newline: an int as
+def _record_row(rec: families.ScanRecord) -> str:
+    """The CSV line of a record's cells, with its newline: an int as
     str(int), None as "", a float to 12 significant digits, a bool as 1 or 0.
     No cell can hold a comma, a quote or a line break, so csv.writer would
-    quote none of them and would write the same bytes. A squarefree d with
-    no analysis, a row of a scan without h, takes one shorter f-string."""
-    if (
-        squarefree
-        and h is None
-        and regulator is None
-        and L_truncated is None
-        and bound_ok is None
-    ):
-        return f"{k},{n},{d},1,,,,\n"
-    return (
-        f"{k},{n},{d},{1 if squarefree else 0},{'' if h is None else h},"
-        f"{'' if regulator is None else format(regulator, '.12g')},"
-        f"{'' if L_truncated is None else format(L_truncated, '.12g')},"
-        f"{'' if bound_ok is None else 1 if bound_ok else 0}\n"
-    )
-
-
-def _record_row(rec: families.ScanRecord) -> str:
-    """_scan_row of a record's cells. A record of two d, which would not fit
-    SCAN_CSV_HEADER, raises ValueError."""
+    quote none of them and would write the same bytes. A record of two d,
+    which would not fit SCAN_CSV_HEADER, raises ValueError."""
     (d,) = rec.d_values
     (squarefree,) = rec.squarefree
-    return _scan_row(
-        rec.k, rec.n, d, squarefree, rec.h, rec.regulator, rec.L_truncated,
-        rec.bound_ok,
+    h, reg, l_val, ok = rec.h, rec.regulator, rec.L_truncated, rec.bound_ok
+    return (
+        f"{rec.k},{rec.n},{d},{1 if squarefree else 0},{'' if h is None else h},"
+        f"{'' if reg is None else format(reg, '.12g')},"
+        f"{'' if l_val is None else format(l_val, '.12g')},"
+        f"{'' if ok is None else 1 if ok else 0}\n"
     )
 
 
 def _progression_text(spec, strict_range, k_min, k_max) -> list[str]:
     """The CSV text of a window of the progression without h, made in the
-    process that sieved it, as one string: a pool pickles that string, and
-    no record is built."""
+    process that sieved it, as one string of the rows _record_row would
+    write: a pool pickles that string, and no record is built."""
     rows = families.progression_rows(spec, k_max, k_min, strict_range)
-    return ["".join(starmap(_scan_row, rows))]
+    return ["".join([f"{k},{n},{d},1,,,,\n" for k, n, d in rows])]
 
 
 # ---------------------------------------------------------------------------

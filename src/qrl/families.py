@@ -7,11 +7,15 @@ u^2 + c with u in an arithmetic progression, so one polynomial sieve
 settles their squarefreeness; the Shanks and cubic u grow exponentially in
 k, so those scans trial-divide each value.
 
+The sieve takes only tables (n0, q, c) with gcd(q, n0^2 + c) = 1, as every
+m = 1 progression, Chowla's (0, 2, 1) and n^2 +- 4p's (0, 1, +-4p) are: no
+p | q divides a value, and each p's hits are listed as (p, first), step p.
+
 Both need the primes up to cbrt(max value), so both refuse above
 SIEVE_PRIME_LIMIT. The m >= 2 progressions are out of exact reach: q =
 prod S is already about 8e20 at m = 2, so every d exceeds 1e41, and
 certifying that such a d is squarefree is about as hard as factoring it;
-scan_squarefree refuses them.
+progression_rows refuses them.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import isqrt, log, prod, sqrt
+from math import gcd, isqrt, log, prod, sqrt
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -196,16 +200,18 @@ class _RootTable:
     """Where the primes p <= bound divide u^2 + c for u = n0 + kq: one entry
     (p, k0) per root y = +-sqrt(-c) mod p of each p not dividing q, with
     k0 = (y - n0) q^-1 mod p, so that p divides the value at k exactly when
-    k = k0 mod p for one of its entries; and the primes p | q that divide
-    n0^2 + c, which divide the value at every k. grow() extends the bound
-    in place."""
+    k = k0 mod p for one of its entries, and hits() lists a window's hits
+    as (p, first). A table needs gcd(q, n0^2 + c) = 1, so that no p | q
+    divides any value, and refuses any other with ValueError. grow()
+    extends the bound in place."""
 
     def __init__(self, n0: int, q: int, c: int) -> None:
+        if gcd(q, n0 * n0 + c) != 1:
+            raise ValueError(f"sieve: q = {q} shares a factor with n0^2 + c")
         self.n0, self.q, self.c = n0, q, c
         self.bound = 1
         self.primes = np.zeros(0, dtype=np.int64)  # ascending, one per entry
         self.k0 = np.zeros(0, dtype=np.int64)
-        self.every: list[int] = []
 
     def grow(self, bound: int) -> None:
         """Cover the primes up to bound, at least doubling the old bound so
@@ -217,13 +223,10 @@ class _RootTable:
         fresh = prime_array(new_bound)
         fresh = fresh[np.searchsorted(fresh, self.bound, side="right") :]
         primes, k0 = [self.primes], [self.k0]
-        at_zero = n0 * n0 + c
         for start in range(0, len(fresh), ROOT_CHUNK):
             p = fresh[start : start + ROOT_CHUNK]
             q_mod = residues_mod(q, p)
-            at_q = q_mod == 0
-            self.every += p[at_q & (residues_mod(at_zero, p) == 0)].tolist()
-            p, q_mod = p[~at_q], q_mod[~at_q]
+            p, q_mod = p[q_mod != 0], q_mod[q_mod != 0]  # no p | q divides a value
             t = sqrt_mod_primes(residues_mod(-c, p), p)
             # one row per prime with roots; its entries are y = t, then
             # y = p - t unless that is t again
@@ -244,14 +247,11 @@ class _RootTable:
         self.k0 = np.concatenate(k0, dtype=np.int64)
         self.bound = new_bound
 
-    def hits(
-        self, bound: int, k_lo: int, count: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Int64 arrays (p, first, step), one listing per index: the prime
-        p <= bound (covered by the table) divides the value at k = k_lo + j
-        for j = first, first + step, ... below count, where step is 1 for a
-        p in every and p otherwise. Each such (p, j), 0 <= j < count, is
-        listed once."""
+    def hits(self, bound: int, k_lo: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Int64 arrays (p, first), one listing per index: the prime p <=
+        bound (covered by the table) divides the value at k = k_lo + j for
+        j = first, first + p, ... below count. Each such (p, j), 0 <= j <
+        count, is listed once."""
         n = np.searchsorted(self.primes, bound, side="right")
         p = self.primes[:n]
         # k_lo mod p takes an int64 remainder only for the p <= |k_lo|: for
@@ -267,16 +267,7 @@ class _RootTable:
                 first[small:] -= p[small:]
         first += p * (first < 0)
         live = first < count
-        p, first = p[live], first[live]
-        every = [e for e in self.every if e <= bound]
-        if not every:
-            return p, first, p
-        every = np.array(every, dtype=np.int64)
-        return (
-            np.concatenate([every, p]),
-            np.concatenate([np.zeros_like(every), first]),
-            np.concatenate([np.ones_like(every), p]),
-        )
+        return p[live], first[live]
 
 
 def _prime_bound(top: int, method: str) -> int:
@@ -297,13 +288,15 @@ def _root_table(n0: int, q: int, c: int) -> _RootTable:
 
 
 def _loop_survivors(u_lo: int, q: int, c: int, count: int, hits) -> list[int]:
-    """The j < count with (u_lo + jq)^2 + c squarefree, in Python integers:
-    one exact division by p and one remainder of the quotient per hit (p, j)
-    decide whether p^2 divides the value, and isqrt tests each cofactor."""
+    """The j < count with (u_lo + jq)^2 + c squarefree, in Python integers,
+    from the (p, first) listings of hits, gcd(q, u_lo^2 + c) = 1: one exact
+    division by p and one remainder of the quotient per hit (p, j), j =
+    first + ip, decide whether p^2 divides the value, and isqrt tests each
+    cofactor."""
     rem = [(u_lo + j * q) ** 2 + c for j in range(count)]
     flag = bytearray(count)  # 1 once the value at j has a square factor
-    for p, first, step in zip(*(a.tolist() for a in hits)):
-        for j in range(first, count, step):
+    for p, first in zip(*(a.tolist() for a in hits)):
+        for j in range(first, count, p):
             v = rem[j] // p
             if v % p:
                 rem[j] = v
@@ -319,21 +312,21 @@ def _loop_survivors(u_lo: int, q: int, c: int, count: int, hits) -> list[int]:
 
 def _int64_survivors(u_lo: int, q: int, c: int, count: int, hits) -> list[int]:
     """_loop_survivors in int64 arrays, for a window whose u^2 and values
-    all lie below INT64_VALUES_BELOW. The listings expand to one
+    all lie below INT64_VALUES_BELOW. The (p, first) listings expand to one
     (j, p) per hit; p^2 divides the value at j where p divides the
     quotient. The hitting primes at j are distinct and divide the value, so
     their product does too, and the cofactor r = value / product is a
     square exactly when s = round(sqrt(float(r))) has s^2 = r: for a
     square r < 2^62 that sqrt is within 2^-22 of the root."""
-    p, first, step = hits
+    p, first = hits
     value = np.arange(count, dtype=np.int64) * q + u_lo
     value = value * value + c
-    # the hits of a listing are j = first + i step, 0 <= i < n
-    n = (count - 1 - first) // step + 1
+    # the hits of a listing are j = first + i p, 0 <= i < n
+    n = (count - 1 - first) // p + 1
     start = np.cumsum(n) - n  # index of each listing's first hit
-    steps = np.repeat(step, n)
-    j = np.repeat(first - start * step, n) + np.arange(len(steps)) * steps
+    j = np.repeat(first - start * p, n)
     p = np.repeat(p, n)
+    j += np.arange(len(p)) * p
     flag = np.zeros(count, dtype=bool)
     flag[j[value[j] // p % p == 0]] = True
     product = np.ones(count, dtype=np.int64)
@@ -346,20 +339,21 @@ def _int64_survivors(u_lo: int, q: int, c: int, count: int, hits) -> list[int]:
 
 def _squarefree_ks(n0: int, q: int, c: int, k_lo: int, k_hi: int) -> list[int]:
     """The k in [k_lo, k_hi] with (n0+kq)^2 + c squarefree; callers keep
-    every such value >= 5. Exact: a polynomial sieve removes all prime
+    every such value >= 5 and gcd(q, n0^2 + c) = 1 (the root table refuses
+    any other with ValueError). Exact: a polynomial sieve removes all prime
     factors up to cbrt(max value) + 1, then a perfect-square test settles
     each cofactor.
 
     The sieve reads where each prime divides from the process's root table
     for (n0, q, c), built once and grown by doubling when a window needs
     larger primes, so a window costs numpy work over the table plus the
-    work per hit. The table lists each (p, j) once, with p dividing the
-    value at j, so one exact division by p and one remainder of the
-    quotient decide whether p^2 divides it. A window of at least
-    ARRAY_WINDOW values whose (n0 + kq)^2 and values all lie below
-    INT64_VALUES_BELOW = 2^62 does this and the square test in int64
-    arrays; any other window (a narrow one, or larger values) runs the same
-    steps per hit in Python integers. Refuses with ValueError when
+    work per hit. The table lists each (p, j) once, as (p, first) for j =
+    first + ip, with p dividing the value at j, so one exact division by p
+    and one remainder of the quotient decide whether p^2 divides it. A
+    window of at least ARRAY_WINDOW values whose (n0 + kq)^2 and values all
+    lie below INT64_VALUES_BELOW = 2^62 does this and the square test in
+    int64 arrays; any other window (a narrow one, or larger values) runs
+    the same steps per hit in Python integers. Refuses with ValueError when
     cbrt(max value) + 1 passes SIEVE_PRIME_LIMIT.
     """
     count = k_hi - k_lo + 1
@@ -389,7 +383,7 @@ def progression_rows(
     if spec.m != 1:
         # README and the CLI's error record quote this message as it is
         raise ValueError(
-            f"scan_squarefree needs a spec with m = 1, this one has m = {spec.m}"
+            f"progression_rows needs a spec with m = 1, this one has m = {spec.m}"
         )
     n0, q, c = spec.n0, spec.q, 4 * spec.primes[0]
     if strict_range:
@@ -441,22 +435,20 @@ def squarefree_density(spec: ProgressionSpec, prime_bound: int) -> float:
     """Truncated product of (1 - rho(p^2)/p^2) over p <= prime_bound, where
     rho counts k mod p^2 with p^2 | (n0+kq)^2 + 4p_1.
 
-    For p | q the count is brute-forced over the p^2 classes (those p are
-    tiny); for p coprime to q the substitution u = n0 + kq is a bijection
-    mod p^2, so rho is the number of square roots of -4p_1, which Hensel
-    pins to 0 or 2 (and 0 when p = p_1 is odd).
+    The spec must have gcd(q, n0^2 + 4p_1) = 1, as build_progression makes
+    it (any other is refused with ValueError), so rho = 0 for p | q; for p
+    coprime to q the substitution u = n0 + kq is a bijection mod p^2, so rho
+    is the number of square roots of -4p_1, which Hensel pins to 0 or 2 (and
+    0 when p = p_1 is odd).
     """
     if spec.m != 1:
         raise ValueError("squarefree_density: defined for m = 1 only")
     p1 = spec.primes[0]
+    if gcd(spec.q, spec.n0**2 + 4 * p1) != 1:
+        raise ValueError("squarefree_density: q shares a factor with n0^2 + 4p_1")
     density = 1.0
     for p in primes_up_to(prime_bound):
-        if spec.q % p == 0:
-            rho = sum(
-                ((spec.n0 + k * spec.q) ** 2 + 4 * p1) % (p * p) == 0
-                for k in range(p * p)
-            )
-        elif p == p1:
+        if spec.q % p == 0 or p == p1:
             rho = 0
         else:
             rho = 1 + kronecker(-4 * p1, p)

@@ -21,6 +21,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -255,7 +256,8 @@ def test_family_scan_chowla_csv():
 
 def csv_writer_row(rec):
     """The CSV line of a scan record as csv.writer writes its cells: the
-    oracle of cli._scan_row, which formats the line itself."""
+    oracle of cli._record_row and cli._progression_text, which format the
+    line themselves."""
 
     def float_cell(value):
         return "" if value is None else f"{value:.12g}"
@@ -301,12 +303,14 @@ scan_records = st.builds(
 @example(families.ScanRecord(1, 7371, (54331661,), (True,)))
 @example(families.ScanRecord(-3, 0, (5,), (False,), 0, -0.0, 1e300, None, False))
 def test_scan_row_matches_csv_writer(rec):
-    cells = (rec.k, rec.n, *rec.d_values, *rec.squarefree, rec.h, rec.regulator)
-    cells += (rec.L_truncated, rec.bound_ok)
-    assert cli._scan_row(*cells) == cli._record_row(rec) == csv_writer_row(rec)
-    # a row of (k, n, d) alone is that of a squarefree d with no analysis
+    assert cli._record_row(rec) == csv_writer_row(rec)
+    # a row of (k, n, d) alone, as _progression_text writes it from the
+    # sieve's rows, is that of a squarefree d with no analysis
     bare = families.ScanRecord(rec.k, rec.n, rec.d_values, (True,))
-    assert cli._scan_row(rec.k, rec.n, *rec.d_values) == csv_writer_row(bare)
+    rows = [(rec.k, rec.n, *rec.d_values)]
+    with mock.patch.object(families, "progression_rows", lambda *args: rows):
+        text = cli._progression_text(None, False, rec.k, rec.k)
+    assert text == [csv_writer_row(bare)] == [cli._record_row(bare)]
 
 
 @pytest.mark.parametrize(
@@ -768,7 +772,7 @@ def test_family_scan_with_h_needs_m_1(tmp_path):
     assert code == 1 and out == ""
     assert one_json(err) == {
         "error": "ValueError",
-        "message": "scan_squarefree needs a spec with m = 1, this one has m = 2",
+        "message": "progression_rows needs a spec with m = 1, this one has m = 2",
     }
 
 
@@ -794,7 +798,7 @@ def test_family_scan_refuses_m2_spec_before_allocating(tmp_path):
     assert code == 1 and out == ""
     assert one_json(err) == {
         "error": "ValueError",
-        "message": "scan_squarefree needs a spec with m = 1, this one has m = 2",
+        "message": "progression_rows needs a spec with m = 1, this one has m = 2",
     }
     assert peak < 10**6
 
@@ -1238,6 +1242,86 @@ def test_scan_output_bytes_pinned(tmp_path):
     assert run_cli(scan + ["--kmax", "3", "--with-h"]) == (0, SCAN_K3_WITH_H, "")
     argv = scan + ["--kmin", "30", "--kmax", "30", "--with-h", "--format", "json"]
     assert run_cli(argv) == (0, SCAN_K30_JSON, "")
+
+
+# the named families' scans through _record_row, byte for byte: Chowla's
+# table (n0, q, c) = (0, 2, 1) and Yamamoto's n^2 - 12, sieved over |n|,
+# with the regulator and bound_ok cells
+SCAN_CHOWLA_K40 = (
+    "k,n,d_1,squarefree,h,regulator,L_trunc,bound_ok\n"
+    "1,1,5,1,,0.48121182506,,1\n"
+    "2,2,17,1,,2.09471254726,,1\n"
+    "3,3,37,1,,2.49177985264,,1\n"
+    "4,4,65,1,,2.77647228072,,1\n"
+    "5,5,101,1,,2.9982229503,,1\n"
+    "6,6,145,1,,3.1797854377,,1\n"
+    "7,7,197,1,,3.33347758688,,1\n"
+    "8,8,257,1,,3.46671103788,,1\n"
+    "10,10,401,1,,3.68950386899,,1\n"
+    "11,11,485,1,,3.7847057631,,1\n"
+    "12,12,577,1,,3.87163475639,,1\n"
+    "13,13,677,1,,3.95161333608,,1\n"
+    "14,14,785,1,,4.02567041587,,1\n"
+    "15,15,901,1,,4.09462222433,,1\n"
+    "17,17,1157,1,,4.21972389803,,1\n"
+    "18,18,1297,1,,4.27685896446,,1\n"
+    "20,20,1601,1,,4.38218284807,,1\n"
+    "21,21,1765,1,,4.43095849208,,1\n"
+    "22,22,1937,1,,4.4774659217,,1\n"
+    "23,23,2117,1,,4.52190670356,,1\n"
+    "24,24,2305,1,,4.56445668076,,1\n"
+    "25,25,2501,1,,4.60527017099,,1\n"
+    "26,26,2705,1,,4.64448334194,,1\n"
+    "27,27,2917,1,,4.68221694998,,1\n"
+    "28,28,3137,1,,4.71857858115,,1\n"
+    "29,29,3365,1,,4.75366449911,,1\n"
+    "30,30,3601,1,,4.78756117999,,1\n"
+    "31,31,3845,1,,4.82034659568,,1\n"
+    "32,32,4097,1,,4.85209129349,,1\n"
+    "33,33,4357,1,,4.88285930975,,1\n"
+    "36,36,5185,1,,4.9698615214,,1\n"
+    "37,37,5477,1,,4.9972579244,,1\n"
+    "38,38,5777,1,,5.02392380058,,1\n"
+    "39,39,6085,1,,5.0498970961,,1\n"
+    "40,40,6401,1,,5.07521287545,,1\n"
+)
+SCAN_YAMAMOTO_MINUS_P3 = (
+    "k,n,d_1,squarefree,h,regulator,L_trunc,bound_ok\n"
+    "-29,-29,829,1,,17.2488060394,,1\n"
+    "-27,-27,717,1,,5.48477971571,,1\n"
+    "-25,-25,613,1,,11.5004783198,,1\n"
+    "-23,-23,517,1,,9.26605885179,,1\n"
+    "-21,-21,429,1,,4.9766861766,,1\n"
+    "-19,-19,349,1,,9.82119231276,,1\n"
+    "-17,-17,277,1,,7.86825441198,,1\n"
+    "-15,-15,213,1,,4.29027173584,,1\n"
+    "-13,-13,157,1,,5.36131420646,,1\n"
+    "-11,-11,109,1,,5.56453508676,,1\n"
+    "-9,-9,69,1,,3.21727197116,,1\n"
+    "-7,-7,37,1,,2.49177985264,,1\n"
+    "-5,-5,13,1,,1.19476321729,,1\n"
+    "5,5,13,1,,1.19476321729,,1\n"
+    "7,7,37,1,,2.49177985264,,1\n"
+    "9,9,69,1,,3.21727197116,,1\n"
+    "11,11,109,1,,5.56453508676,,1\n"
+    "13,13,157,1,,5.36131420646,,1\n"
+    "15,15,213,1,,4.29027173584,,1\n"
+    "17,17,277,1,,7.86825441198,,1\n"
+    "19,19,349,1,,9.82119231276,,1\n"
+    "21,21,429,1,,4.9766861766,,1\n"
+    "23,23,517,1,,9.26605885179,,1\n"
+    "25,25,613,1,,11.5004783198,,1\n"
+    "27,27,717,1,,5.48477971571,,1\n"
+    "29,29,829,1,,17.2488060394,,1\n"
+)
+
+
+def test_named_family_scan_output_bytes_pinned():
+    scan = ["family", "scan", "--kind"]
+    argv = scan + ["chowla", "--kmax", "40"]
+    assert run_cli(argv) == (0, SCAN_CHOWLA_K40, "")
+    argv = scan + ["yamamoto_minus", "--params", "p=3", "--kmin", "-30", "--kmax", "30"]
+    assert run_cli(argv) == (0, SCAN_YAMAMOTO_MINUS_P3, "")
 
 
 def test_readme_commands_run(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from dataclasses import replace
-from math import isqrt, log, sqrt
+from math import gcd, isqrt, log, sqrt
 
 import numpy as np
 import pytest
@@ -191,6 +191,25 @@ def test_progression_conclusion_sampled():
                 assert d % p != 0
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(primes_up_to(400)),
+    st.one_of(st.integers(10, 10**40), st.sampled_from([10**3, 10**10, 10**40])),
+    st.floats(0.05, 0.95),
+)
+def test_m1_specs_and_named_families_give_sieve_tables(p1, x, eps1):
+    # the sieve refuses a table with gcd(q, n0^2 + c) > 1; build_progression
+    # makes every m = 1 spec it accepts coprime, and Chowla's (0, 2, 1) and
+    # the n^2 +- 4p tables (0, 1, +-4p) are so for every p
+    spec = build_progression(1, [p1], x, eps1)
+    c = 4 * p1
+    assert gcd(spec.q, spec.n0**2 + c) == 1
+    assert families._RootTable(spec.n0, spec.q, c).bound == 1
+    assert 0 < squarefree_density(spec, 50) <= 1
+    for n0, q, c in [(0, 2, 1), (0, 1, 4 * p1), (0, 1, -4 * p1)]:
+        assert families._RootTable(n0, q, c).bound == 1
+
+
 def test_scan_squarefree_example():
     records = scan_squarefree(toy_spec(), k_max=2, k_min=0)
     assert [(r.k, r.d_values[0]) for r in records] == [(0, 29), (1, 101)]
@@ -320,11 +339,23 @@ def test_yamamoto_sieve_matches_per_value_filter(sign):
 def test_sieve_matches_is_squarefree(n0, q, offset, k_lo, count):
     ks = range(k_lo, k_lo + count)
     us = [n0 + k * q for k in ks]
-    # shift the constant so that every value (n0 + kq)^2 + c is >= 5
+    # shift the constant so that every value (n0 + kq)^2 + c is >= 5, then
+    # up to the first c with gcd(q, n0^2 + c) = 1
     low = min((u * u for u in us), default=0)
     c = 5 + offset - low
+    c += coprime_shift(q, lambda t: n0 * n0 + c + t)
     want = [k for k, u in zip(ks, us) if is_squarefree(u * u + c)]
     assert _squarefree_ks(n0, q, c, k_lo, k_lo + count - 1) == want
+
+
+def coprime_shift(q, value_at):
+    """The least t >= 0 with gcd(q, value_at(t)) = 1, for the sieve, which
+    takes only gcd(q, n0^2 + c) = 1. There is one below q for a shift of c,
+    value_at(t) = n0^2 + c + t, which meets 1 mod q, and for a shift of n0,
+    value_at(t) = (n0 + t)^2 + c, which keeps c's factors: each prime p | q
+    divides it for at most two of the p >= 2 classes of t mod p, and one
+    for p = 2."""
+    return next(t for t in range(q) if gcd(q, value_at(t)) == 1)
 
 
 def sieve_oracle(n0, q, c, k_lo, k_hi):
@@ -367,13 +398,21 @@ def test_sieve_reduces_k_beyond_int64():
     assert len(got) < 401  # some value has a square factor
 
 
-def test_sieve_primes_dividing_q_hit_every_k():
-    # n0^2 + c = 30: 2, 3 and 5 divide q and every value
+def test_sieve_refuses_q_sharing_a_factor_with_the_values(monkeypatch):
+    # n0^2 + c = 30: 2, 3 and 5 divide q and every value, which no caller
+    # makes; the table refuses it before it computes any root
     n0, q, c = 1, 30, 29
-    got = _squarefree_ks(n0, q, c, 0, 600)
-    assert got == sieve_oracle(n0, q, c, 0, 600)
-    assert 0 < len(got) < 601
-    assert families._root_table(n0, q, c).every == [2, 3, 5]
+    roots = []
+    monkeypatch.setattr(families, "sqrt_mod_primes", lambda *a: roots.append(a))
+    families._root_table.cache_clear()
+    with pytest.raises(ValueError, match="shares a factor"):
+        _squarefree_ks(n0, q, c, 0, 600)
+    with pytest.raises(ValueError, match="shares a factor"):
+        families._RootTable(n0, q, c)
+    assert roots == [] and families._root_table.cache_info().currsize == 0
+    # the density of a spec with n0^2 + 4p_1 = 1 + 4 * 29 = 117 = 9 * 13
+    with pytest.raises(ValueError, match="shares a factor"):
+        squarefree_density(toy_spec(n0=1, q=30, primes=(29,)), 100)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13])
@@ -393,6 +432,7 @@ def test_sieve_negative_constant(p):
 )
 def test_root_table_windows_match_is_squarefree(n0, q, c, windows):
     # one (n0, q, c), windows in any order: the table is sliced and grown
+    c += coprime_shift(q, lambda t: n0 * n0 + c + t)
     families._root_table.cache_clear()
     for k_lo, count in windows:
         k_hi = k_lo + count - 1
@@ -424,14 +464,12 @@ def test_second_window_makes_no_root_calls(monkeypatch):
 
 
 def oracle_table(n0, q, c, bound):
-    """The root table's primes, k0 and every up to bound, entry by entry
-    with the scalar Tonelli-Shanks: per prime p not dividing q the roots
-    y = t, then y = p - t unless that is t, with k0 = (y - n0) q^-1 mod p."""
-    primes, k0, every = [], [], []
+    """The root table's primes and k0 up to bound, entry by entry with the
+    scalar Tonelli-Shanks: per prime p not dividing q the roots y = t, then
+    y = p - t unless that is t, with k0 = (y - n0) q^-1 mod p."""
+    primes, k0 = [], []
     for p in primes_up_to(bound):
         if q % p == 0:
-            if (n0 * n0 + c) % p == 0:
-                every.append(p)
             continue
         t = sqrt_mod_prime(-c % p, p)
         if t is None:
@@ -439,15 +477,14 @@ def oracle_table(n0, q, c, bound):
         for y in (t,) if 2 * t % p == 0 else (t, p - t):
             primes.append(p)
             k0.append((y - n0) * pow(q, -1, p) % p)
-    return primes, k0, every
+    return primes, k0
 
 
 def assert_table_matches_oracle(table):
-    primes, k0, every = oracle_table(table.n0, table.q, table.c, table.bound)
+    primes, k0 = oracle_table(table.n0, table.q, table.c, table.bound)
     assert table.primes.dtype == table.k0.dtype == np.int64
     assert table.primes.tolist() == primes
     assert table.k0.tolist() == k0
-    assert table.every == every
 
 
 def test_root_table_matches_scalar_oracle():
@@ -485,6 +522,7 @@ def test_root_table_growth_peaks_near_the_table():
     st.lists(st.integers(2, 60_000), min_size=1, max_size=3),
 )
 def test_root_table_grows_like_scalar_oracle(n0, q, c, bounds):
+    c += coprime_shift(q, lambda t: n0 * n0 + c + t)
     table = families._RootTable(n0, q, c)
     for bound in bounds:
         table.grow(bound)
@@ -529,14 +567,16 @@ HITS_K_LO = st.one_of(
 def test_root_table_hits_each_dividing_prime_once(
     n0, q_part, q_primes, c_part, c_primes, k_lo, count, bound
 ):
-    # small primes divide q and c, and c may be negative; the sieve's one
-    # division per hit needs each (p, j) listed once, exactly when p
-    # divides the value
+    # small primes divide q and c, and c may be negative; n0 moves up to
+    # the first with gcd(q, n0^2 + c) = 1. The sieve's one division per hit
+    # needs each (p, j) listed once, exactly when p divides the value
     q, c = q_part * q_primes, c_part * c_primes
+    n0 += coprime_shift(q, lambda t: (n0 + t) ** 2 + c)
     table = families._RootTable(n0, q, c)
     table.grow(2 * bound)
-    listings = zip(*(a.tolist() for a in table.hits(bound, k_lo, count)))
-    pairs = [(p, j) for p, first, step in listings for j in range(first, count, step)]
+    p, first = table.hits(bound, k_lo, count)
+    listings = zip(p.tolist(), first.tolist())
+    pairs = [(p, j) for p, first in listings for j in range(first, count, p)]
     assert len(pairs) == len(set(pairs))
     values = [(n0 + (k_lo + j) * q) ** 2 + c for j in range(count)]
     assert all(values[j] % p == 0 for p, j in pairs)
@@ -588,8 +628,10 @@ def single_k_survivors(n0, q, c, k_lo, k_hi):
 )
 def test_int64_windows_match_single_k(n0, q_part, q_primes, c_part, c_square, k_lo, count):
     # small primes divide q, squares divide c, c may be negative, and the
-    # widths fall on both sides of ARRAY_WINDOW
+    # widths fall on both sides of ARRAY_WINDOW; n0 moves up to the first
+    # with gcd(q, n0^2 + c) = 1
     q, c = q_part * q_primes, c_part * c_square
+    n0 += coprime_shift(q, lambda t: (n0 + t) ** 2 + c)
     k_hi = k_lo + count - 1
     assume(min((n0 + k * q) ** 2 + c for k in range(k_lo, k_hi + 1)) >= 5)
     got = _squarefree_ks(n0, q, c, k_lo, k_hi)
@@ -609,7 +651,9 @@ def test_int64_windows_match_single_k(n0, q_part, q_primes, c_part, c_square, k_
 def test_int64_window_flags_square_of_large_prime(start, m, n0, q, k_lo, count, data):
     # the value at k_lo + j is m P^2, P a prime above every prime the sieve
     # divides by (cbrt(2**62) < 2**21), so only the square test of its
-    # cofactor P^2 can reject it; every value lies between 2**41 and 2**62
+    # cofactor P^2 can reject it; every value lies between 2**41 and 2**62.
+    # q moves up to the first prime to m, so gcd(q, m P^2) = 1
+    q += coprime_shift(m, lambda t: q + t)
     big = next(p for p in range(start, 0, -1) if is_prime(p))
     j = data.draw(st.integers(0, count - 1))
     u = n0 + (k_lo + j) * q
