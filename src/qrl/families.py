@@ -73,15 +73,9 @@ HEADLINE_CONSTANT = 192.0
 ROOT_TABLE_CACHE_SIZE = 16
 # primes whose roots one set of numpy arrays computes while a table grows
 ROOT_CHUNK = 1 << 12
-# the sieve runs a window in int64 arrays from this many values up: the
-# arrays' fixed cost of some 20 numpy calls meets the per-hit loop's cost
-# near 40 values. On the x = 1e10 progression (2-vCPU host, hits listed
-# beforehand, median of 15 runs) the arrays took 28 us and the loop 20-26 us
-# at 32 values, 28 against 30-37 us at 48, and 46 against 205-240 us at 350
-ARRAY_WINDOW = 48
-# every value and every u^2 of an int64 window lies below this, so the
-# rounded square root s of a cofactor is at most 2^31 and no product, s^2
-# included, leaves int64
+# a window whose u^2, values and step q all lie below this is sieved in
+# int64 arrays: the rounded square root s of a cofactor is then at most 2^31
+# and no product, s^2 included, leaves int64; any other in Python integers
 INT64_VALUES_BELOW = 1 << 62
 
 
@@ -287,39 +281,20 @@ def _root_table(n0: int, q: int, c: int) -> _RootTable:
     return _RootTable(n0, q, c)
 
 
-def _loop_survivors(u_lo: int, q: int, c: int, count: int, hits) -> list[int]:
-    """The j < count with (u_lo + jq)^2 + c squarefree, in Python integers,
-    from the (p, first) listings of hits, gcd(q, u_lo^2 + c) = 1: one exact
-    division by p and one remainder of the quotient per hit (p, j), j =
-    first + ip, decide whether p^2 divides the value, and isqrt tests each
-    cofactor."""
-    rem = [(u_lo + j * q) ** 2 + c for j in range(count)]
-    flag = bytearray(count)  # 1 once the value at j has a square factor
-    for p, first in zip(*(a.tolist() for a in hits)):
-        for j in range(first, count, p):
-            v = rem[j] // p
-            if v % p:
-                rem[j] = v
-            else:
-                flag[j] = 1
-    for j in range(count):
-        if not flag[j] and rem[j] > 1:
-            r = isqrt(rem[j])
-            if r * r == rem[j]:
-                flag[j] = 1
-    return [j for j in range(count) if not flag[j]]
-
-
-def _int64_survivors(u_lo: int, q: int, c: int, count: int, hits) -> list[int]:
-    """_loop_survivors in int64 arrays, for a window whose u^2 and values
-    all lie below INT64_VALUES_BELOW. The (p, first) listings expand to one
-    (j, p) per hit; p^2 divides the value at j where p divides the
-    quotient. The hitting primes at j are distinct and divide the value, so
-    their product does too, and the cofactor r = value / product is a
-    square exactly when s = round(sqrt(float(r))) has s^2 = r: for a
-    square r < 2^62 that sqrt is within 2^-22 of the root."""
+def _survivors(u_lo: int, q: int, c: int, count: int, hits, dtype) -> list[int]:
+    """The j < count with (u_lo + jq)^2 + c squarefree, from the (p, first)
+    listings of hits, gcd(q, u_lo^2 + c) = 1, in arrays of dtype: int64, or
+    object, which holds Python integers. The listings expand to one (j, p)
+    per hit; p^2 divides the value at j where p divides the quotient. The
+    hitting primes at j are distinct and divide the value, so their product
+    does too, and the cofactor r = value / product is a square exactly when
+    s = rint(sqrt(float64(r))) has s^2 = r, squared in dtype. The test is
+    exact for r < 2^104: for r = t^2, float64(r) is within a relative 2^-53
+    of r, so its square root lies within t 2^-54 of t, under half the float
+    spacing at t < 2^52, and the rounded float square root is t itself.
+    Every sieved value is below SIEVE_PRIME_LIMIT^3 = 1e24 < 2^80."""
     p, first = hits
-    value = np.arange(count, dtype=np.int64) * q + u_lo
+    value = np.arange(count, dtype=dtype) * q + u_lo
     value = value * value + c
     # the hits of a listing are j = first + i p, 0 <= i < n
     n = (count - 1 - first) // p + 1
@@ -329,10 +304,11 @@ def _int64_survivors(u_lo: int, q: int, c: int, count: int, hits) -> list[int]:
     j += np.arange(len(p)) * p
     flag = np.zeros(count, dtype=bool)
     flag[j[value[j] // p % p == 0]] = True
-    product = np.ones(count, dtype=np.int64)
+    product = np.ones(count, dtype=dtype)
     np.multiply.at(product, j, p)
     r = value // product
-    s = np.rint(np.sqrt(r)).astype(np.int64)
+    # s^2 overflows int64 past 2^63, so it is squared in the window's dtype
+    s = np.rint(np.sqrt(r.astype(np.float64))).astype(np.int64).astype(dtype)
     flag |= (s * s == r) & (r > 1)
     return np.flatnonzero(~flag).tolist()
 
@@ -346,15 +322,13 @@ def _squarefree_ks(n0: int, q: int, c: int, k_lo: int, k_hi: int) -> list[int]:
 
     The sieve reads where each prime divides from the process's root table
     for (n0, q, c), built once and grown by doubling when a window needs
-    larger primes, so a window costs numpy work over the table plus the
-    work per hit. The table lists each (p, j) once, as (p, first) for j =
-    first + ip, with p dividing the value at j, so one exact division by p
-    and one remainder of the quotient decide whether p^2 divides it. A
-    window of at least ARRAY_WINDOW values whose (n0 + kq)^2 and values all
-    lie below INT64_VALUES_BELOW = 2^62 does this and the square test in
-    int64 arrays; any other window (a narrow one, or larger values) runs
-    the same steps per hit in Python integers. Refuses with ValueError when
-    cbrt(max value) + 1 passes SIEVE_PRIME_LIMIT.
+    larger primes. The table lists each (p, j) once, as (p, first) for j =
+    first + ip, with p dividing the value at j, and _survivors runs every
+    window's hits and square test in numpy arrays. Their element type is
+    the one choice: int64 when every (n0 + kq)^2 and value, and q, which a
+    one-k window does not bound, lie below INT64_VALUES_BELOW = 2^62;
+    otherwise Python integers. Refuses with ValueError when cbrt(max value)
+    + 1 passes SIEVE_PRIME_LIMIT.
     """
     count = k_hi - k_lo + 1
     if count <= 0:
@@ -366,11 +340,8 @@ def _squarefree_ks(n0: int, q: int, c: int, k_lo: int, k_hi: int) -> list[int]:
     table = _root_table(n0, q, c)
     table.grow(bound)
     hits = table.hits(bound, k_lo, count)
-    if count >= ARRAY_WINDOW and max(square, square + c) < INT64_VALUES_BELOW:
-        survivors = _int64_survivors(u_lo, q, c, count, hits)
-    else:
-        survivors = _loop_survivors(u_lo, q, c, count, hits)
-    return [k_lo + j for j in survivors]
+    dtype = np.int64 if max(square, square + c, q) < INT64_VALUES_BELOW else object
+    return [k_lo + j for j in _survivors(u_lo, q, c, count, hits, dtype)]
 
 
 def progression_rows(
@@ -438,8 +409,10 @@ def squarefree_density(spec: ProgressionSpec, prime_bound: int) -> float:
     The spec must have gcd(q, n0^2 + 4p_1) = 1, as build_progression makes
     it (any other is refused with ValueError), so rho = 0 for p | q; for p
     coprime to q the substitution u = n0 + kq is a bijection mod p^2, so rho
-    is the number of square roots of -4p_1, which Hensel pins to 0 or 2 (and
-    0 when p = p_1 is odd).
+    is the number of u mod p^2 with p^2 | u^2 + 4p_1. For p = 2 that is the
+    two even u mod 4, whatever p_1 is, so rho = 2; for odd p it is the number
+    of square roots of -4p_1, which Hensel pins to 0 or 2 (and 0 when p =
+    p_1).
     """
     if spec.m != 1:
         raise ValueError("squarefree_density: defined for m = 1 only")
@@ -448,8 +421,10 @@ def squarefree_density(spec: ProgressionSpec, prime_bound: int) -> float:
         raise ValueError("squarefree_density: q shares a factor with n0^2 + 4p_1")
     density = 1.0
     for p in primes_up_to(prime_bound):
-        if spec.q % p == 0 or p == p1:
+        if spec.q % p == 0 or p == p1 != 2:
             rho = 0
+        elif p == 2:
+            rho = 2
         else:
             rho = 1 + kronecker(-4 * p1, p)
         density *= 1.0 - rho / (p * p)

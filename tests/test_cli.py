@@ -340,12 +340,12 @@ def assert_progression_text_matches_records(spec, k_min, k_max, strict_range):
     [
         (5, 4, False),  # empty
         (1, 1, False),
-        (1, 20, True),  # narrower than ARRAY_WINDOW
+        (1, 20, True),  # a narrow window
         (-400, 5, False),
         (-400, 5, True),
         (20_001, 20_350, False),  # a sieve benchmark window
         (INT64_EDGE_K - 99, INT64_EDGE_K + 100, False),  # straddles 2**62
-        (505_600, 505_700, False),  # past 2**62: the per-hit loop
+        (505_600, 505_700, False),  # past 2**62: Python integers
     ],
 )
 def test_progression_text_matches_records_on_the_paper_spec(k_min, k_max, strict_range):
@@ -361,7 +361,7 @@ def test_progression_text_matches_records_on_the_paper_spec(k_min, k_max, strict
     st.sampled_from(intarith.primes_up_to(60)),
     st.integers(10, 10**9),
     st.integers(-2000, 2000),
-    st.integers(-1, 3 * families.ARRAY_WINDOW),
+    st.integers(-1, 144),
     st.booleans(),
 )
 def test_progression_text_matches_records_on_random_specs(p, x, k_min, count, strict_range):

@@ -611,9 +611,21 @@ def test_window_reduces_k_lo_only_modulo_the_primes_up_to_it(monkeypatch):
 
 
 def single_k_survivors(n0, q, c, k_lo, k_hi):
-    """The survivors of a window as windows of one k each, which run the
-    per-hit loop in Python integers."""
+    """The survivors of a window as windows of one k each: the same steps
+    from other window offsets and hit listings."""
     return [k for k in range(k_lo, k_hi + 1) if _squarefree_ks(n0, q, c, k, k)]
+
+
+def assert_oracle_on_sample(n0, q, c, k_lo, k_hi, got, size):
+    """is_squarefree, the sieve's oracle, against the survivors got: on every
+    k of the window while its values stay below 10**13, else on size k
+    sampled with seed k_lo."""
+    ks = range(k_lo, k_hi + 1)
+    if window_bound(n0, q, c, k_lo, k_hi) ** 3 > 10**13:
+        ks = random.Random(k_lo).sample(ks, min(size, len(ks)))
+    survivors = set(got)
+    for k in ks:
+        assert (k in survivors) == is_squarefree((n0 + k * q) ** 2 + c), k
 
 
 @settings(max_examples=80, deadline=None)
@@ -624,18 +636,19 @@ def single_k_survivors(n0, q, c, k_lo, k_hi):
     st.integers(-10**6, 10**6),
     st.sampled_from([1, 4, 9, 12, 45, 98]),
     st.integers(-2000, 2000),
-    st.integers(1, 3 * families.ARRAY_WINDOW),
+    st.integers(1, 144),
 )
 def test_int64_windows_match_single_k(n0, q_part, q_primes, c_part, c_square, k_lo, count):
     # small primes divide q, squares divide c, c may be negative, and the
-    # widths fall on both sides of ARRAY_WINDOW; n0 moves up to the first
-    # with gcd(q, n0^2 + c) = 1
+    # widths run from one k up; n0 moves up to the first with gcd(q, n0^2 +
+    # c) = 1
     q, c = q_part * q_primes, c_part * c_square
     n0 += coprime_shift(q, lambda t: (n0 + t) ** 2 + c)
     k_hi = k_lo + count - 1
     assume(min((n0 + k * q) ** 2 + c for k in range(k_lo, k_hi + 1)) >= 5)
     got = _squarefree_ks(n0, q, c, k_lo, k_hi)
     assert got == single_k_survivors(n0, q, c, k_lo, k_hi)
+    assert_oracle_on_sample(n0, q, c, k_lo, k_hi, got, 12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -645,7 +658,7 @@ def test_int64_windows_match_single_k(n0, q_part, q_primes, c_part, c_square, k_
     st.integers(-1000, 1000),
     st.integers(1, 100),
     st.integers(0, 1000),
-    st.integers(families.ARRAY_WINDOW, 150),
+    st.integers(1, 150),
     st.data(),
 )
 def test_int64_window_flags_square_of_large_prime(start, m, n0, q, k_lo, count, data):
@@ -662,17 +675,31 @@ def test_int64_window_flags_square_of_large_prime(start, m, n0, q, k_lo, count, 
     got = _squarefree_ks(n0, q, c, k_lo, k_hi)
     assert k_lo + j not in got
     assert got == single_k_survivors(n0, q, c, k_lo, k_hi)
+    assert_oracle_on_sample(n0, q, c, k_lo, k_hi, got, 2)
 
 
 def test_int64_window_square_of_prime_at_the_top():
-    # (2**31 - 1)^2 = 2**62 - 2**32 + 1, a prime squared just below
-    # INT64_VALUES_BELOW, is the value at k = 50 of a 64-value window
-    big = 2**31 - 1
-    c = big * big - 50 * 50
-    assert 63 * 63 + c < 2**62
-    got = _squarefree_ks(0, 1, c, 0, 63)
-    assert 50 not in got
-    assert got == single_k_survivors(0, 1, c, 0, 63)
+    # a prime squared is the value at k = 50 of a 64-value window: (2**31 -
+    # 1)^2 = 2**62 - 2**32 + 1, just below INT64_VALUES_BELOW, on int64
+    # arrays, and the square of the largest prime below 2**33, near 2**66,
+    # on Python integers, whose cofactors take the float square root too
+    for big in (2**31 - 1, next(p for p in range(2**33 - 1, 0, -2) if is_prime(p))):
+        c = big * big - 50 * 50
+        assert (63 * 63 + c < 2**62) == (big < 2**31)
+        got = _squarefree_ks(0, 1, c, 0, 63)
+        assert 50 not in got
+        assert got == single_k_survivors(0, 1, c, 0, 63)
+        assert_oracle_on_sample(0, 1, c, 0, 63, got, 3)
+
+
+def test_one_k_window_with_q_past_int64():
+    # a window of one k bounds neither q nor n0 + kq by its values: at k = 0
+    # the value is n0^2 + 20, small, while q = 2**70 + 3 leaves int64
+    q = 2**70 + 3
+    for n0 in range(1, 40):
+        if gcd(q, n0 * n0 + 20) == 1:
+            got = _squarefree_ks(n0, q, 20, 0, 0)
+            assert got == ([0] if is_squarefree(n0 * n0 + 20) else []), n0
 
 
 # the last k of the x = 10**10 spec whose u = n0 + kq is below 2**31, so that
@@ -681,21 +708,14 @@ INT64_EDGE_K = 357_556
 INT64_TOP_K = 505_660
 
 
-def test_int64_path_at_its_edge_on_the_paper_spec(monkeypatch):
+def test_int64_path_at_its_edge_on_the_paper_spec():
     spec = build_progression(1, [5], 10**10, 0.9)
     n0, q, c = spec.n0, spec.q, 4 * spec.primes[0]
     for k, top in [(INT64_EDGE_K, 2**62), (INT64_TOP_K, 2**63)]:
         assert (n0 + k * q) ** 2 + c < top <= (n0 + (k + 1) * q) ** 2 + c
-    widths = []
-    original = families._int64_survivors
-
-    def recording(u_lo, q, c, count, hits):
-        widths.append(count)
-        return original(u_lo, q, c, count, hits)
-
-    monkeypatch.setattr(families, "_int64_survivors", recording)
     # the 200 values just below 2**62, then 200 that straddle it, then 200
-    # that straddle 2**63
+    # that straddle 2**63, which int64 arrays would get wrong: only the first
+    # window is sieved in int64
     for k_lo, k_hi in [
         (INT64_EDGE_K - 199, INT64_EDGE_K),
         (INT64_EDGE_K - 99, INT64_EDGE_K + 100),
@@ -703,36 +723,37 @@ def test_int64_path_at_its_edge_on_the_paper_spec(monkeypatch):
     ]:
         got = _squarefree_ks(n0, q, c, k_lo, k_hi)
         assert got == single_k_survivors(n0, q, c, k_lo, k_hi)
-        for k in random.Random(k_lo).sample(range(k_lo, k_hi + 1), 6):
-            assert (k in got) == is_squarefree((n0 + k * q) ** 2 + c)
-    assert widths == [200]  # only the window below 2**62 ran in int64 arrays
+        assert_oracle_on_sample(n0, q, c, k_lo, k_hi, got, 6)
 
 
-def test_sieve_benchmark_windows_match_loop(monkeypatch):
-    # the sieve workload's 110 windows of 350 k on the x = 10**10 spec, in
-    # int64 arrays and then, with ARRAY_WINDOW out of reach, on the loop
+def test_sieve_benchmark_windows_match_loop():
+    # the sieve workload's 110 windows of 350 k on the x = 10**10 spec
+    # against the same range cut into windows of 7 k, and is_squarefree on
+    # 40 seeded k
     spec = build_progression(1, [5], 10**10, 0.9)
     n0, q, c = spec.n0, spec.q, 4 * spec.primes[0]
-    windows = [(lo, lo + 349) for lo in range(1, 38_501, 350)]
-    arrays = [_squarefree_ks(n0, q, c, lo, hi) for lo, hi in windows]
-    monkeypatch.setattr(families, "ARRAY_WINDOW", 10**9)
-    assert arrays == [_squarefree_ks(n0, q, c, lo, hi) for lo, hi in windows]
+    got = [k for lo in range(1, 38_501, 350) for k in _squarefree_ks(n0, q, c, lo, lo + 349)]
+    assert got == [k for lo in range(1, 38_501, 7) for k in _squarefree_ks(n0, q, c, lo, lo + 6)]
+    assert_oracle_on_sample(n0, q, c, 1, 38_500, got, 40)
 
 
 def test_density_closed_form_matches_brute():
-    spec = toy_spec()
-    p1 = 5
-
-    def rho_brute(p):
+    def rho_brute(spec, p):
         return sum(
-            ((spec.n0 + k * spec.q) ** 2 + 4 * p1) % (p * p) == 0
+            ((spec.n0 + k * spec.q) ** 2 + 4 * spec.primes[0]) % (p * p) == 0
             for k in range(p * p)
         )
 
-    density = 1.0
-    for p in primes_up_to(311):
-        density *= 1 - rho_brute(p) / (p * p)
-    assert abs(squarefree_density(spec, 311) - density) < 1e-12
+    for spec, bound in [
+        (toy_spec(), 311),
+        # odd q: 4 | u^2 + 4p_1 at both even u mod 4, whatever p_1 is
+        (toy_spec(n0=1, q=5, primes=(2,)), 50),
+        (toy_spec(n0=2, q=7, primes=(5,)), 50),
+    ]:
+        density = 1.0
+        for p in primes_up_to(bound):
+            density *= 1 - rho_brute(spec, p) / (p * p)
+        assert abs(squarefree_density(spec, bound) - density) < 1e-12, spec
 
 
 def test_density_examples():
