@@ -12,9 +12,10 @@ integer in the resulting interval, else d is refused with a ValueError
 smallest prime factors of the n <= N, so each d costs one Euler criterion
 at the primes and one gather per block [2^j, 2^(j+1)). For pi n^2/d up to
 4 both terms come from their power series, in one Horner pass; above it
-from their continued fractions, in one backward pass whose depth falls as
-pi n^2/d grows. Only values are computed: one closed form in d, N and the
-number of power-series terms bounds the truncation and rounding of them all.
+from their continued fractions, in one backward pass per block, as deep as
+the block's least pi n^2/d needs. Only values are computed: one closed form
+in d, N and the number of power-series terms bounds the truncation and
+rounding of them all.
 An order of conductor f > 1 takes h from its field and the unit index.
 `class_number_forms` counts the cycles of the reduced primitive
 (b + sqrt(d))/(2a), a > 0, under the continued-fraction step: one numpy
@@ -34,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import ceil, exp, factorial, fsum, isqrt, log, pi, sqrt
+from math import ceil, exp, factorial, floor, fsum, isqrt, log, pi, sqrt
 
 import numpy as np
 from mpmath.libmp import (
@@ -79,13 +80,12 @@ TAIL_SHARE = 1 / 2
 # stop after x^K, K = SERIES_TERMS > SERIES_SWITCH, so the omitted terms
 # fall from the first on; for the x_n up to each edge of SERIES_BANDS they
 # stop at the least degree whose first omitted terms there are no larger.
-# The fractions are cut after m + 1 partial quotients for the x_n of the
-# band that ends at each edge of CF_BANDS, m the least depth whose
-# convergent gap at the band's lower edge is at most CF_GAP (_cf_depth)
+# The fractions of a block's x_n are cut after m + 1 partial quotients, m
+# the least depth whose convergent gap at the floor of the block's least x_n
+# is at most CF_GAP (_cf_depth)
 SERIES_SWITCH = 4.0
 SERIES_TERMS = 30
 SERIES_BANDS = (0.25, 1.0, 2.0, 3.0, SERIES_SWITCH)
-CF_BANDS = (5.0, 6.0, 8.0, 10.0, 12.0, 16.0, 24.0, float("inf"))
 CF_GAP = 2**-36
 # terms of the class-number series evaluated per numpy block
 SERIES_BLOCK = 1 << 16
@@ -138,13 +138,14 @@ def _cf_numerators(j: int) -> tuple[float, float]:
     return (j - 1) / 2 if j > 1 else 1.0, max(1, j // 2)
 
 
+@lru_cache(maxsize=None)
 def _cf_depth(x: float) -> int:
     """The least m at which the m-th and (m + 1)-th convergents of both
     fractions of _fractions differ by at most CF_GAP at x: by a_1 ... a_j /
     (B_(j-1) B_j), j = m + 1, B_j = b_j B_(j-1) + a_j B_(j-2) from B_(-1) =
     0 and B_0 = 1, b_j = x, 1, x, 1, ... (see _series_sum). Every B_j is a
     sum of positive terms, so 1 + 2**-40 covers the float recurrence's
-    rounding."""
+    rounding. Cached: _fractions asks at integers only."""
     prev, cur, top = [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]
     for j in count(1):
         b = x if j % 2 else 1.0
@@ -174,13 +175,11 @@ _SERIES_STEPS = [
     (np.array(_series_coefficients(k))[:, None], sum(g < k for g in _SERIES_DEGREES))
     for k in range(SERIES_TERMS, -1, -1)
 ]
-# the depth m of each band of CF_BANDS, falling as the bands rise
-_CF_DEPTHS = [_cf_depth(x) for x in (SERIES_SWITCH,) + CF_BANDS[:-1]]
-# the backward steps j = m + 1, ..., 1 of _fractions, m the deepest band's:
-# j, the j-th partial numerators, and the number of bands that take step j
+# the backward steps j = M + 1, ..., 1 of _fractions, M the depth at
+# SERIES_SWITCH, the deepest: j and the j-th partial numerators as a column
 _CF_STEPS = [
-    (j, np.array(_cf_numerators(j))[:, None], sum(m + 1 >= j for m in _CF_DEPTHS))
-    for j in range(_CF_DEPTHS[0] + 1, 0, -1)
+    (j, np.array(_cf_numerators(j))[:, None])
+    for j in range(_cf_depth(SERIES_SWITCH) + 1, 0, -1)
 ]
 
 
@@ -346,14 +345,12 @@ def _fractions(x: np.ndarray) -> np.ndarray:
     """A_n and B_n, as rows, for ascending x_n > SERIES_SWITCH by the
     continued fractions (see _series_sum)."""
     # rows: the fractions of A and of B cut after m + 1 partial quotients
-    # (tails 0); the x of the bands that need depth j - 1 or more are a
-    # prefix of x
+    # (tails 0), m the depth at floor(x_0), which serves every x >= x_0
     t = np.zeros((2, len(x)))
-    ends = [0] + np.searchsorted(x, CF_BANDS, "right").tolist()
-    for j, numerators, bands in _CF_STEPS:
-        s = t[:, : ends[bands]]
-        s += x[: ends[bands]] if j % 2 else 1.0
-        np.divide(numerators, s, out=s)
+    if len(x):
+        for j, numerators in _CF_STEPS[-1 - _cf_depth(floor(x[0])) :]:
+            t += x if j % 2 else 1.0
+            np.divide(numerators, t, out=t)
     return np.exp(-x) * t
 
 
@@ -399,26 +396,25 @@ def _series_sum(d: int, n_max: int) -> tuple[float, float]:
       most sqrt(d) (1 + log N). So the n_near terms err by at most n_near
       ((2K + 5)u mu + (L + 4u) log max(d/pi, 4) + (4 gamma + 10)u + T) +
       5u sqrt(d) (1 + log N).
-    - x~ > SERIES_SWITCH, _fractions: A = e^-x G and B = e^-x F with
-      F = e^x E1(x) = 1/(x + 1/(1 + 1/(x + 2/(1 + 2/(x + ...))))) (DLMF
-      6.9.1) and G = 1/(x + (1/2)/(1 + 1/(x + (3/2)/(1 + 2/(x + ...)))))
-      (DLMF 7.9.2 in x = z^2). Their partial numerators a_j and
-      denominators b_j are positive, so each lies between its consecutive
-      convergents f_m = A_m/B_m, which differ by a_1 ... a_(m+1) / (B_m
-      B_(m+1)); the B_j = b_j B_(j-1) + a_j B_(j-2) are polynomials in x
-      with nonnegative coefficients, so that gap falls as x rises. At the
-      depth m of x's band it is at most CF_GAP (_cf_depth, at the band's
-      lower edge), so the (m + 1)-th convergent, the one evaluated, errs
-      by at most CF_GAP; its backward evaluation, of positive terms, by
-      2(m + 1)u <= 2(M + 1)u relative, M = _CF_DEPTHS[0]. F lies in (1/(x
-      + 1), 1/x) and G in (1/(x + 1/2), 1/x), so |F'| <= F/x and |G'| <=
-      G/x: the argument's 5u x moves them by 5u relative, and exp(-x~)
-      errs by L + 5Xu. The products by e^-x~, the sum and the block sum
-      cost u each. As F + G < 2/x < 1/2, a term errs by at most e^-x (2
-      CF_GAP + (L + (5X + 2M + 10)u)/2), and the e^-x_n sum to at most
-      e^-s + int_{n_1}^oo e^(-pi y^2/d) dy <= e^-s (1 + sqrt(d)/(2 sqrt(pi
-      s))) <= e^-s (1 + sqrt(d)/4), s = SERIES_SWITCH and n_1 the least n
-      with x_n > s.
+    - x~ > SERIES_SWITCH, _fractions: A = e^-x G and B = e^-x F with F = e^x
+      E1(x) = 1/(x + 1/(1 + 1/(x + 2/(1 + 2/(x + ...))))) (DLMF 6.9.1) and G
+      = 1/(x + (1/2)/(1 + 1/(x + (3/2)/(1 + 2/(x + ...))))) (DLMF 7.9.2 in x
+      = z^2). Their partial numerators a_j and denominators b_j are
+      positive, so each lies between its consecutive convergents f_m =
+      A_m/B_m, which differ by a_1 ... a_(m+1) / (B_m B_(m+1)); the B_j =
+      b_j B_(j-1) + a_j B_(j-2) are polynomials in x with nonnegative
+      coefficients, so that gap falls as x rises. At the depth m of x's
+      block, _cf_depth at the floor of the block's least x, it is at most
+      CF_GAP, so the (m + 1)-th convergent, the one evaluated, errs by at
+      most CF_GAP; its backward evaluation, of positive terms, by 2(m + 1)u
+      <= 2(M + 1)u relative, M = _cf_depth(SERIES_SWITCH). F lies in (1/(x +
+      1), 1/x) and G in (1/(x + 1/2), 1/x), so |F'| <= F/x and |G'| <= G/x:
+      the argument's 5u x moves them by 5u relative, and exp(-x~) errs by L
+      + 5Xu. The products by e^-x~, the sum and the block sum cost u each.
+      As F + G < 2/x < 1/2, a term errs by at most e^-x (2 CF_GAP + (L + (5X
+      + 2M + 10)u)/2), and the e^-x_n sum to at most e^-s + int_{n_1}^oo
+      e^(-pi y^2/d) dy <= e^-s (1 + sqrt(d)/(2 sqrt(pi s))) <= e^-s (1 +
+      sqrt(d)/4), s = SERIES_SWITCH and n_1 the least n with x_n > s.
 
     Sum. math.fsum of the block sums is correctly rounded: u |S~|. E is twice
     the rounding bounds above and u |S~|, which covers the second-order
@@ -440,7 +436,8 @@ def _series_sum(d: int, n_max: int) -> tuple[float, float]:
     x_max = pi * n_max * n_max / d
     per_near = ((2 * SERIES_TERMS + 5) * _SERIES_MAGNITUDE + 4 * _EULER_GAMMA + 10) * _U
     per_near += (_LIBM + 4 * _U) * log(max(d / pi, 4.0))
-    per_far = 2 * CF_GAP + (_LIBM + (5 * x_max + 2 * _CF_DEPTHS[0] + 10) * _U) / 2
+    depth = _cf_depth(SERIES_SWITCH)
+    per_far = 2 * CF_GAP + (_LIBM + (5 * x_max + 2 * depth + 10) * _U) / 2
     rounding = n_near * per_near + 5 * _U * root * (1 + log(n_max))
     rounding += exp(-SERIES_SWITCH) * (1 + root / 4) * per_far + _U * abs(total)
     tail = 2 * sqrt(d / pi) * exp(-x_max) * x_max**-1.5

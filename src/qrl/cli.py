@@ -339,14 +339,24 @@ def cmd_family_build(args) -> int:
 
 
 def _load_spec(path: str) -> families.ProgressionSpec:
-    """Read a spec file; reject it unless build_progression reproduces it."""
+    """Read a spec file; reject it unless it is a JSON object of exactly the
+    ProgressionSpec fields, eps1 a number, the tuples lists of integers and
+    the rest integers (not true or false), and build_progression reproduces it."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"spec {path} is not a JSON object")
+    kinds = {field.name: field.type for field in fields(families.ProgressionSpec)}
+    for name in sorted(data.keys() ^ kinds.keys()):
+        state = "missing" if name in kinds else "unknown"
+        raise ValueError(f"spec {path} field {name} is {state}")
+    for name, kind in kinds.items():
+        values = data[name] if kind.startswith("tuple") else [data[name]]
+        number = float if kind == "float" else int
+        if not isinstance(values, list) or {type(v) for v in values} - {int, number}:
+            raise ValueError(f"spec {path} field {name} does not fit its type {kind}")
     spec = families.build_progression(
-        int(data["m"]),
-        [int(p) for p in data["primes"]],
-        int(data["x"]),
-        float(data["eps1"]),
+        data["m"], data["primes"], data["x"], float(data["eps1"])
     )
     # compared as JSON reads them, with the spec's tuples as lists
     wrong = []
@@ -446,25 +456,30 @@ def cmd_constants(args) -> int:
 
 
 def cmd_criterion(args) -> int:
-    if args.mode != "hk-remark":
+    if args.mode is None:
+        command, takes = "criterion", ("--d", "--norms")
+    elif args.params_tuple is not None:
+        command, takes = "criterion hk-remark --params", ("--params",)
+    else:
+        command, takes = "criterion hk-remark", ("--search",)
+    flags = "--d", "--norms", "--search", "--params"
+    values = args.d, args.norms, args.search or None, args.params_tuple
+    unused = [f for f, v in zip(flags, values) if v is not None and f not in takes]
+    if unused:
+        raise ValueError(f"{command} does not take {', '.join(unused)}")
+    if args.mode is None:
         if args.d is None or args.norms is None:
             raise ValueError("criterion needs --d and --norms")
         splits = _parse_norm_splits(args.norms)
         _, bound = evaluate_criterion(CriterionInput(args.d, splits))
         return _write(args, [asdict(bound)])
-    if args.params_tuple:
+    if args.params_tuple is not None:
         values = [int(tok) for tok in args.params_tuple.split(",")]
         if len(values) != 5:
             raise ValueError("--params needs five integers r,s,t,k,c")
         rec = nonprimitive_product_example(*values)
     elif args.search:
-        rec = search_nonprimitive_example(
-            r_max=args.r_max,
-            s_max=args.s_max,
-            t_max=args.t_max,
-            k_max=args.k_max,
-            c_max=args.c_max,
-        )
+        rec = search_nonprimitive_example()
     else:
         raise ValueError("criterion hk-remark needs --search or --params")
     # the NonprimitiveProduct fields in order, each ideal as its literal
@@ -602,11 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_crit.add_argument(
         "--params", dest="params_tuple", help="explicit r,s,t,k,c parameters"
     )
-    p_crit.add_argument("--r-max", type=int, default=5)
-    p_crit.add_argument("--s-max", type=int, default=5)
-    p_crit.add_argument("--t-max", type=int, default=4)
-    p_crit.add_argument("--k-max", type=int, default=5)
-    p_crit.add_argument("--c-max", type=int, default=50)
     _add_common(p_crit)
     p_crit.set_defaults(func="cmd_criterion")
 

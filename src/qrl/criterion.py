@@ -19,9 +19,9 @@ irrationals bounds the regulator from below.  This module
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -111,7 +111,7 @@ def check_hypotheses(inp: CriterionInput) -> list[str]:
                 " fundamental discriminant"
             )
     parts = [sp.coprime_part for sp in inp.splits]
-    for i, j in combinations(range(len(parts)), 2):
+    for i, j in itertools.combinations(range(len(parts)), 2):
         if gcd(parts[i], parts[j]) != 1:
             problems.append(
                 f"coprime parts of entries {i} and {j} share a common factor"
@@ -466,26 +466,21 @@ def nonprimitive_product_example(
     )
 
 
-def search_nonprimitive_example(
-    r_max: int = 5, s_max: int = 5, t_max: int = 4, k_max: int = 5, c_max: int = 50
-) -> NonprimitiveProduct:
-    """First parameter tuple, in lexicographic order, whose ideal triple is
-    valid, whose first two ideals are reduced, and whose non-primitive product
-    still has norm below sqrt(d)/2."""
-    for r in range(2, r_max + 1):
-        for s in range(2, s_max + 1):
-            for t in range(1, t_max + 1):
-                for k in range(1, k_max + 1):
-                    for c in range(1, c_max + 1):
-                        try:
-                            rec = nonprimitive_product_example(r, s, t, k, c)
-                        except CriterionError:
-                            continue
-                        if not rec.norm_bound_ok:
-                            continue
-                        if None in (reduced_b(rec.factor_1), reduced_b(rec.factor_2)):
-                            continue
-                        return rec
+def search_nonprimitive_example() -> NonprimitiveProduct:
+    """First parameter tuple (r, s, t, k, c), in lexicographic order over
+    2 <= r, s <= 5, 1 <= t <= 4, 1 <= k <= 5 and 1 <= c <= 50, whose ideal
+    triple is valid, whose first two ideals are reduced, and whose
+    non-primitive product still has norm below sqrt(d)/2."""
+    box = range(2, 6), range(2, 6), range(1, 5), range(1, 6), range(1, 51)
+    for params in itertools.product(*box):
+        try:
+            rec = nonprimitive_product_example(*params)
+        except CriterionError:
+            continue
+        if not rec.norm_bound_ok:
+            continue
+        if None not in (reduced_b(rec.factor_1), reduced_b(rec.factor_2)):
+            return rec
     raise CriterionError(
         "no non-primitive product instance found within the search bounds"
     )

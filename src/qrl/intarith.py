@@ -238,11 +238,9 @@ def _check_moduli(mod: np.ndarray, caller: str) -> None:
 
 
 def pow_mod_array(base, exp, mod) -> np.ndarray:
-    """base**exp mod mod elementwise over int64 arrays (broadcast together),
-    exp >= 0 and 0 < mod < 2**31, by square and multiply over exp's bits."""
-    base, exp, mod = np.broadcast_arrays(
-        *(np.asarray(v, dtype=np.int64) for v in (base, exp, mod))
-    )
+    """base**exp mod mod elementwise over int64 arrays of one shape, exp >= 0
+    and 0 < mod < 2**31, by square and multiply over exp's bits."""
+    base, exp, mod = (np.asarray(v, dtype=np.int64) for v in (base, exp, mod))
     _check_moduli(mod, "pow_mod_array")
     result = np.ones_like(mod) % mod
     base = base % mod

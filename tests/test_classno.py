@@ -587,12 +587,17 @@ def test_prime_tables_bytes_per_term(monkeypatch):
     assert spf.nbytes + primes.nbytes <= 5 * bound
 
 
+# the integers from SERIES_SWITCH to 60: _fractions takes its depth at the
+# floor of its least argument, so these are the edges where the depth changes
+CF_EDGES = range(int(classno.SERIES_SWITCH), 61)
+
+
 def series_term_points():
     """899 points from 1e-12 to 60, log-spaced up to 1 and evenly above,
     and each side of every edge of SERIES_BANDS, the last SERIES_SWITCH,
-    and of CF_BANDS."""
+    and of CF_EDGES."""
     x = np.concatenate([np.geomspace(1e-12, 1.0, 300), np.linspace(1.0, 60.0, 600)[1:]])
-    edges = list(classno.SERIES_BANDS) + list(classno.CF_BANDS[:-1])
+    edges = list(classno.SERIES_BANDS) + list(CF_EDGES[1:])
     near = [np.nextafter(e, s) for e in edges for s in (0.0, np.inf)]
     near += [e * (1 + s) for e in edges for s in (-1e-6, 1e-6)]
     return np.unique(np.concatenate([x, edges, near]))
@@ -603,7 +608,9 @@ def test_series_terms_within_their_error_bounds():
     # within the charge that _series_sum's closed-form bound makes for one
     # term at d = 10**13 and X = 60: twice the rounding of a power-series
     # term plus T, or twice e^-x (2 CF_GAP + (L + (5X + 2M + 10)u)/2) for a
-    # fraction term. log(d/pi) >= |log x| at every point
+    # fraction term, with _fractions run on each unit interval [k, k + 1),
+    # so that each depth it derives meets the charge. log(d/pi) >= |log x|
+    # at every point
     x = series_term_points()
     d, x_max = 10**13, x[-1]
     assert log(d / np.pi) >= -log(x[0])
@@ -614,7 +621,8 @@ def test_series_terms_within_their_error_bounds():
     cut = np.searchsorted(x, classno.SERIES_SWITCH, "right")
     assert x[cut - 1] == classno.SERIES_SWITCH
     near = classno._power_series(x[:cut], root_over_n[:cut])
-    terms = np.concatenate([near, classno._fractions(x[cut:])], axis=1)
+    units = np.split(x[cut:], np.searchsorted(x[cut:], CF_EDGES[1:]))
+    terms = np.concatenate([near, *map(classno._fractions, units)], axis=1)
     u, libm = classno._U, classno._LIBM
     near_charge = 2 * (
         (2 * classno.SERIES_TERMS + 5) * u * classno._SERIES_MAGNITUDE
@@ -622,7 +630,8 @@ def test_series_terms_within_their_error_bounds():
         + (4 * classno._EULER_GAMMA + 10) * u
         + 5 * u * root_over_n[:cut]
     )
-    far = (libm + (5 * x_max + 2 * classno._CF_DEPTHS[0] + 10) * u) / 2
+    deepest = classno._cf_depth(classno.SERIES_SWITCH)
+    far = (libm + (5 * x_max + 2 * deepest + 10) * u) / 2
     far_charge = 2 * np.exp(-x[cut:]) * (2 * classno.CF_GAP + far)
     charges = np.concatenate([near_charge + classno._SERIES_TRUNCATION, far_charge])
     with mp.workdps(40):
@@ -671,22 +680,24 @@ def convergent(numerators, x, m):
 
 
 def test_fraction_depths_are_the_least_within_cf_gap():
-    # at each band's lower edge, in exact arithmetic, the convergents m and
-    # m + 1 of both fractions differ by at most CF_GAP, and m - 1 and m of
-    # one of them by more; just above the edge _fractions returns e^-x
-    # times convergent m + 1, to its rounding charge (x exact), so a depth
-    # of m - 1 fails here
-    lower = (classno.SERIES_SWITCH,) + classno.CF_BANDS[:-1]
-    assert len(classno._CF_DEPTHS) == len(lower)
-    relative = classno._LIBM + (2 * classno._CF_DEPTHS[0] + 10) * classno._U
+    # at each integer edge, m = _cf_depth(edge): in exact arithmetic the
+    # convergents m and m + 1 of both fractions differ by at most CF_GAP,
+    # and m - 1 and m of one of them by more; just above the edge, as the
+    # least of a block that reaches 60, _fractions returns e^-x times
+    # convergent m + 1, to its rounding charge (x exact), so a depth of
+    # m - 1 fails here
+    deepest = classno._cf_depth(classno.SERIES_SWITCH)
+    relative = classno._LIBM + (2 * deepest + 10) * classno._U
     fractions = FRACTION_NUMERATORS
-    for edge, m in zip(lower, classno._CF_DEPTHS):
+    for edge in CF_EDGES:
+        m = classno._cf_depth(edge)
+        assert m <= deepest, edge
         x = Fraction(edge)
         f = [[convergent(a, x, k) for k in range(m - 1, m + 2)] for a in fractions]
         assert max(abs(c[2] - c[1]) for c in f) <= classno.CF_GAP, edge
         assert max(abs(c[1] - c[0]) for c in f) > classno.CF_GAP, edge
         v = float(np.nextafter(edge, np.inf))
-        got = classno._fractions(np.array([v]))[:, 0]
+        got = classno._fractions(np.array([v, 60.0]))[:, 0]
         with mp.workdps(40):
             for value, a in zip(got, fractions):
                 c = convergent(a, Fraction(v), m + 1)

@@ -239,6 +239,44 @@ def test_family_scan_rejects_inconsistent_spec(tmp_path):
         )
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (None, "is not a JSON object"),
+        ({"S_prime": None}, "field S_prime is missing"),
+        ({"kmax": 5}, "field kmax is unknown"),
+        ({"x": 1e23}, "field x does not fit its type int"),
+        ({"m": True}, "field m does not fit its type int"),
+        ({"q": "6006"}, "field q does not fit its type int"),
+        ({"n0": 1365.0}, "field n0 does not fit its type int"),
+        ({"primes": [5.0]}, "field primes does not fit its type tuple[int, ...]"),
+        ({"S": 2}, "field S does not fit its type tuple[int, ...]"),
+        (
+            {"S_prime": [7, 11, False]},
+            "field S_prime does not fit its type tuple[int, ...]",
+        ),
+        ({"eps1": "0.9"}, "field eps1 does not fit its type float"),
+    ],
+)
+def test_family_scan_rejects_malformed_spec(tmp_path, edit, message):
+    # the file's shape is checked before build_progression rebuilds the
+    # spec: 1e23 reads as the float 99999999999999991611392, and true as 1.
+    # edit None writes the spec inside a list; a field edited to None goes
+    spec_path = tmp_path / "spec.json"
+    build = ["family", "build", "--m", "1", "--primes", "5", "--x", "1e10"]
+    assert run_cli([*build, "--out", str(spec_path)])[0] == 0
+    built = json.loads(spec_path.read_text())
+    if edit is None:
+        data = [built]
+    else:
+        data = {k: v for k, v in {**built, **edit}.items() if v is not None}
+    spec_path.write_text(json.dumps(data))
+    code, out, err = run_cli(["family", "scan", "--spec", str(spec_path), "--kmax", "5"])
+    assert code == 1 and out == ""
+    record = one_json(err)
+    assert record == {"error": "ValueError", "message": f"spec {spec_path} {message}"}
+
+
 def test_family_scan_chowla_csv():
     code, out, _ = run_cli(
         ["family", "scan", "--kind", "chowla", "--kmin", "1", "--kmax", "10"]
@@ -409,6 +447,23 @@ def test_family_scan_spec_roundtrip_and_jobs(tmp_path):
         assert cells[2] == str(rec.d_values[0])
         assert cells[3] == "1"
         assert cells[4] == "" and cells[5] == ""
+
+
+def test_family_scan_strict_range_through_the_parser(tmp_path):
+    # --strict-range keeps the k >= 1 of --kmin -5 --kmax 50 on the paper's
+    # x = 1e10 spec, so the scan equals --kmin 1 byte for byte, at --jobs 1
+    # and 2, and the scan without the flag has more rows
+    spec_path = tmp_path / "spec.json"
+    build = ["family", "build", "--m", "1", "--primes", "5", "--x", "1e10"]
+    assert run_cli([*build, "--out", str(spec_path)])[0] == 0
+    scan = ["family", "scan", "--spec", str(spec_path), "--kmax", "50"]
+    code, expected, err = run_cli([*scan, "--kmin", "1"])
+    assert code == 0 and err == ""
+    for jobs in ("1", "2"):
+        strict = run_cli([*scan, "--kmin", "-5", "--strict-range", "--jobs", jobs])
+        assert strict == (0, expected, "")
+        code, loose, _ = run_cli([*scan, "--kmin", "-5", "--jobs", jobs])
+        assert code == 0 and len(loose.splitlines()) > len(expected.splitlines())
 
 
 # every named family: its parameters, --kmin, --kmax, and the fewest CSV lines
@@ -1052,6 +1107,30 @@ def test_criterion_hk_mode_needs_source():
     code, _, err = run_cli(["criterion", "hk-remark"])
     assert code == 1
     assert "--search or --params" in one_json(err)["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--d", "61", "--norms", "3", "--search"], "criterion does not take --search"),
+        (
+            ["--d", "61", "--norms", "3", "--params", "2,2,2,1,43"],
+            "criterion does not take --params",
+        ),
+        (
+            ["hk-remark", "--search", "--d", "61", "--norms", "3"],
+            "criterion hk-remark does not take --d, --norms",
+        ),
+        (
+            ["hk-remark", "--params", "2,2,2,1,43", "--search"],
+            "criterion hk-remark --params does not take --search",
+        ),
+    ],
+)
+def test_criterion_refuses_flags_its_mode_does_not_take(argv, message):
+    code, out, err = run_cli(["criterion", *argv])
+    assert code == 1 and out == ""
+    assert one_json(err) == {"error": "ValueError", "message": message}
 
 
 # ---------------------------------------------------------------------------
