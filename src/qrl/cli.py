@@ -46,6 +46,7 @@ from .quadorder import (
 )
 
 DEFAULT_EPS1 = 0.9
+# family scan --with-h: B = floor(min((log x)^this, MAX_EULER_BOUND)) by default
 DEFAULT_BOUND_EXPONENT = 2.05
 # --x digit cap: json writes integers of at most 4300 digits, and the cap
 # keeps an argument like 1e999999999 from building a huge integer
@@ -154,48 +155,56 @@ def _parse_scale(text: str) -> int:
     return int(value)
 
 
+def _tokens(text: str) -> list[str]:
+    """The stripped, nonempty comma-separated tokens of a list flag."""
+    return [token for token in map(str.strip, text.split(",")) if token]
+
+
+def _int(token: str, flag: str) -> int:
+    """int(token), or a ValueError that names the flag and the token."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{flag}: {token!r} is not an integer") from None
+
+
 def _parse_primes(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+    return [_int(token, "--primes") for token in _tokens(text.replace(";", ","))]
 
 
 def _parse_norm_splits(text: str) -> tuple[NormSplit, ...]:
     """Parse "6=2*3, 5" into norm decompositions; a bare n means n = n * 1."""
     splits = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if "=" in token:
-            total_text, _, rest = token.partition("=")
-            left, star, right = rest.partition("*")
-            if not star:
-                raise ValueError(
-                    f"norm decomposition {token!r} must look like n=a*b"
-                )
-            splits.append(
-                NormSplit(int(total_text), int(left.strip()), int(right.strip()))
-            )
-        else:
-            n = int(token)
-            splits.append(NormSplit(n, n, 1))
+    for token in _tokens(text):
+        total, eq, rest = token.partition("=")
+        left, star, right = rest.partition("*") if eq else (total, "*", "1")
+        if not star:
+            raise ValueError(f"norm decomposition {token!r} must look like n=a*b")
+        splits.append(NormSplit(*(_int(t, "--norms") for t in (total, left, right))))
     if not splits:
         raise ValueError("at least one norm is required")
     return tuple(splits)
 
 
 def _parse_params(text: str | None) -> dict[str, int]:
-    if not text:
-        return {}
     params = {}
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in _tokens(text or ""):
         key, eq, value = token.partition("=")
         if not eq:
             raise ValueError(f"parameter {token!r} must look like name=value")
-        params[key.strip()] = int(value.strip())
+        params[key.strip()] = _int(value, "--params")
     return params
+
+
+def _refuse_unused(command: str, given: dict, takes) -> None:
+    """Refuse the flags set in given (value not None or False) and not in takes."""
+    unused = [
+        flag
+        for flag, value in given.items()
+        if flag not in takes and value is not None and value is not False
+    ]
+    if unused:
+        raise ValueError(f"{command} does not take {', '.join(unused)}")
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +331,15 @@ def cmd_classno(args) -> int:
 
 def cmd_lvalue(args) -> int:
     if args.method == "exact":
+        _refuse_unused("lvalue --method exact", {"--bound": args.bound}, ())
         record = {"d": args.d, "method": "exact", "value": l_value_exact(args.d)}
     else:
+        bound = 10**5 if args.bound is None else args.bound
         record = {
             "d": args.d,
             "method": "euler",
-            "bound": args.bound,
-            "value": l_value_truncated(args.d, args.bound),
+            "bound": bound,
+            "value": l_value_truncated(args.d, bound),
         }
     return _write(args, [record])
 
@@ -375,16 +386,24 @@ def _load_spec(path: str) -> families.ProgressionSpec:
 def cmd_family_scan(args) -> int:
     if bool(args.spec) == bool(args.kind):
         raise ValueError("family scan needs exactly one of --spec or --kind")
+    if args.kind:
+        command, takes = "family scan --kind", ("--params",)
+    elif args.with_h:
+        command = "family scan --spec"
+        takes = ("--strict-range", "--with-h", "--euler-bound")
+    else:
+        command, takes = "family scan --spec without --with-h", ("--strict-range",)
+    flags = "--params", "--strict-range", "--with-h", "--euler-bound"
+    values = args.params, args.strict_range, args.with_h, args.euler_bound
+    _refuse_unused(command, dict(zip(flags, values)), takes)
     if args.kmax < 0:
         raise ValueError("--kmax must be nonnegative")
     if args.spec:
         spec = _load_spec(args.spec)
         bound = args.euler_bound
         if args.with_h and bound is None:
-            if args.bound_exponent <= 2:
-                raise ValueError("--bound-exponent must be greater than 2")
             bound = int(
-                min(math.log(spec.x) ** args.bound_exponent, MAX_EULER_BOUND)
+                min(math.log(spec.x) ** DEFAULT_BOUND_EXPONENT, MAX_EULER_BOUND)
             )
         scan = partial(
             families.progression_records,
@@ -409,14 +428,8 @@ def cmd_verify(args) -> int:
     kind = f"{args.family}_{args.sign or 'plus'}" if signed else args.family
     family = families.FAMILIES[kind]
     # --sign picks NAME_<sign>; --p is the family parameter p
-    takes = set(family.params) | ({"sign"} if signed else set())
-    unused = [
-        f"--{name}"
-        for name in ("p", "sign")
-        if getattr(args, name) is not None and name not in takes
-    ]
-    if unused:
-        raise ValueError(f"verify {args.family} does not take {', '.join(unused)}")
+    takes = [f"--{name}" for name in family.params] + (["--sign"] if signed else [])
+    _refuse_unused(f"verify {args.family}", {"--p": args.p, "--sign": args.sign}, takes)
     params = {name: getattr(args, name) for name in family.params}
     for name, value in params.items():
         if value is None:
@@ -458,23 +471,21 @@ def cmd_constants(args) -> int:
 def cmd_criterion(args) -> int:
     if args.mode is None:
         command, takes = "criterion", ("--d", "--norms")
-    elif args.params_tuple is not None:
+    elif args.params is not None:
         command, takes = "criterion hk-remark --params", ("--params",)
     else:
         command, takes = "criterion hk-remark", ("--search",)
     flags = "--d", "--norms", "--search", "--params"
-    values = args.d, args.norms, args.search or None, args.params_tuple
-    unused = [f for f, v in zip(flags, values) if v is not None and f not in takes]
-    if unused:
-        raise ValueError(f"{command} does not take {', '.join(unused)}")
+    values = args.d, args.norms, args.search, args.params
+    _refuse_unused(command, dict(zip(flags, values)), takes)
     if args.mode is None:
         if args.d is None or args.norms is None:
             raise ValueError("criterion needs --d and --norms")
         splits = _parse_norm_splits(args.norms)
         _, bound = evaluate_criterion(CriterionInput(args.d, splits))
         return _write(args, [asdict(bound)])
-    if args.params_tuple is not None:
-        values = [int(tok) for tok in args.params_tuple.split(",")]
+    if args.params is not None:
+        values = [_int(token, "--params") for token in _tokens(args.params)]
         if len(values) != 5:
             raise ValueError("--params needs five integers r,s,t,k,c")
         rec = nonprimitive_product_example(*values)
@@ -505,12 +516,13 @@ def cmd_ideal(args) -> int:
 # parser
 
 
-def _add_common(sub, jobs: bool = False):
+def _add_common(sub, func, jobs: bool = False):
     sub.add_argument("--out", help="write output to this path instead of stdout")
     if jobs:
         sub.add_argument(
             "--jobs", type=int, default=1, help="worker processes for scans"
         )
+    sub.set_defaults(func=func.__name__)
 
 
 @cache
@@ -535,28 +547,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_cf.add_argument("--a", type=int, default=1)
     p_cf.add_argument("--b", type=int, default=None)
     p_cf.add_argument("--max-steps", type=int, default=None)
-    _add_common(p_cf)
-    p_cf.set_defaults(func="cmd_cf")
+    _add_common(p_cf, cmd_cf)
 
     p_unit = sub.add_parser("unit", help="fundamental unit and regulator")
     p_unit.add_argument("--d", type=int, required=True)
     p_unit.add_argument(
         "--exact", action="store_true", help="include exact unit coordinates"
     )
-    _add_common(p_unit)
-    p_unit.set_defaults(func="cmd_unit")
+    _add_common(p_unit, cmd_unit)
 
     p_h = sub.add_parser("classno", help="class number from the analytic formula")
     p_h.add_argument("--d", type=int, required=True)
-    _add_common(p_h)
-    p_h.set_defaults(func="cmd_classno")
+    _add_common(p_h, cmd_classno)
 
     p_l = sub.add_parser("lvalue", help="Dirichlet L-value at 1")
     p_l.add_argument("--d", type=int, required=True)
     p_l.add_argument("--method", choices=["exact", "euler"], default="exact")
-    p_l.add_argument("--bound", type=int, default=10**5)
-    _add_common(p_l)
-    p_l.set_defaults(func="cmd_lvalue")
+    p_l.add_argument("--bound", type=int, default=None)
+    _add_common(p_l, cmd_lvalue)
 
     p_fam = sub.add_parser("family", help="discriminant family tools")
     fam_sub = p_fam.add_subparsers(dest="family_command", required=True)
@@ -566,8 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--primes", type=_parse_primes, required=True)
     p_build.add_argument("--x", type=_parse_scale, required=True)
     p_build.add_argument("--eps1", type=float, default=DEFAULT_EPS1)
-    _add_common(p_build)
-    p_build.set_defaults(func="cmd_family_build")
+    _add_common(p_build, cmd_family_build)
 
     p_scan = fam_sub.add_parser("scan", help="scan a family for records")
     p_scan.add_argument("--spec", help="progression spec JSON from family build")
@@ -580,12 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--with-h", action="store_true", help="attach h, regulator, L, bound"
     )
     p_scan.add_argument("--euler-bound", type=int, default=None)
-    p_scan.add_argument(
-        "--bound-exponent", type=float, default=DEFAULT_BOUND_EXPONENT
-    )
     p_scan.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_common(p_scan, jobs=True)
-    p_scan.set_defaults(func="cmd_family_scan")
+    _add_common(p_scan, cmd_family_scan, jobs=True)
 
     p_ver = sub.add_parser("verify", help="check family bounds; exit 1 on violation")
     # `qrl verify NAME --sign S` checks the kind NAME, or NAME_S (cmd_verify)
@@ -595,14 +598,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--kmax", type=int, default=None)
     p_ver.add_argument("--p", type=int, default=None)
     p_ver.add_argument("--sign", choices=["plus", "minus"], default=None)
-    _add_common(p_ver, jobs=True)
-    p_ver.set_defaults(func="cmd_verify")
+    _add_common(p_ver, cmd_verify, jobs=True)
 
     p_const = sub.add_parser("constants", help="progression constants")
     p_const.add_argument("--m", type=int, required=True)
     p_const.add_argument("--primes", type=_parse_primes, required=True)
-    _add_common(p_const)
-    p_const.set_defaults(func="cmd_constants")
+    _add_common(p_const, cmd_constants)
 
     p_crit = sub.add_parser(
         "criterion", help="regulator lower bound from norm decompositions"
@@ -614,16 +615,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_crit.add_argument("--d", type=int, default=None)
     p_crit.add_argument("--norms", help='decompositions, e.g. "6=2*3,5"')
     p_crit.add_argument("--search", action="store_true")
-    p_crit.add_argument(
-        "--params", dest="params_tuple", help="explicit r,s,t,k,c parameters"
-    )
-    _add_common(p_crit)
-    p_crit.set_defaults(func="cmd_criterion")
+    p_crit.add_argument("--params", help="explicit r,s,t,k,c parameters")
+    _add_common(p_crit, cmd_criterion)
 
     p_ideal = sub.add_parser("ideal", help="parse and classify an ideal literal")
     p_ideal.add_argument("--literal", required=True)
-    _add_common(p_ideal)
-    p_ideal.set_defaults(func="cmd_ideal")
+    _add_common(p_ideal, cmd_ideal)
 
     return parser
 

@@ -382,7 +382,7 @@ def progression_records(
             continue
         h, _ = class_number(d)
         reg = fundamental_unit(d).regulator
-        l_val = l_value_truncated(d, euler_bound_B) if euler_bound_B else None
+        l_val = None if euler_bound_B is None else l_value_truncated(d, euler_bound_B)
         bound = h_bound(d, constant) if d >= 16 else None
         ok = None if bound is None else h <= bound
         yield ScanRecord(k, n, (d,), (True,), h, reg, l_val, bound, ok)

@@ -794,24 +794,6 @@ def test_family_scan_json_format():
     assert all(row["bound_ok"] for row in rows)
 
 
-def test_family_scan_bound_exponent_validation(tmp_path):
-    spec_path = tmp_path / "spec.json"
-    run_cli(
-        [
-            "family", "build", "--m", "1", "--primes", "5", "--x", "1e10",
-            "--out", str(spec_path),
-        ]
-    )
-    code, _, err = run_cli(
-        [
-            "family", "scan", "--spec", str(spec_path), "--kmax", "3",
-            "--with-h", "--bound-exponent", "1.5",
-        ]
-    )
-    assert code == 1
-    assert "greater than 2" in one_json(err)["message"]
-
-
 def test_family_scan_with_h_needs_m_1(tmp_path):
     spec_path = tmp_path / "spec.json"
     code, _, _ = run_cli(
@@ -982,6 +964,25 @@ def test_family_scan_with_h_on_reference_spec(tmp_path):
     }
 
 
+@pytest.mark.parametrize("bound", ["0", "-4"])
+def test_family_scan_refuses_euler_bound_below_one(tmp_path, bound):
+    # B = 0 is refused like any B < 1, not read as "no L"
+    spec_path = tmp_path / "spec.json"
+    build = ["family", "build", "--m", "1", "--primes", "5", "--x", "1e10"]
+    assert run_cli(build + ["--out", str(spec_path)])[0] == 0
+    code, out, err = run_cli(
+        [
+            "family", "scan", "--spec", str(spec_path), "--kmax", "1", "--with-h",
+            "--euler-bound", bound,
+        ]
+    )
+    assert code == 1 and out == ""
+    assert one_json(err) == {
+        "error": "ValueError",
+        "message": "l_value_truncated: bound must be >= 1",
+    }
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -1030,6 +1031,48 @@ def test_verify_rejects_flags_that_do_not_apply():
             "error": "ValueError",
             "message": f"verify {argv[1]} does not take {flags}",
         }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--kind", "chowla", "--with-h"],
+            "family scan --kind does not take --with-h",
+        ),
+        (
+            ["--kind", "shanks", "--strict-range", "--euler-bound", "7"],
+            "family scan --kind does not take --strict-range, --euler-bound",
+        ),
+        (
+            ["--spec", "no-such-spec.json", "--params", "p=5"],
+            "family scan --spec without --with-h does not take --params",
+        ),
+        (
+            ["--spec", "no-such-spec.json", "--with-h", "--params", "p=5"],
+            "family scan --spec does not take --params",
+        ),
+        (
+            ["--spec", "no-such-spec.json", "--euler-bound", "7"],
+            "family scan --spec without --with-h does not take --euler-bound",
+        ),
+        (
+            ["lvalue", "--d", "5", "--bound", "7"],
+            "lvalue --method exact does not take --bound",
+        ),
+        (
+            ["lvalue", "--d", "5", "--method", "exact", "--bound", "0"],
+            "lvalue --method exact does not take --bound",
+        ),
+    ],
+)
+def test_scan_and_lvalue_refuse_flags_they_do_not_take(argv, message):
+    # a family scan refuses before it reads --spec, so the file need not exist
+    if argv[0] != "lvalue":
+        argv = ["family", "scan", *argv, "--kmax", "3"]
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert one_json(err) == {"error": "ValueError", "message": message}
 
 
 def test_verify_yamamoto_sign_defaults_to_plus():
@@ -1131,6 +1174,44 @@ def test_criterion_refuses_flags_its_mode_does_not_take(argv, message):
     code, out, err = run_cli(["criterion", *argv])
     assert code == 1 and out == ""
     assert one_json(err) == {"error": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["criterion", "--d", "61", "--norms", "abc"],
+            "--norms: 'abc' is not an integer",
+        ),
+        (
+            ["criterion", "--d", "61", "--norms", "6=2*x"],
+            "--norms: 'x' is not an integer",
+        ),
+        (
+            [
+                "family", "scan", "--kind", "yamamoto_plus", "--params", "p=x",
+                "--kmax", "3",
+            ],
+            "--params: 'x' is not an integer",
+        ),
+        (
+            ["criterion", "hk-remark", "--params", "2,2,2,1,x"],
+            "--params: 'x' is not an integer",
+        ),
+    ],
+)
+def test_malformed_list_token_is_named(argv, message):
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert one_json(err) == {"error": "ValueError", "message": message}
+
+
+def test_malformed_primes_token_is_a_usage_error():
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as excinfo:
+        main(["constants", "--m", "1", "--primes", "2,x"])
+    assert excinfo.value.code == 2
+    assert "argument --primes" in err.getvalue()
 
 
 # ---------------------------------------------------------------------------
