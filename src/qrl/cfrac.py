@@ -56,11 +56,11 @@ _UNIT_TOP = 1 << (UNIT_BITS + 64)
 REGULATOR_DPS = 30
 # the same precision in bits (103), for arithmetic on raw libmp values
 REGULATOR_PREC = dps_to_prec(REGULATOR_DPS)
-# most quotients cf_expand takes, whatever max_steps allows; principal_expansion
-# refuses the same d. Traced on d = 1000000000061 (199 129 steps, CPython
-# 3.11), an expansion keeps 88 bytes per step and peaks at 113 while built, a
-# principal one, whose halves share their integers, 56 and 80: peaks of about
-# 0.23 and 0.16 GB at this limit
+# the step budget of cf_expand, which takes at most this many quotients plus
+# one; principal_expansion refuses the same d. Traced on d = 1000000000061
+# (199 129 steps, CPython 3.11), an expansion keeps 88 bytes per step and
+# peaks at 113 while built, a principal one, whose halves share their
+# integers, 56 and 80: peaks of about 0.23 and 0.16 GB at this limit
 PERIOD_STEP_LIMIT = 2 * 10**6
 
 
@@ -116,32 +116,24 @@ def cf_orbit(d: int, a: int, b: int) -> Iterator[tuple[int, int, int]]:
         a = (d - b * b) // (2 * twoa)
 
 
-def _overflow(d: int, a: int, b: int, steps: int) -> PeriodOverflow:
-    limit = f"PERIOD_STEP_LIMIT = {steps}" if steps == PERIOD_STEP_LIMIT else steps
+def _overflow(d: int, a: int, b: int) -> PeriodOverflow:
     return PeriodOverflow(
         f"continued fraction of ({b}+sqrt({d}))/{2 * a} did not close "
-        f"within {limit} steps"
+        f"within PERIOD_STEP_LIMIT = {PERIOD_STEP_LIMIT} steps"
     )
 
 
-def cf_expand(rho: QuadIrrational, max_steps: int | None = None) -> CFExpansion:
+def cf_expand(rho: QuadIrrational) -> CFExpansion:
     """Expand rho, exactly, until it returns to its first reduced state: at
-    most min(max_steps, PERIOD_STEP_LIMIT) + 1 quotients, else PeriodOverflow;
-    max_steps None means the limit. A negative max_steps is refused with a
-    ValueError before any step."""
+    most PERIOD_STEP_LIMIT + 1 quotients, else PeriodOverflow."""
     d = rho.d
-    if max_steps is None:
-        max_steps = PERIOD_STEP_LIMIT
-    elif max_steps < 0:
-        raise ValueError(f"cf_expand: max_steps must be >= 0, got {max_steps}")
-    steps = min(max_steps, PERIOD_STEP_LIMIT)
     s = isqrt(d)
     preperiod: list[int] = []
     period: list[int] = []
     a_col: list[int] = []
     b_col: list[int] = []
-    # at most steps + 1 quotients, then the state that closes the cycle
-    for alpha, a, b in islice(cf_orbit(d, rho.a, rho.b), max(1, steps + 2)):
+    # at most PERIOD_STEP_LIMIT + 1 quotients, then the closing state
+    for alpha, a, b in islice(cf_orbit(d, rho.a, rho.b), PERIOD_STEP_LIMIT + 2):
         if not a_col:
             # the period starts at the first reduced state: every later one is
             if not is_reduced_state(a, b, s):
@@ -154,7 +146,7 @@ def cf_expand(rho: QuadIrrational, max_steps: int | None = None) -> CFExpansion:
         period.append(alpha)
         a_col.append(a)
         b_col.append(b)
-    raise _overflow(d, a, b, steps)
+    raise _overflow(d, a, b)
 
 
 @lru_cache(maxsize=EXPANSION_CACHE_SIZE)
@@ -199,11 +191,11 @@ def principal_expansion(d: int) -> CFExpansion:
             break
         last_a, last_b = a, b
     else:
-        raise _overflow(d, a, b, PERIOD_STEP_LIMIT)
+        raise _overflow(d, a, b)
     m = len(period)
     length = 2 * m - 1 if a == last_a else 2 * m - 2
     if length > budget:
-        raise _overflow(d, a, b, PERIOD_STEP_LIMIT)
+        raise _overflow(d, a, b)
     # the walk is at state m = k + 1: alpha_j and a_j for j <= k and b_j for
     # j <= T - k give the rest by the symmetry
     k = m - 1

@@ -11,7 +11,8 @@ integer in the resulting interval, else d is refused with a ValueError
 (see _field_class_number). chi_d comes from a cached table of the
 smallest prime factors of the n <= N, so each d costs one Euler criterion
 at the primes and one gather per block [2^j, 2^(j+1)). For pi n^2/d up to
-4 both terms come from their power series, in one Horner pass; above it
+4 both terms come from their power series, in one Horner pass, each at
+its least degree that the truncation bound allows; above it
 from their continued fractions, in one backward pass per block, as deep as
 the block's least pi n^2/d needs. Only values are computed: one closed form
 in d, N and the number of power-series terms bounds the truncation and
@@ -39,7 +40,6 @@ from math import ceil, exp, factorial, floor, fsum, isqrt, log, pi, sqrt
 
 import numpy as np
 from mpmath.libmp import (
-    dps_to_prec,
     from_float,
     from_int,
     from_man_exp,
@@ -78,14 +78,13 @@ TAIL_SHARE = 1 / 2
 # the class-number series takes A_n and B_n from power series for x_n up to
 # SERIES_SWITCH and from continued fractions above it. The power series
 # stop after x^K, K = SERIES_TERMS > SERIES_SWITCH, so the omitted terms
-# fall from the first on; for the x_n up to each edge of SERIES_BANDS they
-# stop at the least degree whose first omitted terms there are no larger.
+# fall from the first on; at each x_n they stop at the least degree whose
+# first omitted terms there are at most their value at SERIES_SWITCH and K.
 # The fractions of a block's x_n are cut after m + 1 partial quotients, m
 # the least depth whose convergent gap at the floor of the block's least x_n
 # is at most CF_GAP (_cf_depth)
 SERIES_SWITCH = 4.0
 SERIES_TERMS = 30
-SERIES_BANDS = (0.25, 1.0, 2.0, 3.0, SERIES_SWITCH)
 CF_GAP = 2**-36
 # terms of the class-number series evaluated per numpy block
 SERIES_BLOCK = 1 << 16
@@ -97,8 +96,6 @@ SERIES_TERM_LIMIT = 10**7
 # largest prime bound B of l_value_truncated: its sieve and character peak
 # at 7.5 bytes per B under tracemalloc at B = 10**6
 MAX_EULER_BOUND = 10**6
-# bits of h_bound's 30-digit arithmetic
-_H_BOUND_PREC = dps_to_prec(30)
 # class_number takes h from the form cycles below FORMS_BELOW and from the
 # series from there up: on 2 vCPUs, best of five passes, 150 consecutive
 # fundamental d took 0.11 ms each by the forms against 0.54 by the series
@@ -164,17 +161,23 @@ _SERIES_MAGNITUDE = sum(
     (abs(e1) + 2 * abs(erf)) * SERIES_SWITCH**k
     for k, (e1, erf) in enumerate(map(_series_coefficients, range(SERIES_TERMS + 1)))
 )
-_SERIES_DEGREES = [
-    next(k for k in count() if _omitted_terms(x, k) <= _SERIES_TRUNCATION)
-    for x in SERIES_BANDS
-]
-# the Horner steps k = K, ..., 0 of _power_series: the x^k coefficients as a
-# column, and the number of bands of SERIES_BANDS, from the first, whose
-# degree is below k; their x skip step k
-_SERIES_STEPS = [
-    (np.array(_series_coefficients(k))[:, None], sum(g < k for g in _SERIES_DEGREES))
-    for k in range(SERIES_TERMS, -1, -1)
-]
+
+
+def _series_edge(k: int) -> float:
+    """The largest x, less about 2**-40 relative, whose first terms omitted
+    after x^k are at most T = _SERIES_TRUNCATION: the root of _omitted_terms
+    = T, lowered until that float, which rounds, is at most T (1 - 2**-40)."""
+    edge = _SERIES_TRUNCATION * factorial(k + 1) / (1 / (k + 1) + 2 / (2 * k + 3))
+    edge **= 1 / (k + 1)
+    while _omitted_terms(edge, k) > _SERIES_TRUNCATION * (1 - 2**-40):
+        edge *= 1 - 2**-40
+    return edge
+
+
+# the ascending edges of the degrees k < K: an x up to the edge of k - 1
+# skips the x^k step of _power_series; and the x^k coefficients, k <= K
+_SERIES_EDGES = [_series_edge(k) for k in range(SERIES_TERMS)]
+_SERIES_COEFFS = np.array([_series_coefficients(k) for k in range(SERIES_TERMS + 1)])
 # the backward steps j = M + 1, ..., 1 of _fractions, M the depth at
 # SERIES_SWITCH, the deepest: j and the j-th partial numerators as a column
 _CF_STEPS = [
@@ -329,14 +332,14 @@ def _power_series(x: np.ndarray, root_over_n: np.ndarray) -> np.ndarray:
     """A_n and B_n, as rows, for 0 < x_n <= SERIES_SWITCH by the power
     series (see _series_sum)."""
     # rows: the E1 series and P (see _series_sum), by Horner's rule; each x
-    # starts from 0 at the degree of its band, so its first step leaves that
-    # degree's coefficients
+    # starts from 0 at its least degree, so its first step leaves that
+    # degree's coefficients. Step k takes the x above the edge of k - 1
     acc = np.zeros((2, len(x)))
-    ends = [0] + np.searchsorted(x, SERIES_BANDS, "right").tolist()
-    for coeffs, skipped in _SERIES_STEPS:
-        view = acc[:, ends[skipped] :]
-        view *= x[ends[skipped] :]
-        view += coeffs
+    starts = [0] + np.searchsorted(x, _SERIES_EDGES, "right").tolist()
+    for k in range(SERIES_TERMS, -1, -1):
+        view = acc[:, starts[k] :]
+        view *= x[starts[k] :]
+        view += _SERIES_COEFFS[k, :, None]
     e1, p = acc
     return np.array([root_over_n - 2.0 * p, e1 - np.log(x) - _EULER_GAMMA])
 
@@ -378,11 +381,11 @@ def _series_sum(d: int, n_max: int) -> tuple[float, float]:
     - x~ <= SERIES_SWITCH, _power_series: B = -gamma - log x + sum_{k>=1}
       c_k x^k (DLMF 6.6.2) and A = r - 2 P(x), r = sqrt(d)/n, P = sqrt(pi)
       erf(sqrt x) / (2 sqrt x) = sum_{k>=0} a_k x^k (DLMF 7.6.1), cut
-      after x^k, k <= K = SERIES_TERMS the degree of x's band in
-      SERIES_BANDS. Their terms alternate and, since k + 1 > x, fall from
-      the first omitted one on, so the cuts cost at most the first omitted
-      terms at the band's edge, and these at most T = _SERIES_TRUNCATION,
-      the ones at x = SERIES_SWITCH and k = K. Horner's rule errs by 2Ku
+      after x^k, k <= K = SERIES_TERMS the least degree whose first
+      omitted terms at x are at most T = _SERIES_TRUNCATION, the ones at x
+      = SERIES_SWITCH and k = K. Their terms alternate and, since k + 1 >
+      x, fall from the first omitted one on, so the cuts cost at most T
+      (see _series_edge). Horner's rule errs by 2Ku
       mu and the rounded coefficients by u mu/2, mu = sum (|c_k| + 2
       |a_k|) x^k; log errs by L |log x~|, r by 2u r, gamma by u gamma/2,
       and moving x by 5u x moves E1 by 5u e^-x and 2 P by 5u (|x P'| <=
@@ -557,7 +560,7 @@ def h_bound(d: int, constant: float) -> float:
         raise ValueError("h_bound: need d >= 16 so log log d > 0")
     # each operation rounded to nearest at 30 digits; the float constant
     # and the factor 1 - 2**-90 enter exactly
-    prec, rnd = _H_BOUND_PREC, round_nearest
+    prec, rnd = REGULATOR_PREC, round_nearest
     log_d = mpf_log(from_int(d), prec, rnd)
     top = mpf_mul(from_float(constant), mpf_sqrt(from_int(d), prec, rnd), prec, rnd)
     below = mpf_mul(

@@ -169,7 +169,14 @@ def _int(token: str, flag: str) -> int:
 
 
 def _parse_primes(text: str) -> list[int]:
-    return [_int(token, "--primes") for token in _tokens(text.replace(";", ","))]
+    """The --primes list, an argparse type: a bad token is a usage error."""
+    primes = []
+    for token in _tokens(text.replace(";", ",")):
+        try:
+            primes.append(int(token))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{token!r} is not an integer") from None
+    return primes
 
 
 def _parse_norm_splits(text: str) -> tuple[NormSplit, ...]:
@@ -295,9 +302,7 @@ def _progression_text(spec, strict_range, k_min, k_max) -> list[str]:
 def cmd_cf(args) -> int:
     d, a = args.d, args.a
     b = args.b if args.b is not None else d % 2
-    if args.max_steps is not None and args.max_steps < 0:
-        raise ValueError(f"cf --max-steps must be >= 0, got {args.max_steps}")
-    exp = cf_expand(QuadIrrational(d, a, b), max_steps=args.max_steps)
+    exp = cf_expand(QuadIrrational(d, a, b))
     record = {
         "d": d,
         "a": a,
@@ -546,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cf.add_argument("--d", type=int, required=True)
     p_cf.add_argument("--a", type=int, default=1)
     p_cf.add_argument("--b", type=int, default=None)
-    p_cf.add_argument("--max-steps", type=int, default=None)
     _add_common(p_cf, cmd_cf)
 
     p_unit = sub.add_parser("unit", help="fundamental unit and regulator")

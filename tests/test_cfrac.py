@@ -129,28 +129,22 @@ def test_cf_expand_matches_seen_dict_oracle():
     assert with_preperiod > 900
 
 
-def test_max_steps_boundary():
-    # T quotients in all: max_steps = T - 1 closes, T - 2 does not, and a
-    # negative T - 2 (T = 1, as for d = 5) is refused before any step
+def test_max_steps_boundary(monkeypatch):
+    # P + T quotients in all: a step limit of P + T - 1 closes, and P + T - 2
+    # (-1 when P + T = 1, as for d = 5) overflows, naming the limit
     starts = [canonical_irrational(d) for d in (5, 8, 13, 61, 9949)]
     starts += random_starts(random.Random(43), 50, 10**4)
-    for rho in starts:
-        exp = cf_expand(rho)
+    expansions = [cf_expand(rho) for rho in starts]
+    assert any(exp.preperiod for exp in expansions)
+    assert len(expansions[0].period) == 1
+    for rho, exp in zip(starts, expansions):
         total = len(exp.preperiod) + len(exp.period)
-        assert cf_expand(rho, max_steps=total - 1) == exp
-        if total - 2 < 0:
-            with pytest.raises(ValueError, match=f"got {total - 2}$"):
-                cf_expand(rho, max_steps=total - 2)
-        else:
-            with pytest.raises(PeriodOverflow, match="did not close"):
-                cf_expand(rho, max_steps=total - 2)
-
-
-def test_max_steps_overflow():
-    with pytest.raises(PeriodOverflow, match="did not close"):
-        cf_expand(canonical_irrational(9949), max_steps=2)
-    with pytest.raises(ValueError, match="max_steps must be >= 0, got -5$"):
-        cf_expand(QuadIrrational(61, 1, 1), max_steps=-5)
+        monkeypatch.setattr(cfrac, "PERIOD_STEP_LIMIT", total - 1)
+        assert cf_expand(rho) == exp
+        monkeypatch.setattr(cfrac, "PERIOD_STEP_LIMIT", total - 2)
+        within = f"did not close within PERIOD_STEP_LIMIT = {total - 2} steps"
+        with pytest.raises(PeriodOverflow, match=within):
+            cf_expand(rho)
 
 
 def test_cf_expand_default_budget_is_the_step_limit():

@@ -594,10 +594,11 @@ CF_EDGES = range(int(classno.SERIES_SWITCH), 61)
 
 def series_term_points():
     """899 points from 1e-12 to 60, log-spaced up to 1 and evenly above,
-    and each side of every edge of SERIES_BANDS, the last SERIES_SWITCH,
-    and of CF_EDGES."""
+    and each side of every power-series degree edge from 1e-12 up, of
+    SERIES_SWITCH and of CF_EDGES."""
     x = np.concatenate([np.geomspace(1e-12, 1.0, 300), np.linspace(1.0, 60.0, 600)[1:]])
-    edges = list(classno.SERIES_BANDS) + list(CF_EDGES[1:])
+    degree_edges = [e for e in classno._SERIES_EDGES if e >= 1e-12]
+    edges = degree_edges + [classno.SERIES_SWITCH] + list(CF_EDGES[1:])
     near = [np.nextafter(e, s) for e in edges for s in (0.0, np.inf)]
     near += [e * (1 + s) for e in edges for s in (-1e-6, 1e-6)]
     return np.unique(np.concatenate([x, edges, near]))
@@ -644,22 +645,27 @@ def test_series_terms_within_their_error_bounds():
 
 
 def test_power_series_bound_covers_its_truncation():
-    # at each band's upper edge, where the omitted terms are largest, the
-    # series cut after the band's degree and summed in 40 digits lies within
-    # T = _SERIES_TRUNCATION of A + B; the rounding charges are thousands of
-    # times larger, so only this check sees T. At SERIES_SWITCH, degree
-    # SERIES_TERMS, the cut takes most of T
+    # at the edge of each degree k < K, where its omitted terms are largest,
+    # and at SERIES_SWITCH with k = K, the series cut after x^k and summed
+    # in 40 digits lies within T = _SERIES_TRUNCATION of A + B; the rounding
+    # charges are thousands of times larger, so only this check sees T. At
+    # SERIES_SWITCH the cut takes most of T. Each edge is the largest x, to a
+    # relative 2**-36, whose first omitted terms are at most T
     t = classno._SERIES_TRUNCATION
+    edges = classno._SERIES_EDGES + [classno.SERIES_SWITCH]
+    assert edges == sorted(edges) and len(edges) == classno.SERIES_TERMS + 1
+    for degree, edge in enumerate(edges[:-1]):
+        assert classno._omitted_terms(edge, degree) <= t, degree
+        assert classno._omitted_terms(edge * (1 + 2**-36), degree) > t, degree
     with mp.workdps(40):
-        for edge, degree in zip(classno.SERIES_BANDS, classno._SERIES_DEGREES):
+        for degree, edge in enumerate(edges):
             v, k = mpf(edge), range(degree + 1)
             e1 = mp.fsum((-1) ** (j + 1) * v**j / (j * mp.factorial(j)) for j in k[1:])
             p = mp.fsum((-1) ** j * v**j / (mp.factorial(j) * (2 * j + 1)) for j in k)
             cut = mp.sqrt(mp.pi / v) - 2 * p + e1 - mp.euler - mp.log(v)
             exact = mp.sqrt(mp.pi / v) * mp.erfc(mp.sqrt(v)) + mp.e1(v)
-            assert 0 < abs(cut - exact) <= t, edge
+            assert 0 < abs(cut - exact) <= t, (degree, edge)
         assert abs(cut - exact) >= t / 2
-    assert degree == classno.SERIES_TERMS
 
 
 # the partial numerators of e^x A = sqrt(pi) e^x erfc(sqrt x) / sqrt x (DLMF

@@ -127,19 +127,6 @@ def test_classno_refuses_unsettled_trial_division(monkeypatch):
     }
 
 
-def test_cf_max_steps_zero_closes_and_negative_is_refused():
-    # d = 5 has a one-quotient period, so no step past the first is needed
-    code, out, err = run_cli(["cf", "--d", "5", "--max-steps", "0"])
-    assert code == 0 and err == ""
-    assert one_json(out)["period"] == [1]
-    code, out, err = run_cli(["cf", "--d", "5", "--max-steps", "-5"])
-    assert code == 1 and out == ""
-    assert one_json(err) == {
-        "error": "ValueError",
-        "message": "cf --max-steps must be >= 0, got -5",
-    }
-
-
 def test_lvalue_exact_golden_ratio():
     code, out, _ = run_cli(["lvalue", "--d", "5"])
     assert code == 0
@@ -1211,7 +1198,8 @@ def test_malformed_primes_token_is_a_usage_error():
     with redirect_stderr(err), pytest.raises(SystemExit) as excinfo:
         main(["constants", "--m", "1", "--primes", "2,x"])
     assert excinfo.value.code == 2
-    assert "argument --primes" in err.getvalue()
+    assert "argument --primes: 'x' is not an integer" in err.getvalue()
+    assert "_parse_primes" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------
