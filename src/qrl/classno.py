@@ -10,13 +10,16 @@ budget, and divided by the regulator enclosure of `cfrac`; h is the only
 integer in the resulting interval, else d is refused with a ValueError
 (see _field_class_number). chi_d comes from a cached table of the
 smallest prime factors of the n <= N, so each d costs one Euler criterion
-at the primes and one gather per block [2^j, 2^(j+1)). For pi n^2/d up to
-4 both terms come from their power series, in one Horner pass, each at
-its least degree that the truncation bound allows; above it
-from their continued fractions, in one backward pass per block, as deep as
-the block's least pi n^2/d needs. Only values are computed: one closed form
-in d, N and the number of power-series terms bounds the truncation and
-rounding of them all.
+at the primes, kept for the last d so that its Euler product reads it
+too, and one gather per block [2^j, 2^(j+1)). For pi n^2/d up to 4 the sum
+of both terms comes from one power series, one Horner row whose exact
+coefficients are rounded once, each argument at its least degree that the
+truncation bound allows; above it both come from their continued
+fractions, in one backward pass per block, as deep as the block's least
+pi n^2/d needs. numpy sums the terms in rows of SERIES_ROW and math.fsum
+adds the row sums. Only values are computed: one closed form in d, N and
+the number of power-series terms bounds the truncation and rounding of
+them all, the rows' recursive-summation bound included.
 An order of conductor f > 1 takes h from its field and the unit index.
 `class_number_forms` counts the cycles of the reduced primitive
 (b + sqrt(d))/(2a), a > 0, under the continued-fraction step: one numpy
@@ -33,6 +36,7 @@ a fundamental d, and approximately from a truncated Euler product.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -86,21 +90,23 @@ TAIL_SHARE = 1 / 2
 SERIES_SWITCH = 4.0
 SERIES_TERMS = 30
 CF_GAP = 2**-36
-# terms of the class-number series evaluated per numpy block
+# terms of the class-number series evaluated per numpy block, and summed
+# per row of SERIES_ROW terms by numpy before math.fsum adds the row sums
 SERIES_BLOCK = 1 << 16
+SERIES_ROW = 32
 # most terms N of the class-number series, and the bound of the cached
 # tables of chi_d: they keep 4.5 bytes per term at N = 10**7 (int32 smallest
-# prime factors, int64 primes), where the series peaks near 0.12 GB RSS and
-# takes 1.7-2.0 s on 2 vCPUs (about 1.5 s once the tables are built)
+# prime factors, int64 primes), where the series peaks near 0.12-0.14 GB
+# RSS and takes 1.2-1.3 s on 2 vCPUs (0.8-0.95 s once the tables are built)
 SERIES_TERM_LIMIT = 10**7
 # largest prime bound B of l_value_truncated: its sieve and character peak
 # at 7.5 bytes per B under tracemalloc at B = 10**6
 MAX_EULER_BOUND = 10**6
 # class_number takes h from the form cycles below FORMS_BELOW and from the
 # series from there up: on 2 vCPUs, best of five passes, 150 consecutive
-# fundamental d took 0.11 ms each by the forms against 0.54 by the series
-# from 2*10**4, 0.21 against 0.62 from 10**5, 0.70 against 0.64 from
-# 1.5*10**5 and 0.83 against 0.59 from 2*10**5
+# fundamental d took 0.09 ms each by the forms against 0.25 by the series
+# from 2*10**4, 0.17 against 0.27 from 8.5*10**4, 0.33 against 0.30 from
+# 10**5, 0.50 against 0.31 from 1.5*10**5 and 0.64 against 0.31 from 2*10**5
 FORMS_BELOW = 10**5
 # reduced_forms refuses d >= FORM_GRID_LIMIT: below it b*b, m_b = (d - b*b)/4
 # and every position in the (b, a) grid stay below 2**53, so they are exact
@@ -116,12 +122,13 @@ _LIBM = 2.0**-46
 _EULER_GAMMA = 0.5772156649015329
 
 
-def _series_coefficients(k: int) -> tuple[float, float]:
-    """The x^k coefficients of E1(x) + gamma + log x (DLMF 6.6.2) and of
-    sqrt(pi) erf(sqrt x) / (2 sqrt x) (DLMF 7.6.1)."""
-    e1 = (-1) ** (k + 1) / (k * factorial(k)) if k else 0.0
-    erf = (-1) ** k / (factorial(k) * (2 * k + 1))
-    return e1, erf
+def _series_coefficient(k: int) -> Fraction:
+    """The x^k coefficient of Q (see _series_sum), exactly: c_k - 2 a_k, c_k
+    that of E1(x) + gamma + log x (DLMF 6.6.2) and a_k that of sqrt(pi)
+    erf(sqrt x) / (2 sqrt x) (DLMF 7.6.1), both of sign (-1)^(k+1)."""
+    c = Fraction((-1) ** (k + 1), k * factorial(k)) if k else 0
+    a = Fraction((-1) ** k, factorial(k) * (2 * k + 1))
+    return c - 2 * a
 
 
 def _omitted_terms(x: float, k: int) -> float:
@@ -154,12 +161,13 @@ def _cf_depth(x: float) -> int:
             return j - 1
 
 
-# the truncation bound of the power series, and mu = sum (|c_k| + 2 |a_k|)
-# x^k, k <= SERIES_TERMS, at x = SERIES_SWITCH (see _series_sum)
+# the x^k coefficients of Q, k <= SERIES_TERMS, exactly; the truncation
+# bound of the power series, and mu = sum |c_k - 2 a_k| x^k = sum (|c_k| +
+# 2 |a_k|) x^k at x = SERIES_SWITCH (see _series_sum)
+_SERIES_EXACT = [_series_coefficient(k) for k in range(SERIES_TERMS + 1)]
 _SERIES_TRUNCATION = _omitted_terms(SERIES_SWITCH, SERIES_TERMS)
-_SERIES_MAGNITUDE = sum(
-    (abs(e1) + 2 * abs(erf)) * SERIES_SWITCH**k
-    for k, (e1, erf) in enumerate(map(_series_coefficients, range(SERIES_TERMS + 1)))
+_SERIES_MAGNITUDE = float(
+    sum(abs(q) * Fraction(SERIES_SWITCH) ** k for k, q in enumerate(_SERIES_EXACT))
 )
 
 
@@ -175,9 +183,10 @@ def _series_edge(k: int) -> float:
 
 
 # the ascending edges of the degrees k < K: an x up to the edge of k - 1
-# skips the x^k step of _power_series; and the x^k coefficients, k <= K
+# skips the x^k step of _power_series; and the x^k coefficients of Q, each
+# rounded once
 _SERIES_EDGES = [_series_edge(k) for k in range(SERIES_TERMS)]
-_SERIES_COEFFS = np.array([_series_coefficients(k) for k in range(SERIES_TERMS + 1)])
+_SERIES_COEFFS = [float(q) for q in _SERIES_EXACT]
 # the backward steps j = M + 1, ..., 1 of _fractions, M the depth at
 # SERIES_SWITCH, the deepest: j and the j-th partial numerators as a column
 _CF_STEPS = [
@@ -288,6 +297,24 @@ def _kronecker_at_primes(d: int, primes: np.ndarray) -> np.ndarray:
     return chi
 
 
+# the last d's chi at the first primes, as (d, a read-only int8 array): the
+# series and then the Euler product of one d share one Euler criterion
+_chi_cache: tuple[int, np.ndarray] | None = None
+
+
+def _chi_at_primes(d: int, primes: np.ndarray) -> np.ndarray:
+    """_kronecker_at_primes(d, primes) for primes the first of the ascending
+    primes, sliced from the cached values of the last d when they reach as
+    far, else computed and cached in their place."""
+    global _chi_cache
+    cached = _chi_cache
+    if cached is None or cached[0] != d or len(cached[1]) < len(primes):
+        chi = _kronecker_at_primes(d, primes)
+        chi.flags.writeable = False
+        _chi_cache = cached = d, chi
+    return cached[1][: len(primes)]
+
+
 # the cached (spf, primes) of _character_table: spf =
 # smallest_prime_factors(bound) and the primes <= bound read from it, int64
 _spf_table: tuple[np.ndarray, np.ndarray] | None = None
@@ -318,7 +345,7 @@ def _character_table(d: int, n: int) -> np.ndarray:
     chi = np.zeros(n + 1, dtype=np.int8)
     chi[1:2] = 1  # a slice: n may be 0
     primes = primes[: np.searchsorted(primes, n, "right")]
-    chi[primes] = _kronecker_at_primes(d, primes)
+    chi[primes] = _chi_at_primes(d, primes)
     lo = 4
     while lo <= n:
         hi = min(2 * lo, n + 1)
@@ -329,19 +356,21 @@ def _character_table(d: int, n: int) -> np.ndarray:
 
 
 def _power_series(x: np.ndarray, root_over_n: np.ndarray) -> np.ndarray:
-    """A_n and B_n, as rows, for 0 < x_n <= SERIES_SWITCH by the power
-    series (see _series_sum)."""
-    # rows: the E1 series and P (see _series_sum), by Horner's rule; each x
-    # starts from 0 at its least degree, so its first step leaves that
-    # degree's coefficients. Step k takes the x above the edge of k - 1
-    acc = np.zeros((2, len(x)))
+    """A_n + B_n for 0 < x_n <= SERIES_SWITCH by the power series, as r +
+    ((Q(x) - log x) - gamma) (see _series_sum)."""
+    # Q by Horner's rule; each x starts from 0 at its least degree, so its
+    # first step leaves that degree's coefficient. Step k takes the x above
+    # the edge of k - 1, and the steps that take none are skipped
+    acc = np.zeros(len(x))
     starts = [0] + np.searchsorted(x, _SERIES_EDGES, "right").tolist()
-    for k in range(SERIES_TERMS, -1, -1):
-        view = acc[:, starts[k] :]
+    for k in range(bisect_left(starts, len(x)) - 1, -1, -1):
+        view = acc[starts[k] :]
         view *= x[starts[k] :]
-        view += _SERIES_COEFFS[k, :, None]
-    e1, p = acc
-    return np.array([root_over_n - 2.0 * p, e1 - np.log(x) - _EULER_GAMMA])
+        view += _SERIES_COEFFS[k]
+    acc -= np.log(x)
+    acc -= _EULER_GAMMA
+    acc += root_over_n
+    return acc
 
 
 def _fractions(x: np.ndarray) -> np.ndarray:
@@ -355,6 +384,15 @@ def _fractions(x: np.ndarray) -> np.ndarray:
             t += x if j % 2 else 1.0
             np.divide(numerators, t, out=t)
     return np.exp(-x) * t
+
+
+def _row_sum(terms: np.ndarray) -> float:
+    """math.fsum of numpy's sums of the rows of SERIES_ROW = m terms, the
+    last padded with zeros: within gamma_(m-1) sum |t| + u |S~| of the
+    exact sum (see _series_sum)."""
+    rows = np.zeros(-(-len(terms) // SERIES_ROW) * SERIES_ROW)
+    rows[: len(terms)] = terms
+    return fsum(rows.reshape(-1, SERIES_ROW).sum(axis=1).tolist())
 
 
 def _series_sum(d: int, n_max: int) -> tuple[float, float]:
@@ -375,25 +413,29 @@ def _series_sum(d: int, n_max: int) -> tuple[float, float]:
     that, which covers its own float evaluation.
 
     Terms. n and chi_n are exact, and the computed x~_n (pi, d, a
-    division, two products) carries a relative error of at most 5u. Each
-    term's error counts its own rounding and the block sum's, u (|A~| +
-    |B~|): math.fsum is correctly rounded.
+    division, two products) carries a relative error of at most 5u. A
+    block's terms t are summed in rows of m = SERIES_ROW by numpy and the
+    row sums by math.fsum, which is correctly rounded; each term's error
+    counts its own rounding and the fsum's, u |t~|, and the rows are
+    charged below.
     - x~ <= SERIES_SWITCH, _power_series: B = -gamma - log x + sum_{k>=1}
       c_k x^k (DLMF 6.6.2) and A = r - 2 P(x), r = sqrt(d)/n, P = sqrt(pi)
-      erf(sqrt x) / (2 sqrt x) = sum_{k>=0} a_k x^k (DLMF 7.6.1), cut
-      after x^k, k <= K = SERIES_TERMS the least degree whose first
-      omitted terms at x are at most T = _SERIES_TRUNCATION, the ones at x
-      = SERIES_SWITCH and k = K. Their terms alternate and, since k + 1 >
-      x, fall from the first omitted one on, so the cuts cost at most T
-      (see _series_edge). Horner's rule errs by 2Ku
-      mu and the rounded coefficients by u mu/2, mu = sum (|c_k| + 2
-      |a_k|) x^k; log errs by L |log x~|, r by 2u r, gamma by u gamma/2,
-      and moving x by 5u x moves E1 by 5u e^-x and 2 P by 5u (|x P'| <=
-      1/2). The subtraction in A~, the sum and the block sum cost u |A~| <=
-      u r each; the series less log x~ costs u (mu + |log x|), and the
-      subtraction of gamma, the sum and the block sum u |B~| <= u (gamma +
-      |log x| + mu) each. In all, (2K + 5)u mu + (L + 4u) |log x~| + 5u r
-      + (4 gamma + 10)u + T. mu rises with x, so mu <= _SERIES_MAGNITUDE,
+      erf(sqrt x) / (2 sqrt x) = sum_{k>=0} a_k x^k (DLMF 7.6.1), so A + B
+      = r + ((Q(x) - log x) - gamma) with Q = sum (c_k - 2 a_k) x^k, added
+      in that order. Q is cut after x^k, k <= K = SERIES_TERMS the least
+      degree whose first omitted terms at x are at most T =
+      _SERIES_TRUNCATION, the ones at x = SERIES_SWITCH and k = K. The
+      terms of both series alternate and, since k + 1 > x, fall from the
+      first omitted one on, so the cut costs at most T (see _series_edge).
+      c_k and -2 a_k share the sign (-1)^(k+1), so mu = sum |c_k - 2 a_k|
+      x^k = sum (|c_k| + 2 |a_k|) x^k. Horner's rule errs by 2Ku mu and the
+      coefficients, each rounded once from its exact value, by u mu/2; log
+      errs by L |log x~|, r by 2u r, gamma by u gamma/2, and moving x by 5u
+      x moves E1 by 5u e^-x and 2 P by 5u (|x P'| <= 1/2). Q less log x~
+      costs u (mu + |log x|), less gamma u (mu + |log x| + gamma), and the
+      addition of r and the fsum u |A~ + B~| <= u (r + mu + |log x| +
+      gamma) each. In all, within (2K + 5)u mu + (L + 4u) |log x~| + 5u r +
+      (4 gamma + 10)u + T. mu rises with x, so mu <= _SERIES_MAGNITUDE,
       its value at SERIES_SWITCH; x~ >= (1 - 5u) pi/d bounds |log x~| by
       log max(d/pi, 4) to second order; and the r of the n <= N sum to at
       most sqrt(d) (1 + log N). So the n_near terms err by at most n_near
@@ -413,15 +455,25 @@ def _series_sum(d: int, n_max: int) -> tuple[float, float]:
       <= 2(M + 1)u relative, M = _cf_depth(SERIES_SWITCH). F lies in (1/(x +
       1), 1/x) and G in (1/(x + 1/2), 1/x), so |F'| <= F/x and |G'| <= G/x:
       the argument's 5u x moves them by 5u relative, and exp(-x~) errs by L
-      + 5Xu. The products by e^-x~, the sum and the block sum cost u each.
+      + 5Xu. The products by e^-x~, the sum and the fsum cost u each.
       As F + G < 2/x < 1/2, a term errs by at most e^-x (2 CF_GAP + (L + (5X
       + 2M + 10)u)/2), and the e^-x_n sum to at most e^-s + int_{n_1}^oo
       e^(-pi y^2/d) dy <= e^-s (1 + sqrt(d)/(2 sqrt(pi s))) <= e^-s (1 +
       sqrt(d)/4), s = SERIES_SWITCH and n_1 the least n with x_n > s.
 
+    Rows. numpy sums each row of m terms in some order of pairwise
+    additions, which errs by at most gamma_(m-1) times the row's sum of
+    |t~|, gamma_k = ku/(1 - ku) (Higham 2002, sec. 4.2), whatever the
+    order; the zeros that pad the last row are exact. The near terms have
+    |A + B| <= r + gamma + |log x| + mu and the far ones e^-x (F + G) <
+    e^-x/2, so sum |t| <= M = sqrt(d) (1 + log N) + n_near (gamma + log
+    max(d/pi, 4) + mu) + e^-s (1 + sqrt(d)/4)/2, and the rows err by at
+    most gamma_(m-1) M.
+
     Sum. math.fsum of the block sums is correctly rounded: u |S~|. E is twice
-    the rounding bounds above and u |S~|, which covers the second-order
-    terms and E's own float evaluation, plus n_near T and the tail."""
+    the rounding bounds above, gamma_(m-1) M and u |S~|, which covers the
+    second-order terms and E's own float evaluation, plus n_near T and the
+    tail."""
     chi = _character_table(d, n_max)
     root, scale = sqrt(d), pi / d
     sums: list[float] = []
@@ -431,18 +483,24 @@ def _series_sum(d: int, n_max: int) -> tuple[float, float]:
         nf = n.astype(np.float64)
         x = nf * (nf * scale)
         cut = int(np.searchsorted(x, SERIES_SWITCH, "right"))
-        near = _power_series(x[:cut], root / nf[:cut])
-        terms = np.concatenate([near, _fractions(x[cut:])], axis=1)
-        sums.append(fsum((chi[n] * (terms[0] + terms[1])).tolist()))
+        far = _fractions(x[cut:])
+        terms = np.concatenate([_power_series(x[:cut], root / nf[:cut]), far[0] + far[1]])
+        terms *= chi[n]
+        sums.append(_row_sum(terms))
         n_near += cut
     total = fsum(sums)
     x_max = pi * n_max * n_max / d
+    log_x = log(max(d / pi, 4.0))  # bounds |log x~|
     per_near = ((2 * SERIES_TERMS + 5) * _SERIES_MAGNITUDE + 4 * _EULER_GAMMA + 10) * _U
-    per_near += (_LIBM + 4 * _U) * log(max(d / pi, 4.0))
+    per_near += (_LIBM + 4 * _U) * log_x
     depth = _cf_depth(SERIES_SWITCH)
     per_far = 2 * CF_GAP + (_LIBM + (5 * x_max + 2 * depth + 10) * _U) / 2
     rounding = n_near * per_near + 5 * _U * root * (1 + log(n_max))
     rounding += exp(-SERIES_SWITCH) * (1 + root / 4) * per_far + _U * abs(total)
+    # the rows: gamma_(m-1) M
+    magnitude = root * (1 + log(n_max)) + exp(-SERIES_SWITCH) * (1 + root / 4) / 2
+    magnitude += n_near * (_EULER_GAMMA + log_x + _SERIES_MAGNITUDE)
+    rounding += (SERIES_ROW - 1) * _U / (1 - (SERIES_ROW - 1) * _U) * magnitude
     tail = 2 * sqrt(d / pi) * exp(-x_max) * x_max**-1.5
     return total, 2 * rounding + n_near * _SERIES_TRUNCATION + tail
 
@@ -473,7 +531,7 @@ def _field_class_number(d: int, d_k: int, r_lo: Fraction, r_hi: Fraction) -> int
     2**-40 for its own rounding, and r_hi - r_lo, twice (16 + 8R) 2**-103 +
     T 2**-190, is below 2**-95 R. So the width is below 1, and h the one
     integer inside, while E's rounding part stays below about R/2: at most
-    5.4e-7 R at N near SERIES_TERM_LIMIT, where it is loosest."""
+    7.3e-7 R at N near SERIES_TERM_LIMIT, where it is loosest."""
     # r_lo > 0, as R >= log((1 + sqrt 5)/2) > 0.48 lies far above the
     # error. X >= 1 with 2 sqrt(d_k/pi) e^-X <= TAIL_SHARE R, so that the
     # tail bound 2 sqrt(d_k/pi) e^-X X^(-3/2) of _series_sum is below it too
@@ -546,7 +604,7 @@ def l_value_truncated(d: int, B: int) -> float:
         )
     primes = prime_array(B)
     prod = 1.0
-    for p, chi in zip(primes.tolist(), _kronecker_at_primes(d, primes).tolist()):
+    for p, chi in zip(primes.tolist(), _chi_at_primes(d, primes).tolist()):
         if chi:
             prod *= p / (p - chi)
     return prod

@@ -247,7 +247,7 @@ def pow_mod_array(base, exp, mod) -> np.ndarray:
     for bit in range(int(exp.max(initial=0)).bit_length()):
         if bit:
             base = base * base % mod
-        result = np.where((exp >> bit) & 1 == 1, result * base % mod, result)
+        result = np.where(exp & (1 << bit), result * base % mod, result)
     return result
 
 

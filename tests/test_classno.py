@@ -34,6 +34,7 @@ from qrl.intarith import (
     fundamental_decomposition,
     is_discriminant,
     kronecker,
+    prime_array,
 )
 from test_families import legendre_table
 from test_intarith import divisors
@@ -587,6 +588,59 @@ def test_prime_tables_bytes_per_term(monkeypatch):
     assert spf.nbytes + primes.nbytes <= 5 * bound
 
 
+def test_chi_at_primes_matches_a_fresh_euler_criterion(monkeypatch):
+    # the cache keeps the last d's chi at the first primes: it must serve a
+    # shorter prefix after a longer call for the same d, another d after it,
+    # and the primes of the spf tables across their growth, which are
+    # prefixes of the same ascending primes
+    monkeypatch.setattr(classno, "_chi_cache", None)
+    monkeypatch.setattr(classno, "_spf_table", None)
+
+    def check(d, primes):
+        got = classno._chi_at_primes(d, primes)
+        assert got.tolist() == classno._kronecker_at_primes(d, primes).tolist()
+        assert classno._chi_cache[0] == d
+
+    d, other, primes = 4 * 217, 4 * (2**89 - 1), prime_array(3000)
+    check(d, primes)
+    check(d, primes[:40])  # after a longer call for the same d
+    check(other, primes[:40])  # after a call for another d
+    check(d, primes[:10])
+    classno._character_table(d, 600)
+    small = classno._spf_table[1]
+    small = small[: np.searchsorted(small, 600, "right")]
+    check(d, small)
+    classno._character_table(d, 2000)  # the spf tables grow
+    assert len(classno._spf_table[0]) > 2000
+    check(d, small)
+    check(d, primes)
+    with pytest.raises(ValueError):
+        classno._chi_cache[1][0] = 0  # the cached values are read-only
+
+
+def test_series_and_euler_product_share_one_euler_criterion(monkeypatch):
+    # the series and then l_value_truncated of one d, B <= N, run Euler's
+    # criterion once; the product still equals the kronecker oracle, and a
+    # B past the cached primes runs it again
+    monkeypatch.setattr(classno, "_chi_cache", None)
+    calls = []
+    fresh = classno._kronecker_at_primes
+
+    def counting(d, primes):
+        calls.append((d, len(primes)))
+        return fresh(d, primes)
+
+    monkeypatch.setattr(classno, "_kronecker_at_primes", counting)
+    for d in (5, 4 * 217, 10**6 + 1, 1000000000061):
+        calls.clear()
+        classno._series_sum(d, 3000)
+        for B in (1, 2, 217, 3000):
+            assert l_value_truncated(d, B) == kronecker_euler_product(d, B), (d, B)
+        assert len(calls) == 1, (d, calls)
+        assert l_value_truncated(d, 3500) == kronecker_euler_product(d, 3500), d
+        assert len(calls) == 2, (d, calls)
+
+
 # the integers from SERIES_SWITCH to 60: _fractions takes its depth at the
 # floor of its least argument, so these are the edges where the depth changes
 CF_EDGES = range(int(classno.SERIES_SWITCH), 61)
@@ -605,13 +659,14 @@ def series_term_points():
 
 
 def test_series_terms_within_their_error_bounds():
-    # A_n = sqrt(pi) erfc(sqrt x)/sqrt x and B_n = E1(x), each and their sum,
-    # within the charge that _series_sum's closed-form bound makes for one
-    # term at d = 10**13 and X = 60: twice the rounding of a power-series
-    # term plus T, or twice e^-x (2 CF_GAP + (L + (5X + 2M + 10)u)/2) for a
-    # fraction term, with _fractions run on each unit interval [k, k + 1),
-    # so that each depth it derives meets the charge. log(d/pi) >= |log x|
-    # at every point
+    # A_n = sqrt(pi) erfc(sqrt x)/sqrt x and B_n = E1(x) within the charge
+    # that _series_sum's closed-form bound makes for one term at d = 10**13
+    # and X = 60: A + B, the one row of _power_series, within twice the
+    # rounding of a power-series term plus T; A, B and A + B from the two
+    # rows of _fractions within twice e^-x (2 CF_GAP + (L + (5X + 2M +
+    # 10)u)/2), with _fractions run on each unit interval [k, k + 1), so
+    # that each depth it derives meets the charge. log(d/pi) >= |log x| at
+    # every point
     x = series_term_points()
     d, x_max = 10**13, x[-1]
     assert log(d / np.pi) >= -log(x[0])
@@ -623,7 +678,7 @@ def test_series_terms_within_their_error_bounds():
     assert x[cut - 1] == classno.SERIES_SWITCH
     near = classno._power_series(x[:cut], root_over_n[:cut])
     units = np.split(x[cut:], np.searchsorted(x[cut:], CF_EDGES[1:]))
-    terms = np.concatenate([near, *map(classno._fractions, units)], axis=1)
+    rows = np.concatenate([*map(classno._fractions, units)], axis=1)
     u, libm = classno._U, classno._LIBM
     near_charge = 2 * (
         (2 * classno.SERIES_TERMS + 5) * u * classno._SERIES_MAGNITUDE
@@ -634,14 +689,19 @@ def test_series_terms_within_their_error_bounds():
     deepest = classno._cf_depth(classno.SERIES_SWITCH)
     far = (libm + (5 * x_max + 2 * deepest + 10) * u) / 2
     far_charge = 2 * np.exp(-x[cut:]) * (2 * classno.CF_GAP + far)
-    charges = np.concatenate([near_charge + classno._SERIES_TRUNCATION, far_charge])
+    near_charge += classno._SERIES_TRUNCATION
     with mp.workdps(40):
-        for v, a, b, ea, eb, charge in zip(x, *terms, exact_a, exact_b, charges):
+        exact = [ea + eb for ea, eb in zip(exact_a, exact_b)]
+        for v, t, e, charge in zip(x, near, exact, near_charge):
+            assert abs(t - e) <= charge, v
+        far_exact = zip(exact_a[cut:], exact_b[cut:], exact[cut:])
+        for v, a, b, (ea, eb, e), charge in zip(x[cut:], *rows, far_exact, far_charge):
             assert abs(a - ea) <= charge, v
             assert abs(b - eb) <= charge, v
-            assert abs(a + b - (ea + eb)) <= charge, v
-            # and no charge exceeds 1e-8 of its term
-            assert charge <= 1e-8 * (ea + eb), v
+            assert abs(a + b - e) <= charge, v
+        # and no charge exceeds 1e-8 of its term
+        for v, e, charge in zip(x, exact, np.concatenate([near_charge, far_charge])):
+            assert charge <= 1e-8 * e, v
 
 
 def test_power_series_bound_covers_its_truncation():
@@ -776,6 +836,27 @@ def test_series_sum_within_its_error_bound(d):
         assert abs(total - exact) <= err
         h = class_number_forms(d)[0]
         assert abs(exact / (2 * h) - r) < 1e-9 * r
+
+
+# mixed signs, from 0 to a few hundred terms, half of them cancelled
+# exactly by their negations
+MIXED_TERMS = st.lists(
+    st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False), max_size=200
+).flatmap(lambda ts: st.permutations(ts + [-t for t in ts[: len(ts) // 2]]))
+
+
+@given(MIXED_TERMS)
+@example([1e16, 1.0, -1e16] * 11)
+@example([2.0**-1074, 1.0, -1.0] * 40)
+@example([])
+def test_row_sum_within_its_bound(terms):
+    # numpy's row sums and math.fsum over them: within gamma_(m-1) sum |t|
+    # + u |S~| of the exact sum, m = SERIES_ROW, gamma_k = ku/(1 - ku)
+    got = classno._row_sum(np.array(terms, dtype=np.float64))
+    exact = sum(map(Fraction, terms), Fraction(0))
+    k, u = classno.SERIES_ROW - 1, Fraction(classno._U)
+    bound = k * u / (1 - k * u) * sum(abs(Fraction(t)) for t in terms)
+    assert abs(Fraction(got) - exact) <= bound + u * abs(Fraction(got))
 
 
 def test_series_sum_within_its_error_bound_at_paper_scale():

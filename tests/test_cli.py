@@ -195,6 +195,24 @@ def test_family_build_parses_x_exactly():
     assert excinfo.value.code == 2
 
 
+def test_family_build_refuses_x_past_max_scale_digits_before_allocating():
+    # 1e4300 has 4301 digits, and 1e999999999 would take some 400 MB as an
+    # integer: argparse refuses both from their Decimal exponent
+    tracemalloc.start()
+    try:
+        for x in (f"1e{cli.MAX_SCALE_DIGITS}", "1e999999999"):
+            argv = ["family", "build", "--m", "1", "--primes", "5", "--x", x]
+            err = io.StringIO()
+            with pytest.raises(SystemExit) as excinfo, redirect_stderr(err):
+                main(argv)
+            assert excinfo.value.code == 2
+            assert f"{x} is not an integer below 1e4300" in err.getvalue()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
 def test_family_scan_rejects_inconsistent_spec(tmp_path):
     spec_path = tmp_path / "spec.json"
     code, _, _ = run_cli(
