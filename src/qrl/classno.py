@@ -46,13 +46,12 @@ import numpy as np
 from mpmath.libmp import (
     from_float,
     from_int,
-    from_man_exp,
     mpf_div,
     mpf_log,
     mpf_mul,
     mpf_mul_int,
-    mpf_pow_int,
     mpf_sqrt,
+    round_ceiling,
     round_floor,
     round_nearest,
     to_float,
@@ -611,19 +610,15 @@ def l_value_truncated(d: int, B: int) -> float:
 
 
 def h_bound(d: int, constant: float) -> float:
-    """constant sqrt(d) / (log(d)^2 log log d) for d >= 16, evaluated at 30
-    digits, lowered by 2**-90 relative to cover their rounding, and rounded
-    down, so that h <= h_bound(d, constant) certifies the inequality."""
-    if d < 16:
-        raise ValueError("h_bound: need d >= 16 so log log d > 0")
-    # each operation rounded to nearest at 30 digits; the float constant
-    # and the factor 1 - 2**-90 enter exactly
-    prec, rnd = REGULATOR_PREC, round_nearest
-    log_d = mpf_log(from_int(d), prec, rnd)
-    top = mpf_mul(from_float(constant), mpf_sqrt(from_int(d), prec, rnd), prec, rnd)
-    below = mpf_mul(
-        mpf_pow_int(log_d, 2, prec, rnd), mpf_log(log_d, prec, rnd), prec, rnd
-    )
-    value = mpf_div(top, below, prec, rnd)
-    lowered = mpf_mul(value, from_man_exp((1 << 90) - 1, -90), prec, rnd)
-    return to_float(lowered, strict=True, rnd=round_floor)
+    """constant sqrt(d) / (log(d)^2 log log d) for d >= 16 and constant >= 0,
+    evaluated at REGULATOR_PREC with the numerator rounded down and the
+    denominator up, each operation toward its side, and rounded down to a
+    float, so that h <= h_bound(d, constant) certifies the inequality."""
+    if d < 16 or not constant >= 0:
+        raise ValueError("h_bound: need d >= 16, so log log d > 0, and constant >= 0")
+    # the float constant enters exactly
+    prec, down, up = REGULATOR_PREC, round_floor, round_ceiling
+    log_d = mpf_log(from_int(d), prec, up)
+    top = mpf_mul(from_float(constant), mpf_sqrt(from_int(d), prec, down), prec, down)
+    below = mpf_mul(mpf_mul(log_d, log_d, prec, up), mpf_log(log_d, prec, up), prec, up)
+    return to_float(mpf_div(top, below, prec, down), strict=True, rnd=down)

@@ -36,7 +36,6 @@ from mpmath.libmp import (
     mpf_sub,
     round_ceiling,
     round_floor,
-    round_nearest,
     to_float,
 )
 
@@ -167,8 +166,10 @@ class PowerProductSet:
     Member v is the primitive ideal [A_v, (b[v] + sqrt(d))/2] of norm A_v =
     prod_i norms[i]**vectors[v][i], generated by the reduced irrational
     (b[v] + sqrt(d))/(2 A_v). enumerate_power_products, the only
-    constructor, proves each member primitive and reduced, and the rounding
-    argument of regulator_lower_bound rests on that proof."""
+    constructor, proves each member primitive and reduced, so 0 < b[v] <
+    sqrt(d): the coordinates x, y of prod_v (b[v] + sqrt(d)) = x + y sqrt(d)
+    are positive, and regulator_lower_bound, rounding each operation on them
+    down, gets a lower bound of the exact sum."""
 
     d: int
     norms: tuple[int, ...]
@@ -284,9 +285,9 @@ def regulator_lower_bound(products: PowerProductSet) -> BoundReport:
     power-product set, together with the matching simplex integral, at the
     regulator's REGULATOR_PREC bits.
 
-    The two lower bounds are lowered by a bound on their own rounding and
-    rounded down to floats; the regulator, widened by its error bound, is
-    rounded up."""
+    Each operation of the two lower bounds is rounded toward the side that
+    keeps them below, and each is rounded down to a float; the regulator,
+    widened by its error bound, is rounded up."""
     d = products.d
     n_products = len(products.vectors)
     # prod_v A_v for A_v = prod_i n_i**e_i, one power per norm
@@ -300,38 +301,21 @@ def regulator_lower_bound(products: PowerProductSet) -> BoundReport:
     for b in products.b:
         x, y = x * b + y * d, x + y * b
     denom = norm_product << n_products
-    # raw libmp values at REGULATOR_PREC, each operation rounded to nearest
-    prec, rnd = REGULATOR_PREC, round_nearest
-    root = mpf_sqrt(from_int(d), prec, rnd)
-    big_l = mpf_log(mpf_shift(root, -1), prec, rnd)
+    # raw libmp values at REGULATOR_PREC, each operation rounded down but
+    # the log of the norm product, which the discrete sum subtracts, rounded
+    # up; x, y > 0 (see PowerProductSet), so each operation is increasing in
+    # the arguments rounded before it and both sums come out below
+    prec, down = REGULATOR_PREC, round_floor
+    root = mpf_sqrt(from_int(d), prec, down)
+    big_l = mpf_log(mpf_shift(root, -1), prec, down)
     discrete = mpf_sub(
-        mpf_mul_int(big_l, n_products, prec, rnd),
-        mpf_log(from_int(norm_product), prec, rnd),
+        mpf_mul_int(big_l, n_products, prec, down),
+        mpf_log(from_int(norm_product), prec, round_ceiling),
         prec,
-        rnd,
+        down,
     )
-    product = mpf_add(mpf_mul_int(root, y, prec, rnd), from_int(x), prec, rnd)
-    exact = mpf_log(mpf_div(product, from_int(denom), prec, rnd), prec, rnd)
-    # With u = 2**-prec, the integers enter exactly, +, -, * and / round
-    # to within u of the result and sqrt and log to within one ulp, 2u.
-    # With N = len(vectors), L = log(sqrt(d)/2) > 0 and S_v = log A_v:
-    # - sqrt(d) and L come out within 2u sqrt(d) and 2uL + 3u, N L
-    #   within 3.01u N (L + 1). Each product's norm is below sqrt(d)/2,
-    #   so 0 <= S_v < L, and log prod_v A_v = sum S_v < N L comes out
-    #   within 2u N L. The difference, the discrete sum, is at most N L
-    #   and rounds within u N L: within 7u N (L + 1) in all.
-    # - Each rho_v = (b + sqrt(d))/(2a) is reduced, as the enumeration
-    #   proved, so 0 < b < sqrt(d) and 1 < rho_v < sqrt(d): x and y are
-    #   positive, y sqrt(d) comes out within a relative 3.01u,
-    #   x + y sqrt(d) within 4.02u and its quotient by prod 2a within
-    #   5.03u. Its log, the exact sum E = sum log rho_v < N (L + 1),
-    #   comes out within 2uE + 5.1u <= 8u N (L + 1).
-    # One slack of 16u N (L + 1) covers both, with its own rounding and
-    # the u N (L + 1) at most of each subtraction below.
-    big_l_1 = mpf_add(big_l, from_int(1), prec, rnd)
-    slack = mpf_shift(mpf_mul_int(big_l_1, n_products, prec, rnd), 4 - prec)
-    exact = _to_float(mpf_sub(exact, slack, prec, rnd), round_floor)
-    discrete = _to_float(mpf_sub(discrete, slack, prec, rnd), round_floor)
+    product = mpf_add(mpf_mul_int(root, y, prec, down), from_int(x), prec, down)
+    exact = mpf_log(mpf_div(product, from_int(denom), prec, down), prec, down)
     top = mpf_add(*regulator_enclosure(d), prec, round_ceiling)
     regulator = _to_float(top, round_ceiling)
     log_norm_product = 1.0
@@ -340,8 +324,8 @@ def regulator_lower_bound(products: PowerProductSet) -> BoundReport:
     return BoundReport(
         d=d,
         norms=products.norms,
-        discrete_sum=discrete,
-        exact_sum=exact,
+        discrete_sum=_to_float(discrete, down),
+        exact_sum=_to_float(exact, down),
         integral=simplex_integral(0.5 * math.log(d) - math.log(2.0), products.norms),
         lattice_count=len(products.vectors),
         log_norm_product=log_norm_product,

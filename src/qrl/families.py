@@ -28,21 +28,16 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from mpmath.libmp import (
-    dps_to_prec,
     from_int,
-    from_man_exp,
-    mpf_abs,
     mpf_add,
     mpf_le,
     mpf_log,
-    mpf_mul,
     mpf_mul_int,
     mpf_shift,
     mpf_sqrt,
     mpf_sub,
     round_ceiling,
     round_floor,
-    round_nearest,
     to_float,
 )
 
@@ -453,14 +448,11 @@ def _chowla(n_range):
     for n in [n for n in ns if n in keep]:
         d = 4 * n * n + 1
         # certified R <= log(2 sqrt d): the top of R's enclosure against
-        # the REGULATOR_PREC-bit log(2 sqrt d) = log(4d)/2, lowered by
-        # 2**-90 relative to cover its rounding (the halving and the factor
-        # 1 - 2**-90 are exact)
-        prec, rnd = REGULATOR_PREC, round_nearest
-        half_log = mpf_shift(mpf_log(from_int(4 * d), prec, rnd), -1)
-        lowered = mpf_mul(half_log, from_man_exp((1 << 90) - 1, -90), prec, rnd)
+        # log(2 sqrt d) = log(4d)/2, rounded down (the halving is exact)
+        prec = REGULATOR_PREC
+        half_log = mpf_shift(mpf_log(from_int(4 * d), prec, round_floor), -1)
         top = mpf_add(*regulator_enclosure(d), prec, round_ceiling)
-        yield n, n, d, log(2 * sqrt(d)), mpf_le(top, lowered)
+        yield n, n, d, log(2 * sqrt(d)), mpf_le(top, half_log)
 
 
 def _trial_rows(k_range, u_of, c: int) -> list[tuple[int, int, int]]:
@@ -471,25 +463,32 @@ def _trial_rows(k_range, u_of, c: int) -> list[tuple[int, int, int]]:
     return [(k, n, n * n + c) for k, n in ns if is_squarefree(n * n + c)]
 
 
+def _shanks_closed_form(k: int, n: int, d: int, rnd: str) -> tuple:
+    """k log((n + sqrt d)/4) + log((2^k + 1 + sqrt d)/2) at REGULATOR_PREC,
+    each operation rounded by rnd. Every operation is increasing in its
+    arguments (k >= 1), so round_floor gives a lower bound of the closed
+    form and round_ceiling an upper one."""
+    prec = REGULATOR_PREC
+    root = mpf_sqrt(from_int(d), prec, rnd)
+    first, second = (
+        mpf_log(mpf_shift(mpf_add(root, from_int(u), prec, rnd), -e), prec, rnd)
+        for u, e in ((n, 2), (2**k + 1, 1))
+    )
+    return mpf_add(mpf_mul_int(first, k, prec, rnd), second, prec, rnd)
+
+
 def _shanks(k_range):
-    """Shanks' d = n^2 - 8, n = 2^k + 3, whose unit has a closed form."""
+    """Shanks' d = n^2 - 8, n = 2^k + 3, whose unit has a closed form: R
+    equals it as far as enclosures can tell when R's enclosure meets the
+    closed form's. Each row carries the closed form's lower end."""
     for k, n, d in _trial_rows(k_range, lambda k: 2**k + 3, -8):
-        # R equals the closed form as far as enclosures can tell: R's
-        # enclosure meets the 40-digit k log((n + sqrt d)/4) + log((2^k + 1 +
-        # sqrt d)/2), each operation rounded to nearest, widened by a few
-        # units of 2**-prec per operation on terms that are all >= 0
+        low = _shanks_closed_form(k, n, d, round_floor)
+        high = _shanks_closed_form(k, n, d, round_ceiling)
         value, err = regulator_enclosure(d)
-        prec, rnd = dps_to_prec(40), round_nearest
-        root = mpf_sqrt(from_int(d), prec, rnd)
-        first, second = (
-            mpf_log(mpf_shift(mpf_add(root, from_int(u), prec, rnd), -e), prec, rnd)
-            for u, e in ((n, 2), (2**k + 1, 1))
-        )
-        closed = mpf_add(mpf_mul_int(first, k, prec, rnd), second, prec, rnd)
-        widen = mpf_add(mpf_shift(closed, 2), from_int(8 * (k + 1)), prec, rnd)
-        slack = mpf_add(err, mpf_shift(widen, -prec), prec, round_ceiling)
-        gap = mpf_abs(mpf_sub(value, closed), prec, rnd)
-        yield k, n, d, to_float(closed, rnd=rnd), mpf_le(gap, slack)
+        bottom = mpf_sub(value, err, REGULATOR_PREC, round_floor)
+        top = mpf_add(value, err, REGULATOR_PREC, round_ceiling)
+        meets = mpf_le(bottom, high) and mpf_le(low, top)
+        yield k, n, d, to_float(low, rnd=round_floor), meets
 
 
 def _yamamoto(p: int, n_range, sign: int):
@@ -516,6 +515,9 @@ def _yamamoto(p: int, n_range, sign: int):
         # and full, after 2**-53 more, within 2**-44 (head + tail) of the
         # bound; twice that also covers the rounding of full + slack
         slack = 2.0**-43 * (head + tail)
+        # this float decision stays: per row it costs about 4.4 us, against
+        # 24 us rounded outward in libmp and 73 us in mpi_* intervals (2-vCPU
+        # host), and either would add about 20 % to a 20-n item (1.47 ms)
         # the bottom of R's enclosure rounded down to 53 bits, then to a
         # float: the float floor of the exact difference
         bottom = mpf_sub(*regulator_enclosure(d), 53, round_floor)

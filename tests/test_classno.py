@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import round_floor, to_float
 
 from qrl import classno
 from qrl.cfrac import (
@@ -418,9 +417,31 @@ def test_h_bound_is_rounded_down():
             assert exact - bound <= 2 * mp.ldexp(exact, -52), d
 
 
+def test_h_bound_brackets_its_60_digit_value():
+    # every operation rounded toward the safe side: at most the 60-digit
+    # value, and within two float ulps of it
+    rng = random.Random(17)
+    ds = [16, 17, 61, 100, 12345, 10**6 + 3, 10**9 + 9, 10**12 + 61, 10**20 + 7]
+    ds += [rng.randrange(16, 10 ** rng.randrange(2, 25)) for _ in range(200)]
+    constants = [0.0, 1e-3, 0.1, 1.0, 192 * log(3), 192 * log(5), 12345.678, 1e10]
+    with mp.workdps(60):
+        for d in ds:
+            log_d = mp.log(d)
+            scale = mp.sqrt(d) / (log_d**2 * mp.log(log_d))
+            for constant in constants:
+                bound, exact = h_bound(d, constant), mpf(constant) * scale
+                assert bound <= exact <= bound + 2 * math.ulp(bound), (d, constant)
+
+
+def test_h_bound_refuses_a_negative_constant():
+    for constant in (-1.0, -1e-300, float("nan")):
+        with pytest.raises(ValueError, match="constant >= 0"):
+            h_bound(61, constant)
+
+
 # ---------------------------------------------------------------------------
-# l_value_exact and h_bound through mpmath's context and mpf objects: the
-# oracles of their raw libmp values, equal to the bit
+# l_value_exact through mpmath's context and mpf objects: the oracle of its
+# raw libmp values, equal to the bit
 
 
 def l_value_exact_in_context(d):
@@ -429,27 +450,9 @@ def l_value_exact_in_context(d):
         return float(2 * h * mp.make_mpf(regulator_enclosure(d)[0]) / mp.sqrt(d))
 
 
-def h_bound_in_context(d, constant):
-    with mp.workdps(30):
-        log_d = mp.log(d)
-        value = mpf(constant) * mp.sqrt(d) / (log_d**2 * mp.log(log_d))
-        lowered = value * (1 - mpf(2) ** -90)
-        return to_float(lowered._mpf_, strict=True, rnd=round_floor)
-
-
 def test_l_value_exact_matches_mpmath_context():
     for d in fundamental_discriminants(5, 20001):
         assert l_value_exact(d) == l_value_exact_in_context(d), d
-
-
-def test_h_bound_matches_mpmath_context():
-    rng = random.Random(17)
-    ds = [16, 17, 61, 100, 12345, 10**6 + 3, 10**9 + 9, 10**12 + 61, 10**20 + 7]
-    ds += [rng.randrange(16, 10 ** rng.randrange(2, 25)) for _ in range(200)]
-    constants = [0.0, 1e-3, 0.1, 1.0, 192 * log(3), 192 * log(5), 12345.678, 1e10]
-    for d in ds:
-        for constant in constants:
-            assert h_bound(d, constant) == h_bound_in_context(d, constant), (d, constant)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 import random
 import tracemalloc
 from dataclasses import replace
-from math import gcd, isqrt, log, sqrt
+from math import gcd, isqrt, log, sqrt, ulp
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import round_ceiling, round_floor
 
 from qrl import classno, families
 from qrl.cfrac import fundamental_unit, regulator_enclosure
@@ -799,25 +800,21 @@ def test_scan_chowla():
         assert r.bound_ok and r.regulator <= log(2 * sqrt(r.d_values[0])) + 1e-9
 
 
-def shanks_in_context(k_range):
-    """_shanks through mpmath's 40-digit context and mpf objects: the oracle
-    of its raw libmp values."""
-    for k, n, d in families._trial_rows(k_range, lambda k: 2**k + 3, -8):
-        value, err = map(mp.make_mpf, regulator_enclosure(d))
-        with mp.workdps(40):
-            root = mp.sqrt(d)
-            closed = k * mp.log((n + root) / 4) + mp.log((2**k + 1 + root) / 2)
-            slack = mp.fadd(
-                err, mp.ldexp(8 * (k + 1) + 4 * closed, -mp.prec), rounding="c"
-            )
-            ok = abs(mp.fsub(value, closed, exact=True)) <= slack
-        yield k, n, d, float(closed), ok
-
-
-def test_shanks_matches_mpmath_context():
+def test_shanks_interval_holds_the_closed_form():
+    # the closed form rounded down and up holds its 60-digit value, within
+    # 2**-90 relative, and each row carries the float just below it
     rows = list(families._shanks(range(2, 31)))
     assert len(rows) == 28 and all(ok for *_, ok in rows)
-    assert rows == list(shanks_in_context(range(2, 31)))
+    with mp.workdps(60):
+        for k, n, d, bound, _ in rows:
+            root = mp.sqrt(d)
+            closed = k * mp.log((n + root) / 4) + mp.log((2**k + 1 + root) / 2)
+            low, high = (
+                mp.make_mpf(families._shanks_closed_form(k, n, d, rnd))
+                for rnd in (round_floor, round_ceiling)
+            )
+            assert low <= closed <= high <= low + mp.ldexp(closed, -90), k
+            assert bound <= closed <= bound + ulp(bound), k
 
 
 def enclose_every_regulator_at(monkeypatch, value):
@@ -839,6 +836,22 @@ def test_chowla_bound_is_certified(monkeypatch):
             enclose_every_regulator_at(monkeypatch, reg)
             (rec,) = family_scan("chowla", {}, range(n, n + 1))
             assert rec.bound_ok is ok, shift
+
+
+def test_chowla_log_is_rounded_down(monkeypatch):
+    # R's enclosure is put at the 60-digit log(2 sqrt d), just above it and
+    # just below it: the row is certified only below, so the log(2 sqrt d)
+    # that _chowla compares with is at most the true value
+    with mp.workdps(60):
+        for shift, ok in ((mpf(10) ** -40, False), (-(mpf(2) ** -95), True)):
+
+            def enclosure(d, shift=shift):
+                return (mp.log(4 * d) / 2 * (1 + shift))._mpf_, mpf(0)._mpf_
+
+            monkeypatch.setattr(families, "regulator_enclosure", enclosure)
+            rows = list(families._chowla(range(1, 2001)))
+            assert len(rows) > 1000
+            assert all(row_ok is ok for *_, row_ok in rows), shift
 
 
 def test_shanks_closed_form_is_certified(monkeypatch):
