@@ -19,7 +19,7 @@ import sys
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, fields
 from decimal import Decimal, InvalidOperation
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import chain, islice
 
 from . import families
@@ -56,6 +56,9 @@ MAX_SCALE_DIGITS = 4300
 # per-call cost, so a window spans a typical scan (perfbench's sieve items
 # cover 350 k) while bounding the records held at once
 SCAN_WINDOW = 4096
+
+# checked spec texts kept per process (see _checked_spec)
+SPEC_CACHE_SIZE = 8
 
 SCAN_CSV_HEADER = [
     "k", "n", "d_1", "squarefree", "h", "regulator", "L_trunc", "bound_ok"
@@ -343,10 +346,43 @@ def cmd_unit(args) -> int:
         "norm_sign": info.norm_sign,
     }
     if args.exact:
-        unit = exact_unit(args.d)
+        # a unit whose x json cannot write is refused from R, before
+        # exact_unit runs, wherever R puts x past the cap
+        low, high = _unit_digit_bounds(info.regulator)
+        if low <= MAX_SCALE_DIGITS:
+            unit = exact_unit(args.d)
+            low = high = _decimal_digits(unit.x)
+        if low > MAX_SCALE_DIGITS:
+            digits = low if low == high else f"{low} or {high}"
+            raise ValueError(
+                f"unit --exact: x of d = {args.d} has {digits} digits, more"
+                f" than the {MAX_SCALE_DIGITS} that json writes of an integer"
+            )
         record["x"] = unit.x
         record["y"] = unit.y
     return _write(args, [record])
+
+
+def _unit_digit_bounds(regulator: float) -> tuple[int, int]:
+    """Bounds low <= high on the decimal digits of x in the fundamental
+    unit (x + y sqrt d)/2 of regulator R (the enclosure's value to the
+    nearest float): x = eps + N(eps)/eps lies within 1 of eps = e^R, so
+    where eps >= 10^10 log10 x is R/ln 10 to within 1e-9 + R 2^-40, which
+    covers the enclosure's error, the float roundings and that 1, and the
+    bounds are at most one apart; below, they are 1 and 11."""
+    mid = regulator / math.log(10)
+    slack = 1e-9 + regulator * 2**-40
+    if mid - slack < 10:
+        return 1, 11
+    return math.floor(mid - slack) + 1, math.floor(mid + slack) + 1
+
+
+def _decimal_digits(n: int) -> int:
+    """The decimal digits of n > 0, counted without writing n out."""
+    k = max(1, int((n.bit_length() - 1) * math.log10(2)))  # at most the count
+    while n >= 10**k:
+        k += 1
+    return k
 
 
 def cmd_classno(args) -> int:
@@ -375,11 +411,21 @@ def cmd_family_build(args) -> int:
 
 
 def _load_spec(path: str) -> families.ProgressionSpec:
-    """Read a spec file; reject it unless it is a JSON object of exactly the
-    ProgressionSpec fields, eps1 a number, the tuples lists of integers and
-    the rest integers (not true or false), and build_progression reproduces it."""
+    """Read a spec file and return its checked spec (see _checked_spec).
+    The file is read on every call; its check runs once per text."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        return _checked_spec(path, fh.read())
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def _checked_spec(path: str, text: str) -> families.ProgressionSpec:
+    """The spec of the text of the file at path; reject it unless it is a
+    JSON object of exactly the ProgressionSpec fields, eps1 a number, the
+    tuples lists of integers and the rest integers (not true or false), and
+    build_progression reproduces it. Cached per (path, text), since each
+    refusal names the path: an edited file is checked again, and a refusal
+    is not cached."""
+    data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError(f"spec {path} is not a JSON object")
     kinds = {field.name: field.type for field in fields(families.ProgressionSpec)}

@@ -55,8 +55,9 @@ from .intarith import (
     is_prime,
     is_squarefree,
     kronecker,
-    prime_array,
     pow_mod_array,
+    prime_array,
+    primes_between,
     primes_up_to,
     residues_mod,
     sqrt_mod_primes,
@@ -66,7 +67,8 @@ MERTENS_M = 0.26149
 HEADLINE_CONSTANT = 192.0
 # root tables kept per process, one per (n0, q, c)
 ROOT_TABLE_CACHE_SIZE = 16
-# primes whose roots one set of numpy arrays computes while a table grows
+# about the primes of one span that a growing table sieves and takes the
+# roots of in one set of numpy arrays
 ROOT_CHUNK = 1 << 12
 # a window whose u^2, values and step q all lie below this is sieved in
 # int64 arrays: the rounded square root s of a cofactor is then at most 2^31
@@ -203,17 +205,24 @@ class _RootTable:
         self.k0 = np.zeros(0, dtype=np.int64)
 
     def grow(self, bound: int) -> None:
-        """Cover the primes up to bound, at least doubling the old bound so
-        that ever larger windows grow the table only O(log bound) times."""
+        """Cover the primes up to bound, or to SIEVE_PRIME_LIMIT if less.
+        The new bound is at least the old one plus an eighth, so that ever
+        larger windows grow the table only O(log bound) times, and at most
+        1.125 times the largest bound asked. Only the new primes are
+        sieved, span by span (primes_between, with the base primes up to
+        sqrt(new bound) found once), and each span's roots are computed
+        with numpy as it is sieved."""
         if bound <= self.bound:
             return
         n0, q, c = self.n0, self.q, self.c
-        new_bound = min(max(bound, 2 * self.bound), SIEVE_PRIME_LIMIT)
-        fresh = prime_array(new_bound)
-        fresh = fresh[np.searchsorted(fresh, self.bound, side="right") :]
+        new_bound = min(max(bound, self.bound + self.bound // 8), SIEVE_PRIME_LIMIT)
+        base = prime_array(isqrt(new_bound))[1:]
+        # about ROOT_CHUNK primes per span: near x, about one integer in
+        # log x is prime
+        width = ROOT_CHUNK * max(1, round(log(new_bound)))
         primes, k0 = [self.primes], [self.k0]
-        for start in range(0, len(fresh), ROOT_CHUNK):
-            p = fresh[start : start + ROOT_CHUNK]
+        for lo in range(self.bound, new_bound, width):
+            p = primes_between(lo, min(lo + width, new_bound), base)
             q_mod = residues_mod(q, p)
             p, q_mod = p[q_mod != 0], q_mod[q_mod != 0]  # no p | q divides a value
             t = sqrt_mod_primes(residues_mod(-c, p), p)
@@ -226,11 +235,10 @@ class _RootTable:
             inv_q = pow_mod_array(q_mod, p - 2, p)  # Fermat: p is prime
             k = (y - residues_mod(n0, p)) % p * inv_q % p
             # int32 until joined (every p is below SIEVE_PRIME_LIMIT <
-            # 2**31), which halves the chunks: the memory of the primes
-            # chunks stays with the process while k0 is joined
+            # 2**31), which halves the spans: the memory of the primes
+            # spans stays with the process while k0 is joined
             primes.append(np.broadcast_to(p, y.shape)[kept].astype(np.int32))
             k0.append(k[kept].astype(np.int32))
-        del fresh  # 46 MB at the limit, freed before the joins below
         self.primes = np.concatenate(primes, dtype=np.int64)
         del primes  # once joined, freed before k0 is joined
         self.k0 = np.concatenate(k0, dtype=np.int64)
@@ -316,7 +324,7 @@ def _squarefree_ks(n0: int, q: int, c: int, k_lo: int, k_hi: int) -> list[int]:
     each cofactor.
 
     The sieve reads where each prime divides from the process's root table
-    for (n0, q, c), built once and grown by doubling when a window needs
+    for (n0, q, c), built once and grown span by span when a window needs
     larger primes. The table lists each (p, j) once, as (p, first) for j =
     first + ip, with p dividing the value at j, and _survivors runs every
     window's hits and square test in numpy arrays. Their element type is

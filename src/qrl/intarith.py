@@ -2,12 +2,14 @@
 
 Everything here is integer-exact; no floats. Primality is deterministic
 Miller-Rabin below the published 12-base limit and raises above it rather
-than silently going probabilistic. The prime sieves run on numpy arrays.
+than silently going probabilistic. The prime sieve, over a span (lo, hi]
+or all of [2, n], runs on numpy arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -112,9 +114,10 @@ def icbrt(n: int) -> int:
 
 # the largest prime that trial division tries, and the largest prime bound
 # cbrt(max value) + 1 that the squarefree sieve of families accepts: a root
-# table costs about 1.5 us per prime to build and 16 bytes per root, so at
-# this limit (5.8 million primes) 8-10 s and 92 MB on a 2-vCPU x86-64 host,
-# with a 166 MB peak RSS while it builds in one step
+# table costs about 1.2 us per prime to build and 16 bytes per root, so at
+# this limit (5.8 million primes) 6-7 s and 92 MB on a 2-vCPU x86-64 host,
+# with a 167-168 MB peak RSS while it builds in one step, at the join of
+# its int32 spans into the int64 columns
 SIEVE_PRIME_LIMIT = 10**8
 
 
@@ -252,12 +255,13 @@ def pow_mod_array(base, exp, mod) -> np.ndarray:
 
 
 def _nonresidues(p: np.ndarray) -> np.ndarray:
-    """A quadratic non-residue mod each prime p = 1 mod 4 of an int64 array,
-    by reciprocity: 2 when p = 5 mod 8, else the least odd prime l with
-    (p|l) = (l|p) = -1, read from the squares mod l. The least non-residue
-    is below sqrt(p) + 1, so the primes l up to there always find one."""
-    z = np.where(p % 8 == 5, 2, 0)
-    open_ = np.flatnonzero(z == 0)
+    """A quadratic non-residue mod each prime p = 1 mod 8 of an int64 array:
+    the least odd prime l with (p|l) = (l|p) = -1, by reciprocity, read
+    from the squares mod l (2 is a residue mod such p). The least
+    non-residue is below sqrt(p) + 1, so the primes l up to there always
+    find one."""
+    z = np.zeros_like(p)
+    open_ = np.arange(p.size)
     bound = isqrt(int(p.max())) + 1 if p.size else 2
     for ell in primes_up_to(bound)[1:]:
         if not open_.size:
@@ -270,17 +274,54 @@ def _nonresidues(p: np.ndarray) -> np.ndarray:
     return z
 
 
+def _tonelli_shanks(a, p, s, x, c) -> np.ndarray:
+    """A square root of each a mod the prime p = 1 mod 8, 0 < a < p, or -1
+    where a is a non-residue, given p - 1 = q 2**s, q odd, x =
+    a**((q-1)/2) and c = z**q for a non-residue z: Tonelli-Shanks (Cohen,
+    GTM 138, Alg. 1.5.1) on arrays, each round on the entries still open.
+    r = x a and t = x r = a**q have r**2 = t a, and c has order 2**m,
+    m = s. Each round finds the order 2**i of t, takes b = c**(2**(m-i-1))
+    and sets r = r b, c = b**2, t = t c and m = i, until t = 1. The order
+    is 2**s exactly when a is a non-residue, in the first round, so no
+    separate Euler test is run."""
+    r = x * a % p
+    t = x * r % p
+    out, m = r.copy(), s
+    live = np.flatnonzero(t != 1)
+    r, t, c, m, p = r[live], t[live], c[live], m[live], p[live]
+    while live.size:
+        # t**(2**j) != 1 exactly for the j below i, and i <= m
+        i = np.ones_like(m)
+        power = t
+        for _ in range(int(m.max()) - 1):
+            power = power * power % p
+            i += power != 1
+        b, e = c, m - i - 1  # e = -1 where i = m: a non-residue
+        for j in range(int(e.max())):
+            b = np.where(j < e, b * b % p, b)
+        r, c, m = r * b % p, b * b % p, i
+        t = t * c % p
+        out[live] = np.where(e < 0, -1, r)
+        go = (t != 1) & (e >= 0)
+        live, r, t, c, m, p = live[go], r[go], t[go], c[go], m[go], p[go]
+    return out
+
+
 def sqrt_mod_primes(a, p) -> np.ndarray:
     """The smaller square root of a mod p for each prime p of an int64 array
     (a broadcast against it), or -1 where a is a non-residue; p < 2**31.
 
-    Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1) on arrays. With p - 1 =
-    q 2**s, q odd, x = a**((q-1)/2) gives r = x a and t = x r = a**q, so
-    r**2 = t a; c = z**q for a non-residue z has order 2**m, m = s. Each
-    round finds the least i with t**(2**i) = 1, takes b = c**(2**(m-i-1))
-    and sets r = r b, c = b**2, t = t c and m = i, until t = 1. The search
-    reaches i = s exactly when a is a non-residue, in the first round, so
-    no separate Euler test is run.
+    By the class of p (Cohen, GTM 138, Sec. 1.5), from one exponentiation
+    of all the roots at once. With p - 1 = q 2**s, q odd, it is x =
+    a**((q-1)/2), or Atkin's b = (2a)**((p-5)/8) where p = 5 mod 8, and
+    also Tonelli-Shanks' c = z**q where p = 1 mod 8. Then
+    - p = 3 mod 4 (s = 1): r = x a = a**((p+1)/4);
+    - p = 5 mod 8 (s = 2): with i = 2a b**2, r = a b (i - 1). For a
+      residue a, 2a is a non-residue (2 is one mod p), so i =
+      (2a)**((p-1)/4) has i**2 = -1 and r**2 = a**2 b**2 (-2i) =
+      -a i (2a b**2) = a;
+    - p = 1 mod 8: Tonelli-Shanks from x.
+    The first two keep r only where r**2 = a, which no non-residue passes.
     """
     a, p = np.broadcast_arrays(np.asarray(a, np.int64), np.asarray(p, np.int64))
     _check_moduli(p, "sqrt_mod_primes")
@@ -291,53 +332,66 @@ def sqrt_mod_primes(a, p) -> np.ndarray:
     low = (p - 1) & (1 - p)  # the largest power of 2 dividing p - 1
     s = np.frexp(low)[1].astype(np.int64) - 1
     q = (p - 1) >> s
-    x = pow_mod_array(a, (q - 1) // 2, p)
+    five = s == 2
+    base = np.where(five, 2 * a % p, a)
+    deep = np.flatnonzero(s > 2)
+    pd = p[deep]
+    # the one exponentiation: x for every p, and c = z**q for Tonelli-Shanks
+    x = pow_mod_array(
+        np.concatenate([base, _nonresidues(pd)]),
+        np.concatenate([q >> 1, q[deep]]),  # (q - 1)/2 = q >> 1
+        np.concatenate([p, pd]),
+    )
+    x, c = x[: p.size], x[p.size :]
     r = x * a % p
-    t = x * r % p
-    c = np.ones_like(p)  # p = 3 mod 4 (s = 1) never reads c
-    deep = np.flatnonzero(s > 1)
-    c[deep] = pow_mod_array(_nonresidues(p[deep]), q[deep], p[deep])
-    m = s  # s is not read again
-    live = np.flatnonzero(t != 1)
-    while live.size:
-        pl, ml = p[live], m[live]
-        # the least i >= 1 with t**(2**i) = 1: t != 1 has order 2**i <= 2**m
-        i = np.zeros_like(ml)
-        power = t[live]
-        for j in range(1, int(ml.max()) + 1):
-            power = power * power % pl
-            i[(i == 0) & (power == 1)] = j
-        residue = i < ml
-        r[live[~residue]] = -1
-        live, pl, ml, i = live[residue], pl[residue], ml[residue], i[residue]
-        b, e = c[live], ml - i - 1
-        for j in range(int(e.max(initial=0))):
-            b = np.where(j < e, b * b % pl, b)
-        m[live] = i
-        c[live] = b * b % pl
-        t[live] = t[live] * c[live] % pl
-        r[live] = r[live] * b % pl
-        live = live[t[live] != 1]
+    i = base * x % p * x % p
+    r = np.where(five, r * (i - 1) % p, r)
+    r[r * r % p != a] = -1
+    r[deep] = _tonelli_shanks(a[deep], pd, s[deep], x[deep], c)
     root[todo] = np.where(r < 0, -1, np.minimum(r, p - r))
     return root
 
 
-def prime_array(n: int) -> np.ndarray:
-    """All primes <= n, ascending, as an int64 array: a sieve of
-    Eratosthenes over the odd numbers, one numpy bool per odd i <= n."""
-    if n < 2:
+def primes_between(lo: int, hi: int, base: np.ndarray | None = None) -> np.ndarray:
+    """The primes p with lo < p <= hi, ascending, as an int64 array: the
+    segmented sieve of Eratosthenes (Bays and Hudson, BIT 17, 1977) over
+    the odd numbers of (lo, hi] alone, one numpy bool each, striking the
+    odd multiples of the odd primes of base. base must hold every odd prime
+    up to isqrt(hi), ascending, and may hold larger ones; it defaults to
+    those of prime_array(isqrt(hi)), and a caller that sieves consecutive
+    spans passes it once."""
+    if hi <= max(lo, 1):
         return np.zeros(0, dtype=np.int64)
-    # sieve[j] stands for 2j + 1; j = 0 (the number 1) stays set and
-    # becomes the slot of the prime 2
-    sieve = np.ones((n + 1) // 2, dtype=bool)
-    for j in range(1, (isqrt(n) + 1) // 2):
-        if sieve[j]:
-            p = 2 * j + 1
-            sieve[p * p // 2 :: p] = False
-    primes = np.flatnonzero(sieve).astype(np.int64, copy=False)
+    if base is None:
+        base = prime_array(isqrt(hi))[1:]
+    # sieve[j] stands for first + 2j, the odd numbers of (lo, hi]; from
+    # the bottom, first = 1 and its slot, never struck, becomes that of 2
+    first = 1 if lo < 2 else (lo + 1) | 1
+    sieve = np.ones((hi - first) // 2 + 1, dtype=bool)
+    # each p strikes its odd multiples m p from the least odd m >= p with
+    # m p >= first: none where p > sqrt(hi), as then m p >= p**2 > hi
+    m = np.maximum((first - 1) // base + 1, base) | 1
+    for p, j in zip(base.tolist(), ((m * base - first) >> 1).tolist()):
+        sieve[j::p] = False
+    primes = sieve.nonzero()[0].astype(np.int64, copy=False)
     primes *= 2
-    primes += 1
-    primes[0] = 2
+    primes += first
+    if lo < 2:
+        primes[0] = 2
+    return primes
+
+
+# prime_array results kept per process: the base primes of each sieve, and
+# the Euler product's primes up to its bound B, are asked for again and again
+PRIME_ARRAY_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=PRIME_ARRAY_CACHE_SIZE)
+def prime_array(n: int) -> np.ndarray:
+    """All primes <= n, ascending, as a read-only int64 array (the span
+    (0, n] of primes_between), cached per n."""
+    primes = primes_between(0, n)
+    primes.flags.writeable = False
     return primes
 
 

@@ -75,6 +75,76 @@ def test_unit_exact_coordinates():
     assert (record["x"] ** 2 - 61 * record["y"] ** 2) // 4 in (-1, 1)
 
 
+def test_unit_exact_refuses_x_past_the_json_cap():
+    # d = 2416214017 (the cubic family's p = 2, q = 3, k = 14) has R about
+    # 5.8e4, so x has 25078 digits; the refusal reads them from R, before
+    # exact_unit runs, and names d, the digits and the cap
+    with mock.patch.object(cli, "exact_unit", side_effect=AssertionError("ran")):
+        code, out, err = run_cli(["unit", "--d", "2416214017", "--exact"])
+    assert code == 1 and out == ""
+    assert one_json(err) == {
+        "error": "ValueError",
+        "message": "unit --exact: x of d = 2416214017 has 25078 digits, more"
+        " than the 4300 that json writes of an integer",
+    }
+    assert cli._decimal_digits(exact_unit(2416214017).x) == 25078
+
+
+@pytest.mark.parametrize("d", [61, 376, 421, 4_000_012, 99_999_997])
+def test_unit_exact_cap_is_on_the_digits_of_x(monkeypatch, d):
+    # the cap is on the digits of x itself: printed at the cap, refused one
+    # digit below it, from R where R puts x past it and from x otherwise
+    x = exact_unit(d).x
+    digits = len(str(x))
+    low, high = cli._unit_digit_bounds(fundamental_unit(d).regulator)
+    assert low <= digits <= high
+    monkeypatch.setattr(cli, "MAX_SCALE_DIGITS", digits)
+    code, out, err = run_cli(["unit", "--d", str(d), "--exact"])
+    assert code == 0 and err == "" and one_json(out)["x"] == x
+    monkeypatch.setattr(cli, "MAX_SCALE_DIGITS", digits - 1)
+    code, out, err = run_cli(["unit", "--d", str(d), "--exact"])
+    assert code == 1 and out == ""
+    assert one_json(err)["message"] == (
+        f"unit --exact: x of d = {d} has {digits} digits, more than the"
+        f" {digits - 1} that json writes of an integer"
+    )
+
+
+def test_unit_digits_from_the_regulator():
+    # the bounds from R hold the digits of x, on every discriminant below
+    # 3000 and from 10**6, and pin them wherever x >= 10**10 (265 of the
+    # first, 177 of the 199 of the second)
+    settled = 0
+    for d in [*range(5, 3000), *range(10**6, 10**6 + 400)]:
+        if intarith.is_discriminant(d):
+            low, high = cli._unit_digit_bounds(fundamental_unit(d).regulator)
+            assert low <= len(str(exact_unit(d).x)) <= high, d
+            settled += low == high
+    assert settled == 265 + 177
+    for n in (1, 9, 10, 99, 100, 10**20 - 1, 10**20, 2**4000):
+        assert cli._decimal_digits(n) == len(str(n))
+    assert cli._decimal_digits(10**4300) == 4301
+
+
+def test_unit_exact_refuses_from_open_bounds_past_the_cap():
+    # an R within the slack of 5000 ln 10 leaves the digits of x at 5000 or
+    # 5001, both past the cap: the refusal names both, and exact_unit,
+    # whose x would be far past the cap, does not run
+    regulator = 5000 * math.log(10)
+    assert cli._unit_digit_bounds(regulator) == (5000, 5001)
+    unit = mock.Mock(period_length=1, regulator=regulator, norm_sign=-1)
+    with (
+        mock.patch.object(cli, "fundamental_unit", return_value=unit),
+        mock.patch.object(cli, "exact_unit", side_effect=AssertionError("ran")),
+    ):
+        code, out, err = run_cli(["unit", "--d", "5", "--exact"])
+    assert code == 1 and out == ""
+    assert one_json(err)["message"] == (
+        "unit --exact: x of d = 5 has 5000 or 5001 digits, more than the 4300"
+        " that json writes of an integer"
+    )
+
+
 def test_unit_rejects_non_discriminant():
     code, out, err = run_cli(["unit", "--d", "7"])
     assert code == 1 and out == ""
@@ -242,6 +312,58 @@ def test_family_scan_rejects_inconsistent_spec(tmp_path):
             f"spec {spec_path} does not match build_progression(m, primes, x, eps1)"
             f" in {key}"
         )
+
+
+def fresh_process(argv):
+    """(status, stdout, stderr) of `python -m qrl.cli` in a new process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrl.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_spec_check_is_kept_per_path_and_text(tmp_path):
+    # in one process the checked spec is kept per (path, text): a file
+    # rewritten with another n0 is checked again and refused as a fresh
+    # process refuses it, the file restored gives the first bytes from the
+    # cache, and a copy at a second path scans and names that path
+    spec_path, copy = tmp_path / "spec.json", tmp_path / "copy.json"
+    build = ["family", "build", "--m", "1", "--primes", "5", "--x", "1e10"]
+    assert run_cli([*build, "--out", str(spec_path)])[0] == 0
+    text = spec_path.read_text()
+    built = json.loads(text)
+    tampered = json.dumps({**built, "n0": built["n0"] + 6006})
+
+    def scan(path):
+        return run_cli(["family", "scan", "--spec", str(path), "--kmax", "300"])
+
+    cli._checked_spec.cache_clear()
+    first = scan(spec_path)
+    assert first[0] == 0 and first[2] == "" and len(first[1].splitlines()) > 250
+    spec_path.write_text(tampered)
+    refused = scan(spec_path)
+    assert refused[:2] == (1, "") and one_json(refused[2])["message"] == (
+        f"spec {spec_path} does not match build_progression(m, primes, x, eps1)"
+        " in n0"
+    )
+    assert refused == fresh_process(["family", "scan", "--spec", str(spec_path), "--kmax", "300"])
+    assert cli._checked_spec.cache_info().currsize == 1  # no refusal is kept
+    spec_path.write_text(text)
+    hits = cli._checked_spec.cache_info().hits
+    assert scan(spec_path) == first
+    assert cli._checked_spec.cache_info().hits == hits + 1
+    copy.write_text(text)
+    assert scan(copy) == first
+    copy.write_text(tampered)
+    refused = scan(copy)
+    assert refused[:2] == (1, "") and one_json(refused[2])["message"] == (
+        f"spec {copy} does not match build_progression(m, primes, x, eps1) in n0"
+    )
 
 
 @pytest.mark.parametrize(

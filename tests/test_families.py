@@ -465,20 +465,25 @@ def test_second_window_makes_no_root_calls(monkeypatch):
 
 
 def oracle_table(n0, q, c, bound):
-    """The root table's primes and k0 up to bound, entry by entry with the
-    scalar Tonelli-Shanks: per prime p not dividing q the roots y = t, then
-    y = p - t unless that is t, with k0 = (y - n0) q^-1 mod p."""
-    primes, k0 = [], []
-    for p in primes_up_to(bound):
+    """The root table's primes and k0 up to bound (see oracle_entries)."""
+    return oracle_entries(n0, q, c, primes_up_to(bound))
+
+
+def oracle_entries(n0, q, c, primes):
+    """The root table's entries at the given primes, entry by entry with
+    the scalar Tonelli-Shanks: per prime p not dividing q the roots y = t,
+    then y = p - t unless that is t, with k0 = (y - n0) q^-1 mod p."""
+    entry_primes, k0 = [], []
+    for p in primes:
         if q % p == 0:
             continue
         t = sqrt_mod_prime(-c % p, p)
         if t is None:
             continue
         for y in (t,) if 2 * t % p == 0 else (t, p - t):
-            primes.append(p)
+            entry_primes.append(p)
             k0.append((y - n0) * pow(q, -1, p) % p)
-    return primes, k0
+    return entry_primes, k0
 
 
 def assert_table_matches_oracle(table):
@@ -528,6 +533,55 @@ def test_root_table_grows_like_scalar_oracle(n0, q, c, bounds):
     for bound in bounds:
         table.grow(bound)
         assert_table_matches_oracle(table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(-10**12, 10**12),
+    st.integers(1, 10**4),
+    st.one_of(st.integers(-40, 40), st.integers(-16_384, 16_384), st.integers(-10**9, 10**9)),
+    st.lists(st.integers(2, 4000), min_size=1, max_size=5),
+    st.sampled_from([1, 2, 7, 16]),
+)
+def test_root_table_grows_span_by_span_like_scalar_oracle(n0, q, c, bounds, chunk):
+    # a ROOT_CHUNK of a few primes puts span edges all through each grow,
+    # and the bounds arrive in any order
+    c += coprime_shift(q, lambda t: n0 * n0 + c + t)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(families, "ROOT_CHUNK", chunk)
+        table = families._RootTable(n0, q, c)
+        for i, bound in enumerate(bounds):
+            table.grow(bound)
+            assert_table_matches_oracle(table)
+            assert max(bounds[: i + 1]) <= table.bound <= 1.125 * max(bounds[: i + 1])
+
+
+def stride_order(n):
+    """The order in which perfbench's sieve workload runs its n windows:
+    a golden-ratio stride, so that every prefix spreads over the range."""
+    step = round(n * 0.6180339887)
+    while gcd(step, n) != 1:
+        step += 1
+    return [i * step % n for i in range(n)]
+
+
+def test_root_table_stops_near_the_largest_asked_bound():
+    # the sieve workload's 110 windows of 350 k on the x = 10**10 spec ask
+    # for bounds up to 376 732 in stride order; the table grows four times
+    # and stops at 392 411, where doubling went on to 557 444
+    spec = build_progression(1, [5], 10**10, 0.9)
+    n0, q, c = spec.n0, spec.q, 4 * spec.primes[0]
+    windows = [(lo, lo + 349) for lo in range(1, 38_501, 350)]
+    table = families._RootTable(n0, q, c)
+    asked, grown = [], []
+    for i in stride_order(len(windows)):
+        asked.append(window_bound(n0, q, c, *windows[i]))
+        table.grow(asked[-1])
+        grown.append(table.bound)
+        assert table.bound <= 1.125 * max(asked)
+    assert sorted(set(grown)) == [16_417, 278_722, 348_810, 392_411]
+    assert max(asked) == 376_732
+    assert_table_matches_oracle(table)
 
 
 # k_lo for hits: |k_lo| >= 2**31, above every table prime, takes

@@ -1,8 +1,9 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qrl import intarith
 from qrl.intarith import (
@@ -17,6 +18,7 @@ from qrl.intarith import (
     kronecker,
     prime_array,
     pow_mod_array,
+    primes_between,
     primes_up_to,
     residues_mod,
     smallest_prime_factors,
@@ -193,22 +195,38 @@ def oracle_roots(a, p):
     ]
 
 
+def root_class(p):
+    """The branch of sqrt_mod_primes that takes the prime p."""
+    return 2 if p == 2 else 3 if p % 4 == 3 else 5 if p % 8 == 5 else 1
+
+
 def test_sqrt_mod_primes_brute_force():
-    # every a mod every odd prime p < 150: the smaller root, or -1
-    pairs = [(a, p) for p in primes_up_to(150)[1:] for a in range(p)]
+    # every a mod every prime p < 150, 2 included: the smaller root, or -1;
+    # each branch (p = 3 mod 4, 5 mod 8, 1 mod 8) meets residues, a = 0
+    # and non-residues
+    pairs = [(a, p) for p in primes_up_to(150) for a in range(p)]
     a, p = np.array(pairs).T
     got = sqrt_mod_primes(a, p)
     assert got.dtype == np.int64
+    seen = set()
     for (ai, pi), r in zip(pairs, got.tolist()):
         roots = [x for x in range(pi) if x * x % pi == ai]
         assert r == (min(roots) if roots else -1), (ai, pi)
+        seen.add((root_class(pi), "zero" if ai == 0 else "root" if roots else "none"))
+    kinds = {"zero", "root", "none"}
+    assert seen == {(2, "zero"), (2, "root")} | {(k, w) for k in (1, 3, 5) for w in kinds}
 
 
 @pytest.mark.parametrize("c", [20, -20, 0, 3, 12345])
 def test_sqrt_mod_primes_matches_scalar(c):
     p = prime_array(3 * 10**5)
     a = -c % p
-    assert sqrt_mod_primes(a, p).tolist() == oracle_roots(a, p)
+    got = sqrt_mod_primes(a, p)
+    assert got.tolist() == oracle_roots(a, p)
+    classes = {(root_class(pi), r >= 0) for pi, r in zip(p.tolist(), got.tolist())}
+    assert {(k, True) for k in (1, 3, 5)} <= classes
+    if c:  # -c is a non-residue mod about half of the odd primes
+        assert {(k, False) for k in (1, 3, 5)} <= classes
 
 
 @pytest.mark.parametrize(
@@ -217,6 +235,10 @@ def test_sqrt_mod_primes_matches_scalar(c):
         99_999_989,  # the largest prime below SIEVE_PRIME_LIMIT = 10**8
         7 * 2**20 + 1,  # p - 1 = 7 * 2**20: twenty Tonelli-Shanks rounds
         11 * 2**21 + 1,
+        15 * 2**27 + 1,  # s = 27 below 2**31
+        2**31 - 1,  # the largest primes below 2**31 in each class: 3 mod 4,
+        2_147_483_629,  # 5 mod 8
+        2_147_483_497,  # and 1 mod 8
     ],
 )
 def test_sqrt_mod_primes_int64_edge(p):
@@ -225,6 +247,7 @@ def test_sqrt_mod_primes_int64_edge(p):
     a = np.concatenate([np.arange(50), p - 1 - np.arange(50), x * x % p, x])
     got = sqrt_mod_primes(a, p)
     assert got.tolist() == oracle_roots(a, np.full_like(a, p))
+    assert (got >= 0).any() and (got < 0).any()
 
 
 def test_sqrt_mod_primes_refuses_wide_moduli():
@@ -292,6 +315,45 @@ def test_prime_array_odd_sieve(n):
     got = prime_array(n)
     assert got.dtype == np.int64 and got.ndim == 1
     assert got.tolist() == byte_sieve_primes(n)
+    # kept per n, and read-only, since every caller shares it
+    assert prime_array(n) is got and not got.flags.writeable
+
+
+@settings(max_examples=300)
+@given(st.integers(-10, 5000), st.integers(-10, 5000))
+@example(-3, 2)
+@example(1, 2)
+@example(2, 3)
+@example(7, 7)
+@example(8, 7)
+def test_primes_between_matches_byte_sieve(lo, hi):
+    got = primes_between(lo, hi)
+    assert got.dtype == np.int64
+    assert got.tolist() == [p for p in byte_sieve_primes(hi) if p > lo]
+
+
+def test_primes_between_at_prime_squares():
+    # spans that end on, just before and just after a prime square, where
+    # the square is the first number its prime strikes
+    every = byte_sieve_primes(994_011)
+    for square in (9, 25, 49, 121, 169, 961, 10_201, 994_009):
+        for lo in range(square - 2, square + 2):
+            for hi in range(square - 1, square + 3):
+                want = every[bisect_right(every, lo) : bisect_right(every, hi)]
+                assert primes_between(lo, hi).tolist() == want
+
+
+def test_primes_between_in_spans_with_one_base():
+    # consecutive spans of an odd and an even width, with the base primes
+    # up to sqrt(hi) passed once, rejoin to the whole sieve
+    hi = 10**6 + 3
+    base = prime_array(math.isqrt(hi))[1:]
+    want = byte_sieve_primes(hi)
+    for width in (997, 4096):
+        spans = [
+            primes_between(lo, min(lo + width, hi), base) for lo in range(0, hi, width)
+        ]
+        assert np.concatenate(spans).tolist() == want
 
 
 def test_smallest_prime_factors():
