@@ -7,17 +7,17 @@ An expansion keeps its quotients and its states as columns: the tuples
 `period`, `a` and `b` of bare integers. `cf_orbit` is the one step, also
 used for class numbers, and `cf_expand` the walk from any start. The
 principal cycle of d is ambiguous, so symmetric: `principal_expansion(d)`
-walks it only to its middle and fills in the other half by reflection,
-sharing the integers of the first, and caches the result; its every reader
-starts from that record: the regulator is the logarithm of the fundamental
-unit, which by the same symmetry is a_h psi_h^2 (times theta_h+1 for an odd
-period) with psi_h the product of the first h = T // 2 states, built from
-their quotients by the continuant recurrence on bare integers, kept to its
-top bits, put together in integer fixed point and taken with one logarithm
-at REGULATOR_DPS digits, cached per d for the unit, the class number and the
-criterion; the reduced principal ideals and their norms are its state
-columns; an exact big-integer unit, from the exact continuants of the whole
-period, is available separately for cross-checks.
+walks it only to its middle, keeps the states it walked and the period
+length T, and caches the result; its every reader starts from that record:
+the regulator is the logarithm of the fundamental unit, which by the same
+symmetry is a_h psi_h^2 (times theta_h+1 for an odd period) with psi_h the
+product of the first h = T // 2 states, built from their quotients by the
+continuant recurrence on bare integers, kept to its top bits, put together
+in integer fixed point and taken with one logarithm at REGULATOR_DPS digits,
+cached per d for the unit, the class number and the criterion; the reduced
+principal ideals and their norms are its state columns. An exact big-integer
+unit, from the exact continuants of the whole period walked by cf_expand, is
+available separately for cross-checks.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ REGULATOR_PREC = dps_to_prec(REGULATOR_DPS)
 # the step budget of cf_expand, which takes at most this many quotients plus
 # one; principal_expansion refuses the same d. Traced on d = 1000000000061
 # (199 129 steps, CPython 3.11), an expansion keeps 88 bytes per step and
-# peaks at 113 while built, a principal one, whose halves share their
-# integers, 56 and 80: peaks of about 0.23 and 0.16 GB at this limit
+# peaks at 113 while built, a principal one, which keeps half the states, 44
+# and 56: peaks of about 0.23 and 0.11 GB at this limit
 PERIOD_STEP_LIMIT = 2 * 10**6
 
 
@@ -74,13 +74,16 @@ class PeriodOverflow(RuntimeError):
 class CFExpansion:
     """The expansion of a quadratic irrational of discriminant d: its
     preperiod quotients, then its period's quotients and the columns a and b
-    of its reduced states, one (b + sqrt(d))/(2a) for each quotient."""
+    of its reduced states, one (b + sqrt(d))/(2a) for each quotient, and the
+    period's length T: all T states from cf_expand, T // 2 + 1 from
+    principal_expansion."""
 
     d: int
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
     a: tuple[int, ...]
     b: tuple[int, ...]
+    length: int
 
     @property
     def cycle(self) -> tuple[QuadIrrational, ...]:
@@ -142,9 +145,8 @@ def cf_expand(rho: QuadIrrational) -> CFExpansion:
                 preperiod.append(alpha)
                 continue
         elif a == a_col[0] and b == b_col[0]:
-            return CFExpansion(
-                d, tuple(preperiod), tuple(period), tuple(a_col), tuple(b_col)
-            )
+            columns = map(tuple, (preperiod, period, a_col, b_col))
+            return CFExpansion(d, *columns, len(period))
         period.append(alpha)
         a_col.append(a)
         b_col.append(b)
@@ -153,19 +155,18 @@ def cf_expand(rho: QuadIrrational) -> CFExpansion:
 
 @lru_cache(maxsize=EXPANSION_CACHE_SIZE)
 def principal_expansion(d: int) -> CFExpansion:
-    """Expansion of (d%2 + sqrt(d))/2, whose cycle is the principal cycle:
-    cf_expand's, refused exactly when cf_expand refuses it, from a walk
-    over half the cycle.
+    """Expansion of (d%2 + sqrt(d))/2, whose cycle is the principal cycle, to
+    that cycle's middle: cf_expand's but for states m + 1..T of its T, with
+    m = T // 2 + 1, and refused exactly when cf_expand refuses it.
 
     Number the reduced states 1..T from the first; state T is the one with
     a = 1, so a_0 = a_T = 1. The principal cycle is ambiguous, hence
     symmetric: alpha_j = alpha_{T-j} and a_j = a_{T-j} for 0 < j < T, and
-    b_j = b_{T+1-j}. The walk stops at the first m with a_m = a_{m-1}
-    (T = 2m - 1, which is T = 1 when the first reduced state has a = 1) or,
-    for m > 1, b_m = b_{m-1} (T = 2m - 2); the rest of the cycle is the
-    reflection of states 1..m, and alpha_T = floor((b_1 + sqrt(d))/2). A walk
-    that passes state m without stopping has T >= 2m, so it meets the step
-    budget after about half of the steps cf_expand would take."""
+    b_j = b_{T+1-j}, so states 1..m hold every norm of the cycle. The walk
+    stops at the first m with a_m = a_{m-1} (T = 2m - 1, which is T = 1 when
+    the first reduced state has a = 1) or, for m > 1, b_m = b_{m-1} (T =
+    2m - 2). A walk that passes state m without stopping has T >= 2m, so
+    it meets the step budget after about half the steps cf_expand takes."""
     rho = canonical_irrational(d)
     s = isqrt(d)
     preperiod: list[int] = []
@@ -198,14 +199,7 @@ def principal_expansion(d: int) -> CFExpansion:
     length = 2 * m - 1 if a == last_a else 2 * m - 2
     if length > budget:
         raise _overflow(d, a, b)
-    # the walk is at state m = k + 1: alpha_j and a_j for j <= k and b_j for
-    # j <= T - k give the rest by the symmetry
-    k = m - 1
-    mirror = length - 1 - k
-    period = period[:k] + period[:mirror][::-1] + [(b_col[0] + s) // 2]
-    a_col = a_col[:k] + a_col[:mirror][::-1] + [1]
-    b_col = b_col[: length - k] + b_col[:k][::-1]
-    return CFExpansion(d, tuple(preperiod), tuple(period), tuple(a_col), tuple(b_col))
+    return CFExpansion(d, *map(tuple, (preperiod, period, a_col, b_col)), length)
 
 
 @lru_cache(maxsize=EXPANSION_CACHE_SIZE)
@@ -218,7 +212,7 @@ def regulator_enclosure(d: int) -> tuple[tuple, tuple]:
     theta_1...theta_k satisfy psi_k = P_k + P_k-1 / theta_k+1 for the
     continuants P_-1 = 0, P_0 = 1, P_k = alpha_k P_k-1 + P_k-2 of the
     quotients alpha_j, and eps = psi_T. The cycle is symmetric (see
-    principal_expansion), and the unit follows from its first half:
+    principal_expansion), and the unit follows from the half it keeps:
     eps = a_h psi_h^2 when T is even, and eps = a_h psi_h^2 theta_h+1 when T
     is odd. Once P_k passes UNIT_BITS + 64 bits, P_k and P_k-1 are shifted
     right together to UNIT_BITS bits, and the shift comes back as a power
@@ -242,7 +236,7 @@ def regulator_enclosure(d: int) -> tuple[tuple, tuple]:
     and a generous allowance, (16 + 8R) 2**-REGULATOR_PREC, for the rounding
     of the one libmp logarithm and of the bound itself."""
     exp = principal_expansion(d)
-    length = len(exp.period)
+    length = exp.length
     half = length // 2
     p, q, shift = 1, 0, 0
     for alpha in exp.period[:half]:
@@ -250,11 +244,12 @@ def regulator_enclosure(d: int) -> tuple[tuple, tuple]:
         if p >= _UNIT_TOP:
             excess = p.bit_length() - UNIT_BITS
             p, q, shift = p >> excess, q >> excess, shift + excess
-    # X and D of the docstring; a[half - 1] is a_T = 1 when h = 0
+    # X and D of the docstring; a_h is a_T = 1 when h = 0
     a, b = exp.a[half], exp.b[half]
     den = (b << FIXED_BITS) + isqrt(d << 2 * FIXED_BITS)
     psi = (p << FIXED_BITS) + ((2 * a * q) << 2 * FIXED_BITS) // den
-    unit, scale = exp.a[half - 1] * psi * psi, 2 * shift - 2 * FIXED_BITS
+    a_half = exp.a[half - 1] if half else 1
+    unit, scale = a_half * psi * psi, 2 * shift - 2 * FIXED_BITS
     if length % 2:
         unit, scale = unit * den // (2 * a), scale - FIXED_BITS
     prec, rnd = REGULATOR_PREC, round_nearest
@@ -275,18 +270,19 @@ def fundamental_unit(d: int) -> UnitInfo:
     """Regulator log eps, regulator_enclosure's value rounded to the nearest
     float; period length T; norm sign (-1)^T."""
     reg = to_float(regulator_enclosure(d)[0], rnd=round_nearest)
-    length = len(principal_expansion(d).period)
+    length = principal_expansion(d).length
     return UnitInfo(reg, length, -1 if length % 2 else 1)
 
 
 def exact_unit(d: int) -> ExactUnit:
     """The fundamental unit with big-integer coordinates, from the exact
-    continuants of the whole period, independent of regulator_enclosure's
-    half period: with c_1 = (d - b_1^2)/(4a_1), 1/theta_1 = (sqrt(d) -
-    b_1)/(2c_1), so eps = P_T + P_T-1 / theta_1 has x = (2c_1 P_T - b_1
-    P_T-1)/c_1 and y = P_T-1 / c_1. The coordinates have O(R) bits and each
-    step one product by a quotient, so the cost is O(T * R)."""
-    exp = principal_expansion(d)
+    continuants of the whole period, walked by cf_expand: it shares only
+    cf_orbit with regulator_enclosure. With c_1 = (d - b_1^2)/(4a_1),
+    1/theta_1 = (sqrt(d) - b_1)/(2c_1), so eps = P_T + P_T-1 / theta_1 has
+    x = (2c_1 P_T - b_1 P_T-1)/c_1 and y = P_T-1 / c_1. The coordinates have
+    O(R) bits and each step one product by a quotient, so the cost is
+    O(T * R)."""
+    exp = cf_expand(canonical_irrational(d))
     a1, b1 = exp.a[0], exp.b[0]
     p, q = 1, 0
     for alpha in exp.period:
@@ -301,10 +297,13 @@ def exact_unit(d: int) -> ExactUnit:
 
 def principal_ideal_of_norm(d: int, n: int) -> QuadIdeal | None:
     """The first reduced principal ideal of norm n along the principal
-    cycle, or None when n is not such a norm."""
+    cycle, or None when n is not such a norm: for n > 1 a walked state, as
+    a_j = a_{T-j}, and for n = 1 state T = (1, b_1)."""
     if n < 1:
         raise ValueError("principal_ideal_of_norm: n must be positive")
     exp = principal_expansion(d)
+    if n == 1:
+        return QuadIdeal(d, 1, exp.b[0])
     try:
         i = exp.a.index(n)
     except ValueError:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import islice
 from math import gcd, isqrt, log, sqrt
 
@@ -162,15 +163,23 @@ def test_cf_expand_default_budget_is_the_step_limit():
     assert (exp.period, exp.a, exp.b) == ((1,), (1,), (1,))
 
 
+def first_half(exp):
+    """cf_expand's principal expansion cut to the states the half walk
+    keeps: 1..m of its T, with m = T // 2 + 1."""
+    m = exp.length // 2 + 1
+    return replace(exp, period=exp.period[:m], a=exp.a[:m], b=exp.b[:m])
+
+
 def test_principal_expansion_matches_cf_expand_below_30000():
-    # the half walk and its reflection against the full walk, on every
-    # discriminant, fundamental or not; T = 1 for d = b^2 + 4
+    # the half walk against the full walk, on every discriminant,
+    # fundamental or not; T = 1 for d = b^2 + 4
     lengths = set()
     for d in range(5, 30000):
         if is_discriminant(d):
-            exp = principal_expansion(d)
-            assert exp == cf_expand(canonical_irrational(d)), d
-            lengths.add(len(exp.period))
+            full = cf_expand(canonical_irrational(d))
+            assert full.length == len(full.period), d
+            assert principal_expansion(d) == first_half(full), d
+            lengths.add(full.length)
     assert {1, 2, 3, 4} <= lengths
 
 
@@ -179,7 +188,9 @@ def test_principal_expansion_matches_cf_expand_below_30000():
 @example(1000000000061)
 def test_principal_expansion_matches_cf_expand_sample(d):
     assume(is_discriminant(d))
-    assert principal_expansion(d) == cf_expand(canonical_irrational(d))
+    full = cf_expand(canonical_irrational(d))
+    assert full.length == len(full.period)
+    assert principal_expansion(d) == first_half(full)
 
 
 def test_principal_expansion_overflow_boundary(monkeypatch):
@@ -202,7 +213,7 @@ def test_principal_expansion_overflow_boundary(monkeypatch):
         total = len(exp.preperiod) + len(exp.period)
         monkeypatch.setattr(cfrac, "PERIOD_STEP_LIMIT", total - 1)
         principal_expansion.cache_clear()
-        assert principal_expansion(d) == exp, d
+        assert principal_expansion(d) == first_half(exp), d
         monkeypatch.setattr(cfrac, "PERIOD_STEP_LIMIT", total - 2)
         principal_expansion.cache_clear()
         within = f"did not close within PERIOD_STEP_LIMIT = {total - 2} steps"
@@ -215,13 +226,17 @@ def test_principal_expansion_overflow_boundary(monkeypatch):
 
 
 def test_principal_ideal_of_norm_is_first_on_cycle():
+    # n = 1 finds state T, which lies past the walked half from T = 3 on
+    lengths = set()
     for d in range(5, 3000):
         if not is_discriminant(d):
             continue
-        cycle = principal_expansion(d).cycle
+        cycle = cf_expand(canonical_irrational(d)).cycle
+        lengths.add(len(cycle))
         for n in range(1, max(rho.a for rho in cycle) + 2):
             first = next((to_ideal(rho) for rho in cycle if rho.a == n), None)
             assert principal_ideal_of_norm(d, n) == first, (d, n)
+    assert {1, 2, 3, 4} <= lengths
 
 
 def continuant_enclosure(d):
@@ -341,10 +356,11 @@ def test_regulator_enclosure_holds_exact_log_at_paper_scale():
     ],
 )
 def test_regulator_enclosure_holds_exact_log_at_long_period(d, length):
-    # exact_unit runs its own continuants over the whole period, the
-    # enclosure its truncated ones over the first half; the even and the odd
-    # period each take their own closing step
-    assert len(principal_expansion(d).period) == length
+    # exact_unit walks the whole period with cf_expand and runs its exact
+    # continuants over it, the enclosure its truncated ones over the first
+    # half of principal_expansion's walk: the two share only cf_orbit. The
+    # even and the odd period each take their own closing step
+    assert principal_expansion(d).length == length
     assert_enclosure_holds_exact_log(d)
     reg, err = map(mp.make_mpf, regulator_enclosure(d))
     assert err < mpf(10) ** -30 * reg
@@ -386,7 +402,7 @@ def state_product_unit(d):
     """The unit as exact_unit used to build it: the product of the states
     (b + sqrt(d))/(2a) of the principal cycle in Z[sqrt(d)], reduced by the
     gcd with its denominator at every step."""
-    exp = principal_expansion(d)
+    exp = cf_expand(canonical_irrational(d))
     x_acc, y_acc, den = 1, 0, 1
     for a, b in zip(exp.a, exp.b):
         x_acc, y_acc = x_acc * b + y_acc * d, x_acc + y_acc * b
@@ -410,7 +426,7 @@ def test_exact_unit_values():
 
 
 def reduced_principal_ideals(d: int) -> set[QuadIdeal]:
-    exp = principal_expansion(d)
+    exp = cf_expand(canonical_irrational(d))
     return {QuadIdeal(d, a, b) for a, b in zip(exp.a, exp.b)}
 
 
@@ -476,3 +492,14 @@ def test_one_walk_per_cubic_record(monkeypatch):
     records = list(family_scan("cubic", {"p": 2, "q": 3}, range(1, 9)))
     assert len(records) >= 4 and all(rec.bound_ok for rec in records)
     assert walks == [rec.d_values[0] for rec in records]
+
+
+def test_exact_unit_walks_its_own_period(monkeypatch):
+    # the oracle for R reads no cached principal half: with the half walk
+    # done, exact_unit starts a walk of the whole period of its own
+    d = 1109
+    walks = counting_walks(monkeypatch)
+    fundamental_unit(d)
+    assert walks == [d]
+    exact_unit(d)
+    assert walks == [d, d]

@@ -13,9 +13,9 @@ from mpmath import mp, mpf
 from qrl import classno
 from qrl.cfrac import (
     REGULATOR_DPS,
+    cf_expand,
     cf_orbit,
     fundamental_unit,
-    principal_expansion,
     regulator_enclosure,
 )
 from qrl.classno import (
@@ -35,6 +35,7 @@ from qrl.intarith import (
     kronecker,
     prime_array,
 )
+from qrl.quadorder import canonical_irrational
 from test_families import legendre_table
 from test_intarith import divisors
 
@@ -229,7 +230,7 @@ def signed_form_class_numbers(d):
             _, b, c = form
             b2 = s - ((s + b) % (2 * abs(c)))
             form = (c, b2, (b2 * b2 - d) // (4 * c))
-    if len(principal_expansion(d).period) % 2:
+    if len(cf_expand(canonical_irrational(d)).period) % 2:
         return h_narrow, h_narrow
     return h_narrow // 2, h_narrow
 

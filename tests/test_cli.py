@@ -29,9 +29,10 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from qrl import cfrac, classno, cli, families, intarith
-from qrl.cfrac import exact_unit, fundamental_unit, principal_expansion
+from qrl.cfrac import cf_expand, exact_unit, fundamental_unit
 from qrl.classno import l_value_exact, l_value_truncated
 from qrl.cli import main
+from qrl.quadorder import canonical_irrational
 from test_families import INT64_EDGE_K
 
 
@@ -164,7 +165,7 @@ def test_cf_matches_expansion():
     code, out, _ = run_cli(["cf", "--d", "13"])
     assert code == 0
     record = one_json(out)
-    exp = principal_expansion(13)
+    exp = cf_expand(canonical_irrational(13))
     assert record["preperiod"] == list(exp.preperiod)
     assert record["period"] == list(exp.period)
     assert record["period_length"] == len(exp.period)
