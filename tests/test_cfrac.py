@@ -353,6 +353,11 @@ def test_regulator_enclosure_holds_exact_log_at_paper_scale():
     [
         (2416214017, 48574),  # the cubic family's p = 2, q = 3, k = 14
         (1000000021, 13605),  # a prime, so an odd period
+        # and its k = 15, 17, 18 and 19
+        *(
+            pytest.param((2**k * 3 + 3) ** 2 - 8, length, marks=pytest.mark.slow)
+            for k, length in ((15, 3660), (17, 2926), (18, 237644), (19, 129054))
+        ),
     ],
 )
 def test_regulator_enclosure_holds_exact_log_at_long_period(d, length):

@@ -85,10 +85,20 @@ def walked_class_numbers(d):
     return h, h if len(principal) % 2 else 2 * h
 
 
-def test_class_number_forms_match_walked_cycles_below_6000():
-    for d in range(5, 6000):
+def check_forms_match_walked_cycles(hi):
+    for d in range(5, hi):
         if is_discriminant(d):
             assert class_number_forms(d) == walked_class_numbers(d), d
+
+
+def test_class_number_forms_match_walked_cycles_below_6000():
+    check_forms_match_walked_cycles(6000)
+
+
+@pytest.mark.slow
+def test_class_number_forms_match_walked_cycles_below_forms_below():
+    # 49683 d, about 20 s
+    check_forms_match_walked_cycles(classno.FORMS_BELOW)
 
 
 @settings(max_examples=30, deadline=None)
@@ -248,22 +258,34 @@ def test_narrow_wide_ratio():
         assert h_narrow == (h if sign == -1 else 2 * h)
 
 
-def test_genus_theory_divides_narrow_class_number():
+def check_genus_theory(ds):
     """For a fundamental d with t distinct prime factors, 2**(t-1) divides h+
-    (genus theory): on every fundamental d < 6000, and on the scan records of
-    the m = 1, p1 = 5 progression with k <= 12, whose d run from 5.4e7 to
-    5.4e9 and take h from the analytic series."""
-    records = scan_squarefree(build_progression(1, [5], 10**10, 0.9), k_max=12)
-    large = [rec.d_values[0] for rec in records]
-    assert len(large) == 11 and 5 * 10**7 < min(large) < max(large) < 6 * 10**9
-    large_ts = set()
-    for d in [*fundamental_discriminants(5, 6000), *large]:
+    (genus theory); the set of the t met."""
+    ts = set()
+    for d in ds:
         assert fundamental_decomposition(d).conductor == 1, d
         t = len(factorize(d))
         assert class_number(d)[1] % 2 ** (t - 1) == 0, (d, t)
-        if d in large:
-            large_ts.add(t)
-    assert large_ts == {1, 2, 3}
+        ts.add(t)
+    return ts
+
+
+def test_genus_theory_divides_narrow_class_number():
+    # every fundamental d < 6000, and the records of the m = 1, p1 = 5
+    # progression with k <= 12, their h from the scan's analytic series
+    check_genus_theory(fundamental_discriminants(5, 6000))
+    spec = build_progression(1, [5], 10**10, 0.9)
+    large = [rec.d_values[0] for rec in scan_squarefree(spec, 12, with_h=True)]
+    assert len(large) == 11 and 5 * 10**7 < min(large) < max(large) < 6 * 10**9
+    assert check_genus_theory(large) == {1, 2, 3}
+
+
+@pytest.mark.slow
+def test_genus_theory_on_the_60_k_scan():
+    spec = build_progression(1, [5], 10**10, 0.9)
+    large = [rec.d_values[0] for rec in scan_squarefree(spec, 60, with_h=True)]
+    assert len(large) == 59 and 5 * 10**7 < min(large) < max(large) < 14 * 10**10
+    assert check_genus_theory(large) == {1, 2, 3, 4}
 
 
 def test_l_truncated_examples():
@@ -418,13 +440,9 @@ def test_h_bound_is_rounded_down():
             assert exact - bound <= 2 * mp.ldexp(exact, -52), d
 
 
-def test_h_bound_brackets_its_60_digit_value():
+def check_h_bound_brackets(ds, constants):
     # every operation rounded toward the safe side: at most the 60-digit
     # value, and within two float ulps of it
-    rng = random.Random(17)
-    ds = [16, 17, 61, 100, 12345, 10**6 + 3, 10**9 + 9, 10**12 + 61, 10**20 + 7]
-    ds += [rng.randrange(16, 10 ** rng.randrange(2, 25)) for _ in range(200)]
-    constants = [0.0, 1e-3, 0.1, 1.0, 192 * log(3), 192 * log(5), 12345.678, 1e10]
     with mp.workdps(60):
         for d in ds:
             log_d = mp.log(d)
@@ -432,6 +450,23 @@ def test_h_bound_brackets_its_60_digit_value():
             for constant in constants:
                 bound, exact = h_bound(d, constant), mpf(constant) * scale
                 assert bound <= exact <= bound + 2 * math.ulp(bound), (d, constant)
+
+
+def test_h_bound_brackets_its_60_digit_value():
+    rng = random.Random(17)
+    ds = [16, 17, 61, 100, 12345, 10**6 + 3, 10**9 + 9, 10**12 + 61, 10**20 + 7]
+    ds += [rng.randrange(16, 10 ** rng.randrange(2, 25)) for _ in range(200)]
+    constants = [0.0, 1e-3, 0.1, 1.0, 192 * log(3), 192 * log(5), 12345.678, 1e10]
+    check_h_bound_brackets(ds, constants)
+
+
+@pytest.mark.slow
+def test_h_bound_brackets_its_60_digit_value_to_1e41():
+    # two d per decade from 1e20 to 1e41
+    rng = random.Random(43)
+    ds = [10**e + 1 for e in range(20, 41)]
+    ds += [rng.randrange(10**e, 10 ** (e + 1)) for e in range(20, 41)]
+    check_h_bound_brackets(ds, [1e-3, 1.0, 192 * log(5), 1e10])
 
 
 def test_h_bound_refuses_a_negative_constant():
@@ -467,10 +502,23 @@ def test_class_number_examples_analytic():
     assert class_number(10000200021)[0] == 4
 
 
+def check_series_matches_forms(ds):
+    for d in ds:
+        assert _analytic_class_number(d) == class_number_forms(d), d
+
+
 def test_class_number_matches_forms_below_6000():
-    for d in range(5, 6000):
-        if is_discriminant(d):
-            assert _analytic_class_number(d) == class_number_forms(d), d
+    check_series_matches_forms(d for d in range(5, 6000) if is_discriminant(d))
+
+
+@pytest.mark.slow
+def test_class_number_matches_forms_above_forms_below():
+    # every d in [1e5, 1.2e5), 3880 of them with conductor f > 1, which take
+    # the unit-index path
+    ds = [d for d in range(classno.FORMS_BELOW, 12 * 10**4) if is_discriminant(d)]
+    assert len(ds) == 9970
+    assert sum(fundamental_decomposition(d).conductor > 1 for d in ds) == 3880
+    check_series_matches_forms(ds)
 
 
 @settings(max_examples=40, deadline=None)
@@ -798,14 +846,19 @@ def record_series(monkeypatch):
 def check_widths(pins, sums):
     """Every field h interval in pins is narrower than 1/2 + 1e-6, the bound
     argued at TAIL_SHARE = 1/2, and the rounding part of every E in sums,
-    E less its tail, is below 1e-6 R."""
+    E less its tail, is below 1e-6 R; per sum, d, N, (E - tail)/R and the
+    interval's width."""
     widths = [hi - lo for what, lo, hi in pins if what == "field's class number"]
     assert len(widths) == len(sums)
     assert max(widths) < 0.5 + 1e-6, max(widths)
-    for d, n_max, err in sums:
+    rows = []
+    for (d, n_max, err), width in zip(sums, widths):
         x_max = np.pi * n_max * n_max / d
         tail = 2 * sqrt(d / np.pi) * math.exp(-x_max) * x_max**-1.5
-        assert err - tail < 1e-6 * fundamental_unit(d).regulator, d
+        reg = fundamental_unit(d).regulator
+        assert err - tail < 1e-6 * reg, d
+        rows.append((d, n_max, (err - tail) / reg, float(width)))
+    return rows
 
 
 def test_class_number_interval_width_and_rounding(monkeypatch):
@@ -818,6 +871,19 @@ def test_class_number_interval_width_and_rounding(monkeypatch):
     hs = [_analytic_class_number(d) for d in ds]
     assert hs[-2:] == [(1, 1), (3018, 6036)]
     check_widths(pins, sums)
+
+
+@pytest.mark.slow
+def test_class_number_interval_width_at_the_term_limit(monkeypatch):
+    # the Chowla d = 4k^2 + 1 for k = 2.3e6 and 2.4e6 need N just under
+    # SERIES_TERM_LIMIT = 1e7, where the error bound is loosest; each d's
+    # line shows the headroom left under 1e-6 R
+    pins, sums = record_series(monkeypatch)
+    assert class_number(21160000000001) == (379874, 379874)
+    assert class_number(23040000000001) == (484120, 484120)
+    assert [n_max for _, n_max, _ in sums] == [9493426, 9920946], sums
+    for d, n_max, share, width in check_widths(pins, sums):
+        print(f"d = {d}: N = {n_max}, (E - tail)/R = {share:.3g}, width = {width:.6g}")
 
 
 @pytest.mark.parametrize("d", [5, 13, 1009, 4 * 1011, 100049])

@@ -240,24 +240,38 @@ def reference_sums(products):
         return discrete, exact, mp.log((u.x + u.y * root) / 2)
 
 
+def check_within_an_ulp_below_reference_sums(d, n):
+    """The criterion's products for d and the one norm n: each operation is
+    rounded toward the safe side, so each lower bound is the float just
+    below its 60-digit reference sum, and the regulator the float above."""
+    products, report = evaluate_criterion(CriterionInput(d, (NormSplit(n, n, 1),)))
+    discrete, exact, reg = reference_sums(products)
+    for bound, ref in ((report.discrete_sum, discrete), (report.exact_sum, exact)):
+        assert bound <= ref <= bound + math.ulp(bound), d
+    assert report.regulator >= reg, d
+    return products
+
+
 def test_regulator_lower_bound_within_an_ulp_below_reference_sums():
     # every fourth fundamental d <= 2*10**4 with the census's norm: the
-    # smallest principal-cycle norm n > 1 coprime to d; each operation is
-    # rounded toward the safe side, so each lower bound is the float just
-    # below its 60-digit reference sum, and the regulator the float above
+    # smallest principal-cycle norm n > 1 coprime to d
     checked = 0
     for d in list(fundamental_discriminants(5, 20001))[::4]:
         norms = [a for a in principal_expansion(d).a if a > 1 and gcd(a, d) == 1]
         if not norms:
             continue
-        n = min(norms)
-        products, report = evaluate_criterion(CriterionInput(d, (NormSplit(n, n, 1),)))
-        discrete, exact, reg = reference_sums(products)
-        for bound, ref in ((report.discrete_sum, discrete), (report.exact_sum, exact)):
-            assert bound <= ref <= bound + math.ulp(bound), d
-        assert report.regulator >= reg, d
+        check_within_an_ulp_below_reference_sums(d, min(norms))
         checked += 1
     assert checked >= 1000
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", [15, 17, 18, 19])
+def test_regulator_lower_bound_within_an_ulp_below_reference_sums_on_cubic_d(k):
+    # the cubic family's d of p = 2, q = 3 (d = 9.7e9 to 2.5e12), whose
+    # norms 2^j, j <= k, are all reduced principal
+    d = (2**k * 3 + 3) ** 2 - 8
+    assert len(check_within_an_ulp_below_reference_sums(d, 2).vectors) == k + 1
 
 
 def cycle_norm_choices(d):

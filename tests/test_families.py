@@ -1,4 +1,6 @@
 import random
+import resource
+import time
 import tracemalloc
 from dataclasses import replace
 from math import gcd, isqrt, log, sqrt, ulp
@@ -504,6 +506,27 @@ def test_root_table_matches_scalar_oracle():
     assert table.bound == 4 * 10**5
 
 
+@pytest.mark.slow
+def test_root_table_matches_scalar_oracle_at_sieve_limit():
+    # grown at once to SIEVE_PRIME_LIMIT = 1e8: its entry count, and its
+    # entries above 1e8 - 1e5, the last span and the seam before it
+    spec = build_progression(1, [5], 10**10, 0.9)
+    table = families._RootTable(spec.n0, spec.q, 4 * spec.primes[0])
+    start = time.perf_counter()
+    table.grow(families.SIEVE_PRIME_LIMIT)
+    elapsed = time.perf_counter() - start
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"grown to {table.bound} in {elapsed:.2f} s, peak RSS {peak:.0f} MB")
+    assert table.bound == families.SIEVE_PRIME_LIMIT
+    assert len(table.primes) == len(table.k0) == 5_761_345
+    lo = table.bound - 10**5
+    primes = [p for p in range(lo + 1, table.bound + 1) if is_prime(p)]
+    want_primes, want_k0 = oracle_entries(table.n0, table.q, table.c, primes)
+    tail = np.searchsorted(table.primes, lo, side="right")
+    assert table.primes[tail:].tolist() == want_primes
+    assert table.k0[tail:].tolist() == want_k0
+
+
 
 def test_root_table_growth_peaks_near_the_table():
     # the x = 10**10 spec grown at once to 10**7 (about 2 s): each column's
@@ -854,11 +877,11 @@ def test_scan_chowla():
         assert r.bound_ok and r.regulator <= log(2 * sqrt(r.d_values[0])) + 1e-9
 
 
-def test_shanks_interval_holds_the_closed_form():
+def check_shanks_interval(ks, count):
     # the closed form rounded down and up holds its 60-digit value, within
     # 2**-90 relative, and each row carries the float just below it
-    rows = list(families._shanks(range(2, 31)))
-    assert len(rows) == 28 and all(ok for *_, ok in rows)
+    rows = list(families._shanks(ks))
+    assert len(rows) == count and all(ok for *_, ok in rows)
     with mp.workdps(60):
         for k, n, d, bound, _ in rows:
             root = mp.sqrt(d)
@@ -869,6 +892,15 @@ def test_shanks_interval_holds_the_closed_form():
             )
             assert low <= closed <= high <= low + mp.ldexp(closed, -90), k
             assert bound <= closed <= bound + ulp(bound), k
+
+
+def test_shanks_interval_holds_the_closed_form():
+    check_shanks_interval(range(2, 31), 28)
+
+
+@pytest.mark.slow
+def test_shanks_interval_holds_the_closed_form_to_k_38():
+    check_shanks_interval(range(2, 39), 36)
 
 
 def enclose_every_regulator_at(monkeypatch, value):
@@ -892,10 +924,13 @@ def test_chowla_bound_is_certified(monkeypatch):
             assert rec.bound_ok is ok, shift
 
 
-def test_chowla_log_is_rounded_down(monkeypatch):
-    # R's enclosure is put at the 60-digit log(2 sqrt d), just above it and
-    # just below it: the row is certified only below, so the log(2 sqrt d)
-    # that _chowla compares with is at most the true value
+def check_chowla_log_is_rounded_down(monkeypatch, ns, count):
+    # every row passes with R's true enclosure; then the enclosure is put
+    # at the 60-digit log(2 sqrt d), just above it and just below it: the
+    # row is certified only below, so the log(2 sqrt d) that _chowla
+    # compares with is at most the true value
+    rows = list(families._chowla(ns))
+    assert len(rows) == count and all(ok for *_, ok in rows)
     with mp.workdps(60):
         for shift, ok in ((mpf(10) ** -40, False), (-(mpf(2) ** -95), True)):
 
@@ -903,9 +938,19 @@ def test_chowla_log_is_rounded_down(monkeypatch):
                 return (mp.log(4 * d) / 2 * (1 + shift))._mpf_, mpf(0)._mpf_
 
             monkeypatch.setattr(families, "regulator_enclosure", enclosure)
-            rows = list(families._chowla(range(1, 2001)))
-            assert len(rows) > 1000
+            rows = list(families._chowla(ns))
             assert all(row_ok is ok for *_, row_ok in rows), shift
+
+
+def test_chowla_log_is_rounded_down(monkeypatch):
+    check_chowla_log_is_rounded_down(monkeypatch, range(1, 2001), 1792)
+
+
+@pytest.mark.slow
+def test_chowla_log_is_rounded_down_at_4e11(monkeypatch):
+    # 40 n near the sieve's top, n = 5e11
+    ns = range(4 * 10**11, 4 * 10**11 + 40)
+    check_chowla_log_is_rounded_down(monkeypatch, ns, 36)
 
 
 def test_shanks_closed_form_is_certified(monkeypatch):
