@@ -245,26 +245,58 @@ class _RootTable:
         self.bound = new_bound
 
     def hits(self, bound: int, k_lo: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Int64 arrays (p, first), one listing per index: the prime p <=
-        bound (covered by the table) divides the value at k = k_lo + j for
-        j = first, first + p, ... below count. Each such (p, j), 0 <= j <
-        count, is listed once."""
-        n = np.searchsorted(self.primes, bound, side="right")
-        p = self.primes[:n]
-        # k_lo mod p takes an int64 remainder only for the p <= |k_lo|: for
-        # a larger p it is k_lo, or k_lo + p when k_lo < 0 (and then |k_lo|
-        # < 2**31). Either way k0 - (k_lo mod p) lies in (-p, p), and adding
-        # p where it is negative reduces it mod p
-        small = np.searchsorted(p, abs(k_lo), side="right")
-        first = self.k0[:n].copy()
-        first[:small] -= residues_mod(k_lo, p[:small])
-        if small < n:
-            first[small:] -= k_lo
+        """Int64 arrays (p, first), one listing per index, in ascending p:
+        the prime p <= bound (covered by the table) divides the value at k =
+        k_lo + j for j = first, first + p, ... below count. Each such (p,
+        j), 0 <= j < count, is listed once.
+
+        The entries split in three by p, so that the cost follows the primes
+        that can wrap inside the window, not the whole table prefix. For p
+        <= |k_lo|, k_lo mod p is an int64 remainder. For |k_lo| < p < |k_lo|
+        + count, and for every p > |k_lo| when k_lo < 0, it is k_lo, or k_lo
+        + p when k_lo < 0. From |k_lo| + count up, with k_lo >= 0, the
+        window lies in [0, p), so each root hits it at most once, at k = k0:
+        exactly when k_lo <= k0 < k_lo + count, which two comparisons on k0
+        read, and first = k0 - k_lo is computed for the hits alone. An empty
+        slice makes no numpy call, so a window whose table ends below |k_lo|
+        reads one slice."""
+        primes, k0 = self.primes, self.k0
+        n = primes.searchsorted(bound, side="right")
+        small = primes[:n].searchsorted(abs(k_lo), side="right")
+        near = n
+        if small < n and k_lo >= 0:
+            near = small + primes[small:n].searchsorted(k_lo + count)
+        out = []
+        if small:
+            p = primes[:small]
+            out.append(_reduced_hits(p, k0[:small] - residues_mod(k_lo, p), count))
+        if small < near:
+            # every p > |k_lo| is below 2**31, and so is |k_lo|
+            p = primes[small:near]
+            first = k0[small:near] - k_lo
             if k_lo < 0:
-                first[small:] -= p[small:]
-        first += p * (first < 0)
-        live = first < count
-        return p[live], first[live]
+                first -= p
+            out.append(_reduced_hits(p, first, count))
+        if near < n:
+            p, k = primes[near:n], k0[near:n]
+            live = k >= k_lo
+            live &= k < k_lo + count
+            live = live.nonzero()[0]
+            out.append((p[live], k[live] - k_lo))
+        # a one-k window often has hits in one slice or none: nothing to join
+        out = [part for part in out if len(part[0])]
+        if len(out) <= 1:
+            return out[0] if out else (primes[:0], k0[:0])
+        return tuple(np.concatenate(part) for part in zip(*out))
+
+
+def _reduced_hits(p, first, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The listings of hits() from the arrays p and first = k0 - (k_lo mod
+    p), each in (-p, p): adding p where first is negative reduces it mod p,
+    and a listing is kept when that is below count."""
+    first += p * (first < 0)
+    live = (first < count).nonzero()[0]
+    return p[live], first[live]
 
 
 def _prime_bound(top: int, method: str) -> int:
@@ -326,12 +358,14 @@ def _squarefree_ks(n0: int, q: int, c: int, k_lo: int, k_hi: int) -> list[int]:
     The sieve reads where each prime divides from the process's root table
     for (n0, q, c), built once and grown span by span when a window needs
     larger primes. The table lists each (p, j) once, as (p, first) for j =
-    first + ip, with p dividing the value at j, and _survivors runs every
-    window's hits and square test in numpy arrays. Their element type is
-    the one choice: int64 when every (n0 + kq)^2 and value, and q, which a
-    one-k window does not bound, lie below INT64_VALUES_BELOW = 2^62;
-    otherwise Python integers. Refuses with ValueError when cbrt(max value)
-    + 1 passes SIEVE_PRIME_LIMIT.
+    first + ip, with p dividing the value at j. At k_lo >= 0 a prime of at
+    least k_lo + count costs the listing two comparisons on its k0, and
+    only the smaller primes pay arithmetic (see _RootTable.hits).
+    _survivors runs every window's hits and square test in numpy arrays.
+    Their element type is the one choice: int64 when every (n0 + kq)^2 and
+    value, and q, which a one-k window does not bound, lie below
+    INT64_VALUES_BELOW = 2^62; otherwise Python integers. Refuses with
+    ValueError when cbrt(max value) + 1 passes SIEVE_PRIME_LIMIT.
     """
     count = k_hi - k_lo + 1
     if count <= 0:

@@ -495,21 +495,42 @@ def assert_table_matches_oracle(table):
     assert table.k0.tolist() == k0
 
 
+def assert_hits_match_oracle(table, k_los, counts):
+    """hits() at the table's bound, for each window (k_lo, count), against
+    every table entry in plain Python: first = (k0 - k_lo) mod p, listed
+    when below count. The entries go to Python lists a slice at a time."""
+    windows = [(k_lo, count) for k_lo in k_los for count in counts]
+    want = {window: [] for window in windows}
+    for lo in range(0, len(table.primes), 1 << 18):
+        primes = table.primes[lo : lo + (1 << 18)].tolist()
+        k0 = table.k0[lo : lo + (1 << 18)].tolist()
+        for (k_lo, count), listing in want.items():
+            listing += [(p, j) for p, k in zip(primes, k0) if (j := (k - k_lo) % p) < count]
+    for k_lo, count in windows:
+        p, first = table.hits(table.bound, k_lo, count)
+        assert p.dtype == first.dtype == np.int64
+        assert list(zip(p.tolist(), first.tolist())) == want[k_lo, count], (k_lo, count)
+
+
 def test_root_table_matches_scalar_oracle():
     # the x = 10**10 spec (n0 = 1365, q = 6006, c = 20), grown in steps
-    # that cross several ROOT_CHUNKs, up to 4 * 10**5
+    # that cross several ROOT_CHUNKs, up to 4 * 10**5; then its hits in
+    # windows that lie below the largest primes, cross them or start just
+    # below the bound, and one at a negative k_lo
     spec = build_progression(1, [5], 10**10, 0.9)
     table = families._RootTable(spec.n0, spec.q, 4 * spec.primes[0])
     for bound in (10, 3000, 50_000, 4 * 10**5):
         table.grow(bound)
         assert_table_matches_oracle(table)
     assert table.bound == 4 * 10**5
+    assert_hits_match_oracle(table, (10**4, 10**5 - 175, 4 * 10**5 - 3000, -(10**5)), (350, 4096))
 
 
 @pytest.mark.slow
 def test_root_table_matches_scalar_oracle_at_sieve_limit():
-    # grown at once to SIEVE_PRIME_LIMIT = 1e8: its entry count, and its
-    # entries above 1e8 - 1e5, the last span and the seam before it
+    # grown at once to SIEVE_PRIME_LIMIT = 1e8: its entry count, its
+    # entries above 1e8 - 1e5, the last span and the seam before it, and
+    # its hits at the limit, each window read against all 5 761 345 entries
     spec = build_progression(1, [5], 10**10, 0.9)
     table = families._RootTable(spec.n0, spec.q, 4 * spec.primes[0])
     start = time.perf_counter()
@@ -525,7 +546,7 @@ def test_root_table_matches_scalar_oracle_at_sieve_limit():
     tail = np.searchsorted(table.primes, lo, side="right")
     assert table.primes[tail:].tolist() == want_primes
     assert table.k0[tail:].tolist() == want_k0
-
+    assert_hits_match_oracle(table, (10**6, 10**7 - 175, 10**8 - 3000, -(10**7)), (350, 4096))
 
 
 def test_root_table_growth_peaks_near_the_table():
@@ -626,6 +647,23 @@ HITS_K_LO = st.one_of(
 )
 
 
+# windows (k_lo, count) for hits: k_lo from HITS_K_LO, or a prime below the
+# bound at |k_lo| + count - 1, |k_lo| + count or |k_lo| + count + 1, where
+# the p > |k_lo| split into those that may hit the window twice per root
+# and those that hit it at most once; count runs from 1, below every table
+# prime, to above the smallest ones
+HITS_WINDOW = st.one_of(
+    st.tuples(HITS_K_LO, st.integers(1, 80)),
+    st.builds(
+        lambda p, count, offset, sign: (sign * max(0, p - count - offset), count),
+        st.sampled_from(primes_up_to(1500)),
+        st.integers(1, 80),
+        st.integers(-1, 1),
+        st.sampled_from([1, -1]),
+    ),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(-10**12, 10**12),
@@ -633,21 +671,33 @@ HITS_K_LO = st.one_of(
     st.sampled_from([1, 2, 3, 6, 30, 210]),
     st.integers(-10**6, 10**6),
     st.sampled_from([1, 2, 5, 12, 35]),
-    HITS_K_LO,
-    st.integers(1, 80),
+    HITS_WINDOW,
     st.integers(2, 1500),
 )
 # the values k^2 + 1 from k = -5, and from k = -13, at the table prime 13:
 # 13 divides the value at k = -5 = 8 - 13, which k_lo mod 13 = k_lo + 13
 # puts at j = 0
-@example(0, 1, 1, 1, 1, -5, 80, 1500)
-@example(0, 1, 1, 1, 1, -13, 80, 1500)
+@example(0, 1, 1, 1, 1, (-5, 80), 1500)
+@example(0, 1, 1, 1, 1, (-13, 80), 1500)
+# k^2 + 1 again, whose table primes are 2 and the p = 1 mod 4: the prime 29
+# at |k_lo| + count - 1, |k_lo| + count and |k_lo| + count + 1, with k_lo
+# of both signs, in windows of 10 k (above the table primes 2 and 5) and of
+# one k (below every table prime)
+@example(0, 1, 1, 1, 1, (20, 10), 60)
+@example(0, 1, 1, 1, 1, (19, 10), 60)
+@example(0, 1, 1, 1, 1, (18, 10), 60)
+@example(0, 1, 1, 1, 1, (-20, 10), 60)
+@example(0, 1, 1, 1, 1, (-19, 10), 60)
+@example(0, 1, 1, 1, 1, (-18, 10), 60)
+@example(0, 1, 1, 1, 1, (28, 1), 60)
+@example(0, 1, 1, 1, 1, (-27, 1), 60)
 def test_root_table_hits_each_dividing_prime_once(
-    n0, q_part, q_primes, c_part, c_primes, k_lo, count, bound
+    n0, q_part, q_primes, c_part, c_primes, window, bound
 ):
     # small primes divide q and c, and c may be negative; n0 moves up to
     # the first with gcd(q, n0^2 + c) = 1. The sieve's one division per hit
     # needs each (p, j) listed once, exactly when p divides the value
+    k_lo, count = window
     q, c = q_part * q_primes, c_part * c_primes
     n0 += coprime_shift(q, lambda t: (n0 + t) ** 2 + c)
     table = families._RootTable(n0, q, c)
@@ -686,6 +736,28 @@ def test_window_reduces_k_lo_only_modulo_the_primes_up_to_it(monkeypatch):
     assert _squarefree_ks(n0, q, c, k_lo, k_hi) == want
     assert want == sieve_oracle(n0, q, c, k_lo, k_hi)
     assert 0 < sum(moduli) <= len(primes_up_to(k_lo)) == 2262
+
+
+def test_window_hits_copy_no_table_prefix():
+    # the sieve workload's table, the x = 10**10 spec grown to 392 411, and
+    # its 350-k windows at k_lo = 20001 and 38151, which read some 21 700
+    # and 32 000 entries: from k_lo + 350 up, a prime hits only where k_lo
+    # <= k0 < k_lo + 350, read by comparisons, so the traced peak stays
+    # below 8 bytes per entry read, where a copy of the k0 read takes 8
+    spec = build_progression(1, [5], 10**10, 0.9)
+    n0, q, c = spec.n0, spec.q, 4 * spec.primes[0]
+    table = families._RootTable(n0, q, c)
+    table.grow(392_411)
+    for k_lo in (20_001, 38_151):
+        bound = window_bound(n0, q, c, k_lo, k_lo + 349)
+        read = np.searchsorted(table.primes, bound, side="right")
+        tracemalloc.start()
+        try:
+            table.hits(bound, k_lo, 350)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read > 20_000 and peak < 8 * read, (k_lo, read, peak)
 
 
 def single_k_survivors(n0, q, c, k_lo, k_hi):
